@@ -3,19 +3,22 @@
 //! a row-locality-heavy DRAM stream. Throughput only — the timing results
 //! themselves are covered by unit tests and goldens.
 
+use vksim_gpu::GpuConfig;
 use vksim_mem::{
     AccessKind, Dram, DramConfig, DramIssue, DramSched, MemRequest, MemSink, RequestQueue,
     SharedMemSystem, SystemConfig,
 };
 use vksim_testkit::{black_box, Bench, Pcg32};
 
-/// Drives `n` read chunks through a backend and advances until idle;
-/// returns the number of completions (consumed by `black_box`).
+/// Drives `n` read chunks, one every `gap` cycles, through a backend and
+/// advances until idle; returns the number of completions (consumed by
+/// `black_box`).
 ///
-/// Submissions are paced below the saturation point: a saturated backend
-/// spends its time in the (seed-identical) MSHR retry loop, which would
-/// swamp the partitioning/scheduling costs this bench compares.
-fn drive_system(config: SystemConfig, n: u64) -> u64 {
+/// A gap of 8 paces submissions below the saturation point: a saturated
+/// backend spends its time in the (seed-identical) MSHR retry loop, which
+/// would swamp the partitioning/scheduling costs those entries compare. A
+/// gap of 0 is that regime on purpose.
+fn drive_system(config: SystemConfig, n: u64, gap: u64) -> u64 {
     let mut sys = SharedMemSystem::new(config);
     let mut rng = Pcg32::new(0x5EED_0000_0000_0001);
     let mut completions = 0u64;
@@ -36,7 +39,7 @@ fn drive_system(config: SystemConfig, n: u64) -> u64 {
             },
             cycle,
         );
-        cycle += 8;
+        cycle += gap;
         completions += sys.advance_to(cycle).len() as u64;
     }
     while !sys.is_idle() {
@@ -117,7 +120,7 @@ fn main() {
     let mut b = Bench::new("mem");
 
     b.bench("system/monolithic_1p", || {
-        black_box(drive_system(SystemConfig::default(), 2048))
+        black_box(drive_system(SystemConfig::default(), 2048, 8))
     });
     b.bench("system/partitioned_4p", || {
         black_box(drive_system(
@@ -126,7 +129,14 @@ fn main() {
                 ..SystemConfig::default()
             },
             2048,
+            8,
         ))
+    });
+    // The paper machine's backend with the whole stream offered at once:
+    // the L2 slices run out of MSHR entries and merge slots, so host time
+    // is the reservation-fail retry path.
+    b.bench("system/l2_starved_8p", || {
+        black_box(drive_system(GpuConfig::paper().mem, 1024, 0))
     });
 
     b.bench("system/backpressured_4p", || {

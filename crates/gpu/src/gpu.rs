@@ -19,7 +19,7 @@ use std::sync::{Mutex, RwLock};
 use vksim_fault::{panic_detail, HangClass, SimError};
 use vksim_isa::{OverlayMem, Program, SimMemory, WriteOverlay};
 use vksim_mem::{RequestQueue, SharedMemSystem};
-use vksim_parallel::{chunk_range, DoneGuard, RoundBarrier, ShutdownGuard};
+use vksim_parallel::{chunk_range, worker_cap, DoneGuard, RoundBarrier, ShutdownGuard};
 use vksim_stats::{Counters, Histogram};
 use vksim_trace::{
     Event, EventKind, IntervalSnapshot, ProfReport, RtSmAnalytics, TraceCollector, TraceReport,
@@ -450,9 +450,10 @@ impl GpuSim {
     }
 
     /// Runs the launched kernel with one hook shard per SM, using
-    /// [`GpuConfig::effective_threads`] phase-A workers. Produces
-    /// bit-identical counters at any thread count; with one thread it is
-    /// exactly the serial engine.
+    /// [`GpuConfig::effective_threads`] phase-A workers (never more than
+    /// the host's cores minus the coordinator's). Produces bit-identical
+    /// counters at any thread count; with one thread it is exactly the
+    /// serial engine.
     ///
     /// # Errors
     ///
@@ -506,10 +507,15 @@ impl GpuSim {
         );
         let threads = self.config.effective_threads().min(self.sms.len().max(1));
         if threads <= 1 {
-            self.run_serial(&mut ShardedHooks(shards), stop_at)
-        } else {
-            self.run_parallel(shards, threads, stop_at)
+            return self.run_serial(&mut ShardedHooks(shards), stop_at);
         }
+        // More workers than `worker_cap` only take turns yielding with the
+        // coordinator (2 workers on 2 cores: EXT@Paper on 48 SMs spread
+        // 3.5x wider from run to run than with 1, at the same median).
+        // Counters are identical at any worker count, so the cap moves
+        // host time only.
+        let workers = worker_cap(threads);
+        self.run_parallel(shards, workers, stop_at)
     }
 
     /// Reference two-phase engine, single-threaded.

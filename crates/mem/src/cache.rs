@@ -142,6 +142,16 @@ pub enum CacheOutcome {
     ReservationFail,
 }
 
+/// Which check of [`Cache::access`] turns a read into a
+/// [`CacheOutcome::ReservationFail`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Refusal {
+    /// The line has no MSHR entry and the file is full (`mshr.full`).
+    MshrFull,
+    /// The line's MSHR entry has no merge slot left (`mshr.merge_fail`).
+    MergeFull,
+}
+
 // One set's LRU state: line tag -> last-use stamp.
 #[derive(Default, Debug, Clone)]
 struct LruSet {
@@ -270,16 +280,7 @@ impl Cache {
 
         // Shadow bookkeeping for classification (reads only).
         let first_touch = !is_store && self.ever_seen.insert(line, ()).is_none();
-        let shadow_hit = if is_store {
-            false
-        } else {
-            let h = self.shadow_full.touch(line, self.stamp);
-            if !h {
-                let cap = self.config.num_lines() as usize;
-                self.shadow_full.insert(line, self.stamp, cap);
-            }
-            h
-        };
+        let shadow_hit = !is_store && self.touch_shadow(line);
 
         if self.sets[set].touch(line, self.stamp) {
             self.stats.inc(&format!("{}.hit", kind.tag()));
@@ -323,6 +324,45 @@ impl Cache {
         self.stats.inc(&format!("{}.miss_{class}", kind.tag()));
         self.mshr.insert(line, 1);
         CacheOutcome::MissToMemory
+    }
+
+    /// Touches `line` in the fully associative classification shadow at the
+    /// current stamp, installing it (with LRU eviction) when absent; returns
+    /// whether it was present.
+    fn touch_shadow(&mut self, line: u64) -> bool {
+        let hit = self.shadow_full.touch(line, self.stamp);
+        if !hit {
+            let cap = self.config.num_lines() as usize;
+            self.shadow_full.insert(line, self.stamp, cap);
+        }
+        hit
+    }
+
+    /// The check that would refuse a read of `line` right now, or `None` if
+    /// [`Cache::access`] would hit, merge or allocate. The answer can only
+    /// change at the next [`Cache::fill`]: nothing else installs a line or
+    /// frees an MSHR entry, a full file cannot allocate `line` an entry, and
+    /// a merge count only grows.
+    pub(crate) fn would_refuse(&self, line: u64) -> Option<Refusal> {
+        if self.sets[self.set_index(line)].lines.contains_key(&line) {
+            return None;
+        }
+        match self.mshr.get(&line) {
+            Some(&cnt) => (cnt >= self.config.mshr_merge).then_some(Refusal::MergeFull),
+            None => (self.mshr.len() >= self.config.mshr_entries).then_some(Refusal::MshrFull),
+        }
+    }
+
+    /// Applies what a refused read of `line` — one that was refused before,
+    /// with no [`Cache::fill`] since — does to the cache besides counting
+    /// the refusal: it advances the LRU stamp and touches the line in the
+    /// classification shadow. (`ever_seen` already holds the line from the
+    /// first refusal, and the tag and MSHR lookups change nothing.) The
+    /// caller counts `mshr.full` / `mshr.merge_fail`.
+    pub(crate) fn replay_refusal(&mut self, line: u64) {
+        debug_assert!(self.ever_seen.contains_key(&line));
+        self.stamp += 1;
+        self.touch_shadow(line);
     }
 
     /// Installs a line returned from the next level and frees its MSHR

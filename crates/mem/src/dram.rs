@@ -172,6 +172,13 @@ pub struct Dram {
     next_ticket: u64,
     /// Latest arrival cycle seen by [`Dram::submit`] (monotonicity check).
     last_arrival: u64,
+    /// Earliest service start of any pending FR-FCFS decision, as found by
+    /// the last [`Dram::run_schedule`] scan (`u64::MAX` with nothing
+    /// queued). Decisions depend only on queue, bank and bus state, so a
+    /// horizon below it has nothing to schedule; `None` once a submission
+    /// or an access may have changed that state. Derived: not part of the
+    /// snapshot.
+    next_start: Option<u64>,
 }
 
 impl Dram {
@@ -206,6 +213,7 @@ impl Dram {
             row_activates: None,
             next_ticket: 0,
             last_arrival: 0,
+            next_start: None,
         }
     }
 
@@ -240,7 +248,13 @@ impl Dram {
     /// allow. Updates row state, counters, the activate trace and the
     /// efficiency bookkeeping; returns the completion cycle.
     fn do_access(&mut self, ch_idx: usize, bank_idx: usize, row: u64, arrival: u64) -> u64 {
-        let cfg = self.config.clone();
+        let DramConfig {
+            t_cas,
+            t_rcd,
+            t_rp,
+            burst_cycles,
+            ..
+        } = self.config;
         let ch = &mut self.channels[ch_idx];
         let bank = &mut ch.banks[bank_idx];
 
@@ -248,15 +262,15 @@ impl Dram {
         let (access_lat, activated) = match bank.open_row {
             Some(r) if r == row => {
                 self.stats.inc("row_hit");
-                (cfg.t_cas, false)
+                (t_cas, false)
             }
             Some(_) => {
                 self.stats.inc("row_miss");
-                (cfg.t_rp + cfg.t_rcd + cfg.t_cas, true)
+                (t_rp + t_rcd + t_cas, true)
             }
             None => {
                 self.stats.inc("row_empty");
-                (cfg.t_rcd + cfg.t_cas, true)
+                (t_rcd + t_cas, true)
             }
         };
         if activated {
@@ -266,9 +280,10 @@ impl Dram {
         }
         bank.open_row = Some(row);
         let data_start = start + access_lat;
-        let done = data_start + cfg.burst_cycles;
+        let done = data_start + burst_cycles;
         bank.ready_at = done;
         ch.bus_free_at = done;
+        self.next_start = None;
 
         // Efficiency bookkeeping: the active window is the union of
         // [arrival, done] intervals; transfer cycles are the burst slots.
@@ -277,7 +292,7 @@ impl Dram {
             ch.active_cycles += done - window_start;
             ch.active_window_end = done;
         }
-        ch.transfer_cycles += cfg.burst_cycles;
+        ch.transfer_cycles += burst_cycles;
         self.stats.inc("req");
         done
     }
@@ -318,6 +333,7 @@ impl Dram {
             "FR-FCFS arrivals must be nondecreasing"
         );
         self.last_arrival = self.last_arrival.max(now);
+        self.next_start = None;
         self.channels[ch_idx].banks[bank_idx]
             .queue
             .push_back(Pending {
@@ -369,7 +385,11 @@ impl Dram {
             } => (queue_depth as usize, age_cap),
             DramSched::Fcfs => return Vec::new(),
         };
+        if self.next_start.is_some_and(|start| horizon < start) {
+            return Vec::new();
+        }
         let mut out = Vec::new();
+        let mut next_start = u64::MAX;
         for ch_idx in 0..self.channels.len() {
             loop {
                 // The oldest pending request of the channel (min ticket =
@@ -439,6 +459,7 @@ impl Dram {
                     .max(self.channels[ch_idx].banks[bank_idx].ready_at)
                     .max(bus);
                 if start > horizon {
+                    next_start = next_start.min(start);
                     break;
                 }
                 self.channels[ch_idx].banks[bank_idx].queue.remove(pos);
@@ -446,6 +467,7 @@ impl Dram {
                 out.push((p.ticket, done));
             }
         }
+        self.next_start = Some(next_start);
         out
     }
 

@@ -11,20 +11,25 @@
 //!
 //! # Determinism
 //!
-//! The interconnect is a fixed-latency hop; each partition keeps its own
-//! event heap ordered by `(time, seq)` where `seq` is assigned in submit
-//! order. The two-phase cycle engine drains per-SM request queues serially
+//! The interconnect is a fixed-latency hop; each partition processes its
+//! own events in `(time, seq)` order, where `seq` is assigned in submit
+//! order (a heap, plus a FIFO of backed-off retries: see [`Parked`]). The
+//! two-phase cycle engine drains per-SM request queues serially
 //! in SM-id order, so the ingress order of every partition — and therefore
 //! every counter — is bit-exact at any `VKSIM_THREADS` value. With
 //! `num_partitions = 1` the backend is structurally identical to the
 //! historical monolithic L2, which keeps pre-partitioning goldens
 //! byte-identical.
 
-use crate::cache::{AccessKind, Cache, CacheConfig, CacheOutcome};
+use crate::cache::{AccessKind, Cache, CacheConfig, CacheOutcome, Refusal};
 use crate::dram::{Dram, DramConfig, DramIssue};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use vksim_stats::Counters;
+
+/// Cycles a refused access (L2 reservation fail, full DRAM bank queue)
+/// waits before it is offered again.
+const RETRY_BACKOFF: u64 = 4;
 
 /// Partition interleave granularity: consecutive 128 B lines map to
 /// consecutive partitions.
@@ -305,6 +310,22 @@ impl PartialOrd for Ev {
     }
 }
 
+/// A backed-off event waiting in a partition's parked FIFO.
+///
+/// Every back-off is pushed at `now + RETRY_BACKOFF` with a fresh `seq`,
+/// and `now` (the time of the event being processed) never decreases, so
+/// the FIFO is sorted by `(time, seq)` by construction: the partition's
+/// next event is the smaller of the heap top and the FIFO front, in O(1).
+#[derive(Debug)]
+struct Parked {
+    ev: Ev,
+    /// For a read the L2 refused: the partition's fill epoch at the
+    /// refusal and the check that refused it. Until the next fill the same
+    /// check refuses it again ([`Cache::would_refuse`]), so the re-offer
+    /// skips the access and only replays its side effects.
+    refused: Option<(u64, Refusal)>,
+}
+
 /// One memory partition: an L2 slice, a DRAM channel group and the
 /// partition-local event machinery (its deterministic ingress queue).
 #[derive(Debug)]
@@ -312,6 +333,11 @@ struct Partition {
     l2: Cache,
     dram: Dram,
     events: BinaryHeap<Reverse<Ev>>,
+    /// Backed-off retries, sorted by `(time, seq)`; see [`Parked`].
+    parked: VecDeque<Parked>,
+    /// Bumped on every `l2.fill`: the only event that can turn a refused
+    /// L2 read into an accepted one.
+    fill_epoch: u64,
     seq: u64,
     waiting: HashMap<u64, Vec<u64>>,
     /// FR-FCFS tickets for in-flight reads: ticket -> L2 line to fill.
@@ -342,13 +368,47 @@ impl Partition {
         }));
     }
 
-    /// Serializes the partition's dynamic state. The event heap is written
-    /// in `(time, seq)` order and the waiter/ticket maps sorted by key, so
-    /// re-encoding a restored partition is byte-identical.
+    /// Backs `kind` off until `time` (see [`Parked`]).
+    fn park(&mut self, time: u64, kind: EvKind, refused: Option<(u64, Refusal)>) {
+        self.seq += 1;
+        let ev = Ev {
+            time,
+            seq: self.seq,
+            kind,
+        };
+        debug_assert!(
+            self.parked.back().is_none_or(|back| back.ev < ev),
+            "back-offs must be parked in (time, seq) order"
+        );
+        self.parked.push_back(Parked { ev, refused });
+    }
+
+    /// Time of the next event in `(time, seq)` order if it is due by
+    /// `cycle`, and whether it heads the parked FIFO rather than the heap.
+    fn next_due(&self, cycle: u64) -> Option<(u64, bool)> {
+        let heap = self.events.peek().map(|r| (r.0.time, r.0.seq, false));
+        let fifo = self.parked.front().map(|p| (p.ev.time, p.ev.seq, true));
+        let (time, _, in_fifo) = match (heap, fifo) {
+            (Some(h), Some(f)) => h.min(f),
+            (h, f) => h.or(f)?,
+        };
+        (time <= cycle).then_some((time, in_fifo))
+    }
+
+    /// Serializes the partition's dynamic state. Pending events — heap and
+    /// parked FIFO alike — are written in `(time, seq)` order and the
+    /// waiter/ticket maps sorted by key, so re-encoding a restored
+    /// partition is byte-identical. (A restored partition holds them all
+    /// in the heap; a refused read re-parks at its first re-offer.)
     fn save(&self, e: &mut vksim_snapshot::Enc) {
         self.l2.save(e);
         self.dram.save(e);
-        let mut evs: Vec<Ev> = self.events.iter().map(|r| r.0).collect();
+        let mut evs: Vec<Ev> = self
+            .events
+            .iter()
+            .map(|r| r.0)
+            .chain(self.parked.iter().map(|p| p.ev))
+            .collect();
         evs.sort_unstable_by_key(|ev| (ev.time, ev.seq));
         e.seq(evs.len());
         for ev in &evs {
@@ -393,6 +453,7 @@ impl Partition {
         self.l2 = Cache::load(self.l2.config().clone(), d)?;
         self.dram = Dram::load(self.dram.config().clone(), d)?;
         let n = d.seq()?;
+        self.parked.clear();
         self.events = BinaryHeap::with_capacity(n);
         for _ in 0..n {
             let time = d.u64()?;
@@ -532,6 +593,8 @@ impl SharedMemSystem {
                 l2: Cache::new(config.l2.sliced(n)),
                 dram: Dram::new(dram_cfg.clone()),
                 events: BinaryHeap::new(),
+                parked: VecDeque::new(),
+                fill_epoch: 0,
                 seq: 0,
                 waiting: HashMap::new(),
                 tickets: HashMap::new(),
@@ -621,14 +684,15 @@ impl SharedMemSystem {
                 ..
             } = self;
             let p = &mut parts[pi];
+            // Refusals replayed on the fast path; folded into the
+            // string-keyed counters once, below.
+            let (mut full, mut merge_fail) = (0u64, 0u64);
             loop {
                 // Finalize FR-FCFS scheduling decisions up to the next
                 // event (or `cycle`); redeemed read tickets become
                 // DramDone events at their completion cycle.
-                let horizon = match p.events.peek() {
-                    Some(&Reverse(ev)) if ev.time <= cycle => ev.time,
-                    _ => cycle,
-                };
+                let next = p.next_due(cycle);
+                let horizon = next.map_or(cycle, |(time, _)| time);
                 let scheduled = p.dram.run_schedule(horizon);
                 if !scheduled.is_empty() {
                     for (ticket, ready) in scheduled {
@@ -638,29 +702,46 @@ impl SharedMemSystem {
                     }
                     continue;
                 }
-                let Some(&Reverse(ev)) = p.events.peek() else {
+                let Some((t, in_fifo)) = next else {
                     break;
                 };
-                if ev.time > cycle {
-                    break;
-                }
-                p.events.pop();
-                p.last_event_time = ev.time;
+                let (ev, refused) = if in_fifo {
+                    let parked = p.parked.pop_front().expect("peeked");
+                    (parked.ev, parked.refused)
+                } else {
+                    (p.events.pop().expect("peeked").0, None)
+                };
+                p.last_event_time = t;
                 match ev.kind {
-                    EvKind::ArriveL2(req) => handle_l2(
-                        p,
-                        stats,
-                        *drop_nth_completion,
-                        completions_delivered,
-                        icnt,
-                        bounded,
-                        req,
-                        ev.time,
-                        &mut done,
-                    ),
+                    EvKind::ArriveL2(req) => match refused {
+                        // No fill since this read was refused, so the same
+                        // check refuses it again: replay the side effects
+                        // of the failing access without performing it.
+                        Some((epoch, refusal)) if epoch == p.fill_epoch => {
+                            let line = p.l2.line_of(req.addr);
+                            debug_assert_eq!(p.l2.would_refuse(line), Some(refusal));
+                            p.l2.replay_refusal(line);
+                            match refusal {
+                                Refusal::MshrFull => full += 1,
+                                Refusal::MergeFull => merge_fail += 1,
+                            }
+                            p.park(t + RETRY_BACKOFF, ev.kind, refused);
+                        }
+                        _ => handle_l2(
+                            p,
+                            stats,
+                            *drop_nth_completion,
+                            completions_delivered,
+                            icnt,
+                            bounded,
+                            req,
+                            t,
+                            &mut done,
+                        ),
+                    },
                     EvKind::DramDone { line } => {
-                        let t = ev.time;
                         p.l2.fill(line, t);
+                        p.fill_epoch += 1;
                         if let Some(ids) = p.waiting.remove(&line) {
                             for id in ids {
                                 deliver(
@@ -680,16 +761,12 @@ impl SharedMemSystem {
                         addr,
                         line,
                         is_store,
-                    } => {
-                        // Re-offer at the same arrival offset the regular
-                        // L2-miss path uses, so DRAM arrival cycles stay
-                        // nondecreasing across event order.
-                        let t = ev.time;
-                        let at = t + p.l2.hit_latency() as u64;
-                        submit_dram(p, stats, bounded, addr, line, is_store, at, t + 4);
-                    }
+                    } => submit_dram(p, stats, bounded, addr, line, is_store, t),
                 }
             }
+            p.l2.stats.add("mshr.full", full);
+            p.l2.stats.add("mshr.merge_fail", merge_fail);
+            stats.add("l2.retry", full + merge_fail);
         }
         done
     }
@@ -847,12 +924,12 @@ impl SharedMemSystem {
         Ok(sys)
     }
 
-    /// `true` when no events or queued DRAM requests are pending in any
-    /// partition (drain check).
+    /// `true` when no events (backed-off retries included) or queued DRAM
+    /// requests are pending in any partition (drain check).
     pub fn is_idle(&self) -> bool {
         self.parts
             .iter()
-            .all(|p| p.events.is_empty() && !p.dram.has_queued())
+            .all(|p| p.events.is_empty() && p.parked.is_empty() && !p.dram.has_queued())
     }
 }
 
@@ -902,16 +979,7 @@ fn handle_l2(
                 // FR-FCFS the write occupies queue and bus without a
                 // waiter: its ticket is never mapped, so the scheduled
                 // completion is discarded.
-                submit_dram(
-                    p,
-                    stats,
-                    bounded,
-                    req.addr,
-                    line,
-                    true,
-                    t + p.l2.hit_latency() as u64,
-                    t + 4,
-                );
+                submit_dram(p, stats, bounded, req.addr, line, true, t);
             }
             deliver(
                 stats,
@@ -928,36 +996,29 @@ fn handle_l2(
             p.ingress_occupancy -= 1;
             p.waiting.entry(line).or_default().push(req.id);
             stats.inc("dram.reads");
-            submit_dram(
-                p,
-                stats,
-                bounded,
-                req.addr,
-                line,
-                false,
-                t + p.l2.hit_latency() as u64,
-                t + 4,
-            );
+            submit_dram(p, stats, bounded, req.addr, line, false, t);
         }
         CacheOutcome::MissMerged => {
             p.ingress_occupancy -= 1;
             p.waiting.entry(line).or_default().push(req.id);
         }
         CacheOutcome::ReservationFail => {
-            // Retry after a short backoff.
             stats.inc("l2.retry");
-            p.push(t + 4, EvKind::ArriveL2(req));
+            let refusal = p.l2.would_refuse(line).expect("the read was just refused");
+            let refused = Some((p.fill_epoch, refusal));
+            p.park(t + RETRY_BACKOFF, EvKind::ArriveL2(req), refused);
         }
     }
 }
 
-/// Hands one access to the partition's DRAM group. Unbounded mode submits
-/// unconditionally (the historical path); bounded mode offers via
-/// [`Dram::try_submit`] and, when the target bank queue is full, counts a
-/// `dram.bank_full_retries` and re-offers at `retry_at` through a
+/// Hands one access, leaving the L2 slice at `t`, to the partition's DRAM
+/// group; it arrives there one L2 latency later (re-offers included, so
+/// DRAM arrival cycles stay nondecreasing across event order). Unbounded
+/// mode submits unconditionally (the historical path); bounded mode offers
+/// via [`Dram::try_submit`] and, when the target bank queue is full, counts
+/// a `dram.bank_full_retries` and backs off through a
 /// [`EvKind::RetryDram`] event — the bank back-pressures its L2 slice
 /// instead of buffering unboundedly.
-#[allow(clippy::too_many_arguments)]
 fn submit_dram(
     p: &mut Partition,
     stats: &mut Counters,
@@ -965,9 +1026,9 @@ fn submit_dram(
     addr: u64,
     line: u64,
     is_store: bool,
-    at: u64,
-    retry_at: u64,
+    t: u64,
 ) {
+    let at = t + p.l2.hit_latency() as u64;
     let issue = if bounded {
         p.dram.try_submit(addr, at)
     } else {
@@ -976,14 +1037,12 @@ fn submit_dram(
     match issue {
         None => {
             stats.inc("dram.bank_full_retries");
-            p.push(
-                retry_at,
-                EvKind::RetryDram {
-                    addr,
-                    line,
-                    is_store,
-                },
-            );
+            let retry = EvKind::RetryDram {
+                addr,
+                line,
+                is_store,
+            };
+            p.park(t + RETRY_BACKOFF, retry, None);
         }
         Some(_) if is_store => stats.inc("dram.writes"),
         Some(DramIssue::Done(ready)) => p.push(ready, EvKind::DramDone { line }),

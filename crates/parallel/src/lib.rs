@@ -267,6 +267,23 @@ impl Drop for ShutdownGuard<'_> {
     }
 }
 
+/// Workers to start for a request of `threads` on this host: at most one
+/// per core the coordinator does not occupy, at least one.
+///
+/// The coordinator waits in [`RoundBarrier::wait_workers`] while workers
+/// run and runs its serial phase while they wait, so `workers + 1` threads
+/// are runnable throughout. Beyond the core count they can only take turns
+/// yielding, and a round's time then depends on how the host schedules
+/// them rather than on the work in it.
+pub fn worker_cap(threads: usize) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    cap_for(threads, cores)
+}
+
+fn cap_for(threads: usize, cores: usize) -> usize {
+    threads.min(cores.saturating_sub(1)).max(1)
+}
+
 /// Splits `total` items among `workers` as contiguous, maximally even
 /// ranges; returns worker `index`'s `start..end` range. Deterministic in
 /// all arguments, so any assignment of simulation state to workers is too.
@@ -434,6 +451,18 @@ mod tests {
             assert!(barrier.is_poisoned());
             barrier.shutdown();
         });
+    }
+
+    #[test]
+    fn worker_cap_leaves_the_coordinator_a_core() {
+        assert_eq!(cap_for(2, 2), 1);
+        assert_eq!(cap_for(4, 2), 1);
+        assert_eq!(cap_for(4, 8), 4);
+        assert_eq!(cap_for(8, 4), 3);
+        // One core cannot be helped; one worker is still needed.
+        assert_eq!(cap_for(2, 1), 1);
+        assert_eq!(cap_for(0, 8), 1);
+        assert!(worker_cap(usize::MAX) >= 1);
     }
 
     #[test]

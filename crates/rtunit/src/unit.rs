@@ -450,7 +450,12 @@ impl RtUnit {
     }
 
     fn finish_chunk(&mut self, req: QueuedReq, now: u64) {
-        let cfg = self.config.clone();
+        let RtUnitConfig {
+            box_latency,
+            triangle_latency,
+            transform_latency,
+            ..
+        } = self.config;
         for (warp_id, lane_idx) in req.waiters {
             if let Some(w) = self.warps.iter_mut().find(|w| w.warp_id == warp_id) {
                 let lane = &mut w.lanes[lane_idx];
@@ -461,9 +466,9 @@ impl RtUnit {
                 if lane.outstanding_chunks == 0 {
                     // Data complete: enter the operation unit.
                     let lat = match lane.pending_op {
-                        OpKind::Box { .. } => cfg.box_latency,
-                        OpKind::Triangle => cfg.triangle_latency,
-                        OpKind::Transform => cfg.transform_latency,
+                        OpKind::Box { .. } => box_latency,
+                        OpKind::Triangle => triangle_latency,
+                        OpKind::Transform => transform_latency,
                         OpKind::None => 1,
                     } as u64;
                     match lane.pending_op {

@@ -34,7 +34,13 @@ impl Counters {
         if n == 0 {
             return;
         }
-        *self.values.entry(name.to_owned()).or_insert(0) += n;
+        // Look up borrowed first: only a key's first increment allocates.
+        match self.values.get_mut(name) {
+            Some(v) => *v += n,
+            None => {
+                self.values.insert(name.to_owned(), n);
+            }
+        }
     }
 
     /// Increments counter `name` by one.

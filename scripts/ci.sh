@@ -137,6 +137,16 @@ step "chaos checkpoint/recovery campaign (VKSIM_CHAOS_ITERS=5)"
 VKSIM_CHAOS_ITERS=5 VKSIM_DUMP_DIR="$(mktemp -d)" \
     cargo test --offline -q -p vksim-bench --test snapshot_recovery
 
+# Repo-benchmark gate: the benchmark the PR driver runs (BENCHMARK.json ->
+# benchmark/run.sh) must still build against the workspace crates, print
+# every metric of its schema and finish with zero failed operations
+# (determinism, observer purity, thread invariance, image match). --quick
+# is Test scale, ~3 s after the build; the build goes under target/ and the
+# summary to a temp file, so nothing tracked under benchmark/ is touched.
+step "repo benchmark schema/correctness check (benchmark/run.sh --quick)"
+CARGO_TARGET_DIR="$PWD/target/benchmark" \
+    bash benchmark/run.sh --quick --out "$(mktemp -d)/summary.json" | tail -n 2
+
 # Stage group 2: bench smoke and example runs only execute already-built
 # (or cheaply built) artifacts — overlap them.
 bench_out="$(mktemp -d)"

@@ -218,6 +218,41 @@ fn golden_tri_paper_icnt() {
     check_workload_with(WorkloadKind::Tri, "tri_paper_icnt", config);
 }
 
+/// The paper machine with its L2 MSHR file cut to one entry and two merge
+/// slots per slice: the only configuration in the suite whose L2 refuses
+/// accesses (`l2.mshr.full` and `l2.mshr.merge_fail` both nonzero), so it
+/// pins the reservation-fail retry schedule of the memory backend.
+fn l2_starved_paper() -> SimConfig {
+    let mut config = SimConfig::paper();
+    config.gpu.mem.l2.mshr_entries = config.gpu.mem.num_partitions as usize;
+    config.gpu.mem.l2.mshr_merge = 2;
+    config
+}
+
+#[test]
+fn golden_tri_paper_l2starve() {
+    check_workload_with(WorkloadKind::Tri, "tri_paper_l2starve", l2_starved_paper());
+}
+
+/// The retry storm is thread-count invariant, and the observers the golden
+/// run carries are pure: the plain threads = 1 and threads = 4 runs agree
+/// with each other and with the golden.
+#[test]
+fn l2_starved_threads_and_observers_do_not_change_counters() {
+    let run = |threads| {
+        let config = l2_starved_paper().with_threads(threads);
+        let (_, report) = run_workload(WorkloadKind::Tri, Scale::Test, config);
+        snapshot(&report)
+    };
+    let serial = run(1);
+    assert!(
+        serial["l2.mshr.full"] > 0 && serial["l2.mshr.merge_fail"] > 0,
+        "the starved L2 must refuse on both checks"
+    );
+    assert_eq!(serial, run(4), "starved L2 must be thread-count invariant");
+    assert_matches_golden(golden_path("tri_paper_l2starve"), &serial);
+}
+
 /// Backpressure must not break the determinism contract: with a small
 /// finite interconnect depth, threads = 1 and threads = 4 must agree on
 /// every counter — including the stall and refusal counters themselves.

@@ -1,14 +1,18 @@
 //! Property-based tests for the partitioned memory system: address
 //! slicing totality/balance and the FR-FCFS scheduler's starvation bound
 //! and FCFS-degeneration, on the in-repo `vksim-testkit` harness
-//! (offline, deterministic, replayable via the seed printed on failure).
+//! (offline, deterministic, replayable via the seed printed on failure);
+//! plus the MSHR retry-storm schedule, pinned per seed in a golden.
 
+use std::collections::BTreeMap;
+use std::path::PathBuf;
 use vksim_mem::{
-    partition_of, AccessKind, Dram, DramConfig, DramIssue, DramSched, MemRequest, MemSink,
-    RequestQueue, SharedMemSystem, SystemConfig, PARTITION_BYTES,
+    partition_of, AccessKind, CacheConfig, Dram, DramConfig, DramIssue, DramSched, MemRequest,
+    MemSink, RequestQueue, SharedMemSystem, SystemConfig, PARTITION_BYTES,
 };
+use vksim_snapshot::{fnv1a, fnv1a_init, Dec, Enc};
 use vksim_testkit::prop::{check, u32_in, u64_in, vec_of};
-use vksim_testkit::{prop_assert, prop_assert_eq};
+use vksim_testkit::{assert_matches_golden, prop_assert, prop_assert_eq, Pcg32};
 
 /// Every address maps to exactly one partition (totality), all addresses
 /// within one 128 B line map to the same partition, and consecutive lines
@@ -373,4 +377,221 @@ fn fr_fcfs_age_cap_zero_matches_fcfs_schedule() {
         prop_assert_eq!(&fr.stats, &fcfs.stats);
         Ok(())
     });
+}
+
+// ---------------------------------------------------------------------
+// MSHR retry storms: starved L2 slices under every back-off source.
+// ---------------------------------------------------------------------
+
+/// Cycle bound on one storm case; the longest of the pinned seeds drains
+/// in a small fraction of it.
+const STORM_HORIZON: u64 = 2_000_000;
+/// Seeds pinned in `tests/goldens/mem_retry_storm.json`.
+const STORM_SEEDS: u64 = 48;
+
+/// One retry-storm case drawn from `seed`: a backend whose L2 slices hold
+/// 1–4 MSHR entries with 1–2 merge slots — under FCFS, FR-FCFS, or the
+/// bounded interconnect (finite ingress, return credits and 1–2-entry
+/// FR-FCFS bank queues, so DRAM back-offs interleave with the L2 ones) —
+/// and a bursty load/store stream over a small pool of lines. The L2 is
+/// sometimes only a few lines large, so the classification shadow evicts
+/// while requests are backed off.
+fn storm_case(seed: u64) -> (SystemConfig, Vec<(MemRequest, u64)>) {
+    let mut rng = Pcg32::new(0x5708_0000_0000_0000 | seed);
+    let parts = rng.u64_range(1, 3) as u32;
+    let slice_lines = *rng.choose(&[8u64, 64, 4096]).expect("nonempty");
+    let sched = match rng.u64_below(3) {
+        0 => DramSched::Fcfs,
+        _ => DramSched::FrFcfs {
+            queue_depth: rng.u64_range(1, 4) as u32,
+            age_cap: rng.u64_range(0, 200),
+        },
+    };
+    let mut config = SystemConfig {
+        l2: CacheConfig {
+            size_bytes: slice_lines * 32 * parts as u64,
+            assoc: 2,
+            hit_latency: *rng.choose(&[4u32, 40, 160]).expect("nonempty"),
+            mshr_entries: rng.usize_range(1, 4) * parts as usize,
+            mshr_merge: rng.usize_range(1, 2),
+            ..CacheConfig::l2_baseline()
+        },
+        dram: DramConfig {
+            channels: parts * rng.u64_range(1, 2) as u32,
+            banks_per_channel: rng.u64_range(1, 4) as u32,
+            row_bytes: 512,
+            sched,
+            ..DramConfig::default()
+        },
+        num_partitions: parts,
+        ..SystemConfig::default()
+    };
+    if rng.bool_with(1.0 / 3.0) {
+        config.icnt_queue_depth = rng.u64_range(2, 8) as u32;
+        config.icnt_return_credits = rng.u64_range(0, 2) as u32;
+        config.dram.sched = DramSched::FrFcfs {
+            queue_depth: rng.u64_range(1, 2) as u32,
+            age_cap: rng.u64_range(0, 64),
+        };
+    }
+    let pool: Vec<u64> = (0..rng.usize_range(4, 48))
+        .map(|_| rng.u64_below(1 << 12) * 32)
+        .collect();
+    let mut at = 0u64;
+    let stream = (0..rng.u64_range(64, 256))
+        .map(|id| {
+            if rng.bool_with(0.3) {
+                at += rng.u64_range(1, 6);
+            }
+            let is_store = rng.bool_with(0.15);
+            let kind = if is_store {
+                AccessKind::ShaderStore
+            } else if rng.bool_with(0.5) {
+                AccessKind::RtUnit
+            } else {
+                AccessKind::ShaderLoad
+            };
+            let addr = *rng.choose(&pool).expect("nonempty");
+            (
+                MemRequest {
+                    id,
+                    addr,
+                    kind,
+                    is_store,
+                },
+                at,
+            )
+        })
+        .collect();
+    (config, stream)
+}
+
+fn encode(sys: &SharedMemSystem) -> Vec<u8> {
+    let mut e = Enc::new();
+    sys.save(&mut e);
+    e.into_bytes()
+}
+
+/// What one storm run leaves behind.
+struct StormRun {
+    done: Vec<(u64, u64)>,
+    sys: SharedMemSystem,
+    /// Cycles in which `l2.retry` advanced: a refused access was re-offered,
+    /// so requests were sitting in a back-off then.
+    storm_cycles: Vec<u64>,
+}
+
+/// Drives `stream` through a backend built from `config` — one
+/// `advance_to` and one queue drain per cycle — until everything is
+/// submitted, accepted and drained. At `pause_at` the backend is saved and
+/// replaced by one rebuilt from those bytes (which must re-encode
+/// identically).
+fn run_storm(
+    config: &SystemConfig,
+    stream: &[(MemRequest, u64)],
+    pause_at: Option<u64>,
+) -> Result<StormRun, String> {
+    let mut sys = SharedMemSystem::new(config.clone());
+    let mut queue = RequestQueue::new();
+    let (mut done, mut storm_cycles) = (Vec::new(), Vec::new());
+    let (mut next, mut retries) = (0, 0);
+    let mut cycle = 0u64;
+    while next < stream.len() || !queue.is_empty() || !sys.is_idle() {
+        cycle += 1;
+        if cycle > STORM_HORIZON {
+            return Err(format!(
+                "backend did not drain: {} of {} completions after {cycle} cycles",
+                done.len(),
+                stream.len()
+            ));
+        }
+        done.extend(sys.advance_to(cycle));
+        while next < stream.len() && stream[next].1 <= cycle {
+            queue.submit(stream[next].0, cycle);
+            next += 1;
+        }
+        queue.drain_into(&mut sys);
+        let now = sys.stats.get("l2.retry");
+        if now != retries {
+            retries = now;
+            storm_cycles.push(cycle);
+        }
+        if pause_at == Some(cycle) {
+            let bytes = encode(&sys);
+            let mut d = Dec::new(&bytes);
+            sys = SharedMemSystem::load(config.clone(), &mut d).map_err(|e| e.to_string())?;
+            d.finish().map_err(|e| e.to_string())?;
+            if encode(&sys) != bytes {
+                return Err(format!("re-encode at cycle {cycle} is not byte-identical"));
+            }
+        }
+    }
+    Ok(StormRun {
+        done,
+        sys,
+        storm_cycles,
+    })
+}
+
+/// Starved L2 slices retry refused accesses every few cycles until a fill
+/// frees an MSHR; the backend must do so identically however it stores the
+/// backed-off requests. Over fixed seeds of [`storm_case`]: the run drains,
+/// every request completes exactly once, `l2.retry` equals the refusals the
+/// slices counted, pausing mid-storm → `save` → `load` → continue yields
+/// the identical completion list and a byte-identical final snapshot, and
+/// the completion list plus every merged statistic matches the fingerprint
+/// pinned in `tests/goldens/mem_retry_storm.json`.
+#[test]
+fn mshr_retry_storms_are_exact_and_survive_snapshots() {
+    let mut fingerprints = BTreeMap::new();
+    for seed in 0..STORM_SEEDS {
+        let (config, stream) = storm_case(seed);
+        let reference = run_storm(&config, &stream, None)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{config:?}"));
+        let mut ids: Vec<u64> = reference.done.iter().map(|&(id, _)| id).collect();
+        ids.sort_unstable();
+        assert!(
+            ids.iter().copied().eq(0..stream.len() as u64),
+            "seed {seed}: every request completes exactly once"
+        );
+        let l2 = reference.sys.l2_stats();
+        assert_eq!(
+            reference.sys.stats.get("l2.retry"),
+            l2.get("mshr.full") + l2.get("mshr.merge_fail"),
+            "seed {seed}: every refusal is retried exactly once"
+        );
+
+        // Pause in a cycle that re-offered a refused access: requests are
+        // sitting in their back-off then.
+        let pause = *Pcg32::new(seed)
+            .choose(&reference.storm_cycles)
+            .unwrap_or_else(|| panic!("seed {seed}: the generator lost its storm"));
+        let paused = run_storm(&config, &stream, Some(pause))
+            .unwrap_or_else(|e| panic!("seed {seed} paused at {pause}: {e}"));
+        assert_eq!(
+            paused.done, reference.done,
+            "seed {seed}: pause at {pause} changed the completion list"
+        );
+        assert!(
+            encode(&paused.sys) == encode(&reference.sys),
+            "seed {seed}: pause at {pause} changed the final snapshot"
+        );
+
+        let mut e = Enc::new();
+        e.seq(reference.done.len());
+        for &(id, at) in &reference.done {
+            e.u64(id);
+            e.u64(at);
+        }
+        l2.save(&mut e);
+        reference.sys.dram_stats().save(&mut e);
+        reference.sys.stats.save(&mut e);
+        fingerprints.insert(
+            format!("seed_{seed:02}"),
+            fnv1a(fnv1a_init(), &e.into_bytes()),
+        );
+    }
+    let golden =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/goldens/mem_retry_storm.json");
+    assert_matches_golden(golden, &fingerprints);
 }

@@ -319,6 +319,63 @@ fn chaos_kill_and_resume_recovers_golden_counters() {
     }
 }
 
+/// Kill-and-resume with the checkpoint landing inside an L2 retry storm:
+/// the paper machine with its L2 MSHR file cut to one entry per slice
+/// refuses accesses throughout the run, so the checkpoint holds requests
+/// sitting in their reservation-fail back-off. The probe run (killed one
+/// back-off period before the checkpoint) and the doomed run (killed just
+/// after it) prove it: refusals were counted in between.
+#[test]
+fn kill_and_resume_mid_retry_storm_recovers_golden_counters() {
+    let w = build(WorkloadKind::Tri, Scale::Test);
+    let starved = || {
+        let mut config = SimConfig::paper();
+        config.gpu.mem.l2.mshr_entries = config.gpu.mem.num_partitions as usize;
+        config.gpu.mem.l2.mshr_merge = 2;
+        config
+    };
+    let reference = run_plain(starved(), &w);
+    let every = (reference.gpu.cycles / 5).max(8);
+    let ckpt_cycle = every * 3;
+    let dir = ckpt_dir("storm");
+    let killed_at = |cycle: u64, checkpoint: bool| {
+        let mut cfg = starved();
+        if checkpoint {
+            cfg = cfg.with_checkpoint(every, dir.to_string_lossy().to_string());
+        }
+        cfg.gpu.fault_plan.worker_panic = Some(WorkerPanicSpec { sm: 0, cycle });
+        let failure = Simulator::new(cfg)
+            .run(&w.device, &w.cmd)
+            .expect_err("injected panic must kill the run");
+        let l2 = &failure
+            .report
+            .as_ref()
+            .expect("partial report")
+            .gpu
+            .l2_stats;
+        l2.get("mshr.full") + l2.get("mshr.merge_fail")
+    };
+    let before = killed_at(ckpt_cycle - 3, false);
+    let after = killed_at(ckpt_cycle + 1, true);
+    assert!(
+        after > before,
+        "no access was refused in the back-off period before cycle {ckpt_cycle} \
+         ({before} -> {after} refusals): the checkpoint is not mid-storm"
+    );
+    let (last_cycle, last_path) = checkpoints_in(&dir).pop().expect("checkpoint written");
+    assert_eq!(last_cycle, ckpt_cycle, "the kill follows the checkpoint");
+    let cfg = starved().with_checkpoint(every, dir.to_string_lossy().to_string());
+    let recovered = Simulator::new(cfg)
+        .resume(&w.device, &w.cmd, &last_path)
+        .expect("resume completes");
+    assert_eq!(
+        snapshot(&reference),
+        snapshot(&recovered),
+        "resume from the mid-storm checkpoint at cycle {last_cycle} drifted"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A corrupted checkpoint (bit flip in the payload) must be refused with
 /// a structured `SnapshotMismatch`, not garbage state.
 #[test]
