@@ -74,9 +74,8 @@ pub fn config_fingerprint(config: &GpuConfig, device: &Device, cmd: &TraceRaysCo
 }
 
 /// Builds the snapshot payload for the machine at a clean cycle boundary:
-/// the runtime shard count, every shard's functional state, then the
-/// complete GPU state. The serial engine passes its single runtime as a
-/// one-element slice; the parallel engine passes one shard per SM.
+/// the runtime shard count (one per SM), every shard's functional state,
+/// then the complete GPU state.
 pub(crate) fn machine_payload(gpu: &GpuSim, shards: &[RtRuntime]) -> Vec<u8> {
     let mut e = Enc::new();
     e.seq(shards.len());
@@ -88,14 +87,15 @@ pub(crate) fn machine_payload(gpu: &GpuSim, shards: &[RtRuntime]) -> Vec<u8> {
 }
 
 /// Restores a payload written by [`machine_payload`] into a freshly
-/// launched machine with the same shard layout.
+/// launched machine.
 ///
 /// # Errors
 ///
-/// Returns [`SnapError::Malformed`] when the shard count disagrees (the
-/// snapshot was taken under a different `VKSIM_THREADS` engine mode) or
-/// when any embedded state disagrees with the resuming configuration;
-/// [`SnapError::Truncated`] on a short payload.
+/// Returns [`SnapError::Malformed`] when the shard count disagrees with
+/// the SM count (a foreign payload, or one written by an older build whose
+/// one-thread runs kept a single runtime) or when any embedded state
+/// disagrees with the resuming configuration; [`SnapError::Truncated`] on
+/// a short payload.
 pub(crate) fn restore_machine(
     gpu: &mut GpuSim,
     shards: &mut [RtRuntime],
@@ -105,9 +105,8 @@ pub(crate) fn restore_machine(
     let n = d.seq()?;
     if n != shards.len() {
         return Err(SnapError::Malformed(format!(
-            "snapshot holds {n} runtime shard(s) but this run uses {} — \
-             serial (1 thread) and sharded (>1 thread) checkpoints are not \
-             interchangeable",
+            "snapshot holds {n} runtime shard(s) but this machine has {} SMs \
+             (one shard each)",
             shards.len()
         )));
     }

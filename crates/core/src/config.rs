@@ -76,8 +76,8 @@ impl SimConfig {
         self
     }
 
-    /// Sets the two-phase engine's worker-thread count (1 = serial
-    /// reference path; counters are identical at any value).
+    /// Sets how many threads tick SMs in the cycle loop (1 = the calling
+    /// thread alone; counters are identical at any value).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.gpu.threads = threads.max(1);
         self

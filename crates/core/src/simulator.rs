@@ -114,11 +114,12 @@ impl Simulator {
     ///
     /// The device and command must be the ones the checkpointed run was
     /// started with; the configuration must match architecturally (thread
-    /// count, watchdog, cycle bound and fault plan may differ — a resumed
-    /// chaos run does not re-inject the worker panic that killed it). The
-    /// resumed run continues from the checkpoint cycle and produces
-    /// byte-identical counters, goldens and traces to an uninterrupted
-    /// run.
+    /// count, watchdog, cycle bound and fault plan may differ — a
+    /// checkpoint taken at one thread count resumes at any other, and a
+    /// resumed chaos run does not re-inject the worker panic that killed
+    /// it). The resumed run continues from the checkpoint cycle and
+    /// produces byte-identical counters, goldens and traces to an
+    /// uninterrupted run.
     ///
     /// # Errors
     ///
@@ -170,7 +171,6 @@ impl Simulator {
             },
             None => None,
         };
-        let threads = gpu_config.effective_threads();
         let every = gpu_config.effective_checkpoint_every();
         let keep = gpu_config.effective_checkpoint_keep();
         let ckpt_dir = gpu_config.effective_checkpoint_dir();
@@ -186,20 +186,14 @@ impl Simulator {
                 depth: cmd.dims.depth,
             },
         );
-        // Parallel engine: one runtime shard per SM (warps never migrate
-        // between SMs, so per-thread state partitions exactly). The serial
-        // engine drives a single runtime, carried as a one-element vec so
-        // both modes checkpoint through the same path.
+        // One runtime shard per SM at every thread count (warps never
+        // migrate between SMs, so per-thread state partitions exactly).
         let mut shards: Vec<RtRuntime> = {
             let mut runtime = self.make_runtime(device, cmd);
             if rt_analytics_on {
                 runtime.enable_analytics();
             }
-            if threads > 1 {
-                (0..num_sms).map(|sm| runtime.shard(sm)).collect()
-            } else {
-                vec![runtime]
-            }
+            (0..num_sms).map(|sm| runtime.shard(sm)).collect()
         };
         if let Some(payload) = resume_payload {
             if let Err(e) = checkpoint::restore_machine(&mut gpu, &mut shards, &payload) {
@@ -213,21 +207,12 @@ impl Simulator {
         // historical run path.
         let outcome = loop {
             let res = if every == 0 {
-                if threads > 1 {
-                    gpu.run_sharded(&mut shards)
-                        .map(|stats| RunOutcome::Done(Box::new(stats)))
-                } else {
-                    gpu.run(&mut shards[0])
-                        .map(|stats| RunOutcome::Done(Box::new(stats)))
-                }
+                gpu.run(&mut shards)
+                    .map(|stats| RunOutcome::Done(Box::new(stats)))
             } else {
                 // Next checkpoint boundary strictly after the current cycle.
                 let stop = (gpu.cycles() + 1).next_multiple_of(every);
-                if threads > 1 {
-                    gpu.run_sharded_until(&mut shards, stop)
-                } else {
-                    gpu.run_until(&mut shards[0], stop)
-                }
+                gpu.run_until(&mut shards, stop)
             };
             match res {
                 Ok(RunOutcome::Done(stats)) => break Ok(*stats),
@@ -253,15 +238,10 @@ impl Simulator {
             Err(fault) => write_final_snapshot(&gpu, &shards, fingerprint, fault.dump.as_deref()),
             Ok(_) => None,
         };
-        let runtime_stats = if threads > 1 {
-            let mut merged = RuntimeStats::default();
-            for shard in &shards {
-                merged.merge(&shard.stats);
-            }
-            merged
-        } else {
-            shards[0].stats.clone()
-        };
+        let mut runtime_stats = RuntimeStats::default();
+        for shard in &shards {
+            runtime_stats.merge(&shard.stats);
+        }
         let memory = std::mem::take(&mut gpu.mem);
         // Trace export happens on healthy AND faulted runs: a trace that
         // ends at the fault is exactly what post-mortem analysis wants.
@@ -271,7 +251,8 @@ impl Simulator {
         }
         // Profile export too: a faulted run's partial breakdown is exactly
         // what post-mortem analysis wants (conservation only holds for
-        // healthy runs; fault paths can leave SMs unticked mid-cycle).
+        // healthy runs; a faulting tick can die before it attributes its
+        // cycle).
         let prof = gpu.prof_report();
         if let (Some(p), Some(path)) = (&prof, &gpu.config().effective_trace().prof) {
             export_prof(path, p);
@@ -1002,6 +983,42 @@ mod tests {
         );
         assert!(failure.report.is_none(), "the run never started");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn resume_refuses_the_single_runtime_layout_of_older_builds() {
+        // Builds before the one-loop engine wrote one runtime, not one per
+        // SM, at one thread. Same fingerprint, foreign layout: a classified
+        // refusal, not a panic or a half-restored machine.
+        let (device, cmd, _) = quad_workload(16, 4);
+        let sim = Simulator::new(SimConfig::test_small());
+        let gpu_config = sim.config().resolve();
+        let fingerprint = checkpoint::config_fingerprint(&gpu_config, &device, &cmd);
+        let mut gpu = GpuSim::new(gpu_config);
+        gpu.launch(
+            cmd.program.clone(),
+            LaunchDims {
+                width: cmd.dims.width,
+                height: cmd.dims.height,
+                depth: cmd.dims.depth,
+            },
+        );
+        let old_layout = checkpoint::machine_payload(&gpu, &[sim.make_runtime(&device, &cmd)]);
+        let path = std::env::temp_dir().join(format!("vksim-old-{}.vksnap", std::process::id()));
+        Snapshot::new(fingerprint, old_layout)
+            .write_atomic(&path)
+            .expect("snapshot written");
+        let failure = Simulator::new(SimConfig::test_small())
+            .resume(&device, &cmd, &path)
+            .expect_err("a one-runtime snapshot cannot fill two SM shards");
+        match &failure.error {
+            SimError::SnapshotMismatch { detail } => {
+                assert!(detail.contains("1 runtime shard"), "{detail}")
+            }
+            other => panic!("expected SnapshotMismatch, got {other:?}"),
+        }
+        assert!(failure.report.is_none(), "the run never started");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -42,10 +42,11 @@ pub struct GpuConfig {
     pub core_clock_mhz: u32,
     /// Safety bound on simulated cycles.
     pub max_cycles: u64,
-    /// Worker threads for the two-phase cycle engine. `1` is the serial
-    /// reference path; any value produces bit-identical counters (the
-    /// engine's determinism contract, see DESIGN.md). Overridable at run
-    /// time with `VKSIM_THREADS`.
+    /// Threads that tick SMs in the cycle loop's phase A, the calling
+    /// thread included (`1` starts no helper thread; never more than the
+    /// host has cores or the machine has SMs). Any value produces
+    /// bit-identical counters (the engine's determinism contract, see
+    /// DESIGN.md). Overridable at run time with `VKSIM_THREADS`.
     pub threads: usize,
     /// Forward-progress watchdog window in cycles: if no instruction
     /// issues, no warp retires and no memory completion arrives for this

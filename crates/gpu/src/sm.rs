@@ -496,8 +496,8 @@ impl Sm {
         // Interconnect backpressure: leftovers in the SM's request queue
         // after the previous phase-B drain mean the bounded interconnect
         // refused them. Sampled once at tick start — before this cycle's
-        // own submissions land — so the reading is identical in the serial
-        // and parallel engines.
+        // own submissions land — so the reading is identical at any thread
+        // count.
         let icnt_blocked = sink.backlogged();
         if icnt_blocked {
             self.stats.inc("sm.icnt_stall_cycles");
@@ -509,8 +509,8 @@ impl Sm {
         // Cycle accounting: classify the would-be stall reason from
         // SM-local state sampled at tick start — before the RT unit and
         // retry passes below mutate context statuses — so the attribution
-        // is identical in the serial and parallel engines (the
-        // `icnt_stall_cycles` discipline). `Issued` overrides the
+        // is identical at any thread count (the `icnt_stall_cycles`
+        // discipline). `Issued` overrides the
         // precomputed class after the issue stage.
         let stall_class = self
             .accounting

@@ -1,33 +1,34 @@
-//! Dependency-free worker-pool primitives for the two-phase cycle engine.
+//! Dependency-free round-barrier primitives for the two-phase cycle engine.
 //!
-//! The GPU model ticks every SM once per simulated cycle. Parallelising
-//! that inner loop needs a *round barrier*: the coordinator announces a
-//! round, every worker processes its share of the SMs, and the coordinator
-//! waits for all of them before running the serial drain phase. Simulated
-//! cycles are short (microseconds of host work), so a classic
-//! `Mutex`+`Condvar` barrier would spend more time parking threads than
-//! simulating; [`RoundBarrier`] therefore spins on an atomic epoch for a
-//! bounded number of iterations before yielding to the scheduler.
+//! The GPU model ticks every SM once per simulated cycle. Sharing that
+//! inner loop among threads needs a *round barrier*: the cycle loop opens a
+//! round, ticks its own share of the SMs while every helper thread ticks
+//! another, and waits for all of them before running the serial drain
+//! phase. Simulated cycles are short (microseconds of host work), so a
+//! classic `Mutex`+`Condvar` barrier would spend more time parking threads
+//! than simulating; [`RoundBarrier`] therefore spins on an atomic epoch for
+//! a bounded number of iterations before yielding to the scheduler.
 //!
-//! The barrier is deliberately not a thread pool: workers are plain scoped
+//! The barrier is deliberately not a thread pool: helpers are plain scoped
 //! threads (`std::thread::scope`) owned by the caller, so borrows of
-//! stack-local simulation state need no `'static` laundering and a worker
-//! panic propagates when the scope joins. [`DoneGuard`] keeps the
-//! coordinator from deadlocking on a panicked worker: the worker's
-//! completion signal rides on `Drop`, and the poison flag it sets on unwind
-//! turns the lost round into a coordinator panic instead of a hang.
+//! stack-local simulation state need no `'static` laundering and a helper
+//! panic propagates when the scope joins. [`DoneGuard`] keeps the cycle
+//! loop from deadlocking on a panicked helper: the helper's completion
+//! signal rides on `Drop`, and the poison flag it sets on unwind turns the
+//! lost round into an error instead of a hang.
 //!
 //! # Example
 //!
 //! ```
 //! use std::sync::atomic::{AtomicU64, Ordering};
-//! use vksim_parallel::{DoneGuard, RoundBarrier};
+//! use vksim_parallel::{DoneGuard, RoundBarrier, ShutdownGuard};
 //!
-//! let threads = 3;
-//! let barrier = RoundBarrier::new(threads);
+//! let helpers = 2;
+//! let barrier = RoundBarrier::new(helpers);
 //! let sum = AtomicU64::new(0);
 //! std::thread::scope(|s| {
-//!     for t in 0..threads {
+//!     let _shutdown = ShutdownGuard::new(&barrier);
+//!     for t in 1..=helpers {
 //!         let (barrier, sum) = (&barrier, &sum);
 //!         s.spawn(move || {
 //!             let mut epoch = 0;
@@ -40,9 +41,9 @@
 //!     }
 //!     for _ in 0..10 {
 //!         barrier.begin_round();
-//!         barrier.wait_workers();
+//!         sum.fetch_add(1, Ordering::Relaxed); // the caller's own share
+//!         barrier.try_wait_workers().expect("no helper panicked");
 //!     }
-//!     barrier.shutdown();
 //! });
 //! assert_eq!(sum.load(Ordering::Relaxed), 10 * (1 + 2 + 3));
 //! ```
@@ -53,8 +54,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 ///
 /// Rounds in the cycle engine are back-to-back, so the next epoch usually
 /// arrives within a few hundred nanoseconds; spinning that long is cheaper
-/// than a syscall. On an oversubscribed host (more workers than cores) the
-/// yield fallback keeps forward progress.
+/// than a syscall. The yield fallback keeps forward progress when a waiter
+/// shares its core with the thread it waits on.
 const SPIN_LIMIT: u32 = 4096;
 
 /// Epoch-based barrier coordinating one writer (the cycle loop) with a
@@ -63,10 +64,6 @@ const SPIN_LIMIT: u32 = 4096;
 #[derive(Debug)]
 pub struct RoundBarrier {
     workers: usize,
-    /// Spins before yielding; 0 when the host is oversubscribed (fewer
-    /// cores than waiters), where spinning only steals the running thread's
-    /// time slice.
-    spin_limit: u32,
     /// Round number; bumped by [`RoundBarrier::begin_round`]. Odd protocol
     /// state lives entirely in this one word: workers watch it grow.
     epoch: AtomicU64,
@@ -92,26 +89,11 @@ impl std::fmt::Display for PoisonedRound {
 impl std::error::Error for PoisonedRound {}
 
 impl RoundBarrier {
-    /// A barrier for `workers` worker threads (and one coordinator).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
+    /// A barrier for `workers` helper threads and the one thread that opens
+    /// rounds.
     pub fn new(workers: usize) -> Self {
-        // workers + 1 waiters total (the coordinator blocks in
-        // `wait_workers`); if they cannot all run at once, spinning just
-        // burns the quantum the thread we are waiting on needs.
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let spin_limit = if workers + 1 > cores { 0 } else { SPIN_LIMIT };
-        Self::with_spin_limit(workers, spin_limit)
-    }
-
-    /// [`RoundBarrier::new`] with an explicit spin limit (0 = always yield).
-    pub fn with_spin_limit(workers: usize, spin_limit: u32) -> Self {
-        assert!(workers > 0, "a round barrier needs at least one worker");
         RoundBarrier {
             workers,
-            spin_limit,
             epoch: AtomicU64::new(0),
             done: AtomicUsize::new(0),
             quit: AtomicBool::new(false),
@@ -119,13 +101,8 @@ impl RoundBarrier {
         }
     }
 
-    /// Number of worker threads this barrier coordinates.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// Coordinator: opens the next round. Must not be called again before
-    /// [`RoundBarrier::wait_workers`] returns.
+    /// [`RoundBarrier::try_wait_workers`] returns.
     pub fn begin_round(&self) {
         self.done.store(0, Ordering::Release);
         self.epoch.fetch_add(1, Ordering::Release);
@@ -144,47 +121,19 @@ impl RoundBarrier {
                 return Some(e);
             }
             spins += 1;
-            if spins < self.spin_limit {
+            if spins < SPIN_LIMIT {
                 std::hint::spin_loop();
             } else {
                 std::thread::yield_now();
             }
         }
-    }
-
-    /// Worker: marks this worker's share of the round complete. Prefer
-    /// [`DoneGuard`], which also signals on unwind.
-    pub fn worker_done(&self) {
-        self.done.fetch_add(1, Ordering::AcqRel);
     }
 
     /// Coordinator: blocks until every worker signalled completion of the
-    /// round opened by the last [`RoundBarrier::begin_round`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker unwound during the round (poisoned barrier); the
-    /// worker's own panic then surfaces when the thread scope joins.
-    pub fn wait_workers(&self) {
-        let mut spins = 0u32;
-        while self.done.load(Ordering::Acquire) < self.workers {
-            spins += 1;
-            if spins < self.spin_limit {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        assert!(
-            !self.poisoned.load(Ordering::Acquire),
-            "a worker panicked mid-round"
-        );
-    }
-
-    /// Like [`RoundBarrier::wait_workers`] but reports a poisoned round as
-    /// `Err` instead of panicking, so a coordinator that contains worker
-    /// panics (converting them into structured faults) can keep control of
-    /// its own unwind path.
+    /// round opened by the last [`RoundBarrier::begin_round`]. A poisoned
+    /// round is an `Err`, not a panic, so a coordinator that converts
+    /// worker panics into structured faults keeps control of its own
+    /// unwind path.
     ///
     /// # Errors
     ///
@@ -193,7 +142,7 @@ impl RoundBarrier {
         let mut spins = 0u32;
         while self.done.load(Ordering::Acquire) < self.workers {
             spins += 1;
-            if spins < self.spin_limit {
+            if spins < SPIN_LIMIT {
                 std::hint::spin_loop();
             } else {
                 std::thread::yield_now();
@@ -206,11 +155,6 @@ impl RoundBarrier {
         }
     }
 
-    /// `true` when a worker unwound mid-round and poisoned the barrier.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire)
-    }
-
     /// Coordinator: tells all workers to exit their round loops.
     pub fn shutdown(&self) {
         self.quit.store(true, Ordering::Release);
@@ -218,7 +162,7 @@ impl RoundBarrier {
 }
 
 /// RAII round-completion signal: created by a worker at the start of its
-/// round, it calls [`RoundBarrier::worker_done`] on drop — including during
+/// round, it marks the worker's share complete on drop — including during
 /// a panic unwind, where it additionally poisons the barrier so the
 /// coordinator fails fast instead of waiting forever.
 #[derive(Debug)]
@@ -238,15 +182,14 @@ impl Drop for DoneGuard<'_> {
         if std::thread::panicking() {
             self.barrier.poisoned.store(true, Ordering::Release);
         }
-        self.barrier.worker_done();
+        self.barrier.done.fetch_add(1, Ordering::AcqRel);
     }
 }
 
 /// RAII shutdown signal for the coordinator: calls
 /// [`RoundBarrier::shutdown`] on drop. Held across the coordinator's cycle
 /// loop inside `std::thread::scope`, it guarantees workers are released
-/// even when the coordinator unwinds (e.g. the poisoned-barrier panic from
-/// [`RoundBarrier::wait_workers`]) — otherwise the scope's implicit join
+/// even when the coordinator unwinds — otherwise the scope's implicit join
 /// would deadlock on workers still spinning in
 /// [`RoundBarrier::wait_round`].
 #[derive(Debug)]
@@ -267,21 +210,20 @@ impl Drop for ShutdownGuard<'_> {
     }
 }
 
-/// Workers to start for a request of `threads` on this host: at most one
-/// per core the coordinator does not occupy, at least one.
+/// Threads that share a round for a request of `threads` on this host,
+/// the one that opens the round included: at most one per core, at least
+/// one.
 ///
-/// The coordinator waits in [`RoundBarrier::wait_workers`] while workers
-/// run and runs its serial phase while they wait, so `workers + 1` threads
-/// are runnable throughout. Beyond the core count they can only take turns
-/// yielding, and a round's time then depends on how the host schedules
-/// them rather than on the work in it.
+/// Every participant ticks through the round, so more of them than cores
+/// can only take turns yielding, and a round's time then depends on how
+/// the host schedules them rather than on the work in it.
 pub fn worker_cap(threads: usize) -> usize {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     cap_for(threads, cores)
 }
 
 fn cap_for(threads: usize, cores: usize) -> usize {
-    threads.min(cores.saturating_sub(1)).max(1)
+    threads.min(cores).max(1)
 }
 
 /// Splits `total` items among `workers` as contiguous, maximally even
@@ -321,7 +263,7 @@ mod tests {
             }
             for _ in 0..rounds {
                 barrier.begin_round();
-                barrier.wait_workers();
+                barrier.try_wait_workers().expect("healthy round");
             }
             barrier.shutdown();
         });
@@ -364,7 +306,7 @@ mod tests {
             let mut expect = 0;
             for _ in 0..50 {
                 barrier.begin_round();
-                barrier.wait_workers();
+                barrier.try_wait_workers().expect("healthy round");
                 let epoch = barrier.epoch.load(Ordering::Relaxed);
                 // worker 1 adds epoch, worker 2 adds 2 * epoch
                 expect += epoch + epoch * 2;
@@ -372,40 +314,6 @@ mod tests {
             }
             barrier.shutdown();
         });
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn zero_workers_rejected() {
-        let _ = RoundBarrier::with_spin_limit(0, SPIN_LIMIT);
-    }
-
-    #[test]
-    fn yield_only_barrier_completes_rounds() {
-        // spin_limit = 0 is the oversubscribed-host path (more waiters than
-        // cores): every wait yields instead of spinning. Protocol must be
-        // identical.
-        let barrier = RoundBarrier::with_spin_limit(2, 0);
-        let hits = AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..2 {
-                let (barrier, hits) = (&barrier, &hits);
-                s.spawn(move || {
-                    let mut epoch = 0;
-                    while let Some(e) = barrier.wait_round(epoch) {
-                        epoch = e;
-                        let _done = DoneGuard::new(barrier);
-                        hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            }
-            for _ in 0..20 {
-                barrier.begin_round();
-                barrier.wait_workers();
-            }
-            barrier.shutdown();
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 40);
     }
 
     #[test]
@@ -448,18 +356,18 @@ mod tests {
             });
             barrier.begin_round();
             assert_eq!(barrier.try_wait_workers(), Err(PoisonedRound));
-            assert!(barrier.is_poisoned());
             barrier.shutdown();
         });
     }
 
     #[test]
-    fn worker_cap_leaves_the_coordinator_a_core() {
-        assert_eq!(cap_for(2, 2), 1);
-        assert_eq!(cap_for(4, 2), 1);
+    fn worker_cap_is_one_participant_per_core() {
+        assert_eq!(cap_for(1, 8), 1);
+        assert_eq!(cap_for(2, 2), 2);
+        assert_eq!(cap_for(4, 2), 2);
         assert_eq!(cap_for(4, 8), 4);
-        assert_eq!(cap_for(8, 4), 3);
-        // One core cannot be helped; one worker is still needed.
+        assert_eq!(cap_for(8, 4), 4);
+        // One core cannot be helped; the caller still ticks.
         assert_eq!(cap_for(2, 1), 1);
         assert_eq!(cap_for(0, 8), 1);
         assert!(worker_cap(usize::MAX) >= 1);

@@ -222,7 +222,7 @@ impl ProfReport {
 
     /// The conservation invariant: every cycle of every SM attributed to
     /// exactly one category. Holds on every healthy or paused run; a
-    /// faulted run may stop mid-cycle with some SMs unticked.
+    /// faulting tick may die before it attributes its cycle.
     pub fn conservation_holds(&self) -> bool {
         self.merged().total() == self.cycles * self.per_sm.len() as u64
     }

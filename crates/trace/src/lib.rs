@@ -23,7 +23,7 @@
 //!   ([`hotspot_summary`]).
 //!
 //! Determinism contract: SMs record into SM-local [`SmTracer`]s during
-//! phase A of the two-phase cycle engine; the coordinator drains them into
+//! phase A of the two-phase cycle engine; the cycle loop drains them into
 //! one [`TraceCollector`] in SM-id order during phase B. Shared-backend
 //! events (DRAM row activates) only occur in phase B, which is serial. The
 //! merged event stream — and therefore the exported trace — is identical

@@ -11,8 +11,8 @@ use std::io::{Seek as _, SeekFrom, Write as _};
 
 /// The per-SM recorder. Lives behind an `Option<Box<SmTracer>>` on each SM
 /// so a disabled run pays exactly one null check per hook site; all state
-/// is SM-local, which is what makes tracing safe inside phase A of the
-/// parallel engine.
+/// is SM-local, which is what makes tracing safe inside phase A on any
+/// thread.
 #[derive(Clone, Debug)]
 pub struct SmTracer {
     // Events staged since the last phase-B drain.

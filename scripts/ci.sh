@@ -68,8 +68,14 @@ cargo test --offline --workspace -q
 step "golden-counter regression suite (incl. threads=1 vs 4 equality)"
 cargo test --offline -q -p vksim-bench --test golden_counters
 
+# The same suite with a helper thread ticking half of every machine
+# (where the host has a second core; on one core the cap runs it inline):
+# every golden, not only the threads-1-vs-4 tests, through the helper path.
+step "golden-counter regression suite under VKSIM_THREADS=2"
+VKSIM_THREADS=2 cargo test --offline -q -p vksim-bench --test golden_counters
+
 # Fault-injection smoke: one drill per fault class (dropped completion,
-# stalled warp, worker panic on both engines, truncated program,
+# stalled warp, worker panic at threads 1 and 4, truncated program,
 # corrupted BVH) — each must end in a classified SimError with a
 # parseable post-mortem dump, never a raw panic or a hang.
 step "fault-injection drills (classified errors + post-mortem dumps)"

@@ -2,10 +2,10 @@
 //!
 //! The contract under test: a run killed at an arbitrary point and resumed
 //! from its last checkpoint produces **byte-identical** counters, golden
-//! snapshots and functional memory to an uninterrupted run — on the serial
-//! reference engine (threads = 1) and the parallel engine (threads = 4),
-//! on the paper-scale partitioned config and the bounded-interconnect
-//! config whose backpressure state must survive the snapshot.
+//! snapshots and functional memory to an uninterrupted run — at threads = 1
+//! and threads = 4 (and from one thread count to another), on the
+//! paper-scale partitioned config and the bounded-interconnect config
+//! whose backpressure state must survive the snapshot.
 //!
 //! * Observer purity: enabling checkpointing moves no counter.
 //! * Resume equivalence: complete a checkpointed run, re-run from an
@@ -206,6 +206,33 @@ fn resume_from_random_checkpoint_is_bit_identical() {
             );
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+}
+
+/// Checkpoints are thread-count interchangeable: one taken at threads = 1
+/// resumes at threads = 2 and the reverse, both ending on the
+/// uninterrupted run's golden counters.
+#[test]
+fn checkpoint_resumes_at_a_different_thread_count() {
+    let w = build(WorkloadKind::Tri, Scale::Test);
+    let golden = snapshot(&run_plain(named_config(false, 1), &w));
+    for (from, to) in [(1usize, 2usize), (2, 1)] {
+        let dir = ckpt_dir(&format!("cross-{from}-{to}"));
+        let cfg = |threads: usize| {
+            named_config(false, threads).with_checkpoint(400, dir.to_string_lossy().to_string())
+        };
+        run_plain(cfg(from), &w);
+        let ckpts = checkpoints_in(&dir);
+        let (cycle, path) = &ckpts[ckpts.len() / 2];
+        let resumed = Simulator::new(cfg(to))
+            .resume(&w.device, &w.cmd, path)
+            .unwrap_or_else(|e| panic!("threads {from} -> {to}: resume failed: {e}"));
+        assert_eq!(
+            golden,
+            snapshot(&resumed),
+            "threads {from} -> {to}: resume from cycle {cycle} drifted"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
