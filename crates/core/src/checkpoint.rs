@@ -5,7 +5,7 @@
 //! continue bit-identically: every runtime shard's functional state
 //! (frame stacks, replay scripts, FCC buffers, allocation cursor,
 //! statistics) followed by the complete GPU machine state
-//! ([`GpuSim::save_state`]). The container ([`vksim_snapshot::Snapshot`])
+//! ([`GpuSim::save`]). The container ([`vksim_snapshot::Snapshot`])
 //! adds versioning and a checksum; this module adds the *fingerprint* —
 //! a hash of everything architecturally relevant — so a snapshot can only
 //! be resumed under the configuration, program and scene that produced
@@ -17,7 +17,7 @@
 use crate::runtime::RtRuntime;
 use vksim_fault::FaultPlan;
 use vksim_gpu::{GpuConfig, GpuSim};
-use vksim_snapshot::{fnv1a, fnv1a_init, Dec, Enc, SnapError};
+use vksim_snapshot::{fnv1a, fnv1a_init, save_each, Dec, Enc, SnapError};
 use vksim_trace::TraceConfig;
 use vksim_vulkan::{Device, TraceRaysCommand};
 
@@ -78,11 +78,8 @@ pub fn config_fingerprint(config: &GpuConfig, device: &Device, cmd: &TraceRaysCo
 /// then the complete GPU state.
 pub(crate) fn machine_payload(gpu: &GpuSim, shards: &[RtRuntime]) -> Vec<u8> {
     let mut e = Enc::new();
-    e.seq(shards.len());
-    for shard in shards {
-        shard.save_state(&mut e);
-    }
-    gpu.save_state(&mut e);
+    save_each(shards, &mut e, RtRuntime::save);
+    gpu.save(&mut e);
     e.into_bytes()
 }
 
@@ -111,9 +108,9 @@ pub(crate) fn restore_machine(
         )));
     }
     for shard in shards.iter_mut() {
-        shard.restore_state(&mut d)?;
+        shard.restore(&mut d)?;
     }
-    gpu.restore_state(&mut d)?;
+    gpu.restore(&mut d)?;
     d.finish()
 }
 

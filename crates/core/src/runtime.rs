@@ -26,7 +26,7 @@ use vksim_isa::op::{RtIdxQuery, RtQuery};
 use vksim_isa::RtError;
 use vksim_math::{Ray, Vec3};
 use vksim_rtunit::{OpKind, Step, SHORT_STACK_ENTRIES};
-use vksim_snapshot::{Dec, Enc, SnapError};
+use vksim_snapshot::{Dec, Enc, Snap, SnapError};
 use vksim_trace::TraversalAnalytics;
 
 /// Vulkan ray flag bit 0: terminate on first hit (shadow rays).
@@ -349,240 +349,91 @@ impl RtRuntime {
         }
         script
     }
-
-    /// Serializes the runtime's mutable state — per-thread frame stacks,
-    /// pending replay scripts, FCC coalescing buffers, the `rt_alloc_mem`
-    /// cursor and the functional statistics — for a checkpoint. Scene data
-    /// (TLAS/BLAS), launch dims and the FCC switch are rebuilt from the
-    /// resuming configuration, not written. Hash maps are emitted in
-    /// sorted key order so identical states encode identically.
-    pub fn save_state(&self, e: &mut Enc) {
-        let mut tids: Vec<usize> = self.frames.keys().copied().collect();
-        tids.sort_unstable();
-        e.seq(tids.len());
-        for tid in tids {
-            e.usize(tid);
-            let frames = &self.frames[&tid];
-            e.seq(frames.len());
-            for f in frames {
-                save_frame(f, e);
-            }
-        }
-        let mut tids: Vec<usize> = self.scripts.keys().copied().collect();
-        tids.sort_unstable();
-        e.seq(tids.len());
-        for tid in tids {
-            e.usize(tid);
-            let steps = &self.scripts[&tid];
-            e.seq(steps.len());
-            for s in steps {
-                s.save(e);
-            }
-        }
-        let mut keys: Vec<(usize, usize)> = self.fcc_tables.keys().copied().collect();
-        keys.sort_unstable();
-        e.seq(keys.len());
-        for key in keys {
-            e.usize(key.0);
-            e.usize(key.1);
-            let rows = &self.fcc_tables[&key];
-            e.seq(rows.len());
-            for row in rows {
-                e.u32(row.shader_id);
-                for slot in &row.lane_hit {
-                    e.opt_u32(*slot);
-                }
-            }
-        }
-        e.u64(self.alloc_cursor);
-        self.stats.save(e);
-        match &self.analytics {
-            None => e.u8(0),
-            Some(a) => {
-                e.u8(1);
-                a.save(e);
-            }
-        }
-    }
-
-    /// Restores state written by [`RtRuntime::save_state`] into a runtime
-    /// freshly bound to the same scene and launch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapError`] on a truncated or malformed payload.
-    pub fn restore_state(&mut self, d: &mut Dec<'_>) -> Result<(), SnapError> {
-        let mut frames = HashMap::new();
-        for _ in 0..d.seq()? {
-            let tid = d.usize()?;
-            let n = d.seq()?;
-            let mut stack = Vec::with_capacity(n);
-            for _ in 0..n {
-                stack.push(load_frame(d)?);
-            }
-            frames.insert(tid, stack);
-        }
-        let mut scripts = HashMap::new();
-        for _ in 0..d.seq()? {
-            let tid = d.usize()?;
-            let n = d.seq()?;
-            let mut steps = Vec::with_capacity(n);
-            for _ in 0..n {
-                steps.push(Step::load(d)?);
-            }
-            scripts.insert(tid, steps);
-        }
-        let mut fcc_tables = HashMap::new();
-        for _ in 0..d.seq()? {
-            let key = (d.usize()?, d.usize()?);
-            let n = d.seq()?;
-            let mut rows = Vec::with_capacity(n);
-            for _ in 0..n {
-                let shader_id = d.u32()?;
-                let mut lane_hit = [None; WARP_SIZE];
-                for slot in &mut lane_hit {
-                    *slot = d.opt_u32()?;
-                }
-                rows.push(FccRow {
-                    shader_id,
-                    lane_hit,
-                });
-            }
-            fcc_tables.insert(key, rows);
-        }
-        self.frames = frames;
-        self.scripts = scripts;
-        self.fcc_tables = fcc_tables;
-        self.alloc_cursor = d.u64()?;
-        self.stats = RuntimeStats::load(d)?;
-        self.analytics = match d.u8()? {
-            0 => None,
-            1 => Some(Box::new(TraversalAnalytics::load(d)?)),
-            t => {
-                return Err(SnapError::Malformed(format!(
-                    "rt runtime analytics tag {t}"
-                )))
-            }
-        };
-        Ok(())
-    }
 }
 
-fn save_ray(ray: &RayDesc, e: &mut Enc) {
-    for c in ray.origin {
-        e.f32(c);
-    }
-    for c in ray.dir {
-        e.f32(c);
-    }
-    e.f32(ray.t_min);
-    e.f32(ray.t_max);
-    e.u32(ray.flags);
-}
+vksim_snapshot::snap_struct!(Committed {
+    kind,
+    t,
+    u,
+    v,
+    primitive_index,
+    instance_index,
+    instance_custom_index,
+    sbt_offset,
+    normal
+});
+vksim_snapshot::snap_struct!(FccRow {
+    shader_id,
+    lane_hit
+});
+vksim_snapshot::snap_struct!(RuntimeStats {
+    rays,
+    nodes_visited,
+    box_tests,
+    triangle_tests,
+    transforms,
+    procedural_hits,
+    triangle_hits,
+    misses,
+    max_stack_depth,
+    spill_stores,
+    spill_loads
+});
 
-fn load_ray(d: &mut Dec<'_>) -> Result<RayDesc, SnapError> {
-    Ok(RayDesc {
-        origin: [d.f32()?, d.f32()?, d.f32()?],
-        dir: [d.f32()?, d.f32()?, d.f32()?],
-        t_min: d.f32()?,
-        t_max: d.f32()?,
-        flags: d.u32()?,
-    })
-}
-
-fn save_frame(f: &Frame, e: &mut Enc) {
-    save_ray(&f.ray, e);
-    e.u32(f.committed.kind);
-    e.f32(f.committed.t);
-    e.f32(f.committed.u);
-    e.f32(f.committed.v);
-    e.u32(f.committed.primitive_index);
-    e.u32(f.committed.instance_index);
-    e.u32(f.committed.instance_custom_index);
-    e.u32(f.committed.sbt_offset);
-    for c in f.committed.normal {
-        e.f32(c);
-    }
-    e.seq(f.pending.len());
-    for h in &f.pending {
-        e.u32(h.primitive_index);
-        e.u32(h.shader_id);
-        e.u32(h.instance_index);
-        e.u32(h.instance_custom_index);
-        e.u32(h.sbt_offset);
-        e.f32(h.t_enter);
-    }
-}
-
-fn load_frame(d: &mut Dec<'_>) -> Result<Frame, SnapError> {
-    let ray = load_ray(d)?;
-    let committed = Committed {
-        kind: d.u32()?,
-        t: d.f32()?,
-        u: d.f32()?,
-        v: d.f32()?,
-        primitive_index: d.u32()?,
-        instance_index: d.u32()?,
-        instance_custom_index: d.u32()?,
-        sbt_offset: d.u32()?,
-        normal: [d.f32()?, d.f32()?, d.f32()?],
-    };
-    let n = d.seq()?;
-    let mut pending = Vec::with_capacity(n);
-    for _ in 0..n {
-        pending.push(ProceduralHit {
-            primitive_index: d.u32()?,
-            shader_id: d.u32()?,
-            instance_index: d.u32()?,
-            instance_custom_index: d.u32()?,
-            sbt_offset: d.u32()?,
-            t_enter: d.f32()?,
-        });
-    }
-    Ok(Frame {
-        ray,
-        committed,
-        pending,
-    })
-}
-
-impl RuntimeStats {
-    /// Serializes the statistics for a checkpoint.
-    pub fn save(&self, e: &mut Enc) {
-        e.u64(self.rays);
-        e.u64(self.nodes_visited);
-        e.u64(self.box_tests);
-        e.u64(self.triangle_tests);
-        e.u64(self.transforms);
-        e.u64(self.procedural_hits);
-        e.u64(self.triangle_hits);
-        e.u64(self.misses);
-        e.u32(self.max_stack_depth);
-        e.u64(self.spill_stores);
-        e.u64(self.spill_loads);
+/// [`ProceduralHit`] lives in `vksim-bvh`, which knows nothing of
+/// snapshots, so a frame writes its pending hits as field tuples.
+impl Snap for Frame {
+    fn save(&self, e: &mut Enc) {
+        self.ray.save(e);
+        self.committed.save(e);
+        let pending: Vec<_> = self
+            .pending
+            .iter()
+            .map(|h| {
+                (
+                    h.primitive_index,
+                    h.shader_id,
+                    h.instance_index,
+                    h.instance_custom_index,
+                    h.sbt_offset,
+                    h.t_enter,
+                )
+            })
+            .collect();
+        pending.save(e);
     }
 
-    /// Reads statistics written by [`RuntimeStats::save`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapError`] on a truncated payload.
-    pub fn load(d: &mut Dec<'_>) -> Result<Self, SnapError> {
-        Ok(RuntimeStats {
-            rays: d.u64()?,
-            nodes_visited: d.u64()?,
-            box_tests: d.u64()?,
-            triangle_tests: d.u64()?,
-            transforms: d.u64()?,
-            procedural_hits: d.u64()?,
-            triangle_hits: d.u64()?,
-            misses: d.u64()?,
-            max_stack_depth: d.u32()?,
-            spill_stores: d.u64()?,
-            spill_loads: d.u64()?,
+    fn load(d: &mut Dec<'_>) -> Result<Self, SnapError> {
+        Ok(Frame {
+            ray: Snap::load(d)?,
+            committed: Snap::load(d)?,
+            pending: Vec::<(u32, u32, u32, u32, u32, f32)>::load(d)?
+                .into_iter()
+                .map(|hit| ProceduralHit {
+                    primitive_index: hit.0,
+                    shader_id: hit.1,
+                    instance_index: hit.2,
+                    instance_custom_index: hit.3,
+                    sbt_offset: hit.4,
+                    t_enter: hit.5,
+                })
+                .collect(),
         })
     }
 }
+
+// The mutable state: per-thread frame stacks, pending replay scripts, FCC
+// coalescing buffers, the `rt_alloc_mem` cursor, the functional statistics
+// and the analytics shard. Scene data (TLAS/BLAS), launch dims and the FCC
+// switch belong to the runtime the resuming run bound to the same scene.
+vksim_snapshot::snap_state!(RtRuntime {
+    frames,
+    scripts,
+    fcc_tables,
+    alloc_cursor,
+    stats,
+    analytics,
+} skip { tlas, blases, launch, fcc });
 
 impl RtHooks for RtRuntime {
     fn traverse(&mut self, tid: usize, ray: RayDesc) -> Result<(), RtError> {
@@ -1071,16 +922,16 @@ mod tests {
         assert!(a.hit_total() > 0, "the quad hit leaves hot nodes");
         // Analytics state rides checkpoints byte-identically.
         let mut e = Enc::new();
-        rt.save_state(&mut e);
+        rt.save(&mut e);
         let bytes = e.into_bytes();
         let (tlas, blases) = quad_scene();
         let mut back = RtRuntime::new(tlas, blases, [4, 4, 1], false);
         back.enable_analytics();
         let mut d = Dec::new(&bytes);
-        back.restore_state(&mut d).unwrap();
+        back.restore(&mut d).unwrap();
         d.finish().unwrap();
         let mut e2 = Enc::new();
-        back.save_state(&mut e2);
+        back.save(&mut e2);
         assert_eq!(e2.into_bytes(), bytes, "round trip is byte-idempotent");
     }
 

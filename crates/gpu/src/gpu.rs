@@ -22,10 +22,13 @@ use vksim_fault::{panic_detail, FaultPlan, HangClass, SimError};
 use vksim_isa::{OverlayMem, Program, SimMemory, WriteOverlay};
 use vksim_mem::{RequestQueue, SharedMemSystem};
 use vksim_parallel::{chunk_range, worker_cap, DoneGuard, RoundBarrier, ShutdownGuard};
+use vksim_snapshot::{
+    load_fixed, restore_each, restore_opt, save_each, save_opt, Dec, Snap, SnapError,
+};
 use vksim_stats::{Counters, Histogram};
 use vksim_trace::{
-    Event, EventKind, IntervalSnapshot, ProfReport, RtSmAnalytics, TraceCollector, TraceReport,
-    NO_WARP, NUM_CATEGORIES, NUM_RT_SERIES,
+    Event, EventKind, IntervalSnapshot, ProfReport, RtSmAnalytics, TraceCollector, TraceConfig,
+    TraceReport, NO_WARP, NUM_CATEGORIES, NUM_RT_SERIES,
 };
 
 /// Ray-tracing launch dimensions (`vkCmdTraceRaysKHR` width/height/depth).
@@ -52,21 +55,11 @@ struct WarpSeed {
     active: Mask,
 }
 
-impl WarpSeed {
-    fn save(&self, e: &mut vksim_snapshot::Enc) {
-        e.u32(self.id);
-        e.usize(self.base_tid);
-        e.u32(self.active);
-    }
-
-    fn load(d: &mut vksim_snapshot::Dec<'_>) -> Result<Self, vksim_snapshot::SnapError> {
-        Ok(WarpSeed {
-            id: d.u32()?,
-            base_tid: d.usize()?,
-            active: d.u32()?,
-        })
-    }
-}
+vksim_snapshot::snap_struct!(WarpSeed {
+    id,
+    base_tid,
+    active
+});
 
 /// How a bounded run slice ended: the kernel completed (with its stats) or
 /// the engine paused at the requested cycle boundary, ready to continue or
@@ -183,6 +176,66 @@ pub struct GpuSim {
     /// off (the default), so the cycle loop pays one null check per cycle.
     collector: Option<TraceCollector>,
 }
+
+/// Restores every SM in place, refusing a snapshot whose observers
+/// disagree with the effective trace configuration.
+fn restore_sms(sms: &mut [Sm], trace: &TraceConfig, d: &mut Dec<'_>) -> Result<(), SnapError> {
+    restore_each(sms, d, |sm, d| {
+        sm.restore(d)?;
+        for (observer, in_snapshot, enabled) in [
+            (
+                "cycle-accounting",
+                sm.accounting().is_some(),
+                trace.accounting,
+            ),
+            (
+                "rt-analytics",
+                sm.rt_analytics().is_some(),
+                trace.rt_analytics,
+            ),
+        ] {
+            if in_snapshot != enabled {
+                return Err(SnapError::Malformed(format!(
+                    "{observer} presence mismatch on SM {}: snapshot {} it, \
+                     {}abled in config",
+                    sm.id,
+                    if in_snapshot { "has" } else { "lacks" },
+                    if enabled { "en" } else { "dis" }
+                )));
+            }
+        }
+        Ok(())
+    })
+}
+
+// The complete machine state: every SM, the per-SM request queues (which
+// carry interconnect backpressure across cycle boundaries), the shared
+// L2/DRAM backend, the functional memory image, pending warps (the
+// launch-seeded queue is replaced wholesale), cycle/watchdog cursors and
+// the trace collector. `save` must be called at a clean cycle boundary
+// (between [`GpuSim::run_until`] slices); overlays are always empty there
+// and are not written. `restore` wants a freshly built and launched
+// [`GpuSim`] under the saving run's configuration (the snapshot
+// fingerprint check upstream guarantees that); SM, queue and partition
+// counts and observer presence are checked against it.
+vksim_snapshot::snap_state!(GpuSim {
+    sms: with(
+        |sms, e| save_each(sms, e, Sm::save),
+        |sms, d| restore_sms(sms, &config.effective_trace(), d)
+    ),
+    queues: with(Snap::save, |queues, d| load_fixed(queues, d)),
+    shared: state,
+    mem,
+    pending,
+    cycle,
+    dropped_completions,
+    faults,
+    last_progress,
+    collector: with(
+        |collector, e| save_opt(collector, e, TraceCollector::save),
+        |collector, d| restore_opt(collector, d, TraceCollector::restore)
+    ),
+} skip { config, program });
 
 /// One SM's slice of engine state: everything its phase-A tick touches.
 struct Lane<'h> {
@@ -465,7 +518,7 @@ impl GpuSim {
     /// Runs until the kernel completes or the cycle counter reaches
     /// `stop_at`, whichever comes first. A [`RunOutcome::Paused`] return
     /// leaves the machine at a clean cycle boundary (phase B drained, no
-    /// in-flight overlays), so [`GpuSim::save_state`] captures a state from
+    /// in-flight overlays), so [`GpuSim::save`] captures a state from
     /// which a resumed run — at any thread count — is bit-identical to an
     /// uninterrupted one.
     ///
@@ -700,136 +753,6 @@ impl GpuSim {
     /// Current cycle count.
     pub fn cycles(&self) -> u64 {
         self.cycle
-    }
-
-    /// Serializes the complete machine state — every SM, the per-SM
-    /// request queues (which carry interconnect backpressure across cycle
-    /// boundaries), the shared L2/DRAM backend, the functional memory
-    /// image, pending warps, cycle/watchdog cursors and the trace
-    /// collector — into a checkpoint payload. Must be called at a clean
-    /// cycle boundary (between [`GpuSim::run_until`] slices); overlays are
-    /// always empty there and are not written.
-    pub fn save_state(&self, e: &mut vksim_snapshot::Enc) {
-        e.seq(self.sms.len());
-        for sm in &self.sms {
-            sm.save(e);
-        }
-        e.seq(self.queues.len());
-        for q in &self.queues {
-            q.save(e);
-        }
-        self.shared.save(e);
-        self.mem.save(e);
-        e.seq(self.pending.len());
-        for seed in &self.pending {
-            seed.save(e);
-        }
-        e.u64(self.cycle);
-        e.u64(self.dropped_completions);
-        e.u64(self.faults);
-        e.u64(self.last_progress);
-        match &self.collector {
-            None => e.u8(0),
-            Some(col) => {
-                e.u8(1);
-                col.save(e);
-            }
-        }
-    }
-
-    /// Restores machine state written by [`GpuSim::save_state`] into this
-    /// GPU. Call on a freshly built and launched [`GpuSim`] whose
-    /// configuration matches the saving run's (the snapshot fingerprint
-    /// check upstream guarantees this); the launch-seeded pending queue is
-    /// replaced wholesale by the snapshot's.
-    ///
-    /// # Errors
-    ///
-    /// A snapshot whose SM/queue/partition geometry disagrees with the
-    /// current configuration — or whose tracing state disagrees with the
-    /// effective trace config — is malformed.
-    pub fn restore_state(
-        &mut self,
-        d: &mut vksim_snapshot::Dec<'_>,
-    ) -> Result<(), vksim_snapshot::SnapError> {
-        let n = d.seq()?;
-        if n != self.config.num_sms {
-            return Err(vksim_snapshot::SnapError::Malformed(format!(
-                "snapshot has {n} SMs, config has {}",
-                self.config.num_sms
-            )));
-        }
-        let trace = self.config.effective_trace();
-        let mut sms = Vec::with_capacity(n);
-        for i in 0..n {
-            let sm = Sm::load(i, &self.config, d)?;
-            if sm.accounting().is_some() != trace.accounting {
-                return Err(vksim_snapshot::SnapError::Malformed(format!(
-                    "cycle-accounting presence mismatch on SM {i}: snapshot {}, \
-                     accounting {}abled in config",
-                    if sm.accounting().is_some() {
-                        "has it"
-                    } else {
-                        "lacks it"
-                    },
-                    if trace.accounting { "en" } else { "dis" }
-                )));
-            }
-            if sm.rt_analytics().is_some() != trace.rt_analytics {
-                return Err(vksim_snapshot::SnapError::Malformed(format!(
-                    "rt-analytics presence mismatch on SM {i}: snapshot {}, \
-                     rt analytics {}abled in config",
-                    if sm.rt_analytics().is_some() {
-                        "has it"
-                    } else {
-                        "lacks it"
-                    },
-                    if trace.rt_analytics { "en" } else { "dis" }
-                )));
-            }
-            sms.push(sm);
-        }
-        self.sms = sms;
-        let nq = d.seq()?;
-        if nq != n {
-            return Err(vksim_snapshot::SnapError::Malformed(format!(
-                "snapshot has {nq} request queues for {n} SMs"
-            )));
-        }
-        let mut queues = Vec::with_capacity(nq);
-        for _ in 0..nq {
-            queues.push(RequestQueue::load(d)?);
-        }
-        self.queues = queues;
-        self.shared = SharedMemSystem::load(self.config.mem.clone(), d)?;
-        self.mem = SimMemory::load(d)?;
-        let np = d.seq()?;
-        let mut pending = VecDeque::with_capacity(np);
-        for _ in 0..np {
-            pending.push_back(WarpSeed::load(d)?);
-        }
-        self.pending = pending;
-        self.cycle = d.u64()?;
-        self.dropped_completions = d.u64()?;
-        self.faults = d.u64()?;
-        self.last_progress = d.u64()?;
-        self.collector = match (d.u8()?, trace.enabled) {
-            (0, false) => None,
-            (1, true) => Some(TraceCollector::load(trace, self.config.num_sms as u32, d)?),
-            (tag @ (0 | 1), enabled) => {
-                return Err(vksim_snapshot::SnapError::Malformed(format!(
-                    "trace collector presence mismatch: snapshot tag {tag}, \
-                     tracing {}abled in config",
-                    if enabled { "en" } else { "dis" }
-                )))
-            }
-            (t, _) => {
-                return Err(vksim_snapshot::SnapError::Malformed(format!(
-                    "trace collector tag {t}"
-                )))
-            }
-        };
-        Ok(())
     }
 
     /// Finishes the tracing layer: closes open spans, drains the residue,

@@ -526,17 +526,17 @@ fn pause_save_restore_resumes_bit_identically() {
     assert!(matches!(outcome, RunOutcome::Paused), "{outcome:?}");
     assert_eq!(gpu.cycles(), 40);
     let mut enc = vksim_snapshot::Enc::new();
-    gpu.save_state(&mut enc);
+    gpu.save(&mut enc);
     let payload = enc.into_bytes();
 
     // Restore into a fresh GPU: re-encoding must be byte-identical.
     let mut restored = GpuSim::new(config);
     restored.launch(trace_program(), dims);
     let mut dec = vksim_snapshot::Dec::new(&payload);
-    restored.restore_state(&mut dec).expect("restore");
+    restored.restore(&mut dec).expect("restore");
     dec.finish().expect("full consumption");
     let mut enc2 = vksim_snapshot::Enc::new();
-    restored.save_state(&mut enc2);
+    restored.save(&mut enc2);
     assert_eq!(payload, enc2.into_bytes(), "snapshot idempotency");
 
     // Both the paused original and the restored copy finish exactly
@@ -566,16 +566,14 @@ fn restore_rejects_mismatched_sm_count() {
         },
     );
     let mut enc = vksim_snapshot::Enc::new();
-    gpu.save_state(&mut enc);
+    gpu.save(&mut enc);
     let payload = enc.into_bytes();
     let mut other = GpuSim::new(GpuConfig {
         num_sms: 3,
         ..small_config()
     });
     let mut dec = vksim_snapshot::Dec::new(&payload);
-    let err = other
-        .restore_state(&mut dec)
-        .expect_err("geometry mismatch");
+    let err = other.restore(&mut dec).expect_err("geometry mismatch");
     assert!(
         matches!(err, vksim_snapshot::SnapError::Malformed(_)),
         "{err:?}"
@@ -699,13 +697,13 @@ fn accounting_survives_checkpoint_byte_identically() {
     let outcome = gpu.run_until(&mut hooks, 40).expect("healthy slice");
     assert!(matches!(outcome, RunOutcome::Paused), "{outcome:?}");
     let mut enc = vksim_snapshot::Enc::new();
-    gpu.save_state(&mut enc);
+    gpu.save(&mut enc);
     let payload = enc.into_bytes();
 
     let mut restored = GpuSim::new(config);
     restored.launch(trace_program(), dims);
     let mut dec = vksim_snapshot::Dec::new(&payload);
-    restored.restore_state(&mut dec).expect("restore");
+    restored.restore(&mut dec).expect("restore");
     dec.finish().expect("full consumption");
     let mut hooks = shards(&gpu, 256);
     restored.run(&mut hooks).expect("healthy resumed tail");
@@ -725,7 +723,7 @@ fn restore_rejects_accounting_presence_mismatch() {
         },
     );
     let mut enc = vksim_snapshot::Enc::new();
-    gpu.save_state(&mut enc);
+    gpu.save(&mut enc);
     let payload = enc.into_bytes();
     let mut other = GpuSim::new(small_config());
     other.launch(
@@ -738,7 +736,7 @@ fn restore_rejects_accounting_presence_mismatch() {
     );
     let mut dec = vksim_snapshot::Dec::new(&payload);
     let err = other
-        .restore_state(&mut dec)
+        .restore(&mut dec)
         .expect_err("accounting presence mismatch");
     assert!(
         matches!(&err, vksim_snapshot::SnapError::Malformed(m) if m.contains("accounting")),
@@ -878,13 +876,13 @@ fn rt_analytics_survives_checkpoint_byte_identically() {
     let outcome = gpu.run_until(&mut hooks, 40).expect("healthy slice");
     assert!(matches!(outcome, RunOutcome::Paused), "{outcome:?}");
     let mut enc = vksim_snapshot::Enc::new();
-    gpu.save_state(&mut enc);
+    gpu.save(&mut enc);
     let payload = enc.into_bytes();
 
     let mut restored = GpuSim::new(config);
     restored.launch(trace_program(), dims);
     let mut dec = vksim_snapshot::Dec::new(&payload);
-    restored.restore_state(&mut dec).expect("restore");
+    restored.restore(&mut dec).expect("restore");
     dec.finish().expect("full consumption");
     let mut hooks = shards(&gpu, 256);
     restored.run(&mut hooks).expect("healthy resumed tail");
@@ -904,7 +902,7 @@ fn restore_rejects_rt_analytics_presence_mismatch() {
         },
     );
     let mut enc = vksim_snapshot::Enc::new();
-    gpu.save_state(&mut enc);
+    gpu.save(&mut enc);
     let payload = enc.into_bytes();
     let mut other = GpuSim::new(small_config());
     other.launch(
@@ -917,7 +915,7 @@ fn restore_rejects_rt_analytics_presence_mismatch() {
     );
     let mut dec = vksim_snapshot::Dec::new(&payload);
     let err = other
-        .restore_state(&mut dec)
+        .restore(&mut dec)
         .expect_err("rt analytics presence mismatch");
     assert!(
         matches!(&err, vksim_snapshot::SnapError::Malformed(m) if m.contains("rt-analytics")),

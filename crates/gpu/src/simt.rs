@@ -13,6 +13,8 @@
 //!   the `SSY` point. This is what lets the two sides of a branch overlap
 //!   long-latency `traverseAS` instructions.
 
+use vksim_snapshot::{Dec, Enc, Snap, SnapError};
+
 /// A 32-lane activity mask.
 pub type Mask = u32;
 
@@ -181,56 +183,35 @@ impl SimtStack {
     fn done(&self) -> bool {
         self.mask == 0 && self.stack.is_empty()
     }
+}
 
-    fn save(&self, e: &mut vksim_snapshot::Enc) {
-        e.u32(self.pc);
-        e.u32(self.mask);
-        e.seq(self.stack.len());
-        for entry in &self.stack {
-            match *entry {
-                StackEntry::Join { pc, mask } => {
-                    e.u8(0);
-                    e.u32(pc);
-                    e.u32(mask);
-                }
-                StackEntry::Split { pc, mask } => {
-                    e.u8(1);
-                    e.u32(pc);
-                    e.u32(mask);
-                }
-            }
-        }
-        e.u32(self.exited);
+impl Snap for StackEntry {
+    fn save(&self, e: &mut Enc) {
+        let (tag, pc, mask) = match *self {
+            StackEntry::Join { pc, mask } => (0, pc, mask),
+            StackEntry::Split { pc, mask } => (1, pc, mask),
+        };
+        e.u8(tag);
+        e.u32(pc);
+        e.u32(mask);
     }
 
-    fn load(d: &mut vksim_snapshot::Dec<'_>) -> Result<Self, vksim_snapshot::SnapError> {
-        let pc = d.u32()?;
-        let mask = d.u32()?;
-        let n = d.seq()?;
-        let mut stack = Vec::with_capacity(n);
-        for _ in 0..n {
-            let tag = d.u8()?;
-            let pc = d.u32()?;
-            let mask = d.u32()?;
-            stack.push(match tag {
-                0 => StackEntry::Join { pc, mask },
-                1 => StackEntry::Split { pc, mask },
-                t => {
-                    return Err(vksim_snapshot::SnapError::Malformed(format!(
-                        "simt stack entry tag {t}"
-                    )))
-                }
-            });
+    fn load(d: &mut Dec<'_>) -> Result<Self, SnapError> {
+        let (tag, pc, mask) = (d.u8()?, d.u32()?, d.u32()?);
+        match tag {
+            0 => Ok(StackEntry::Join { pc, mask }),
+            1 => Ok(StackEntry::Split { pc, mask }),
+            t => Err(SnapError::bad_tag::<Self>(t)),
         }
-        let exited = d.u32()?;
-        Ok(SimtStack {
-            pc,
-            mask,
-            stack,
-            exited,
-        })
     }
 }
+
+vksim_snapshot::snap_struct!(SimtStack {
+    pc,
+    mask,
+    stack,
+    exited
+});
 
 #[derive(Clone, Debug)]
 struct JoinEntry {
@@ -394,84 +375,29 @@ impl Multipath {
     fn done(&self) -> bool {
         self.splits.is_empty()
     }
-
-    fn save(&self, e: &mut vksim_snapshot::Enc) {
-        // Split and join table order is load-bearing (scheduler walks the
-        // split Vec in order), so both are written as-is.
-        e.seq(self.splits.len());
-        for s in &self.splits {
-            e.u32(s.id);
-            e.u32(s.pc);
-            e.u32(s.mask);
-            e.seq(s.joins.len());
-            for &j in &s.joins {
-                e.u32(j);
-            }
-        }
-        e.seq(self.joins.len());
-        for j in &self.joins {
-            e.u32(j.reconv);
-            e.u32(j.expected);
-            e.u32(j.arrived);
-            e.seq(j.parent_joins.len());
-            for &p in &j.parent_joins {
-                e.u32(p);
-            }
-            e.bool(j.completed);
-        }
-        e.u32(self.exited);
-        e.u32(self.next_id);
-    }
-
-    fn load(d: &mut vksim_snapshot::Dec<'_>) -> Result<Self, vksim_snapshot::SnapError> {
-        let ns = d.seq()?;
-        let mut splits = Vec::with_capacity(ns);
-        for _ in 0..ns {
-            let id = d.u32()?;
-            let pc = d.u32()?;
-            let mask = d.u32()?;
-            let nj = d.seq()?;
-            let mut joins = Vec::with_capacity(nj);
-            for _ in 0..nj {
-                joins.push(d.u32()?);
-            }
-            splits.push(Split {
-                id,
-                pc,
-                mask,
-                joins,
-            });
-        }
-        let nj = d.seq()?;
-        let mut joins = Vec::with_capacity(nj);
-        for _ in 0..nj {
-            let reconv = d.u32()?;
-            let expected = d.u32()?;
-            let arrived = d.u32()?;
-            let np = d.seq()?;
-            let mut parent_joins = Vec::with_capacity(np);
-            for _ in 0..np {
-                parent_joins.push(d.u32()?);
-            }
-            let completed = d.bool()?;
-            joins.push(JoinEntry {
-                reconv,
-                expected,
-                arrived,
-                parent_joins,
-                completed,
-            });
-        }
-        let exited = d.u32()?;
-        let next_id = d.u32()?;
-        Ok(Multipath {
-            splits,
-            joins,
-            exited,
-            next_id,
-        })
-    }
 }
+
+vksim_snapshot::snap_struct!(Split {
+    id,
+    pc,
+    mask,
+    joins
+});
+vksim_snapshot::snap_struct!(JoinEntry {
+    reconv,
+    expected,
+    arrived,
+    parent_joins,
+    completed
+});
+// Split and join table order is load-bearing (the scheduler walks the split
+// Vec in order), so both are written as-is.
+vksim_snapshot::snap_struct!(Multipath {
+    splits,
+    joins,
+    exited,
+    next_id
+});
 
 /// A warp's divergence engine: stack or multipath.
 #[derive(Clone, Debug)]
@@ -530,10 +456,10 @@ impl SimtEngine {
             SimtEngine::Multipath(m) => m.splits.len() > 1 || m.joins.iter().any(|j| !j.completed),
         }
     }
+}
 
-    /// Serializes the engine (mode tag + full divergence state) for a
-    /// machine-state snapshot.
-    pub fn save(&self, e: &mut vksim_snapshot::Enc) {
+impl Snap for SimtEngine {
+    fn save(&self, e: &mut Enc) {
         match self {
             SimtEngine::Stack(s) => {
                 e.u8(0);
@@ -546,20 +472,11 @@ impl SimtEngine {
         }
     }
 
-    /// Restores an engine written by [`SimtEngine::save`].
-    ///
-    /// # Errors
-    ///
-    /// An unknown mode tag or a corrupt table is malformed.
-    pub fn load(d: &mut vksim_snapshot::Dec<'_>) -> Result<Self, vksim_snapshot::SnapError> {
+    fn load(d: &mut Dec<'_>) -> Result<Self, SnapError> {
         Ok(match d.u8()? {
             0 => SimtEngine::Stack(SimtStack::load(d)?),
             1 => SimtEngine::Multipath(Multipath::load(d)?),
-            t => {
-                return Err(vksim_snapshot::SnapError::Malformed(format!(
-                    "simt engine tag {t}"
-                )))
-            }
+            t => return Err(SnapError::bad_tag::<Self>(t)),
         })
     }
 }

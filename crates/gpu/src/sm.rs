@@ -19,6 +19,7 @@ use vksim_mem::{
     chunk_addresses, partition_of, AccessKind, Cache, CacheOutcome, MemRequest, MemSink,
 };
 use vksim_rtunit::{RtMem, RtMemResult, RtUnit, RtUnitEventKind, WarpJob};
+use vksim_snapshot::{restore_opt, save_opt, Dec, Enc, Snap, SnapError};
 use vksim_stats::Counters;
 use vksim_trace::{
     CycleAccounting, CycleCategory, EventKind, SmTracer, TraceConfig, WarpCoherence, NO_WARP,
@@ -36,71 +37,11 @@ struct CtxState {
     pending_rt_job: Option<WarpJob>,
 }
 
-impl CtxState {
-    fn save(&self, e: &mut vksim_snapshot::Enc) {
-        // Status codes match the post-mortem encoding in `Sm::post_mortem`.
-        match self.status {
-            CtxStatus::Ready => e.u8(0),
-            CtxStatus::OpUntil(t) => {
-                e.u8(1);
-                e.u64(t);
-            }
-            CtxStatus::WaitMem { outstanding } => {
-                e.u8(2);
-                e.u32(outstanding);
-            }
-            CtxStatus::RtPending => e.u8(3),
-            CtxStatus::InRt => e.u8(4),
-        }
-        e.seq(self.retry_chunks.len());
-        for &c in &self.retry_chunks {
-            e.u64(c);
-        }
-        match &self.pending_rt_job {
-            None => e.u8(0),
-            Some(job) => {
-                e.u8(1);
-                job.save(e);
-            }
-        }
-    }
-
-    fn load(d: &mut vksim_snapshot::Dec<'_>) -> Result<Self, vksim_snapshot::SnapError> {
-        let status = match d.u8()? {
-            0 => CtxStatus::Ready,
-            1 => CtxStatus::OpUntil(d.u64()?),
-            2 => CtxStatus::WaitMem {
-                outstanding: d.u32()?,
-            },
-            3 => CtxStatus::RtPending,
-            4 => CtxStatus::InRt,
-            t => {
-                return Err(vksim_snapshot::SnapError::Malformed(format!(
-                    "ctx status tag {t}"
-                )))
-            }
-        };
-        let n = d.seq()?;
-        let mut retry_chunks = Vec::with_capacity(n);
-        for _ in 0..n {
-            retry_chunks.push(d.u64()?);
-        }
-        let pending_rt_job = match d.u8()? {
-            0 => None,
-            1 => Some(WarpJob::load(d)?),
-            t => {
-                return Err(vksim_snapshot::SnapError::Malformed(format!(
-                    "pending rt job tag {t}"
-                )))
-            }
-        };
-        Ok(CtxState {
-            status,
-            retry_chunks,
-            pending_rt_job,
-        })
-    }
-}
+vksim_snapshot::snap_struct!(CtxState {
+    status,
+    retry_chunks,
+    pending_rt_job
+});
 
 #[derive(Clone, Debug, Default, PartialEq)]
 enum CtxStatus {
@@ -114,6 +55,38 @@ enum CtxStatus {
     RtPending,
     /// Resident in the RT unit.
     InRt,
+}
+
+// Status codes match the post-mortem encoding in `Sm::post_mortem`.
+impl Snap for CtxStatus {
+    fn save(&self, e: &mut Enc) {
+        match *self {
+            CtxStatus::Ready => e.u8(0),
+            CtxStatus::OpUntil(t) => {
+                e.u8(1);
+                e.u64(t);
+            }
+            CtxStatus::WaitMem { outstanding } => {
+                e.u8(2);
+                e.u32(outstanding);
+            }
+            CtxStatus::RtPending => e.u8(3),
+            CtxStatus::InRt => e.u8(4),
+        }
+    }
+
+    fn load(d: &mut Dec<'_>) -> Result<Self, SnapError> {
+        Ok(match d.u8()? {
+            0 => CtxStatus::Ready,
+            1 => CtxStatus::OpUntil(d.u64()?),
+            2 => CtxStatus::WaitMem {
+                outstanding: d.u32()?,
+            },
+            3 => CtxStatus::RtPending,
+            4 => CtxStatus::InRt,
+            t => return Err(SnapError::bad_tag::<Self>(t)),
+        })
+    }
 }
 
 /// One resident warp.
@@ -165,48 +138,15 @@ impl Warp {
                 .values()
                 .all(|c| c.status == CtxStatus::Ready || matches!(c.status, CtxStatus::OpUntil(_)))
     }
-
-    fn save(&self, e: &mut vksim_snapshot::Enc) {
-        e.u32(self.id);
-        e.usize(self.base_tid);
-        e.seq(self.threads.len());
-        for t in &self.threads {
-            t.save(e);
-        }
-        self.engine.save(e);
-        // HashMap: sorted by ctx id for a deterministic encoding.
-        let mut ctxs: Vec<(&u32, &CtxState)> = self.ctx_state.iter().collect();
-        ctxs.sort_by_key(|(&id, _)| id);
-        e.seq(ctxs.len());
-        for (&id, st) in ctxs {
-            e.u32(id);
-            st.save(e);
-        }
-    }
-
-    fn load(d: &mut vksim_snapshot::Dec<'_>) -> Result<Self, vksim_snapshot::SnapError> {
-        let id = d.u32()?;
-        let base_tid = d.usize()?;
-        let n = d.seq()?;
-        let mut threads = Vec::with_capacity(n);
-        for _ in 0..n {
-            threads.push(ThreadState::load(d)?);
-        }
-        let engine = SimtEngine::load(d)?;
-        let mut ctx_state = HashMap::new();
-        for _ in 0..d.seq()? {
-            let ctx = d.u32()?;
-            ctx_state.insert(ctx, CtxState::load(d)?);
-        }
-        Ok(Warp {
-            id,
-            base_tid,
-            threads,
-            engine,
-            ctx_state,
-        })
-    }
 }
+
+vksim_snapshot::snap_struct!(Warp {
+    id,
+    base_tid,
+    threads,
+    engine,
+    ctx_state
+});
 
 // Who is waiting on an L1 line fill.
 #[derive(Clone, Copy, Debug)]
@@ -215,8 +155,8 @@ enum Waiter {
     RtToken(u64),
 }
 
-impl Waiter {
-    fn save(&self, e: &mut vksim_snapshot::Enc) {
+impl Snap for Waiter {
+    fn save(&self, e: &mut Enc) {
         match *self {
             Waiter::WarpCtx { warp, ctx } => {
                 e.u8(0);
@@ -230,18 +170,14 @@ impl Waiter {
         }
     }
 
-    fn load(d: &mut vksim_snapshot::Dec<'_>) -> Result<Self, vksim_snapshot::SnapError> {
+    fn load(d: &mut Dec<'_>) -> Result<Self, SnapError> {
         Ok(match d.u8()? {
             0 => Waiter::WarpCtx {
                 warp: d.u32()?,
                 ctx: d.u32()?,
             },
             1 => Waiter::RtToken(d.u64()?),
-            t => {
-                return Err(vksim_snapshot::SnapError::Malformed(format!(
-                    "waiter tag {t}"
-                )))
-            }
+            t => return Err(SnapError::bad_tag::<Self>(t)),
         })
     }
 }
@@ -252,21 +188,19 @@ enum CacheSel {
     Rtc,
 }
 
-impl CacheSel {
-    fn code(self) -> u8 {
-        match self {
+impl Snap for CacheSel {
+    fn save(&self, e: &mut Enc) {
+        e.u8(match self {
             CacheSel::L1 => 0,
             CacheSel::Rtc => 1,
-        }
+        });
     }
 
-    fn from_code(c: u8) -> Result<Self, vksim_snapshot::SnapError> {
-        match c {
+    fn load(d: &mut Dec<'_>) -> Result<Self, SnapError> {
+        match d.u8()? {
             0 => Ok(CacheSel::L1),
             1 => Ok(CacheSel::Rtc),
-            t => Err(vksim_snapshot::SnapError::Malformed(format!(
-                "cache selector tag {t}"
-            ))),
+            t => Err(SnapError::bad_tag::<Self>(t)),
         }
     }
 }
@@ -866,189 +800,6 @@ impl Sm {
         }
     }
 
-    /// Serializes the SM's full dynamic state — warps, caches, RT unit,
-    /// line-fill bookkeeping, counters and tracer — for a machine-state
-    /// checkpoint. Config-derived fields (latencies, divergence mode,
-    /// fault plan) are *not* written; [`Sm::load`] rebuilds them from the
-    /// resuming configuration, which the snapshot fingerprint guarantees
-    /// matches.
-    pub fn save(&self, e: &mut vksim_snapshot::Enc) {
-        e.seq(self.warps.len());
-        for w in &self.warps {
-            w.save(e);
-        }
-        self.l1.save(e);
-        match &self.rtc {
-            None => e.u8(0),
-            Some(rtc) => {
-                e.u8(1);
-                rtc.save(e);
-            }
-        }
-        self.rt_unit.save(e);
-        // HashMaps: sorted by key for a deterministic encoding; each waiter
-        // list keeps its arrival order (wake-up order is load-bearing).
-        let mut lines: Vec<(&(CacheSel, u64), &Vec<Waiter>)> = self.waiting_lines.iter().collect();
-        lines.sort_by_key(|(&k, _)| k);
-        e.seq(lines.len());
-        for (&(sel, line), waiters) in lines {
-            e.u8(sel.code());
-            e.u64(line);
-            e.seq(waiters.len());
-            for w in waiters {
-                w.save(e);
-            }
-        }
-        let mut inflight: Vec<(&u64, &(CacheSel, u64))> = self.inflight.iter().collect();
-        inflight.sort_by_key(|(&id, _)| id);
-        e.seq(inflight.len());
-        for (&id, &(sel, line)) in inflight {
-            e.u64(id);
-            e.u8(sel.code());
-            e.u64(line);
-        }
-        e.u32(self.next_rt_job);
-        let mut jobs: Vec<(&u32, &(u32, u32))> = self.rt_job_map.iter().collect();
-        jobs.sort_by_key(|(&id, _)| id);
-        e.seq(jobs.len());
-        for (&job, &(warp, ctx)) in jobs {
-            e.u32(job);
-            e.u32(warp);
-            e.u32(ctx);
-        }
-        e.opt_u32(self.last_warp);
-        e.u64(self.next_req);
-        self.stats.save(e);
-        e.u64(self.issued_lanes);
-        e.u64(self.issued_insts);
-        e.u64(self.trace_cycles);
-        match &self.tracer {
-            None => e.u8(0),
-            Some(tr) => {
-                e.u8(1);
-                tr.save(e);
-            }
-        }
-        match &self.accounting {
-            None => e.u8(0),
-            Some(acc) => {
-                e.u8(1);
-                acc.save(e);
-            }
-        }
-        match &self.rt_analytics {
-            None => e.u8(0),
-            Some(rec) => {
-                e.u8(1);
-                rec.save(e);
-            }
-        }
-    }
-
-    /// Restores an SM written by [`Sm::save`], rebuilding config-derived
-    /// fields from `config` (the fingerprint check upstream guarantees it
-    /// matches the saving run's).
-    ///
-    /// # Errors
-    ///
-    /// Cache/RT geometry that disagrees with `config` — or a snapshot
-    /// with/without an RT cache where the config says otherwise — is
-    /// malformed.
-    pub fn load(
-        id: usize,
-        config: &GpuConfig,
-        d: &mut vksim_snapshot::Dec<'_>,
-    ) -> Result<Self, vksim_snapshot::SnapError> {
-        let mut sm = Sm::new(id, config);
-        let n = d.seq()?;
-        let mut warps = Vec::with_capacity(n);
-        for _ in 0..n {
-            warps.push(Warp::load(d)?);
-        }
-        sm.warps = warps;
-        sm.l1 = Cache::load(config.l1.clone(), d)?;
-        sm.rtc = match (d.u8()?, &config.rt_cache) {
-            (0, None) => None,
-            (1, Some(rtc_config)) => Some(Cache::load(rtc_config.clone(), d)?),
-            (tag @ (0 | 1), _) => {
-                return Err(vksim_snapshot::SnapError::Malformed(format!(
-                    "rt cache presence mismatch: snapshot tag {tag}, config {}",
-                    if config.rt_cache.is_some() {
-                        "has an rt cache"
-                    } else {
-                        "has none"
-                    }
-                )))
-            }
-            (t, _) => {
-                return Err(vksim_snapshot::SnapError::Malformed(format!(
-                    "rt cache tag {t}"
-                )))
-            }
-        };
-        sm.rt_unit = RtUnit::load(config.rt_unit.clone(), d)?;
-        sm.waiting_lines = HashMap::new();
-        for _ in 0..d.seq()? {
-            let sel = CacheSel::from_code(d.u8()?)?;
-            let line = d.u64()?;
-            let nw = d.seq()?;
-            let mut waiters = Vec::with_capacity(nw);
-            for _ in 0..nw {
-                waiters.push(Waiter::load(d)?);
-            }
-            sm.waiting_lines.insert((sel, line), waiters);
-        }
-        sm.inflight = HashMap::new();
-        for _ in 0..d.seq()? {
-            let req = d.u64()?;
-            let sel = CacheSel::from_code(d.u8()?)?;
-            let line = d.u64()?;
-            sm.inflight.insert(req, (sel, line));
-        }
-        sm.next_rt_job = d.u32()?;
-        sm.rt_job_map = HashMap::new();
-        for _ in 0..d.seq()? {
-            let job = d.u32()?;
-            let warp = d.u32()?;
-            let ctx = d.u32()?;
-            sm.rt_job_map.insert(job, (warp, ctx));
-        }
-        sm.last_warp = d.opt_u32()?;
-        sm.next_req = d.u64()?;
-        sm.stats = Counters::load(d)?;
-        sm.issued_lanes = d.u64()?;
-        sm.issued_insts = d.u64()?;
-        sm.trace_cycles = d.u64()?;
-        sm.tracer = match d.u8()? {
-            0 => None,
-            1 => Some(Box::new(SmTracer::load(d)?)),
-            t => {
-                return Err(vksim_snapshot::SnapError::Malformed(format!(
-                    "tracer tag {t}"
-                )))
-            }
-        };
-        sm.accounting = match d.u8()? {
-            0 => None,
-            1 => Some(Box::new(CycleAccounting::load(d)?)),
-            t => {
-                return Err(vksim_snapshot::SnapError::Malformed(format!(
-                    "accounting tag {t}"
-                )))
-            }
-        };
-        sm.rt_analytics = match d.u8()? {
-            0 => None,
-            1 => Some(Box::new(WarpCoherence::load(d)?)),
-            t => {
-                return Err(vksim_snapshot::SnapError::Malformed(format!(
-                    "rt analytics tag {t}"
-                )))
-            }
-        };
-        Ok(sm)
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn issue(
         &mut self,
@@ -1304,6 +1055,41 @@ impl Sm {
         Ok(())
     }
 }
+
+// Config-derived fields (latencies, divergence mode, fault plan) are not
+// written; the resuming configuration, which the snapshot fingerprint
+// guarantees matches, already built them. The RT cache restores only into
+// a configuration that has one. Each waiter list keeps its arrival order
+// (wake-up order is load-bearing).
+vksim_snapshot::snap_state!(Sm {
+    warps,
+    l1: state,
+    rtc: with(
+        |rtc, e| save_opt(rtc, e, Cache::save),
+        |rtc, d| restore_opt(rtc, d, Cache::restore)
+    ),
+    rt_unit: state,
+    waiting_lines,
+    inflight,
+    next_rt_job,
+    rt_job_map,
+    last_warp,
+    next_req,
+    stats,
+    issued_lanes,
+    issued_insts,
+    trace_cycles,
+    tracer,
+    accounting,
+    rt_analytics,
+} skip {
+    id,
+    stall_warp,
+    perfect_bvh,
+    sfu_latency,
+    divergence,
+    num_partitions
+});
 
 /// RT unit memory port backed by the SM's caches and the shared backend.
 struct SmRtPort<'a> {

@@ -31,6 +31,14 @@ pub struct RayDesc {
     pub flags: u32,
 }
 
+vksim_snapshot::snap_struct!(RayDesc {
+    origin,
+    dir,
+    t_min,
+    t_max,
+    flags
+});
+
 /// Error raised by an [`RtHooks`] implementation (no runtime bound, corrupt
 /// acceleration structure...). Surfaced as [`ExecError::Rt`] by [`exec_at`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -173,54 +181,16 @@ impl ThreadState {
     pub fn set_f(&mut self, r: crate::op::Reg, v: f32) {
         self.regs[r.0 as usize] = v.to_bits();
     }
-
-    /// Serializes the thread's architectural state for a machine-state
-    /// snapshot.
-    pub fn save(&self, e: &mut vksim_snapshot::Enc) {
-        e.u32(self.pc);
-        e.usize(self.tid);
-        e.seq(self.regs.len());
-        for &r in &self.regs {
-            e.u32(r);
-        }
-        e.seq(self.preds.len());
-        for &p in &self.preds {
-            e.bool(p);
-        }
-        e.bool(self.exited);
-        e.u64(self.local_base);
-    }
-
-    /// Restores a thread written by [`ThreadState::save`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates decoder errors on truncated or malformed payloads.
-    pub fn load(d: &mut vksim_snapshot::Dec<'_>) -> Result<Self, vksim_snapshot::SnapError> {
-        let pc = d.u32()?;
-        let tid = d.usize()?;
-        let nr = d.seq()?;
-        let mut regs = Vec::with_capacity(nr);
-        for _ in 0..nr {
-            regs.push(d.u32()?);
-        }
-        let np = d.seq()?;
-        let mut preds = Vec::with_capacity(np);
-        for _ in 0..np {
-            preds.push(d.bool()?);
-        }
-        let exited = d.bool()?;
-        let local_base = d.u64()?;
-        Ok(ThreadState {
-            pc,
-            tid,
-            regs,
-            preds,
-            exited,
-            local_base,
-        })
-    }
 }
+
+vksim_snapshot::snap_struct!(ThreadState {
+    pc,
+    tid,
+    regs,
+    preds,
+    exited,
+    local_base
+});
 
 /// What an executed instruction did, for the timing model.
 #[derive(Clone, Copy, Debug, PartialEq)]

@@ -6,6 +6,7 @@
 //! `vksim-mem`; the functional interpreter only needs correct values.
 
 use std::collections::HashMap;
+use vksim_snapshot::{Dec, Enc, Snap, SnapError};
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
@@ -82,8 +83,30 @@ pub trait MemIo {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct SimMemory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    pages: HashMap<u64, Page>,
 }
+
+/// One resident page. A newtype so the snapshot codec can write it as a
+/// length-prefixed byte string instead of 4096 separate elements.
+#[derive(Clone, Debug)]
+struct Page(Box<[u8; PAGE_SIZE]>);
+
+impl Snap for Page {
+    fn save(&self, e: &mut Enc) {
+        e.bytes(&self.0[..]);
+    }
+    fn load(d: &mut Dec<'_>) -> Result<Self, SnapError> {
+        let raw = d.bytes()?.into_boxed_slice();
+        let len = raw.len();
+        raw.try_into().map(Page).map_err(|_| {
+            SnapError::Malformed(format!("memory page of {len} bytes, not {PAGE_SIZE}"))
+        })
+    }
+}
+
+// Snapshot encoding: resident pages sorted by page number, each as the page
+// index plus its 4 KiB of bytes.
+vksim_snapshot::snap_struct!(SimMemory { pages });
 
 impl SimMemory {
     /// Creates an empty memory image.
@@ -94,7 +117,7 @@ impl SimMemory {
     /// Reads one byte.
     pub fn read_u8(&self, addr: u64) -> u8 {
         match self.pages.get(&(addr >> PAGE_SHIFT)) {
-            Some(p) => p[(addr as usize) & (PAGE_SIZE - 1)],
+            Some(p) => p.0[(addr as usize) & (PAGE_SIZE - 1)],
             None => 0,
         }
     }
@@ -104,8 +127,8 @@ impl SimMemory {
         let page = self
             .pages
             .entry(addr >> PAGE_SHIFT)
-            .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-        page[(addr as usize) & (PAGE_SIZE - 1)] = value;
+            .or_insert_with(|| Page(Box::new([0u8; PAGE_SIZE])));
+        page.0[(addr as usize) & (PAGE_SIZE - 1)] = value;
     }
 
     /// Reads a little-endian u32 (byte-granular, may straddle pages).
@@ -160,40 +183,6 @@ impl SimMemory {
     /// Number of resident pages (footprint diagnostics).
     pub fn resident_pages(&self) -> usize {
         self.pages.len()
-    }
-
-    /// Serializes the memory image for a machine-state snapshot: resident
-    /// pages sorted by page number, each as the page index plus its 4 KiB
-    /// of bytes. Sorting makes the encoding independent of `HashMap`
-    /// iteration order, so identical images produce identical bytes.
-    pub fn save(&self, e: &mut vksim_snapshot::Enc) {
-        let mut pages: Vec<u64> = self.pages.keys().copied().collect();
-        pages.sort_unstable();
-        e.seq(pages.len());
-        for p in pages {
-            e.u64(p);
-            e.bytes(&self.pages[&p][..]);
-        }
-    }
-
-    /// Restores an image written by [`SimMemory::save`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates decoder errors; a page payload that is not exactly
-    /// 4 KiB is malformed.
-    pub fn load(d: &mut vksim_snapshot::Dec<'_>) -> Result<Self, vksim_snapshot::SnapError> {
-        let n = d.seq()?;
-        let mut pages = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let idx = d.u64()?;
-            let raw = d.bytes()?;
-            let arr: Box<[u8; PAGE_SIZE]> = raw.into_boxed_slice().try_into().map_err(|_| {
-                vksim_snapshot::SnapError::Malformed(format!("page {idx} is not {PAGE_SIZE} bytes"))
-            })?;
-            pages.insert(idx, arr);
-        }
-        Ok(SimMemory { pages })
     }
 }
 

@@ -1,6 +1,7 @@
 //! Set-associative LRU cache with MSHRs and miss classification.
 
 use std::collections::HashMap;
+use vksim_snapshot::{load_fixed, Dec, Enc, Snap, SnapError};
 use vksim_stats::Counters;
 
 /// Who issued a memory access; drives the per-source breakdown of Fig. 14
@@ -24,31 +25,22 @@ impl AccessKind {
             AccessKind::RtUnit => "rt_unit",
         }
     }
+}
 
-    /// Stable numeric code for snapshot encoding.
-    pub fn code(self) -> u8 {
-        match self {
+impl Snap for AccessKind {
+    fn save(&self, e: &mut Enc) {
+        e.u8(match self {
             AccessKind::ShaderLoad => 0,
             AccessKind::ShaderStore => 1,
             AccessKind::RtUnit => 2,
-        }
+        });
     }
-
-    /// Inverse of [`AccessKind::code`].
-    ///
-    /// # Errors
-    ///
-    /// An unknown code is a malformed snapshot.
-    pub fn from_code(code: u8) -> Result<Self, vksim_snapshot::SnapError> {
-        Ok(match code {
+    fn load(d: &mut Dec<'_>) -> Result<Self, SnapError> {
+        Ok(match d.u8()? {
             0 => AccessKind::ShaderLoad,
             1 => AccessKind::ShaderStore,
             2 => AccessKind::RtUnit,
-            c => {
-                return Err(vksim_snapshot::SnapError::Malformed(format!(
-                    "access kind code {c}"
-                )))
-            }
+            t => return Err(SnapError::bad_tag::<Self>(t)),
         })
     }
 }
@@ -158,28 +150,10 @@ struct LruSet {
     lines: HashMap<u64, u64>,
 }
 
-impl LruSet {
-    // Snapshot encoding: (tag, stamp) pairs sorted by tag so identical
-    // sets always serialize to identical bytes.
-    fn save(&self, e: &mut vksim_snapshot::Enc) {
-        let mut tags: Vec<u64> = self.lines.keys().copied().collect();
-        tags.sort_unstable();
-        e.seq(tags.len());
-        for t in tags {
-            e.u64(t);
-            e.u64(self.lines[&t]);
-        }
-    }
+// Snapshot encoding: (tag, stamp) pairs sorted by tag.
+vksim_snapshot::snap_struct!(LruSet { lines });
 
-    fn load(d: &mut vksim_snapshot::Dec<'_>) -> Result<Self, vksim_snapshot::SnapError> {
-        let n = d.seq()?;
-        let mut lines = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let t = d.u64()?;
-            lines.insert(t, d.u64()?);
-        }
-        Ok(LruSet { lines })
-    }
+impl LruSet {
     fn touch(&mut self, tag: u64, stamp: u64) -> bool {
         match self.lines.get_mut(&tag) {
             Some(s) => {
@@ -382,75 +356,6 @@ impl Cache {
         self.mshr.len()
     }
 
-    /// Serializes the cache's dynamic state — tag/LRU arrays, the MSHR
-    /// file, the classification shadow structures, the LRU stamp and the
-    /// statistics — for a machine-state snapshot. The geometry is *not*
-    /// written: the resuming run rebuilds it from its own (fingerprinted)
-    /// configuration.
-    pub fn save(&self, e: &mut vksim_snapshot::Enc) {
-        e.seq(self.sets.len());
-        for s in &self.sets {
-            s.save(e);
-        }
-        let mut lines: Vec<u64> = self.mshr.keys().copied().collect();
-        lines.sort_unstable();
-        e.seq(lines.len());
-        for l in lines {
-            e.u64(l);
-            e.usize(self.mshr[&l]);
-        }
-        let mut seen: Vec<u64> = self.ever_seen.keys().copied().collect();
-        seen.sort_unstable();
-        e.seq(seen.len());
-        for l in seen {
-            e.u64(l);
-        }
-        self.shadow_full.save(e);
-        e.u64(self.stamp);
-        self.stats.save(e);
-    }
-
-    /// Restores dynamic state written by [`Cache::save`] into a cache
-    /// built from `config`.
-    ///
-    /// # Errors
-    ///
-    /// A set count that disagrees with the configured geometry is a
-    /// mismatched snapshot.
-    pub fn load(
-        config: CacheConfig,
-        d: &mut vksim_snapshot::Dec<'_>,
-    ) -> Result<Self, vksim_snapshot::SnapError> {
-        let mut cache = Cache::new(config);
-        let n = d.seq()?;
-        if n != cache.sets.len() {
-            return Err(vksim_snapshot::SnapError::Malformed(format!(
-                "cache {} has {n} snapshot sets but {} configured",
-                cache.config.name,
-                cache.sets.len()
-            )));
-        }
-        for s in cache.sets.iter_mut() {
-            *s = LruSet::load(d)?;
-        }
-        let n = d.seq()?;
-        cache.mshr = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let l = d.u64()?;
-            let cnt = d.usize()?;
-            cache.mshr.insert(l, cnt);
-        }
-        let n = d.seq()?;
-        cache.ever_seen = HashMap::with_capacity(n);
-        for _ in 0..n {
-            cache.ever_seen.insert(d.u64()?, ());
-        }
-        cache.shadow_full = LruSet::load(d)?;
-        cache.stamp = d.u64()?;
-        cache.stats = Counters::load(d)?;
-        Ok(cache)
-    }
-
     /// Hit latency in cycles.
     pub fn hit_latency(&self) -> u32 {
         self.config.hit_latency
@@ -475,6 +380,18 @@ impl Cache {
             .sum()
     }
 }
+
+// The geometry is not written: the resuming run rebuilds it from its own
+// (fingerprinted) configuration, and a set count that disagrees with it is
+// a mismatched snapshot.
+vksim_snapshot::snap_state!(Cache {
+    sets: with(Snap::save, |sets, d| load_fixed(sets, d)),
+    mshr,
+    ever_seen,
+    shadow_full,
+    stamp,
+    stats,
+} skip { config });
 
 #[cfg(test)]
 mod tests {

@@ -24,6 +24,7 @@
 //!   decision, which degenerates to exactly the FCFS schedule.
 
 use std::collections::VecDeque;
+use vksim_snapshot::{Dec, Snap, SnapError};
 use vksim_stats::Counters;
 
 /// DRAM memory-access scheduling policy.
@@ -145,6 +146,24 @@ struct Channel {
     active_cycles: u64,
     transfer_cycles: u64,
 }
+
+vksim_snapshot::snap_struct!(Pending {
+    ticket,
+    row,
+    arrival
+});
+vksim_snapshot::snap_struct!(Bank {
+    open_row,
+    ready_at,
+    queue
+});
+vksim_snapshot::snap_struct!(Channel {
+    banks,
+    bus_free_at,
+    active_window_end,
+    active_cycles,
+    transfer_cycles
+});
 
 /// The DRAM device array.
 ///
@@ -471,116 +490,6 @@ impl Dram {
         out
     }
 
-    /// Serializes the array's dynamic state — per-bank open rows, ready
-    /// times and FR-FCFS queues, per-channel bus/efficiency bookkeeping,
-    /// the ticket and arrival monotonicity counters, statistics and any
-    /// pending row-activate trace events — for a machine-state snapshot.
-    /// Geometry comes from the resuming configuration, not the file.
-    pub fn save(&self, e: &mut vksim_snapshot::Enc) {
-        e.seq(self.channels.len());
-        for ch in &self.channels {
-            e.seq(ch.banks.len());
-            for b in &ch.banks {
-                e.opt_u64(b.open_row);
-                e.u64(b.ready_at);
-                e.seq(b.queue.len());
-                for p in &b.queue {
-                    e.u64(p.ticket);
-                    e.u64(p.row);
-                    e.u64(p.arrival);
-                }
-            }
-            e.u64(ch.bus_free_at);
-            e.u64(ch.active_window_end);
-            e.u64(ch.active_cycles);
-            e.u64(ch.transfer_cycles);
-        }
-        self.stats.save(e);
-        match &self.row_activates {
-            None => e.u8(0),
-            Some(buf) => {
-                e.u8(1);
-                e.seq(buf.len());
-                for &(cycle, ch, bank) in buf {
-                    e.u64(cycle);
-                    e.u32(ch);
-                    e.u32(bank);
-                }
-            }
-        }
-        e.u64(self.next_ticket);
-        e.u64(self.last_arrival);
-    }
-
-    /// Restores dynamic state written by [`Dram::save`] into an array
-    /// built from `config`.
-    ///
-    /// # Errors
-    ///
-    /// A channel or bank count that disagrees with the configured
-    /// geometry is a mismatched snapshot.
-    pub fn load(
-        config: DramConfig,
-        d: &mut vksim_snapshot::Dec<'_>,
-    ) -> Result<Self, vksim_snapshot::SnapError> {
-        let mut dram = Dram::new(config);
-        let n = d.seq()?;
-        if n != dram.channels.len() {
-            return Err(vksim_snapshot::SnapError::Malformed(format!(
-                "snapshot has {n} DRAM channels, {} configured",
-                dram.channels.len()
-            )));
-        }
-        for ch in dram.channels.iter_mut() {
-            let nb = d.seq()?;
-            if nb != ch.banks.len() {
-                return Err(vksim_snapshot::SnapError::Malformed(format!(
-                    "snapshot has {nb} banks per channel, {} configured",
-                    ch.banks.len()
-                )));
-            }
-            for b in ch.banks.iter_mut() {
-                b.open_row = d.opt_u64()?;
-                b.ready_at = d.u64()?;
-                let nq = d.seq()?;
-                b.queue = VecDeque::with_capacity(nq);
-                for _ in 0..nq {
-                    b.queue.push_back(Pending {
-                        ticket: d.u64()?,
-                        row: d.u64()?,
-                        arrival: d.u64()?,
-                    });
-                }
-            }
-            ch.bus_free_at = d.u64()?;
-            ch.active_window_end = d.u64()?;
-            ch.active_cycles = d.u64()?;
-            ch.transfer_cycles = d.u64()?;
-        }
-        dram.stats = Counters::load(d)?;
-        dram.row_activates = match d.u8()? {
-            0 => None,
-            1 => {
-                let n = d.seq()?;
-                let mut buf = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let cycle = d.u64()?;
-                    let ch = d.u32()?;
-                    buf.push((cycle, ch, d.u32()?));
-                }
-                Some(buf)
-            }
-            t => {
-                return Err(vksim_snapshot::SnapError::Malformed(format!(
-                    "row-activate trace tag {t}"
-                )))
-            }
-        };
-        dram.next_ticket = d.u64()?;
-        dram.last_arrival = d.u64()?;
-        Ok(dram)
-    }
-
     /// Cycles spent transferring data, summed over channels.
     pub fn transfer_cycles(&self) -> u64 {
         self.channels.iter().map(|c| c.transfer_cycles).sum()
@@ -624,6 +533,36 @@ impl Dram {
         }
     }
 }
+
+/// Replaces `channels` with the snapshot's, provided they have the
+/// geometry the resuming configuration built.
+fn load_channels(channels: &mut Vec<Channel>, d: &mut Dec<'_>) -> Result<(), SnapError> {
+    let banks =
+        |channels: &[Channel]| -> Vec<usize> { channels.iter().map(|ch| ch.banks.len()).collect() };
+    let loaded = Vec::<Channel>::load(d)?;
+    if banks(&loaded) != banks(channels) {
+        return Err(SnapError::Malformed(format!(
+            "snapshot DRAM has {:?} banks per channel, {:?} configured",
+            banks(&loaded),
+            banks(channels)
+        )));
+    }
+    *channels = loaded;
+    Ok(())
+}
+
+// Geometry comes from the resuming configuration, not the file;
+// `next_start` is derived and starts over.
+vksim_snapshot::snap_state!(Dram {
+    channels: with(Snap::save, |channels, d| {
+        *next_start = None;
+        load_channels(channels, d)
+    }),
+    stats,
+    row_activates,
+    next_ticket,
+    last_arrival,
+} skip { config, next_start });
 
 #[cfg(test)]
 mod tests {

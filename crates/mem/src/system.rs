@@ -25,6 +25,7 @@ use crate::cache::{AccessKind, Cache, CacheConfig, CacheOutcome, Refusal};
 use crate::dram::{Dram, DramConfig, DramIssue};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use vksim_snapshot::{load_fixed, restore_each, save_each, Dec, Enc, Snap, SnapError};
 use vksim_stats::Counters;
 
 /// Cycles a refused access (L2 reservation fail, full DRAM bank queue)
@@ -98,30 +99,12 @@ pub struct MemRequest {
     pub is_store: bool,
 }
 
-impl MemRequest {
-    /// Serializes the request for a machine-state snapshot.
-    pub fn save(&self, e: &mut vksim_snapshot::Enc) {
-        e.u64(self.id);
-        e.u64(self.addr);
-        e.u8(self.kind.code());
-        e.bool(self.is_store);
-    }
-
-    /// Restores a request written by [`MemRequest::save`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates decoder errors; an unknown access-kind code is
-    /// malformed.
-    pub fn load(d: &mut vksim_snapshot::Dec<'_>) -> Result<Self, vksim_snapshot::SnapError> {
-        Ok(MemRequest {
-            id: d.u64()?,
-            addr: d.u64()?,
-            kind: AccessKind::from_code(d.u8()?)?,
-            is_store: d.bool()?,
-        })
-    }
-}
+vksim_snapshot::snap_struct!(MemRequest {
+    id,
+    addr,
+    kind,
+    is_store
+});
 
 /// Anything that accepts timed [`MemRequest`]s.
 ///
@@ -180,32 +163,6 @@ impl RequestQueue {
         self.items.is_empty()
     }
 
-    /// Serializes the queue contents — requests still awaiting interconnect
-    /// acceptance at a cycle boundary (bounded-icnt backpressure carries
-    /// them across cycles) — in insertion order.
-    pub fn save(&self, e: &mut vksim_snapshot::Enc) {
-        e.seq(self.items.len());
-        for (req, now) in &self.items {
-            req.save(e);
-            e.u64(*now);
-        }
-    }
-
-    /// Restores a queue written by [`RequestQueue::save`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates decoder errors on truncated or malformed payloads.
-    pub fn load(d: &mut vksim_snapshot::Dec<'_>) -> Result<Self, vksim_snapshot::SnapError> {
-        let n = d.seq()?;
-        let mut items = Vec::with_capacity(n);
-        for _ in 0..n {
-            let req = MemRequest::load(d)?;
-            items.push((req, d.u64()?));
-        }
-        Ok(RequestQueue { items })
-    }
-
     /// Forwards queued requests to `sink` in insertion order, stopping at
     /// the first refusal (head-of-line blocking preserves the global
     /// submission order); refused requests stay queued for the next
@@ -221,6 +178,11 @@ impl RequestQueue {
         self.items.drain(..accepted);
     }
 }
+
+// Snapshot encoding: requests still awaiting interconnect acceptance at a
+// cycle boundary (bounded-icnt backpressure carries them across cycles),
+// in insertion order.
+vksim_snapshot::snap_struct!(RequestQueue { items });
 
 impl MemSink for RequestQueue {
     fn submit(&mut self, req: MemRequest, now: u64) {
@@ -249,8 +211,8 @@ enum EvKind {
     },
 }
 
-impl EvKind {
-    fn save(&self, e: &mut vksim_snapshot::Enc) {
+impl Snap for EvKind {
+    fn save(&self, e: &mut Enc) {
         match *self {
             EvKind::ArriveL2(req) => {
                 e.u8(0);
@@ -273,7 +235,7 @@ impl EvKind {
         }
     }
 
-    fn load(d: &mut vksim_snapshot::Dec<'_>) -> Result<Self, vksim_snapshot::SnapError> {
+    fn load(d: &mut Dec<'_>) -> Result<Self, SnapError> {
         Ok(match d.u8()? {
             0 => EvKind::ArriveL2(MemRequest::load(d)?),
             1 => EvKind::DramDone { line: d.u64()? },
@@ -282,11 +244,7 @@ impl EvKind {
                 line: d.u64()?,
                 is_store: d.bool()?,
             },
-            t => {
-                return Err(vksim_snapshot::SnapError::Malformed(format!(
-                    "partition event tag {t}"
-                )))
-            }
+            t => return Err(SnapError::bad_tag::<Self>(t)),
         })
     }
 }
@@ -297,6 +255,8 @@ struct Ev {
     seq: u64,
     kind: EvKind,
 }
+
+vksim_snapshot::snap_struct!(Ev { time, seq, kind });
 
 impl Ord for Ev {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
@@ -394,109 +354,34 @@ impl Partition {
         };
         (time <= cycle).then_some((time, in_fifo))
     }
-
-    /// Serializes the partition's dynamic state. Pending events — heap and
-    /// parked FIFO alike — are written in `(time, seq)` order and the
-    /// waiter/ticket maps sorted by key, so re-encoding a restored
-    /// partition is byte-identical. (A restored partition holds them all
-    /// in the heap; a refused read re-parks at its first re-offer.)
-    fn save(&self, e: &mut vksim_snapshot::Enc) {
-        self.l2.save(e);
-        self.dram.save(e);
-        let mut evs: Vec<Ev> = self
-            .events
-            .iter()
-            .map(|r| r.0)
-            .chain(self.parked.iter().map(|p| p.ev))
-            .collect();
-        evs.sort_unstable_by_key(|ev| (ev.time, ev.seq));
-        e.seq(evs.len());
-        for ev in &evs {
-            e.u64(ev.time);
-            e.u64(ev.seq);
-            ev.kind.save(e);
-        }
-        e.u64(self.seq);
-        let mut waiting: Vec<(&u64, &Vec<u64>)> = self.waiting.iter().collect();
-        waiting.sort_unstable_by_key(|(line, _)| **line);
-        e.seq(waiting.len());
-        for (line, ids) in waiting {
-            e.u64(*line);
-            e.seq(ids.len());
-            for id in ids {
-                e.u64(*id);
-            }
-        }
-        let mut tickets: Vec<(u64, u64)> = self.tickets.iter().map(|(k, v)| (*k, *v)).collect();
-        tickets.sort_unstable();
-        e.seq(tickets.len());
-        for (ticket, line) in tickets {
-            e.u64(ticket);
-            e.u64(line);
-        }
-        e.u32(self.ingress_occupancy);
-        e.u64(self.last_event_time);
-        e.seq(self.egress_free.len());
-        for &t in &self.egress_free {
-            e.u64(t);
-        }
-    }
-
-    /// Restores dynamic state written by [`Partition::save`] into a
-    /// partition freshly built from the resuming configuration. The L2
-    /// slice and DRAM group configs come from `self`; the snapshot only
-    /// carries the mutable state.
-    fn load_into(
-        &mut self,
-        d: &mut vksim_snapshot::Dec<'_>,
-    ) -> Result<(), vksim_snapshot::SnapError> {
-        self.l2 = Cache::load(self.l2.config().clone(), d)?;
-        self.dram = Dram::load(self.dram.config().clone(), d)?;
-        let n = d.seq()?;
-        self.parked.clear();
-        self.events = BinaryHeap::with_capacity(n);
-        for _ in 0..n {
-            let time = d.u64()?;
-            let seq = d.u64()?;
-            self.events.push(Reverse(Ev {
-                time,
-                seq,
-                kind: EvKind::load(d)?,
-            }));
-        }
-        self.seq = d.u64()?;
-        let nw = d.seq()?;
-        self.waiting = HashMap::with_capacity(nw);
-        for _ in 0..nw {
-            let line = d.u64()?;
-            let ni = d.seq()?;
-            let mut ids = Vec::with_capacity(ni);
-            for _ in 0..ni {
-                ids.push(d.u64()?);
-            }
-            self.waiting.insert(line, ids);
-        }
-        let nt = d.seq()?;
-        self.tickets = HashMap::with_capacity(nt);
-        for _ in 0..nt {
-            let ticket = d.u64()?;
-            self.tickets.insert(ticket, d.u64()?);
-        }
-        self.ingress_occupancy = d.u32()?;
-        self.last_event_time = d.u64()?;
-        let ne = d.seq()?;
-        if ne != self.egress_free.len() {
-            return Err(vksim_snapshot::SnapError::Malformed(format!(
-                "snapshot has {ne} return credits, {} configured",
-                self.egress_free.len()
-            )));
-        }
-        for slot in self.egress_free.iter_mut() {
-            *slot = d.u64()?;
-        }
-        Ok(())
-    }
 }
+
+// Pending events — heap and parked FIFO alike — are written as one heap, in
+// `(time, seq)` order, so re-encoding a restored partition is
+// byte-identical: a restored partition holds them all in the heap, and a
+// refused read re-parks (under a fresh fill epoch) at its first re-offer.
+vksim_snapshot::snap_state!(Partition {
+    l2: state,
+    dram: state,
+    events: with(
+        |events, e| {
+            let parked = parked.iter().map(|p| Reverse(p.ev));
+            let all: BinaryHeap<Reverse<Ev>> = events.iter().copied().chain(parked).collect();
+            all.save(e)
+        },
+        |events, d| {
+            parked.clear();
+            *events = Snap::load(d)?;
+            Ok(())
+        }
+    ),
+    seq,
+    waiting,
+    tickets,
+    ingress_occupancy,
+    last_event_time,
+    egress_free: with(Snap::save, |credits, d| load_fixed(credits, d)),
+} skip { parked, fill_epoch });
 
 /// Routes one finished completion to `done`, unless it is the injected
 /// drop victim. Delivery order is global across partitions (partition
@@ -880,47 +765,16 @@ impl SharedMemSystem {
         })
     }
 
-    /// Serializes the whole backend — every partition's L2 slice, DRAM
-    /// group, event heap, waiter/ticket maps, ingress occupancy and return
-    /// credits, plus the delivery counter that drives fault injection and
-    /// the interconnect statistics — for a machine-state snapshot.
-    /// Configuration is not written; it is rebuilt from the resuming
-    /// [`SystemConfig`] (guaranteed equal by the snapshot fingerprint).
-    pub fn save(&self, e: &mut vksim_snapshot::Enc) {
-        e.seq(self.parts.len());
-        for p in &self.parts {
-            p.save(e);
-        }
-        e.opt_u64(self.drop_nth_completion);
-        e.u64(self.completions_delivered);
-        self.stats.save(e);
-    }
-
-    /// Restores a backend written by [`SharedMemSystem::save`] into a
-    /// fresh instance built from `config`.
+    /// A backend built from `config` with the state written by
+    /// [`SharedMemSystem::save`] restored into it.
     ///
     /// # Errors
     ///
     /// A partition count (or per-partition geometry) that disagrees with
     /// `config` is a mismatched snapshot.
-    pub fn load(
-        config: SystemConfig,
-        d: &mut vksim_snapshot::Dec<'_>,
-    ) -> Result<Self, vksim_snapshot::SnapError> {
+    pub fn load(config: SystemConfig, d: &mut Dec<'_>) -> Result<Self, SnapError> {
         let mut sys = SharedMemSystem::new(config);
-        let n = d.seq()?;
-        if n != sys.parts.len() {
-            return Err(vksim_snapshot::SnapError::Malformed(format!(
-                "snapshot has {n} memory partitions, {} configured",
-                sys.parts.len()
-            )));
-        }
-        for p in sys.parts.iter_mut() {
-            p.load_into(d)?;
-        }
-        sys.drop_nth_completion = d.opt_u64()?;
-        sys.completions_delivered = d.u64()?;
-        sys.stats = Counters::load(d)?;
+        sys.restore(d)?;
         Ok(sys)
     }
 
@@ -932,6 +786,19 @@ impl SharedMemSystem {
             .all(|p| p.events.is_empty() && p.parked.is_empty() && !p.dram.has_queued())
     }
 }
+
+// Configuration is not written; it is rebuilt from the resuming
+// [`SystemConfig`] (guaranteed equal by the snapshot fingerprint). The
+// delivery counter and drop victim that drive fault injection are.
+vksim_snapshot::snap_state!(SharedMemSystem {
+    parts: with(
+        |parts, e| save_each(parts, e, Partition::save),
+        |parts, d| restore_each(parts, d, Partition::restore)
+    ),
+    drop_nth_completion,
+    completions_delivered,
+    stats,
+} skip { icnt_latency, icnt_queue_depth });
 
 /// Sums counter bags over partitions, adding `p{i}.*` copies when more
 /// than one partition exists.

@@ -29,6 +29,7 @@ pub use unit::{
     WarpDone,
 };
 
+use vksim_snapshot::{Dec, Enc, Snap, SnapError};
 use vksim_stats::{Counters, Histogram};
 
 /// Short-stack depth per ray; deeper pushes spill to per-thread memory
@@ -73,9 +74,8 @@ pub enum OpKind {
     None,
 }
 
-impl OpKind {
-    /// Serializes the operation kind for a machine-state snapshot.
-    pub fn save(&self, e: &mut vksim_snapshot::Enc) {
+impl Snap for OpKind {
+    fn save(&self, e: &mut Enc) {
         match *self {
             OpKind::Box { tests } => {
                 e.u8(0);
@@ -87,29 +87,19 @@ impl OpKind {
         }
     }
 
-    /// Restores a kind written by [`OpKind::save`].
-    ///
-    /// # Errors
-    ///
-    /// An unknown variant tag is malformed.
-    pub fn load(d: &mut vksim_snapshot::Dec<'_>) -> Result<Self, vksim_snapshot::SnapError> {
+    fn load(d: &mut Dec<'_>) -> Result<Self, SnapError> {
         Ok(match d.u8()? {
             0 => OpKind::Box { tests: d.u8()? },
             1 => OpKind::Triangle,
             2 => OpKind::Transform,
             3 => OpKind::None,
-            t => {
-                return Err(vksim_snapshot::SnapError::Malformed(format!(
-                    "op kind tag {t}"
-                )))
-            }
+            t => return Err(SnapError::bad_tag::<Self>(t)),
         })
     }
 }
 
-impl Step {
-    /// Serializes the step for a machine-state snapshot.
-    pub fn save(&self, e: &mut vksim_snapshot::Enc) {
+impl Snap for Step {
+    fn save(&self, e: &mut Enc) {
         match *self {
             Step::Fetch { addr, size, op } => {
                 e.u8(0);
@@ -125,12 +115,7 @@ impl Step {
         }
     }
 
-    /// Restores a step written by [`Step::save`].
-    ///
-    /// # Errors
-    ///
-    /// An unknown variant tag is malformed.
-    pub fn load(d: &mut vksim_snapshot::Dec<'_>) -> Result<Self, vksim_snapshot::SnapError> {
+    fn load(d: &mut Dec<'_>) -> Result<Self, SnapError> {
         Ok(match d.u8()? {
             0 => Step::Fetch {
                 addr: d.u64()?,
@@ -141,11 +126,7 @@ impl Step {
                 addr: d.u64()?,
                 size: d.u32()?,
             },
-            t => {
-                return Err(vksim_snapshot::SnapError::Malformed(format!(
-                    "traversal step tag {t}"
-                )))
-            }
+            t => return Err(SnapError::bad_tag::<Self>(t)),
         })
     }
 }
@@ -170,40 +151,9 @@ impl WarpJob {
     pub fn total_steps(&self) -> usize {
         self.scripts.iter().map(|s| s.len()).sum()
     }
-
-    /// Serializes the job (lane order preserved) for a machine-state
-    /// snapshot.
-    pub fn save(&self, e: &mut vksim_snapshot::Enc) {
-        e.u32(self.warp_id);
-        e.seq(self.scripts.len());
-        for script in &self.scripts {
-            e.seq(script.len());
-            for step in script {
-                step.save(e);
-            }
-        }
-    }
-
-    /// Restores a job written by [`WarpJob::save`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates decoder errors on truncated or malformed payloads.
-    pub fn load(d: &mut vksim_snapshot::Dec<'_>) -> Result<Self, vksim_snapshot::SnapError> {
-        let warp_id = d.u32()?;
-        let n = d.seq()?;
-        let mut scripts = Vec::with_capacity(n);
-        for _ in 0..n {
-            let ns = d.seq()?;
-            let mut script = Vec::with_capacity(ns);
-            for _ in 0..ns {
-                script.push(Step::load(d)?);
-            }
-            scripts.push(script);
-        }
-        Ok(WarpJob { warp_id, scripts })
-    }
 }
+
+vksim_snapshot::snap_struct!(WarpJob { warp_id, scripts });
 
 /// RT unit configuration (paper Table III: 1 RT unit per SM, max warps 4
 /// baseline, 32 of each operation unit, MSHR size 64).

@@ -4,6 +4,7 @@ use crate::{OpKind, RtStatsBundle, RtUnitConfig, Step, WarpJob, SHORT_STACK_ENTR
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use vksim_mem::chunk_addresses;
+use vksim_snapshot::{Dec, Enc, Snap, SnapError};
 use vksim_stats::{Counters, Histogram};
 
 /// Result of handing a chunk load to the memory port.
@@ -132,8 +133,8 @@ struct QueuedReq {
     waiters: Vec<(u32, usize)>, // (warp_id, lane)
 }
 
-impl LaneState {
-    fn save(&self, e: &mut vksim_snapshot::Enc) {
+impl Snap for LaneState {
+    fn save(&self, e: &mut Enc) {
         match *self {
             LaneState::Ready => e.u8(0),
             LaneState::WaitMem => e.u8(1),
@@ -145,97 +146,62 @@ impl LaneState {
         }
     }
 
-    fn load(d: &mut vksim_snapshot::Dec<'_>) -> Result<Self, vksim_snapshot::SnapError> {
+    fn load(d: &mut Dec<'_>) -> Result<Self, SnapError> {
         Ok(match d.u8()? {
             0 => LaneState::Ready,
             1 => LaneState::WaitMem,
             2 => LaneState::InOp(d.u64()?),
             3 => LaneState::Done,
-            t => {
-                return Err(vksim_snapshot::SnapError::Malformed(format!(
-                    "lane state tag {t}"
-                )))
+            t => return Err(SnapError::bad_tag::<Self>(t)),
+        })
+    }
+}
+
+impl Snap for RtUnitEventKind {
+    fn save(&self, e: &mut Enc) {
+        match *self {
+            RtUnitEventKind::Enqueue => e.u8(0),
+            RtUnitEventKind::Finish { latency } => {
+                e.u8(1);
+                e.u64(latency);
             }
+        }
+    }
+
+    fn load(d: &mut Dec<'_>) -> Result<Self, SnapError> {
+        Ok(match d.u8()? {
+            0 => RtUnitEventKind::Enqueue,
+            1 => RtUnitEventKind::Finish { latency: d.u64()? },
+            t => return Err(SnapError::bad_tag::<Self>(t)),
         })
     }
 }
 
-impl Lane {
-    fn save(&self, e: &mut vksim_snapshot::Enc) {
-        e.seq(self.script.len());
-        for step in &self.script {
-            step.save(e);
-        }
-        e.usize(self.next);
-        self.state.save(e);
-        e.u32(self.outstanding_chunks);
-        self.pending_op.save(e);
-    }
-
-    fn load(d: &mut vksim_snapshot::Dec<'_>) -> Result<Self, vksim_snapshot::SnapError> {
-        let n = d.seq()?;
-        let mut script = Vec::with_capacity(n);
-        for _ in 0..n {
-            script.push(Step::load(d)?);
-        }
-        Ok(Lane {
-            script,
-            next: d.usize()?,
-            state: LaneState::load(d)?,
-            outstanding_chunks: d.u32()?,
-            pending_op: OpKind::load(d)?,
-        })
-    }
-}
-
-impl WarpSlot {
-    fn save(&self, e: &mut vksim_snapshot::Enc) {
-        e.u32(self.warp_id);
-        e.seq(self.lanes.len());
-        for lane in &self.lanes {
-            lane.save(e);
-        }
-        e.u64(self.entered_at);
-        e.u64(self.arrival);
-    }
-
-    fn load(d: &mut vksim_snapshot::Dec<'_>) -> Result<Self, vksim_snapshot::SnapError> {
-        let warp_id = d.u32()?;
-        let n = d.seq()?;
-        let mut lanes = Vec::with_capacity(n);
-        for _ in 0..n {
-            lanes.push(Lane::load(d)?);
-        }
-        Ok(WarpSlot {
-            warp_id,
-            lanes,
-            entered_at: d.u64()?,
-            arrival: d.u64()?,
-        })
-    }
-}
-
-impl QueuedReq {
-    fn save(&self, e: &mut vksim_snapshot::Enc) {
-        e.u64(self.addr);
-        e.seq(self.waiters.len());
-        for &(warp_id, lane) in &self.waiters {
-            e.u32(warp_id);
-            e.usize(lane);
-        }
-    }
-
-    fn load(d: &mut vksim_snapshot::Dec<'_>) -> Result<Self, vksim_snapshot::SnapError> {
-        let addr = d.u64()?;
-        let n = d.seq()?;
-        let mut waiters = Vec::with_capacity(n);
-        for _ in 0..n {
-            let warp_id = d.u32()?;
-            waiters.push((warp_id, d.usize()?));
-        }
-        Ok(QueuedReq { addr, waiters })
-    }
-}
+vksim_snapshot::snap_struct!(RtUnitEvent {
+    cycle,
+    warp_id,
+    kind
+});
+vksim_snapshot::snap_struct!(Lane {
+    script,
+    next,
+    state,
+    outstanding_chunks,
+    pending_op
+});
+vksim_snapshot::snap_struct!(WarpSlot {
+    warp_id,
+    lanes,
+    entered_at,
+    arrival
+});
+vksim_snapshot::snap_struct!(QueuedReq { addr, waiters });
+vksim_snapshot::snap_struct!(RtUnitAnalytics {
+    jobs,
+    steps,
+    latency_total,
+    live
+});
 
 /// Per-job step/latency attribution for the rt-analytics layer: script
 /// steps attributed to each in-flight job while it runs, folded into the
@@ -267,36 +233,6 @@ impl RtUnitAnalytics {
         self.live.remove(&warp_id);
         self.jobs += 1;
         self.latency_total += latency;
-    }
-
-    fn save(&self, e: &mut vksim_snapshot::Enc) {
-        e.u64(self.jobs);
-        e.u64(self.steps);
-        e.u64(self.latency_total);
-        let mut live: Vec<(&u32, &u64)> = self.live.iter().collect();
-        live.sort_unstable_by_key(|(id, _)| **id);
-        e.seq(live.len());
-        for (id, steps) in live {
-            e.u32(*id);
-            e.u64(*steps);
-        }
-    }
-
-    fn load(d: &mut vksim_snapshot::Dec<'_>) -> Result<Self, vksim_snapshot::SnapError> {
-        let jobs = d.u64()?;
-        let steps = d.u64()?;
-        let latency_total = d.u64()?;
-        let mut live = HashMap::new();
-        for _ in 0..d.seq()? {
-            let id = d.u32()?;
-            live.insert(id, d.u64()?);
-        }
-        Ok(RtUnitAnalytics {
-            jobs,
-            steps,
-            latency_total,
-            live,
-        })
     }
 }
 
@@ -698,182 +634,29 @@ impl RtUnit {
     pub fn is_idle(&self) -> bool {
         self.warps.is_empty() && self.inflight.is_empty() && self.mem_queue.is_empty()
     }
-
-    /// Serializes the unit's in-flight occupancy — resident warps with
-    /// their per-lane script positions, the memory access queue, pending
-    /// and ready requests, scheduler state — plus statistics, for a
-    /// machine-state snapshot. Insertion-ordered containers are written in
-    /// order (warp/queue order feeds the GTO scheduler); hash maps are
-    /// sorted by key and the ready heap by `(ready_at, key)`, so
-    /// re-encoding a restored unit is byte-identical. Configuration is
-    /// rebuilt from the resuming config, not the file.
-    pub fn save(&self, e: &mut vksim_snapshot::Enc) {
-        e.seq(self.warps.len());
-        for w in &self.warps {
-            w.save(e);
-        }
-        e.seq(self.mem_queue.len());
-        for req in &self.mem_queue {
-            req.save(e);
-        }
-        let mut inflight: Vec<(&u64, &QueuedReq)> = self.inflight.iter().collect();
-        inflight.sort_unstable_by_key(|(token, _)| **token);
-        e.seq(inflight.len());
-        for (token, req) in inflight {
-            e.u64(*token);
-            req.save(e);
-        }
-        let mut heap: Vec<(u64, u64)> = self.ready_heap.iter().map(|r| r.0).collect();
-        heap.sort_unstable();
-        e.seq(heap.len());
-        for (at, key) in heap {
-            e.u64(at);
-            e.u64(key);
-        }
-        let mut store: Vec<(&u64, &QueuedReq)> = self.ready_store.iter().collect();
-        store.sort_unstable_by_key(|(key, _)| **key);
-        e.seq(store.len());
-        for (key, req) in store {
-            e.u64(*key);
-            req.save(e);
-        }
-        e.u64(self.ready_seq);
-        e.opt_u32(self.last_warp);
-        e.u64(self.arrivals);
-        self.stats.save(e);
-        self.warp_latency.save(e);
-        e.u64(self.active_ray_cycles);
-        e.u64(self.busy_cycles);
-        e.u64(self.resident_warp_cycles);
-        e.seq(self.occupancy_trace.len());
-        for &(cycle, warps, rays) in &self.occupancy_trace {
-            e.u64(cycle);
-            e.u32(warps);
-            e.u32(rays);
-        }
-        match &self.events {
-            None => e.u8(0),
-            Some(buf) => {
-                e.u8(1);
-                e.seq(buf.len());
-                for ev in buf {
-                    e.u64(ev.cycle);
-                    e.u32(ev.warp_id);
-                    match ev.kind {
-                        RtUnitEventKind::Enqueue => e.u8(0),
-                        RtUnitEventKind::Finish { latency } => {
-                            e.u8(1);
-                            e.u64(latency);
-                        }
-                    }
-                }
-            }
-        }
-        match &self.analytics {
-            None => e.u8(0),
-            Some(a) => {
-                e.u8(1);
-                a.save(e);
-            }
-        }
-    }
-
-    /// Restores a unit written by [`RtUnit::save`] under `config`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates decoder errors on truncated or malformed payloads.
-    pub fn load(
-        config: RtUnitConfig,
-        d: &mut vksim_snapshot::Dec<'_>,
-    ) -> Result<Self, vksim_snapshot::SnapError> {
-        let mut rt = RtUnit::new(config);
-        let n = d.seq()?;
-        rt.warps = Vec::with_capacity(n);
-        for _ in 0..n {
-            rt.warps.push(WarpSlot::load(d)?);
-        }
-        let nq = d.seq()?;
-        rt.mem_queue = VecDeque::with_capacity(nq);
-        for _ in 0..nq {
-            rt.mem_queue.push_back(QueuedReq::load(d)?);
-        }
-        let ni = d.seq()?;
-        rt.inflight = HashMap::with_capacity(ni);
-        for _ in 0..ni {
-            let token = d.u64()?;
-            rt.inflight.insert(token, QueuedReq::load(d)?);
-        }
-        let nh = d.seq()?;
-        rt.ready_heap = BinaryHeap::with_capacity(nh);
-        for _ in 0..nh {
-            let at = d.u64()?;
-            rt.ready_heap.push(Reverse((at, d.u64()?)));
-        }
-        let ns = d.seq()?;
-        rt.ready_store = HashMap::with_capacity(ns);
-        for _ in 0..ns {
-            let key = d.u64()?;
-            rt.ready_store.insert(key, QueuedReq::load(d)?);
-        }
-        rt.ready_seq = d.u64()?;
-        rt.last_warp = d.opt_u32()?;
-        rt.arrivals = d.u64()?;
-        rt.stats = Counters::load(d)?;
-        rt.warp_latency = Histogram::load(d)?;
-        rt.active_ray_cycles = d.u64()?;
-        rt.busy_cycles = d.u64()?;
-        rt.resident_warp_cycles = d.u64()?;
-        let no = d.seq()?;
-        rt.occupancy_trace = Vec::with_capacity(no);
-        for _ in 0..no {
-            let cycle = d.u64()?;
-            let warps = d.u32()?;
-            rt.occupancy_trace.push((cycle, warps, d.u32()?));
-        }
-        rt.events = match d.u8()? {
-            0 => None,
-            1 => {
-                let ne = d.seq()?;
-                let mut buf = Vec::with_capacity(ne);
-                for _ in 0..ne {
-                    let cycle = d.u64()?;
-                    let warp_id = d.u32()?;
-                    let kind = match d.u8()? {
-                        0 => RtUnitEventKind::Enqueue,
-                        1 => RtUnitEventKind::Finish { latency: d.u64()? },
-                        t => {
-                            return Err(vksim_snapshot::SnapError::Malformed(format!(
-                                "rt event tag {t}"
-                            )))
-                        }
-                    };
-                    buf.push(RtUnitEvent {
-                        cycle,
-                        warp_id,
-                        kind,
-                    });
-                }
-                Some(buf)
-            }
-            t => {
-                return Err(vksim_snapshot::SnapError::Malformed(format!(
-                    "rt event trace tag {t}"
-                )))
-            }
-        };
-        rt.analytics = match d.u8()? {
-            0 => None,
-            1 => Some(Box::new(RtUnitAnalytics::load(d)?)),
-            t => {
-                return Err(vksim_snapshot::SnapError::Malformed(format!(
-                    "rt analytics tag {t}"
-                )))
-            }
-        };
-        Ok(rt)
-    }
 }
+
+// Insertion-ordered containers are written in order (warp/queue order feeds
+// the GTO scheduler). Configuration is rebuilt from the resuming config,
+// not the file.
+vksim_snapshot::snap_state!(RtUnit {
+    warps,
+    mem_queue,
+    inflight,
+    ready_heap,
+    ready_store,
+    ready_seq,
+    last_warp,
+    arrivals,
+    stats,
+    warp_latency,
+    active_ray_cycles,
+    busy_cycles,
+    resident_warp_cycles,
+    occupancy_trace,
+    events,
+    analytics,
+} skip { config, sample_period });
 
 /// Computes stack-spill traffic: given a sequence of stack depths reached by
 /// pushes/pops, returns `(spill_stores, spill_loads)` for a short stack of
@@ -988,7 +771,8 @@ mod tests {
         rt.save(&mut e);
         let bytes = e.into_bytes();
         let mut d = vksim_snapshot::Dec::new(&bytes);
-        let restored = RtUnit::load(RtUnitConfig::default(), &mut d).unwrap();
+        let mut restored = RtUnit::new(RtUnitConfig::default());
+        restored.restore(&mut d).unwrap();
         d.finish().unwrap();
         let mut e2 = vksim_snapshot::Enc::new();
         restored.save(&mut e2);
@@ -1365,7 +1149,8 @@ mod tests {
 
         let bytes = encode(&rt);
         let mut d = vksim_snapshot::Dec::new(&bytes);
-        let mut restored = RtUnit::load(RtUnitConfig::default(), &mut d).expect("restore");
+        let mut restored = RtUnit::new(RtUnitConfig::default());
+        restored.restore(&mut d).expect("restore");
         d.finish().expect("payload fully consumed");
         assert_eq!(encode(&restored), bytes, "re-encode is byte-identical");
 

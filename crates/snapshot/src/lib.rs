@@ -6,12 +6,17 @@
 //! at a cycle boundary and resumed bit-exactly later. It sits below every
 //! timing crate in the workspace graph and is dependency-free by design.
 //!
-//! Three layers:
+//! Four layers:
 //!
 //! * [`Enc`] / [`Dec`] — a flat little-endian byte codec (fixed-width
 //!   integers, `f64` via its bit pattern, length-prefixed strings and
-//!   sequences). Every stateful type writes itself field-by-field; there
-//!   is no reflection and no schema beyond the code itself.
+//!   sequences).
+//! * [`Snap`] — how a value writes itself with those primitives, with
+//!   impls for the std containers and two field-list macros
+//!   ([`snap_struct!`] for plain values, [`snap_state!`] for types that
+//!   restore in place over a configuration-built object). There is no
+//!   reflection and no schema beyond the field lists themselves, and a
+//!   struct field missing from its list does not compile.
 //! * [`Snapshot`] — the file container: an 8-byte magic, a format
 //!   version, a 64-bit configuration fingerprint, the payload, and an
 //!   FNV-1a-64 checksum trailer over everything before it.
@@ -20,13 +25,20 @@
 //!   complete old snapshot or the complete new one, never a torn write.
 //!
 //! Determinism contract: encoders must produce identical bytes for
-//! identical machine state (hash-map contents are written sorted by key;
-//! heaps as sorted sequences), so "snapshot → restore → snapshot" is
-//! byte-idempotent and restored runs replay exactly.
+//! identical machine state (the [`Snap`] container impls write hash-map
+//! contents sorted by key and heaps as sorted sequences), so "snapshot →
+//! restore → snapshot" is byte-idempotent and restored runs replay
+//! exactly.
 //!
 //! Snapshots are host-format files: multi-byte fields are explicitly
 //! little-endian, but the payload layout is tied to [`FORMAT_VERSION`]
 //! and is not a cross-release interchange format.
+
+mod snap;
+
+pub use snap::{
+    __with_restore, __with_save, load_fixed, restore_each, restore_opt, save_each, save_opt, Snap,
+};
 
 use std::fmt;
 use std::fs;

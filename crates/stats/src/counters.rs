@@ -94,33 +94,6 @@ impl Counters {
         self.values.is_empty()
     }
 
-    /// Serializes the bag for a machine-state snapshot: entry count, then
-    /// `(name, value)` pairs in name order (the map is a `BTreeMap`, so
-    /// the encoding is deterministic by construction).
-    pub fn save(&self, e: &mut vksim_snapshot::Enc) {
-        e.seq(self.values.len());
-        for (k, v) in &self.values {
-            e.str(k);
-            e.u64(*v);
-        }
-    }
-
-    /// Restores a bag written by [`Counters::save`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates decoder errors on truncated or malformed payloads.
-    pub fn load(d: &mut vksim_snapshot::Dec<'_>) -> Result<Self, vksim_snapshot::SnapError> {
-        let n = d.seq()?;
-        let mut values = BTreeMap::new();
-        for _ in 0..n {
-            let k = d.str()?;
-            let v = d.u64()?;
-            values.insert(k, v);
-        }
-        Ok(Counters { values })
-    }
-
     /// Ratio `num / (num + den)` as a fraction in `[0, 1]`; returns 0 when
     /// both are zero. Convenient for hit rates.
     pub fn ratio(&self, num: &str, den: &str) -> f64 {
@@ -133,6 +106,9 @@ impl Counters {
         }
     }
 }
+
+// Snapshot encoding: entry count, then `(name, value)` pairs in name order.
+vksim_snapshot::snap_struct!(Counters { values });
 
 impl fmt::Display for Counters {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -157,6 +133,7 @@ impl<'a> Extend<(&'a str, u64)> for Counters {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vksim_snapshot::Snap;
 
     #[test]
     fn add_and_get() {

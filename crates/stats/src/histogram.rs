@@ -149,43 +149,6 @@ impl Histogram {
         }
     }
 
-    /// Serializes the full histogram state (including empty trailing bins
-    /// and the running min/max/sum, so a restored histogram is
-    /// indistinguishable from the original) for a machine-state snapshot.
-    pub fn save(&self, e: &mut vksim_snapshot::Enc) {
-        e.f64(self.bin_width);
-        e.seq(self.bins.len());
-        for &b in &self.bins {
-            e.u64(b);
-        }
-        e.u64(self.count);
-        e.f64(self.sum);
-        e.f64(self.min);
-        e.f64(self.max);
-    }
-
-    /// Restores a histogram written by [`Histogram::save`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates decoder errors on truncated or malformed payloads.
-    pub fn load(d: &mut vksim_snapshot::Dec<'_>) -> Result<Self, vksim_snapshot::SnapError> {
-        let bin_width = d.f64()?;
-        let n = d.seq()?;
-        let mut bins = Vec::with_capacity(n);
-        for _ in 0..n {
-            bins.push(d.u64()?);
-        }
-        Ok(Histogram {
-            bin_width,
-            bins,
-            count: d.u64()?,
-            sum: d.f64()?,
-            min: d.f64()?,
-            max: d.f64()?,
-        })
-    }
-
     /// Iterates `(bin_lower_edge, count)` over non-empty bins.
     pub fn iter(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
         self.bins
@@ -195,6 +158,18 @@ impl Histogram {
             .map(move |(i, &c)| (i as f64 * self.bin_width, c))
     }
 }
+
+// Snapshot encoding: the full state, empty trailing bins and the running
+// min/max/sum included, so a restored histogram is indistinguishable from
+// the original.
+vksim_snapshot::snap_struct!(Histogram {
+    bin_width,
+    bins,
+    count,
+    sum,
+    min,
+    max
+});
 
 impl fmt::Display for Histogram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -209,6 +184,7 @@ impl fmt::Display for Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vksim_snapshot::Snap;
 
     #[test]
     fn records_into_correct_bins() {

@@ -12,11 +12,6 @@
 //! * `VKSIM_BENCH_QUICK` — smoke mode (1 warmup, 3 samples) for CI.
 //! * `VKSIM_BENCH_WARMUP` / `VKSIM_BENCH_SAMPLES` — explicit overrides.
 //! * `VKSIM_BENCH_DIR` — output directory for the JSON (default `.`).
-//! * `VKSIM_BENCH_BASELINE` — path to a previously written
-//!   `BENCH_<suite>.json`; [`Bench::finish`] compares each median against
-//!   it and exits nonzero on a regression beyond the threshold.
-//! * `VKSIM_BENCH_MAX_REGRESSION` — regression threshold in percent
-//!   (default 10).
 
 use crate::json::escape;
 use std::io::Write;
@@ -114,11 +109,6 @@ impl Bench {
 
     /// Prints the summary and writes `BENCH_<suite>.json` into
     /// `VKSIM_BENCH_DIR` (default: the current directory).
-    ///
-    /// When `VKSIM_BENCH_BASELINE` names a baseline file, also compares
-    /// every median against it and terminates the process with exit code 1
-    /// if any benchmark regressed by more than `VKSIM_BENCH_MAX_REGRESSION`
-    /// percent (default 10) — the regression gate for CI.
     pub fn finish(self) {
         let dir = std::env::var("VKSIM_BENCH_DIR").unwrap_or_else(|_| ".".to_string());
         let path = std::path::Path::new(&dir).join(format!("BENCH_{}.json", self.suite));
@@ -131,77 +121,6 @@ impl Bench {
                 path.display()
             ),
         }
-        if let Ok(baseline_path) = std::env::var("VKSIM_BENCH_BASELINE") {
-            let max_pct = std::env::var("VKSIM_BENCH_MAX_REGRESSION")
-                .ok()
-                .and_then(|s| s.parse::<f64>().ok())
-                .unwrap_or(10.0);
-            let baseline = match std::fs::read_to_string(&baseline_path) {
-                Ok(text) => text,
-                Err(e) => {
-                    eprintln!(
-                        "bench suite '{}': cannot read baseline {baseline_path}: {e}",
-                        self.suite
-                    );
-                    std::process::exit(1);
-                }
-            };
-            let regressions = self.regressions_vs(&baseline, max_pct);
-            if regressions.is_empty() {
-                eprintln!(
-                    "bench suite '{}': no regressions beyond {max_pct}% vs {baseline_path}",
-                    self.suite
-                );
-            } else {
-                for r in &regressions {
-                    eprintln!("REGRESSION: {r}");
-                }
-                eprintln!(
-                    "bench suite '{}': {} regression(s) beyond {max_pct}% vs {baseline_path}",
-                    self.suite,
-                    regressions.len()
-                );
-                std::process::exit(1);
-            }
-        }
-    }
-
-    /// Compares each result's median against `baseline` (a prior
-    /// `BENCH_<suite>.json`); returns one message per benchmark regressed by
-    /// more than `max_pct` percent. Benchmarks absent from the baseline are
-    /// reported to stderr and skipped — a new benchmark is not a regression.
-    fn regressions_vs(&self, baseline: &str, max_pct: f64) -> Vec<String> {
-        let base = parse_medians(baseline);
-        let mut out = Vec::new();
-        for r in &self.results {
-            let key = escape(&r.name);
-            match base.iter().find(|(n, _)| *n == key) {
-                Some((_, base_ns)) if *base_ns > 0.0 => {
-                    let delta_pct = (r.median_ns - base_ns) / base_ns * 100.0;
-                    eprintln!(
-                        "bench compare {}/{}: {} vs baseline {} ({delta_pct:+.1}%)",
-                        self.suite,
-                        r.name,
-                        fmt_ns(r.median_ns),
-                        fmt_ns(*base_ns),
-                    );
-                    if delta_pct > max_pct {
-                        out.push(format!(
-                            "{}/{} regressed {delta_pct:+.1}% ({} -> {}, limit {max_pct}%)",
-                            self.suite,
-                            r.name,
-                            fmt_ns(*base_ns),
-                            fmt_ns(r.median_ns),
-                        ));
-                    }
-                }
-                _ => eprintln!(
-                    "bench compare {}/{}: no baseline entry, skipped",
-                    self.suite, r.name
-                ),
-            }
-        }
-        out
     }
 
     fn to_json(&self) -> String {
@@ -230,34 +149,6 @@ impl Bench {
 
 fn env_u64(name: &str) -> Option<u64> {
     std::env::var(name).ok().and_then(|s| s.parse().ok())
-}
-
-/// Extracts `(escaped name, median_ns)` pairs from a `BENCH_<suite>.json`
-/// written by this harness — a line scanner over our own fixed layout, not a
-/// general JSON parser. Names stay in their escaped form; callers compare
-/// against [`escape`]d names.
-fn parse_medians(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in json.lines() {
-        let Some(rest) = line.trim_start().strip_prefix("{\"name\": \"") else {
-            continue;
-        };
-        let Some(end) = rest.find("\", ") else {
-            continue;
-        };
-        let name = rest[..end].to_string();
-        let Some(tail) = rest[end..].split("\"median_ns\": ").nth(1) else {
-            continue;
-        };
-        let median = tail
-            .split([',', '}'])
-            .next()
-            .and_then(|s| s.trim().parse::<f64>().ok());
-        if let Some(m) = median {
-            out.push((name, m));
-        }
-    }
-    out
 }
 
 fn median(xs: &[f64]) -> f64 {
@@ -323,54 +214,6 @@ mod tests {
         assert_eq!(json.matches("{\"name\":").count(), 2);
         assert!(json.contains("},\n"));
         assert!(!json.contains("}],"));
-    }
-
-    /// A suite with hand-planted medians (no timing noise in tests).
-    fn synthetic(suite: &str, medians: &[(&str, f64)]) -> Bench {
-        Bench {
-            suite: suite.to_string(),
-            warmup: 0,
-            samples: 1,
-            results: medians
-                .iter()
-                .map(|&(name, median_ns)| BenchResult {
-                    name: name.to_string(),
-                    median_ns,
-                    mad_ns: 0.0,
-                    inner_iters: 1,
-                    samples_ns: vec![median_ns],
-                })
-                .collect(),
-        }
-    }
-
-    #[test]
-    fn parse_medians_roundtrips_own_json() {
-        let b = synthetic("rt", &[("trace", 1234.5), ("build", 67.0)]);
-        let parsed = parse_medians(&b.to_json());
-        assert_eq!(
-            parsed,
-            vec![("trace".to_string(), 1234.5), ("build".to_string(), 67.0)]
-        );
-    }
-
-    #[test]
-    fn regression_beyond_threshold_is_flagged() {
-        let baseline = synthetic("s", &[("fast", 100.0), ("slow", 1000.0)]).to_json();
-        // "fast" regressed 50%, "slow" only 5%.
-        let current = synthetic("s", &[("fast", 150.0), ("slow", 1050.0)]);
-        let regs = current.regressions_vs(&baseline, 10.0);
-        assert_eq!(regs.len(), 1, "{regs:?}");
-        assert!(regs[0].contains("s/fast"), "{regs:?}");
-        // A looser threshold lets both pass.
-        assert!(current.regressions_vs(&baseline, 60.0).is_empty());
-    }
-
-    #[test]
-    fn improvements_and_new_benchmarks_are_not_regressions() {
-        let baseline = synthetic("s", &[("a", 100.0)]).to_json();
-        let current = synthetic("s", &[("a", 60.0), ("brand_new", 500.0)]);
-        assert!(current.regressions_vs(&baseline, 10.0).is_empty());
     }
 
     #[test]

@@ -162,33 +162,13 @@ impl CycleAccounting {
         self.resident_warp_cycles += other.resident_warp_cycles;
         self.eligible_warp_cycles += other.eligible_warp_cycles;
     }
-
-    /// Serializes the recorder for a machine-state checkpoint.
-    pub fn save(&self, e: &mut vksim_snapshot::Enc) {
-        for &c in &self.categories {
-            e.u64(c);
-        }
-        e.u64(self.resident_warp_cycles);
-        e.u64(self.eligible_warp_cycles);
-    }
-
-    /// Restores a recorder written by [`CycleAccounting::save`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates decoder errors on truncated payloads.
-    pub fn load(d: &mut vksim_snapshot::Dec<'_>) -> Result<Self, vksim_snapshot::SnapError> {
-        let mut categories = [0u64; NUM_CATEGORIES];
-        for c in &mut categories {
-            *c = d.u64()?;
-        }
-        Ok(CycleAccounting {
-            categories,
-            resident_warp_cycles: d.u64()?,
-            eligible_warp_cycles: d.u64()?,
-        })
-    }
 }
+
+vksim_snapshot::snap_struct!(CycleAccounting {
+    categories,
+    resident_warp_cycles,
+    eligible_warp_cycles
+});
 
 /// The end-of-run profile: per-SM breakdowns plus the run-level context
 /// needed to check conservation and derive rates.
@@ -372,6 +352,7 @@ impl ProfReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vksim_snapshot::Snap;
 
     #[test]
     fn codes_round_trip_and_names_are_stable() {

@@ -1,5 +1,7 @@
 //! The timeline event model.
 
+use vksim_snapshot::{Dec, Enc, Snap, SnapError};
+
 /// Warp field value for events not attributable to a warp (RT-unit memory
 /// traffic, DRAM row activates).
 pub const NO_WARP: u32 = u32::MAX;
@@ -16,27 +18,7 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-impl Event {
-    /// Serializes one event for a machine-state snapshot.
-    pub fn save(&self, e: &mut vksim_snapshot::Enc) {
-        e.u64(self.cycle);
-        e.u32(self.warp);
-        self.kind.save(e);
-    }
-
-    /// Restores an event written by [`Event::save`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates decoder errors on truncated or malformed payloads.
-    pub fn load(d: &mut vksim_snapshot::Dec<'_>) -> Result<Self, vksim_snapshot::SnapError> {
-        Ok(Event {
-            cycle: d.u64()?,
-            warp: d.u32()?,
-            kind: EventKind::load(d)?,
-        })
-    }
-}
+vksim_snapshot::snap_struct!(Event { cycle, warp, kind });
 
 /// Event payloads. Span begin/end pairs (`StallBegin`/`StallEnd`,
 /// `RtBusyBegin`/`RtBusyEnd`) are always properly nested per track; the
@@ -155,9 +137,36 @@ impl EventKind {
         }
     }
 
-    /// Serializes the kind losslessly (unlike [`EventKind::args`], which
-    /// flattens payloads) using [`EventKind::code`] as the variant tag.
-    pub fn save(&self, e: &mut vksim_snapshot::Enc) {
+    /// The two payload words for flat encoding (unused slots are 0).
+    pub fn args(&self) -> (u64, u64) {
+        match *self {
+            EventKind::Issue { pc, lanes } => (pc as u64, lanes as u64),
+            EventKind::StallEnd { cycles } => (cycles, 0),
+            EventKind::Diverge { pc } | EventKind::Reconverge { pc } => (pc as u64, 0),
+            EventKind::RtFinish { latency } => (latency, 0),
+            EventKind::MshrAlloc { line, partition } | EventKind::MshrFill { line, partition } => {
+                (line, partition as u64)
+            }
+            EventKind::DramRowActivate {
+                partition,
+                channel,
+                bank,
+            } => (((partition as u64) << 32) | channel as u64, bank as u64),
+            EventKind::IcntStallEnd { cycles } => (cycles, 0),
+            EventKind::StallBegin
+            | EventKind::Retire
+            | EventKind::RtBusyBegin
+            | EventKind::RtBusyEnd
+            | EventKind::RtStart
+            | EventKind::IcntStallBegin => (0, 0),
+        }
+    }
+}
+
+/// Lossless (unlike [`EventKind::args`], which flattens payloads), with
+/// [`EventKind::code`] as the variant tag.
+impl Snap for EventKind {
+    fn save(&self, e: &mut Enc) {
         e.u8(self.code() as u8);
         match *self {
             EventKind::Issue { pc, lanes } => {
@@ -189,12 +198,7 @@ impl EventKind {
         }
     }
 
-    /// Restores a kind written by [`EventKind::save`].
-    ///
-    /// # Errors
-    ///
-    /// An unknown variant tag is malformed.
-    pub fn load(d: &mut vksim_snapshot::Dec<'_>) -> Result<Self, vksim_snapshot::SnapError> {
+    fn load(d: &mut Dec<'_>) -> Result<Self, SnapError> {
         Ok(match d.u8()? {
             0 => EventKind::Issue {
                 pc: d.u32()?,
@@ -224,37 +228,8 @@ impl EventKind {
             },
             13 => EventKind::IcntStallBegin,
             14 => EventKind::IcntStallEnd { cycles: d.u64()? },
-            t => {
-                return Err(vksim_snapshot::SnapError::Malformed(format!(
-                    "event kind tag {t}"
-                )))
-            }
+            t => return Err(SnapError::bad_tag::<Self>(t)),
         })
-    }
-
-    /// The two payload words for flat encoding (unused slots are 0).
-    pub fn args(&self) -> (u64, u64) {
-        match *self {
-            EventKind::Issue { pc, lanes } => (pc as u64, lanes as u64),
-            EventKind::StallEnd { cycles } => (cycles, 0),
-            EventKind::Diverge { pc } | EventKind::Reconverge { pc } => (pc as u64, 0),
-            EventKind::RtFinish { latency } => (latency, 0),
-            EventKind::MshrAlloc { line, partition } | EventKind::MshrFill { line, partition } => {
-                (line, partition as u64)
-            }
-            EventKind::DramRowActivate {
-                partition,
-                channel,
-                bank,
-            } => (((partition as u64) << 32) | channel as u64, bank as u64),
-            EventKind::IcntStallEnd { cycles } => (cycles, 0),
-            EventKind::StallBegin
-            | EventKind::Retire
-            | EventKind::RtBusyBegin
-            | EventKind::RtBusyEnd
-            | EventKind::RtStart
-            | EventKind::IcntStallBegin => (0, 0),
-        }
     }
 }
 

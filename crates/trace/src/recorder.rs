@@ -8,6 +8,7 @@ use crate::rt_analytics::NUM_RT_SERIES;
 use crate::sampler::{IntervalRecord, IntervalSnapshot};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{Seek as _, SeekFrom, Write as _};
+use vksim_snapshot::Snap;
 
 /// The per-SM recorder. Lives behind an `Option<Box<SmTracer>>` on each SM
 /// so a disabled run pays exactly one null check per hook site; all state
@@ -135,104 +136,26 @@ impl SmTracer {
         self.flight.iter()
     }
 
-    /// Serializes the recorder for a machine-state checkpoint. Checkpoints
-    /// are taken at cycle boundaries, after phase B drained `staged`, but
-    /// the staged buffer is encoded anyway so the codec has no implicit
-    /// precondition. All maps are `BTreeMap`s, so the encoding is
-    /// deterministic.
-    pub fn save(&self, e: &mut vksim_snapshot::Enc) {
-        e.seq(self.staged.len());
-        for ev in &self.staged {
-            ev.save(e);
-        }
-        e.seq(self.flight.len());
-        for ev in &self.flight {
-            ev.save(e);
-        }
-        e.usize(self.flight_depth);
-        e.seq(self.stall_since.len());
-        for (&warp, &since) in &self.stall_since {
-            e.u32(warp);
-            e.u64(since);
-        }
-        e.seq(self.pc_issues.len());
-        for (&pc, &n) in &self.pc_issues {
-            e.u32(pc);
-            e.u64(n);
-        }
-        e.seq(self.warp_stall_cycles.len());
-        for (&warp, &n) in &self.warp_stall_cycles {
-            e.u32(warp);
-            e.u64(n);
-        }
-        e.bool(self.rt_busy);
-        e.opt_u64(self.icnt_stall_since);
-        e.seq(self.rt_warp_latency.len());
-        for (&warp, &(jobs, cycles)) in &self.rt_warp_latency {
-            e.u32(warp);
-            e.u64(jobs);
-            e.u64(cycles);
-        }
-    }
-
-    /// Restores a recorder written by [`SmTracer::save`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates decoder errors on truncated or malformed payloads.
-    pub fn load(d: &mut vksim_snapshot::Dec<'_>) -> Result<Self, vksim_snapshot::SnapError> {
-        let n = d.seq()?;
-        let mut staged = Vec::with_capacity(n);
-        for _ in 0..n {
-            staged.push(Event::load(d)?);
-        }
-        let n = d.seq()?;
-        let mut flight = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            flight.push_back(Event::load(d)?);
-        }
-        let flight_depth = d.usize()?;
-        let mut stall_since = BTreeMap::new();
-        for _ in 0..d.seq()? {
-            let warp = d.u32()?;
-            stall_since.insert(warp, d.u64()?);
-        }
-        let mut pc_issues = BTreeMap::new();
-        for _ in 0..d.seq()? {
-            let pc = d.u32()?;
-            pc_issues.insert(pc, d.u64()?);
-        }
-        let mut warp_stall_cycles = BTreeMap::new();
-        for _ in 0..d.seq()? {
-            let warp = d.u32()?;
-            warp_stall_cycles.insert(warp, d.u64()?);
-        }
-        let rt_busy = d.bool()?;
-        let icnt_stall_since = d.opt_u64()?;
-        let mut rt_warp_latency = BTreeMap::new();
-        for _ in 0..d.seq()? {
-            let warp = d.u32()?;
-            let jobs = d.u64()?;
-            rt_warp_latency.insert(warp, (jobs, d.u64()?));
-        }
-        Ok(SmTracer {
-            staged,
-            flight,
-            flight_depth,
-            stall_since,
-            pc_issues,
-            warp_stall_cycles,
-            rt_warp_latency,
-            rt_busy,
-            icnt_stall_since,
-        })
-    }
-
     /// Events staged since the last drain (for tests).
     pub fn staged_len(&self) -> usize {
         self.staged.len()
     }
 }
+
+// Checkpoints are taken at cycle boundaries, after phase B drained `staged`,
+// but the staged buffer is encoded anyway so the codec has no implicit
+// precondition.
+vksim_snapshot::snap_struct!(SmTracer {
+    staged,
+    flight,
+    flight_depth,
+    stall_since,
+    pc_issues,
+    warp_stall_cycles,
+    rt_busy,
+    icnt_stall_since,
+    rt_warp_latency
+});
 
 /// The streaming Chrome-trace writer: when the config names an `out`
 /// file, completed event chunks are appended to it at interval
@@ -523,169 +446,6 @@ impl TraceCollector {
         }
     }
 
-    /// Serializes the collector's dynamic state (everything except the
-    /// [`TraceConfig`], which the resuming run supplies) for a
-    /// machine-state checkpoint. The interval-sampler cursor —
-    /// `last_snapshot` + `interval_start` — rides along, which is what
-    /// keeps a resumed run from re-emitting the last interval row or
-    /// differencing against a zeroed baseline.
-    pub fn save(&self, e: &mut vksim_snapshot::Enc) {
-        e.seq(self.events.len());
-        for (sm, ev) in &self.events {
-            e.u32(*sm);
-            ev.save(e);
-        }
-        e.u64(self.dropped);
-        e.seq(self.intervals.len());
-        for rec in &self.intervals {
-            rec.save(e);
-        }
-        self.last_snapshot.save(e);
-        e.u64(self.interval_start);
-        e.u64(self.sampler_underflows);
-        e.seq(self.pc_issues.len());
-        for (&pc, &n) in &self.pc_issues {
-            e.u32(pc);
-            e.u64(n);
-        }
-        e.seq(self.warp_stalls.len());
-        for (&(sm, warp), &n) in &self.warp_stalls {
-            e.u32(sm);
-            e.u32(warp);
-            e.u64(n);
-        }
-        e.seq(self.prof_series.len());
-        for (cycle, totals) in &self.prof_series {
-            e.u64(*cycle);
-            for &t in totals {
-                e.u64(t);
-            }
-        }
-        e.seq(self.rt_series.len());
-        for (cycle, totals) in &self.rt_series {
-            e.u64(*cycle);
-            for &t in totals {
-                e.u64(t);
-            }
-        }
-        e.seq(self.rt_warp_latency.len());
-        for (&(sm, warp), &(jobs, cycles)) in &self.rt_warp_latency {
-            e.u32(sm);
-            e.u32(warp);
-            e.u64(jobs);
-            e.u64(cycles);
-        }
-        // Streaming cursor: the flushed-event count and the file byte
-        // offset as of this checkpoint, so a resume can truncate away
-        // whatever the killed run streamed afterwards and continue the
-        // file byte-identically.
-        match &self.stream {
-            None => e.bool(false),
-            Some(s) => {
-                e.bool(true);
-                e.bool(s.header_written);
-                e.u64(s.flushed);
-                e.u64(s.bytes);
-            }
-        }
-    }
-
-    /// Restores a collector written by [`TraceCollector::save`] under the
-    /// resuming run's `config`. When the snapshot carries a streaming
-    /// cursor and the resuming config still names an `out` file, that
-    /// file is reopened and truncated to the saved byte offset so the
-    /// resumed stream continues byte-identically.
-    ///
-    /// # Errors
-    ///
-    /// Propagates decoder errors on truncated or malformed payloads.
-    pub fn load(
-        config: TraceConfig,
-        num_sms: u32,
-        d: &mut vksim_snapshot::Dec<'_>,
-    ) -> Result<Self, vksim_snapshot::SnapError> {
-        let n = d.seq()?;
-        let mut events = Vec::with_capacity(n);
-        for _ in 0..n {
-            let sm = d.u32()?;
-            events.push((sm, Event::load(d)?));
-        }
-        let dropped = d.u64()?;
-        let n = d.seq()?;
-        let mut intervals = Vec::with_capacity(n);
-        for _ in 0..n {
-            intervals.push(IntervalRecord::load(d)?);
-        }
-        let last_snapshot = IntervalSnapshot::load(d)?;
-        let interval_start = d.u64()?;
-        let sampler_underflows = d.u64()?;
-        let mut pc_issues = BTreeMap::new();
-        for _ in 0..d.seq()? {
-            let pc = d.u32()?;
-            pc_issues.insert(pc, d.u64()?);
-        }
-        let mut warp_stalls = BTreeMap::new();
-        for _ in 0..d.seq()? {
-            let sm = d.u32()?;
-            let warp = d.u32()?;
-            warp_stalls.insert((sm, warp), d.u64()?);
-        }
-        let n = d.seq()?;
-        let mut prof_series = Vec::with_capacity(n);
-        for _ in 0..n {
-            let cycle = d.u64()?;
-            let mut totals = [0u64; NUM_CATEGORIES];
-            for t in &mut totals {
-                *t = d.u64()?;
-            }
-            prof_series.push((cycle, totals));
-        }
-        let n = d.seq()?;
-        let mut rt_series = Vec::with_capacity(n);
-        for _ in 0..n {
-            let cycle = d.u64()?;
-            let mut totals = [0u64; NUM_RT_SERIES];
-            for t in &mut totals {
-                *t = d.u64()?;
-            }
-            rt_series.push((cycle, totals));
-        }
-        let mut rt_warp_latency = BTreeMap::new();
-        for _ in 0..d.seq()? {
-            let sm = d.u32()?;
-            let warp = d.u32()?;
-            let jobs = d.u64()?;
-            rt_warp_latency.insert((sm, warp), (jobs, d.u64()?));
-        }
-        let stream = if d.bool()? {
-            let header_written = d.bool()?;
-            let flushed = d.u64()?;
-            let bytes = d.u64()?;
-            reopen_stream(&config, header_written, flushed, bytes)
-        } else {
-            // The checkpointed run did not stream (no `out` file); the
-            // resuming run starts a fresh stream if its config asks for
-            // one.
-            fresh_stream(&config)
-        };
-        Ok(TraceCollector {
-            config,
-            num_sms,
-            stream,
-            events,
-            dropped,
-            intervals,
-            last_snapshot,
-            interval_start,
-            sampler_underflows,
-            pc_issues,
-            warp_stalls,
-            prof_series,
-            rt_series,
-            rt_warp_latency,
-        })
-    }
-
     /// Finishes collection into an exportable report. When a stream is
     /// active, the remaining event chunk, the counter series and the
     /// array footer are appended to the `out` file here — completing a
@@ -756,6 +516,48 @@ impl TraceCollector {
         report
     }
 }
+
+// Everything except the [`TraceConfig`], which the resuming run supplies.
+// The interval-sampler cursor — `last_snapshot` + `interval_start` — rides
+// along, which is what keeps a resumed run from re-emitting the last
+// interval row or differencing against a zeroed baseline.
+vksim_snapshot::snap_state!(TraceCollector {
+    events,
+    dropped,
+    intervals,
+    last_snapshot,
+    interval_start,
+    sampler_underflows,
+    pc_issues,
+    warp_stalls,
+    prof_series,
+    rt_series,
+    rt_warp_latency,
+    // Streaming cursor: whether the header is out, the flushed-event count
+    // and the file byte offset as of this checkpoint. When the snapshot
+    // carries one and the resuming config still names an `out` file, that
+    // file is reopened and truncated to the offset, discarding whatever
+    // the killed run streamed afterwards, so the resumed stream continues
+    // byte-identically; a run that did not stream starts a fresh stream
+    // if the resuming config asks for one.
+    stream: with(
+        |stream, e| {
+            let cursor = stream
+                .as_ref()
+                .map(|s| (s.header_written, s.flushed, s.bytes));
+            cursor.save(e)
+        },
+        |stream, d| {
+            *stream = match Option::<(bool, u64, u64)>::load(d)? {
+                Some((header_written, flushed, bytes)) => {
+                    reopen_stream(config, header_written, flushed, bytes)
+                }
+                None => fresh_stream(config),
+            };
+            Ok(())
+        }
+    ),
+} skip { config, num_sms });
 
 #[cfg(test)]
 mod tests {
@@ -940,8 +742,8 @@ mod tests {
         let mut e = vksim_snapshot::Enc::new();
         c.save(&mut e);
         let bytes = e.into_bytes();
-        let mut back =
-            TraceCollector::load(cfg(), 1, &mut vksim_snapshot::Dec::new(&bytes)).unwrap();
+        let mut back = TraceCollector::new(cfg(), 1);
+        back.restore(&mut vksim_snapshot::Dec::new(&bytes)).unwrap();
         assert_eq!(back.interval_start, 100);
         assert_eq!(back.last_snapshot.issued_insts, 12);
         back.sample(
@@ -972,7 +774,8 @@ mod tests {
         c.save(&mut e);
         let bytes = e.into_bytes();
         let mut d = vksim_snapshot::Dec::new(&bytes);
-        let back = TraceCollector::load(cfg(), 1, &mut d).unwrap();
+        let mut back = TraceCollector::new(cfg(), 1);
+        back.restore(&mut d).unwrap();
         d.finish().unwrap();
         let r = back.finish(200, 1);
         assert_eq!(r.prof_series, vec![(100, a), (200, b)]);
@@ -1075,7 +878,8 @@ mod tests {
         doomed.push_mem_events(0, (500..520).map(ev));
         let _ = doomed.finish(999, 1); // the killed run even finalized
         let mut d = vksim_snapshot::Dec::new(&bytes);
-        let mut resumed = TraceCollector::load(stream_cfg(), 1, &mut d).unwrap();
+        let mut resumed = TraceCollector::new(stream_cfg(), 1);
+        resumed.restore(&mut d).unwrap();
         d.finish().unwrap();
         resumed.push_mem_events(0, (100..103).map(ev));
         let report = resumed.finish(200, 1);

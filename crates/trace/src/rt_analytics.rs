@@ -102,29 +102,13 @@ impl RayHistogram {
         self.count += other.count;
         self.sum += other.sum;
     }
-
-    /// Appends this histogram to a snapshot.
-    pub fn save(&self, e: &mut vksim_snapshot::Enc) {
-        for &b in &self.buckets {
-            e.u64(b);
-        }
-        e.u64(self.count);
-        e.u64(self.sum);
-    }
-
-    /// Mirror of [`RayHistogram::save`].
-    pub fn load(d: &mut vksim_snapshot::Dec<'_>) -> Result<Self, vksim_snapshot::SnapError> {
-        let mut buckets = [0u64; RAY_HIST_BUCKETS];
-        for b in &mut buckets {
-            *b = d.u64()?;
-        }
-        Ok(RayHistogram {
-            buckets,
-            count: d.u64()?,
-            sum: d.u64()?,
-        })
-    }
 }
+
+vksim_snapshot::snap_struct!(RayHistogram {
+    buckets,
+    count,
+    sum
+});
 
 /// Heatmap key: BVH space (`false` = top-level, `true` = bottom-level),
 /// tree depth within that space, node index within its arena.
@@ -237,67 +221,18 @@ impl TraversalAnalytics {
         self.ray_tri.merge(&other.ray_tri);
         self.ray_restarts.merge(&other.ray_restarts);
     }
-
-    /// Appends the full analytics state to a snapshot. `BTreeMap`/`BTreeSet`
-    /// iterate sorted, so the byte stream is canonical.
-    pub fn save(&self, e: &mut vksim_snapshot::Enc) {
-        e.seq(self.nodes.len());
-        for (&(blas, depth, node), cell) in &self.nodes {
-            e.bool(blas);
-            e.u32(depth);
-            e.u32(node);
-            e.u64(cell.visits);
-            e.u64(cell.hits);
-        }
-        e.seq(self.level_lines.len());
-        for (&(blas, depth), lines) in &self.level_lines {
-            e.bool(blas);
-            e.u32(depth);
-            e.seq(lines.len());
-            for &line in lines {
-                e.u64(line);
-            }
-        }
-        e.u64(self.rays);
-        self.ray_nodes.save(e);
-        self.ray_box.save(e);
-        self.ray_tri.save(e);
-        self.ray_restarts.save(e);
-    }
-
-    /// Mirror of [`TraversalAnalytics::save`].
-    pub fn load(d: &mut vksim_snapshot::Dec<'_>) -> Result<Self, vksim_snapshot::SnapError> {
-        let mut nodes = BTreeMap::new();
-        for _ in 0..d.seq()? {
-            let key = (d.bool()?, d.u32()?, d.u32()?);
-            nodes.insert(
-                key,
-                NodeCell {
-                    visits: d.u64()?,
-                    hits: d.u64()?,
-                },
-            );
-        }
-        let mut level_lines = BTreeMap::new();
-        for _ in 0..d.seq()? {
-            let key = (d.bool()?, d.u32()?);
-            let mut lines = BTreeSet::new();
-            for _ in 0..d.seq()? {
-                lines.insert(d.u64()?);
-            }
-            level_lines.insert(key, lines);
-        }
-        Ok(TraversalAnalytics {
-            nodes,
-            level_lines,
-            rays: d.u64()?,
-            ray_nodes: RayHistogram::load(d)?,
-            ray_box: RayHistogram::load(d)?,
-            ray_tri: RayHistogram::load(d)?,
-            ray_restarts: RayHistogram::load(d)?,
-        })
-    }
 }
+
+vksim_snapshot::snap_struct!(NodeCell { visits, hits });
+vksim_snapshot::snap_struct!(TraversalAnalytics {
+    nodes,
+    level_lines,
+    rays,
+    ray_nodes,
+    ray_box,
+    ray_tri,
+    ray_restarts
+});
 
 /// Per-SM warp traversal-coherence recorder, fed at `TraceRay` issue
 /// from the per-lane script lengths of each launched warp job.
@@ -373,34 +308,14 @@ impl WarpCoherence {
             *a += b;
         }
     }
-
-    /// Appends this recorder to a snapshot.
-    pub fn save(&self, e: &mut vksim_snapshot::Enc) {
-        e.u64(self.trace_warps);
-        e.u64(self.warp_steps);
-        e.u64(self.lane_steps);
-        for &o in &self.occ {
-            e.u64(o);
-        }
-    }
-
-    /// Mirror of [`WarpCoherence::save`].
-    pub fn load(d: &mut vksim_snapshot::Dec<'_>) -> Result<Self, vksim_snapshot::SnapError> {
-        let trace_warps = d.u64()?;
-        let warp_steps = d.u64()?;
-        let lane_steps = d.u64()?;
-        let mut occ = [0u64; WARP_OCC_BUCKETS];
-        for o in &mut occ {
-            *o = d.u64()?;
-        }
-        Ok(WarpCoherence {
-            trace_warps,
-            warp_steps,
-            lane_steps,
-            occ,
-        })
-    }
 }
+
+vksim_snapshot::snap_struct!(WarpCoherence {
+    trace_warps,
+    warp_steps,
+    lane_steps,
+    occ
+});
 
 /// One SM's slice of the analytics: its warp-coherence recorder plus the
 /// RT-unit job attribution tallied inside `vksim-rtunit`.
@@ -604,6 +519,7 @@ impl RtReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vksim_snapshot::Snap;
     use vksim_snapshot::{Dec, Enc};
 
     #[test]

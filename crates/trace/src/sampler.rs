@@ -63,42 +63,6 @@ impl IntervalSnapshot {
         (d, underflows)
     }
 
-    /// Serializes the snapshot for a machine-state checkpoint.
-    pub fn save(&self, e: &mut vksim_snapshot::Enc) {
-        for v in [
-            self.issued_insts,
-            self.l1_hits,
-            self.l1_misses,
-            self.l2_hits,
-            self.l2_misses,
-            self.dram_reqs,
-            self.dram_transfer_cycles,
-            self.rt_resident_warp_cycles,
-            self.rt_busy_cycles,
-        ] {
-            e.u64(v);
-        }
-    }
-
-    /// Restores a snapshot written by [`IntervalSnapshot::save`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates decoder errors on truncated payloads.
-    pub fn load(d: &mut vksim_snapshot::Dec<'_>) -> Result<Self, vksim_snapshot::SnapError> {
-        Ok(IntervalSnapshot {
-            issued_insts: d.u64()?,
-            l1_hits: d.u64()?,
-            l1_misses: d.u64()?,
-            l2_hits: d.u64()?,
-            l2_misses: d.u64()?,
-            dram_reqs: d.u64()?,
-            dram_transfer_cycles: d.u64()?,
-            rt_resident_warp_cycles: d.u64()?,
-            rt_busy_cycles: d.u64()?,
-        })
-    }
-
     /// Per-field difference `self - prev`; debug-asserts the documented
     /// monotonicity (use [`IntervalSnapshot::delta_from`] to observe an
     /// underflow instead of asserting on it).
@@ -124,27 +88,20 @@ pub struct IntervalRecord {
     pub delta: IntervalSnapshot,
 }
 
+vksim_snapshot::snap_struct!(IntervalSnapshot {
+    issued_insts,
+    l1_hits,
+    l1_misses,
+    l2_hits,
+    l2_misses,
+    dram_reqs,
+    dram_transfer_cycles,
+    rt_resident_warp_cycles,
+    rt_busy_cycles
+});
+vksim_snapshot::snap_struct!(IntervalRecord { start, len, delta });
+
 impl IntervalRecord {
-    /// Serializes the record for a machine-state checkpoint.
-    pub fn save(&self, e: &mut vksim_snapshot::Enc) {
-        e.u64(self.start);
-        e.u64(self.len);
-        self.delta.save(e);
-    }
-
-    /// Restores a record written by [`IntervalRecord::save`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates decoder errors on truncated payloads.
-    pub fn load(d: &mut vksim_snapshot::Dec<'_>) -> Result<Self, vksim_snapshot::SnapError> {
-        Ok(IntervalRecord {
-            start: d.u64()?,
-            len: d.u64()?,
-            delta: IntervalSnapshot::load(d)?,
-        })
-    }
-
     /// Instructions per cycle within the interval.
     pub fn ipc(&self) -> f64 {
         ratio(self.delta.issued_insts, self.len)

@@ -10,13 +10,6 @@
 # that share the cargo target-dir lock still serialize their compile
 # phases, but format checking, test execution, and example runs overlap.
 #
-# Bench baselines: the first run records BENCH_<suite>.json for the
-# guarded suites under .bench-baselines/; later runs on the same host
-# compare against them via VKSIM_BENCH_BASELINE and fail on a median
-# regression beyond VKSIM_BENCH_MAX_REGRESSION percent (default 25 here;
-# quick-mode medians are noisy). Delete the file to re-record after an
-# intentional change.
-#
 # Usage: scripts/ci.sh            (from anywhere; cd's to the repo root)
 
 set -euo pipefail
@@ -166,32 +159,5 @@ bg "examples build + run (quickstart, custom_scene)" bash -c '
     cargo run --release --offline --example custom_scene >/dev/null
 '
 join
-
-step "bench baseline gate (substrates, engine, mem)"
-mkdir -p .bench-baselines
-for suite in substrates engine mem; do
-    # Absolute path: cargo runs bench binaries with cwd = the package root
-    # (crates/bench), not the workspace root.
-    base="$PWD/.bench-baselines/BENCH_$suite.json"
-    # The engine suite doubles as the observability overhead gate: the
-    # tracing/accounting/rt-analytics hooks must cost no more than 2%
-    # when disabled, and the enabled-path `_prof` / `_rt` entries hold
-    # each observer's own cost to the same bound against their recorded
-    # baselines.
-    if [ "$suite" = engine ]; then
-        max="${VKSIM_BENCH_MAX_REGRESSION_ENGINE:-2}"
-    else
-        max="${VKSIM_BENCH_MAX_REGRESSION:-25}"
-    fi
-    if [ -f "$base" ]; then
-        VKSIM_BENCH_DIR="$(mktemp -d)" VKSIM_BENCH_QUICK=1 \
-            VKSIM_BENCH_BASELINE="$base" \
-            VKSIM_BENCH_MAX_REGRESSION="$max" \
-            cargo bench --offline -p vksim-bench --bench "$suite"
-    else
-        cp "$bench_out/BENCH_$suite.json" "$base"
-        echo "recorded new baseline $base (no compare this run)"
-    fi
-done
 
 printf '\nCI gate passed.\n'

@@ -10,7 +10,7 @@ use vksim_mem::{
     partition_of, AccessKind, CacheConfig, Dram, DramConfig, DramIssue, DramSched, MemRequest,
     MemSink, RequestQueue, SharedMemSystem, SystemConfig, PARTITION_BYTES,
 };
-use vksim_snapshot::{fnv1a, fnv1a_init, Dec, Enc};
+use vksim_snapshot::{fnv1a, fnv1a_init, Dec, Enc, Snap};
 use vksim_testkit::prop::{check, u32_in, u64_in, vec_of};
 use vksim_testkit::{assert_matches_golden, prop_assert, prop_assert_eq, Pcg32};
 

@@ -426,3 +426,149 @@ fn corrupt_checkpoint_is_rejected() {
     assert!(failure.report.is_none(), "the run never started");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Corruption the checksum cannot see (the file is resealed around the
+/// mutated payload, as a buggy or hostile writer would) must still end in
+/// a structured `SnapshotMismatch` from the payload decoder: never a
+/// panic, and never memory reserved for a length the file only claims.
+#[test]
+fn resealed_corrupt_payloads_are_refused_by_the_decoder() {
+    let w = build(WorkloadKind::Tri, Scale::Test);
+    let dir = ckpt_dir("mutant");
+    let cfg = || SimConfig::test_small().with_checkpoint(500, dir.to_string_lossy().to_string());
+    run_plain(cfg(), &w);
+    let (_, path) = checkpoints_in(&dir).pop().expect("checkpoint written");
+    let healthy = vksim_snapshot::Snapshot::read(&path).expect("healthy checkpoint");
+    type Mutation = fn(&mut Vec<u8>);
+    let mutations: [(&str, Mutation); 3] = [
+        // Bytes 8..16 count shard 0's frame stacks (0..8 count the shards).
+        ("sequence length set to the bytes remaining", |payload| {
+            let rest = (payload.len() - 16) as u64;
+            payload[8..16].copy_from_slice(&rest.to_le_bytes());
+        }),
+        // The payload ends with the trace collector's presence byte.
+        ("option tag 7", |payload| {
+            *payload.last_mut().expect("nonempty payload") = 7
+        }),
+        ("payload cut in half", |payload| {
+            payload.truncate(payload.len() / 2)
+        }),
+    ];
+    for (what, mutate) in mutations {
+        let mut payload = healthy.payload.clone();
+        mutate(&mut payload);
+        let mutant = dir.join("mutant.vksnap");
+        vksim_snapshot::Snapshot::new(healthy.fingerprint, payload)
+            .write_atomic(&mutant)
+            .expect("mutant written");
+        let failure = Simulator::new(cfg())
+            .resume(&w.device, &w.cmd, &mutant)
+            .expect_err(what);
+        assert!(
+            matches!(failure.error, SimError::SnapshotMismatch { .. }),
+            "{what}: {failure}"
+        );
+        assert!(failure.report.is_none(), "{what}: the run never started");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs a workload (through `run`) once for its length, then again with
+/// a checkpoint at cycle `at(length)`, and returns that file's bytes.
+fn mid_run_checkpoint(
+    tag: &str,
+    config: SimConfig,
+    at: fn(u64) -> u64,
+    run: &dyn Fn(SimConfig) -> RunReport,
+) -> Vec<u8> {
+    let every = at(run(config.clone()).gpu.cycles);
+    let dir = ckpt_dir(tag);
+    run(config.with_checkpoint(every, dir.to_string_lossy().to_string()));
+    let bytes =
+        std::fs::read(dir.join(format!("ckpt-{every}.vksnap"))).expect("mid-run checkpoint");
+    let _ = std::fs::remove_dir_all(&dir);
+    bytes
+}
+
+/// The machine payload layout, pinned: one mid-run checkpoint for each of
+/// four configurations that between them populate every serialized
+/// structure (bounded ingress + return credits + all three observers; the
+/// parked retry FIFO and refusal epochs; the multipath SIMT tables; FCC
+/// tables and frame stacks), each hashed with FNV-1a-64 over the whole
+/// file. A hash moves exactly when the bytes `machine_payload` writes (or
+/// the configuration fingerprint) move: re-record the constants from the
+/// failure message and bump `vksim_snapshot::FORMAT_VERSION` if old files
+/// no longer resume.
+#[test]
+fn machine_layout_is_pinned() {
+    let tri = build(WorkloadKind::Tri, Scale::Test);
+    let observed = SimConfig::paper()
+        .with_icnt_queue_depth(4)
+        .with_icnt_return_credits(2)
+        .with_trace(vksim_trace::TraceConfig {
+            enabled: true,
+            interval: 200,
+            ..Default::default()
+        })
+        .with_accounting(true)
+        .with_rt_analytics(true);
+    let mut starved = SimConfig::paper();
+    starved.gpu.mem.l2.mshr_entries = starved.gpu.mem.num_partitions as usize;
+    starved.gpu.mem.l2.mshr_merge = 2;
+    let reference = build(WorkloadKind::Ref, Scale::Test);
+    let mut rtv6 = build(WorkloadKind::Rtv6, Scale::Test);
+    let fcc_cmd = rtv6.with_fcc(true);
+    let small = SimConfig::test_small;
+    let half = |cycles: u64| (cycles / 2).max(1);
+    // The cycle `kill_and_resume_mid_retry_storm_recovers_golden_counters`
+    // proves lies inside the storm.
+    let in_storm = |cycles: u64| (cycles / 5).max(8) * 3;
+    let run_fcc = |config| {
+        Simulator::new(config)
+            .run(&rtv6.device, &fcc_cmd)
+            .expect("healthy run")
+    };
+    let pins: [(&str, Vec<u8>, u64); 4] = [
+        (
+            "tri_paper_icnt+observers",
+            mid_run_checkpoint("pin-icnt", observed, half, &|c| run_plain(c, &tri)),
+            0x4376_8ca8_a690_a90b,
+        ),
+        (
+            "tri_paper_l2starve",
+            mid_run_checkpoint("pin-starve", starved, in_storm, &|c| run_plain(c, &tri)),
+            0xc2b2_5604_f89e_1c46,
+        ),
+        (
+            "ref_its",
+            mid_run_checkpoint("pin-its", small().with_its(true), half, &|c| {
+                run_plain(c, &reference)
+            }),
+            0x92c3_1252_4a38_4b37,
+        ),
+        (
+            "rtv6_fcc",
+            mid_run_checkpoint("pin-fcc", small(), half, &run_fcc),
+            0x1a27_ca11_544c_ed96,
+        ),
+    ];
+    let hashed: Vec<(&str, u64, usize, u64)> = pins
+        .iter()
+        .map(|(name, bytes, want)| {
+            let got = vksim_snapshot::fnv1a(vksim_snapshot::fnv1a_init(), bytes);
+            (*name, got, bytes.len(), *want)
+        })
+        .collect();
+    let report: Vec<String> = hashed
+        .iter()
+        .map(|(name, got, len, _)| format!("{name}: {got:#018x} ({len} bytes)"))
+        .collect();
+    for (name, got, _, want) in hashed {
+        assert_eq!(
+            got,
+            want,
+            "{name}: machine layout moved; all four now hash as\n{}",
+            report.join("\n")
+        );
+    }
+}
