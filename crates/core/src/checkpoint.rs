@@ -34,7 +34,7 @@ use vksim_vulkan::{Device, TraceRaysCommand};
 /// the watchdog, the fault plan, checkpoint cadence/directory, and trace
 /// output file paths.
 pub fn config_fingerprint(config: &GpuConfig, device: &Device, cmd: &TraceRaysCommand) -> u64 {
-    let trace = config.effective_trace();
+    let trace = &config.trace;
     let canonical = GpuConfig {
         max_cycles: 0,
         threads: 1,

@@ -179,15 +179,6 @@ impl RtRuntime {
         self.analytics.as_deref()
     }
 
-    /// Merges another runtime's traversal analytics into this one's (used
-    /// to fold per-SM shards back together; the merge is commutative, so
-    /// shard order does not matter).
-    pub fn merge_analytics_from(&mut self, other: &RtRuntime) {
-        if let (Some(mine), Some(theirs)) = (self.analytics.as_deref_mut(), other.analytics()) {
-            mine.merge(theirs);
-        }
-    }
-
     /// A per-SM shard sharing this runtime's scene with fresh per-thread
     /// state and a disjoint `rt_alloc_mem` region (so concurrent shards
     /// never hand out overlapping addresses).
@@ -945,9 +936,9 @@ mod tests {
         let mut s1 = rt.shard(1);
         s0.traverse(0, z_ray()).unwrap();
         s1.traverse(32, z_ray()).unwrap();
-        rt.merge_analytics_from(&s0);
-        rt.merge_analytics_from(&s1);
-        let merged = rt.analytics().expect("enabled");
+        let mut merged = TraversalAnalytics::default();
+        merged.merge(s0.analytics().expect("enabled"));
+        merged.merge(s1.analytics().expect("enabled"));
         assert_eq!(merged.rays(), 2);
         assert_eq!(
             merged.visit_total(),

@@ -141,7 +141,8 @@ impl Simulator {
         cmd: &TraceRaysCommand,
         resume_from: Option<&Path>,
     ) -> Result<RunReport, Box<SimFailure>> {
-        let mut gpu_config = self.config.resolve();
+        // The one place a run reads the environment.
+        let mut gpu_config = self.config.resolve().with_env_overrides();
         if let Err(e) = crate::validate::validate_config(&gpu_config) {
             return Err(config_failure(e));
         }
@@ -171,11 +172,11 @@ impl Simulator {
             },
             None => None,
         };
-        let every = gpu_config.effective_checkpoint_every();
-        let keep = gpu_config.effective_checkpoint_keep();
-        let ckpt_dir = gpu_config.effective_checkpoint_dir();
+        let every = gpu_config.checkpoint_every;
+        let keep = gpu_config.checkpoint_keep;
+        let ckpt_dir = gpu_config.checkpoint_dir.clone();
         let num_sms = gpu_config.num_sms;
-        let rt_analytics_on = gpu_config.effective_trace().rt_analytics;
+        let rt_analytics_on = gpu_config.trace.rt_analytics;
         let mut gpu = GpuSim::new(gpu_config);
         gpu.mem = device.memory.clone();
         gpu.launch(
@@ -254,7 +255,7 @@ impl Simulator {
         // healthy runs; a faulting tick can die before it attributes its
         // cycle).
         let prof = gpu.prof_report();
-        if let (Some(p), Some(path)) = (&prof, &gpu.config().effective_trace().prof) {
+        if let (Some(p), Some(path)) = (&prof, &gpu.config().trace.prof) {
             export_prof(path, p);
         }
         // RT analytics likewise export on both paths; a faulted run's
@@ -262,7 +263,7 @@ impl Simulator {
         // that completed.
         let rt = rt_report(&gpu, &shards);
         if let Some(r) = &rt {
-            let tcfg = gpu.config().effective_trace();
+            let tcfg = &gpu.config().trace;
             if let Some(path) = &tcfg.rt {
                 export_rt(path, r);
             }
@@ -992,7 +993,7 @@ mod tests {
         // refusal, not a panic or a half-restored machine.
         let (device, cmd, _) = quad_workload(16, 4);
         let sim = Simulator::new(SimConfig::test_small());
-        let gpu_config = sim.config().resolve();
+        let gpu_config = sim.config().resolve().with_env_overrides();
         let fingerprint = checkpoint::config_fingerprint(&gpu_config, &device, &cmd);
         let mut gpu = GpuSim::new(gpu_config);
         gpu.launch(

@@ -144,72 +144,40 @@ impl GpuConfig {
         }
     }
 
-    /// Worker threads to use, honouring the `VKSIM_THREADS` environment
-    /// override (ignored when unset, empty, or not a positive integer).
-    pub fn effective_threads(&self) -> usize {
-        match std::env::var("VKSIM_THREADS") {
-            Ok(v) => match v.trim().parse::<usize>() {
-                Ok(n) if n >= 1 => n,
-                _ => self.threads,
-            },
-            Err(_) => self.threads,
+    /// Returns this configuration with the environment overrides applied:
+    /// `VKSIM_THREADS` (a positive integer), `VKSIM_WATCHDOG`,
+    /// `VKSIM_CHECKPOINT_EVERY` and `VKSIM_CHECKPOINT_KEEP` (integers; `0`
+    /// disables either way), `VKSIM_CHECKPOINT_DIR` (non-empty) and the
+    /// trace variables of [`TraceConfig::with_env_overrides`]. A variable
+    /// that is unset, empty or does not parse leaves its field alone.
+    ///
+    /// The environment is read here and nowhere else: a run applies this
+    /// once, before it fingerprints the configuration and builds the
+    /// machine, and everything after reads plain fields.
+    pub fn with_env_overrides(mut self) -> Self {
+        fn parsed<T: std::str::FromStr>(name: &str) -> Option<T> {
+            std::env::var(name).ok()?.trim().parse().ok()
         }
-        .max(1)
-    }
-
-    /// Trace configuration to use, honouring the `VKSIM_TRACE`,
-    /// `VKSIM_TRACE_INTERVAL`, `VKSIM_TRACE_CSV` and `VKSIM_TRACE_SUMMARY`
-    /// environment overrides (each ignored when unset or empty).
-    pub fn effective_trace(&self) -> TraceConfig {
-        self.trace.with_env_overrides()
-    }
-
-    /// Watchdog window to use, honouring the `VKSIM_WATCHDOG` environment
-    /// override (ignored when unset, empty, or not an integer; `0`
-    /// disables the watchdog either way).
-    pub fn effective_watchdog(&self) -> u64 {
-        match std::env::var("VKSIM_WATCHDOG") {
-            Ok(v) => match v.trim().parse::<u64>() {
-                Ok(n) => n,
-                Err(_) => self.watchdog_cycles,
-            },
-            Err(_) => self.watchdog_cycles,
+        if let Some(n) = parsed("VKSIM_THREADS").filter(|&n: &usize| n >= 1) {
+            self.threads = n;
         }
-    }
-
-    /// Checkpoint interval to use, honouring the `VKSIM_CHECKPOINT_EVERY`
-    /// environment override (ignored when unset, empty, or not an
-    /// integer; `0` disables checkpointing either way).
-    pub fn effective_checkpoint_every(&self) -> u64 {
-        match std::env::var("VKSIM_CHECKPOINT_EVERY") {
-            Ok(v) => match v.trim().parse::<u64>() {
-                Ok(n) => n,
-                Err(_) => self.checkpoint_every,
-            },
-            Err(_) => self.checkpoint_every,
+        if let Some(n) = parsed("VKSIM_WATCHDOG") {
+            self.watchdog_cycles = n;
         }
-    }
-
-    /// Checkpoint retention count to use, honouring the
-    /// `VKSIM_CHECKPOINT_KEEP` environment override (ignored when unset,
-    /// empty, or not an integer; `0` keeps every checkpoint either way).
-    pub fn effective_checkpoint_keep(&self) -> u64 {
-        match std::env::var("VKSIM_CHECKPOINT_KEEP") {
-            Ok(v) => match v.trim().parse::<u64>() {
-                Ok(n) => n,
-                Err(_) => self.checkpoint_keep,
-            },
-            Err(_) => self.checkpoint_keep,
+        if let Some(n) = parsed("VKSIM_CHECKPOINT_EVERY") {
+            self.checkpoint_every = n;
         }
-    }
-
-    /// Checkpoint directory to use, honouring the `VKSIM_CHECKPOINT_DIR`
-    /// environment override (ignored when unset or empty).
-    pub fn effective_checkpoint_dir(&self) -> Option<String> {
-        match std::env::var("VKSIM_CHECKPOINT_DIR") {
-            Ok(v) if !v.trim().is_empty() => Some(v),
-            _ => self.checkpoint_dir.clone(),
+        if let Some(n) = parsed("VKSIM_CHECKPOINT_KEEP") {
+            self.checkpoint_keep = n;
         }
+        if let Some(dir) = std::env::var("VKSIM_CHECKPOINT_DIR")
+            .ok()
+            .filter(|d| !d.trim().is_empty())
+        {
+            self.checkpoint_dir = Some(dir);
+        }
+        self.trace = self.trace.with_env_overrides();
+        self
     }
 
     /// Resident warps per SM given a program's register demand.

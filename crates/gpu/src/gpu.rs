@@ -221,7 +221,7 @@ fn restore_sms(sms: &mut [Sm], trace: &TraceConfig, d: &mut Dec<'_>) -> Result<(
 vksim_snapshot::snap_state!(GpuSim {
     sms: with(
         |sms, e| save_each(sms, e, Sm::save),
-        |sms, d| restore_sms(sms, &config.effective_trace(), d)
+        |sms, d| restore_sms(sms, &config.trace, d)
     ),
     queues: with(Snap::save, |queues, d| load_fixed(queues, d)),
     shared: state,
@@ -418,7 +418,7 @@ fn sample_interval<'a>(
 impl GpuSim {
     /// Builds an idle GPU.
     pub fn new(config: GpuConfig) -> Self {
-        let trace = config.effective_trace();
+        let trace = config.trace.clone();
         let sms = (0..config.num_sms)
             .map(|i| {
                 let mut sm = Sm::new(i, &config);
@@ -492,7 +492,7 @@ impl GpuSim {
 
     /// Runs the launched kernel to completion with one hook shard per SM.
     /// Phase A is ticked by `min(threads, cores, num_sms)` participants
-    /// ([`GpuConfig::effective_threads`]): the calling thread plus helper
+    /// ([`GpuConfig::threads`]): the calling thread plus helper
     /// threads, none at one thread. Counters are bit-identical at any
     /// thread count.
     ///
@@ -542,9 +542,7 @@ impl GpuSim {
     /// there are SMs would have nothing to tick. Counters are identical at
     /// any count, so this moves host time only.
     fn participants(&self) -> usize {
-        worker_cap(self.config.effective_threads())
-            .min(self.sms.len())
-            .max(1)
+        worker_cap(self.config.threads).min(self.sms.len()).max(1)
     }
 
     /// The cycle loop. `participants` is not a knob: the public entry
@@ -561,7 +559,7 @@ impl GpuSim {
         let program = self.program.clone().expect("launch() before run()");
         let limit = self.config.occupancy_limit(program.num_regs() as u32);
         let max_cycles = self.config.max_cycles;
-        let watchdog = self.config.effective_watchdog();
+        let watchdog = self.config.watchdog_cycles;
         let plan = self.config.fault_plan;
         let mut fault: Option<SimError> = None;
         let mut paused = false;
@@ -877,6 +875,7 @@ impl GpuSim {
         let mut rt_busy = 0;
         let mut rt_resident = 0;
         let mut rt_active_rays = 0;
+        let mut rt_chunks_fetched = 0;
         let mut rt_occupancy = Vec::new();
         for sm in &self.sms {
             counters.merge(&sm.stats);
@@ -892,6 +891,7 @@ impl GpuSim {
             rt_busy += rts.busy_cycles;
             rt_resident += rts.resident_warp_cycles;
             rt_active_rays += rts.active_ray_cycles;
+            rt_chunks_fetched += rts.counters.get("mem.issued");
             rt_occupancy.push(sm.rt_unit.occupancy_trace().to_vec());
         }
         let rt_ops = counters.get("ops.box_tests")
@@ -918,7 +918,7 @@ impl GpuSim {
             }
         }
         // Same convention: healthy, watchdog-off runs carry neither key.
-        counters.add("gpu.watchdog_armed", self.config.effective_watchdog());
+        counters.add("gpu.watchdog_armed", self.config.watchdog_cycles);
         counters.add("gpu.faults", self.faults);
         GpuStats {
             cycles: self.cycle,
@@ -945,11 +945,7 @@ impl GpuSim {
             rt_resident_warp_cycles: rt_resident,
             rt_occupancy,
             rt_ops,
-            rt_chunks_fetched: self
-                .sms
-                .iter()
-                .map(|s| s.rt_unit.stats().counters.get("mem.issued"))
-                .sum(),
+            rt_chunks_fetched,
         }
     }
 }

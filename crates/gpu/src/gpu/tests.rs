@@ -504,7 +504,6 @@ fn max_cycles_is_a_classified_error_not_a_panic() {
 
 #[test]
 fn pause_save_restore_resumes_bit_identically() {
-    std::env::remove_var("VKSIM_THREADS");
     let config = small_config();
     let dims = LaunchDims {
         width: 256,
@@ -582,8 +581,6 @@ fn restore_rejects_mismatched_sm_count() {
 
 #[test]
 fn threads_do_not_change_counters() {
-    // Force the thread counts under test regardless of VKSIM_THREADS.
-    std::env::remove_var("VKSIM_THREADS");
     let serial = run_trace_with_threads(1);
     let parallel = run_trace_with_threads(4);
     assert_eq!(serial.cycles, parallel.cycles);
@@ -670,7 +667,6 @@ fn run_prof_with_threads(threads: usize) -> String {
 
 #[test]
 fn accounting_breakdown_is_thread_count_invariant() {
-    std::env::remove_var("VKSIM_THREADS");
     let serial = run_prof_with_threads(1);
     let parallel = run_prof_with_threads(4);
     assert_eq!(serial, parallel, "breakdown must be byte-identical");
@@ -678,7 +674,6 @@ fn accounting_breakdown_is_thread_count_invariant() {
 
 #[test]
 fn accounting_survives_checkpoint_byte_identically() {
-    std::env::remove_var("VKSIM_THREADS");
     let config = accounting_config();
     let dims = LaunchDims {
         width: 256,
@@ -849,7 +844,6 @@ fn run_rt_with_threads(threads: usize) -> String {
 
 #[test]
 fn rt_analytics_is_thread_count_invariant() {
-    std::env::remove_var("VKSIM_THREADS");
     let serial = run_rt_with_threads(1);
     let parallel = run_rt_with_threads(4);
     assert_eq!(serial, parallel, "rt analytics must be identical");
@@ -857,7 +851,6 @@ fn rt_analytics_is_thread_count_invariant() {
 
 #[test]
 fn rt_analytics_survives_checkpoint_byte_identically() {
-    std::env::remove_var("VKSIM_THREADS");
     let config = rt_config();
     let dims = LaunchDims {
         width: 256,

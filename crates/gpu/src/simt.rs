@@ -93,16 +93,12 @@ impl SimtStack {
         }
     }
 
-    fn contexts(&self) -> Vec<Ctx> {
-        if self.mask == 0 {
-            Vec::new()
-        } else {
-            vec![Ctx {
-                id: 0,
-                pc: self.pc,
-                mask: self.mask,
-            }]
-        }
+    fn context(&self) -> Option<Ctx> {
+        (self.mask != 0).then_some(Ctx {
+            id: 0,
+            pc: self.pc,
+            mask: self.mask,
+        })
     }
 
     fn apply(&mut self, outcome: CtxOutcome) -> ApplyInfo {
@@ -253,17 +249,6 @@ impl Multipath {
             exited: 0,
             next_id: 1,
         }
-    }
-
-    fn contexts(&self) -> Vec<Ctx> {
-        self.splits
-            .iter()
-            .map(|s| Ctx {
-                id: s.id,
-                pc: s.pc,
-                mask: s.mask,
-            })
-            .collect()
     }
 
     fn split_index(&self, id: u32) -> Option<usize> {
@@ -419,12 +404,23 @@ impl SimtEngine {
         SimtEngine::Multipath(Multipath::new(mask))
     }
 
-    /// All currently runnable contexts (stack mode: at most one).
-    pub fn contexts(&self) -> Vec<Ctx> {
-        match self {
-            SimtEngine::Stack(s) => s.contexts(),
-            SimtEngine::Multipath(m) => m.contexts(),
-        }
+    /// All currently runnable contexts (stack mode: at most one), in
+    /// split-table order. Borrows the engine; nothing is allocated.
+    pub fn contexts(&self) -> impl Iterator<Item = Ctx> + '_ {
+        let (stack, splits) = match self {
+            SimtEngine::Stack(s) => (s.context(), &[][..]),
+            SimtEngine::Multipath(m) => (None, &m.splits[..]),
+        };
+        stack.into_iter().chain(splits.iter().map(|s| Ctx {
+            id: s.id,
+            pc: s.pc,
+            mask: s.mask,
+        }))
+    }
+
+    /// The runnable context with this id, if it is still live.
+    pub fn context(&self, id: u32) -> Option<Ctx> {
+        self.contexts().find(|c| c.id == id)
     }
 
     /// Applies an executed instruction's control-flow outcome to context
@@ -485,6 +481,11 @@ impl Snap for SimtEngine {
 mod tests {
     use super::*;
 
+    /// The runnable contexts as a `Vec`, for indexing and counting.
+    fn live(e: &SimtEngine) -> Vec<Ctx> {
+        e.contexts().collect()
+    }
+
     /// Drives an engine through an if/else pattern:
     /// ```text
     /// 0: ssy 5
@@ -501,7 +502,7 @@ mod tests {
         while !engine.done() {
             guard += 1;
             assert!(guard < 100, "engine did not converge");
-            let ctxs = engine.contexts();
+            let ctxs = live(engine);
             let Some(c) = ctxs.first().copied() else {
                 break;
             };
@@ -572,7 +573,7 @@ mod tests {
             while e.mid_divergence() {
                 guard += 1;
                 assert!(guard < 50);
-                let c = e.contexts()[0];
+                let c = live(&e)[0];
                 if c.pc == 4 {
                     e.apply(c.id, CtxOutcome::Sync);
                 } else {
@@ -585,7 +586,7 @@ mod tests {
                     );
                 }
             }
-            assert_eq!(e.contexts()[0].mask, 0b1111);
+            assert_eq!(live(&e)[0].mask, 0b1111);
         }
     }
 
@@ -594,7 +595,7 @@ mod tests {
         let mut e = SimtEngine::stack(FULL_MASK);
         // pc0: ssy 3; pc1: branch all-taken to 3... then sync, exit.
         e.apply(0, CtxOutcome::Ssy { reconv: 3 });
-        let c = e.contexts()[0];
+        let c = live(&e)[0];
         assert_eq!(c.pc, 1);
         e.apply(
             0,
@@ -603,11 +604,11 @@ mod tests {
                 taken: FULL_MASK,
             },
         );
-        let c = e.contexts()[0];
+        let c = live(&e)[0];
         assert_eq!(c.pc, 3);
         assert_eq!(c.mask, FULL_MASK);
         e.apply(0, CtxOutcome::Sync);
-        assert_eq!(e.contexts()[0].pc, 4);
+        assert_eq!(live(&e)[0].pc, 4);
         e.apply(0, CtxOutcome::Exit);
         assert!(e.done());
     }
@@ -633,7 +634,7 @@ mod tests {
             while !e.done() && reconverged == 0 {
                 guard += 1;
                 assert!(guard < 50);
-                let c = e.contexts()[0];
+                let c = live(&e)[0];
                 let info = match c.pc {
                     4 => e.apply(c.id, CtxOutcome::Sync),
                     _ => e.apply(
@@ -653,7 +654,7 @@ mod tests {
                 }
             }
             assert_eq!(reconverged, 1);
-            assert_eq!(e.contexts()[0].mask, 0b1111);
+            assert_eq!(live(&e)[0].mask, 0b1111);
         }
     }
 
@@ -671,7 +672,7 @@ mod tests {
             },
         );
         // Current = fall-through lanes 2,3 at pc 2.
-        let c = e.contexts()[0];
+        let c = live(&e)[0];
         assert_eq!((c.pc, c.mask), (2, 0b1100));
         // They run to the sync.
         e.apply(
@@ -682,11 +683,11 @@ mod tests {
             },
         );
         e.apply(0, CtxOutcome::Sync); // pops the split (lanes 0,1 at pc 5)
-        let c = e.contexts()[0];
+        let c = live(&e)[0];
         assert_eq!((c.pc, c.mask), (5, 0b0011));
         e.apply(0, CtxOutcome::Exit); // those lanes exit
                                       // Unwind pops the join; remaining lanes resume after the sync.
-        let c = e.contexts()[0];
+        let c = live(&e)[0];
         assert_eq!((c.pc, c.mask), (11, 0b1100));
         e.apply(0, CtxOutcome::Exit);
         assert!(e.done());
@@ -715,7 +716,7 @@ mod tests {
                 taken: 0xFFFF,
             },
         );
-        let ctxs = e.contexts();
+        let ctxs = live(&e);
         assert_eq!(ctxs.len(), 2, "ITS: both sides schedulable");
         let masks: Mask = ctxs.iter().map(|c| c.mask).sum();
         assert_eq!(masks, FULL_MASK);
@@ -729,7 +730,7 @@ mod tests {
                 taken: 0xFFFF,
             },
         );
-        assert_eq!(s.contexts().len(), 1);
+        assert_eq!(live(&s).len(), 1);
     }
 
     #[test]
@@ -743,7 +744,7 @@ mod tests {
                 taken: 0b01,
             },
         );
-        let ctxs = e.contexts();
+        let ctxs = live(&e);
         assert_eq!(ctxs.len(), 2);
         // First split syncs: join not yet complete.
         let first = ctxs[0];
@@ -751,18 +752,18 @@ mod tests {
         let mut c = first;
         while c.pc != 4 {
             e.apply(c.id, CtxOutcome::Fallthrough);
-            c = *e.contexts().iter().find(|x| x.id == c.id).unwrap();
+            c = e.context(c.id).unwrap();
         }
         e.apply(c.id, CtxOutcome::Sync);
-        assert_eq!(e.contexts().len(), 1, "other split still running");
+        assert_eq!(live(&e).len(), 1, "other split still running");
         // Second split arrives.
-        let mut c = e.contexts()[0];
+        let mut c = live(&e)[0];
         while c.pc != 4 {
             e.apply(c.id, CtxOutcome::Fallthrough);
-            c = *e.contexts().iter().find(|x| x.id == c.id).unwrap();
+            c = e.context(c.id).unwrap();
         }
         e.apply(c.id, CtxOutcome::Sync);
-        let merged = e.contexts();
+        let merged = live(&e);
         assert_eq!(merged.len(), 1);
         assert_eq!(merged[0].mask, 0b11);
         assert_eq!(merged[0].pc, 5);
@@ -780,17 +781,17 @@ mod tests {
             },
         );
         // Taken split exits instead of syncing.
-        let taken = *e.contexts().iter().find(|c| c.mask == 0b01).unwrap();
+        let taken = *live(&e).iter().find(|c| c.mask == 0b01).unwrap();
         e.apply(taken.id, CtxOutcome::Exit);
         // The other split syncs; join must complete with just its lanes.
-        let other = *e.contexts().iter().find(|c| c.mask == 0b10).unwrap();
+        let other = *live(&e).iter().find(|c| c.mask == 0b10).unwrap();
         let mut c = other;
         while c.pc != 4 {
             e.apply(c.id, CtxOutcome::Fallthrough);
-            c = *e.contexts().iter().find(|x| x.id == c.id).unwrap();
+            c = e.context(c.id).unwrap();
         }
         e.apply(c.id, CtxOutcome::Sync);
-        let merged = e.contexts();
+        let merged = live(&e);
         assert_eq!(merged.len(), 1);
         assert_eq!(merged[0].mask, 0b10);
         e.apply(merged[0].id, CtxOutcome::Exit);
@@ -810,7 +811,7 @@ mod tests {
             },
         );
         // Current: lanes 0,1 at pc 2 (fall-through).
-        assert_eq!(e.contexts()[0].mask, 0b0011);
+        assert_eq!(live(&e)[0].mask, 0b0011);
         e.apply(0, CtxOutcome::Ssy { reconv: 8 }); // inner join at 8
         e.apply(
             0,
@@ -819,7 +820,7 @@ mod tests {
                 taken: 0b0001,
             },
         );
-        assert_eq!(e.contexts()[0].mask, 0b0010);
+        assert_eq!(live(&e)[0].mask, 0b0010);
         // Fall-through lane reaches inner sync.
         e.apply(
             0,
@@ -829,7 +830,7 @@ mod tests {
             },
         );
         e.apply(0, CtxOutcome::Sync); // pops inner split (lane 0 at 6)
-        assert_eq!((e.contexts()[0].pc, e.contexts()[0].mask), (6, 0b0001));
+        assert_eq!((live(&e)[0].pc, live(&e)[0].mask), (6, 0b0001));
         e.apply(
             0,
             CtxOutcome::Branch {
@@ -838,7 +839,7 @@ mod tests {
             },
         );
         e.apply(0, CtxOutcome::Sync); // pops inner join -> lanes 0,1 at 9
-        assert_eq!((e.contexts()[0].pc, e.contexts()[0].mask), (9, 0b0011));
+        assert_eq!((live(&e)[0].pc, live(&e)[0].mask), (9, 0b0011));
         // They run to outer sync at 20.
         e.apply(
             0,
@@ -848,7 +849,7 @@ mod tests {
             },
         );
         e.apply(0, CtxOutcome::Sync); // pops outer split (lanes 2,3 at 10)
-        assert_eq!((e.contexts()[0].pc, e.contexts()[0].mask), (10, 0b1100));
+        assert_eq!((live(&e)[0].pc, live(&e)[0].mask), (10, 0b1100));
         e.apply(
             0,
             CtxOutcome::Branch {
@@ -857,7 +858,7 @@ mod tests {
             },
         );
         e.apply(0, CtxOutcome::Sync); // pops outer join -> all lanes at 21
-        assert_eq!((e.contexts()[0].pc, e.contexts()[0].mask), (21, 0b1111));
+        assert_eq!((live(&e)[0].pc, live(&e)[0].mask), (21, 0b1111));
     }
 
     #[test]
@@ -870,10 +871,10 @@ mod tests {
         loop {
             iterations += 1;
             assert!(iterations < 20);
-            let c = e.contexts()[0];
+            let c = live(&e)[0];
             if c.pc == 9 {
                 e.apply(0, CtxOutcome::Sync);
-                let c2 = e.contexts();
+                let c2 = live(&e);
                 if c2.is_empty() || c2[0].pc == 10 {
                     break;
                 }
@@ -891,7 +892,7 @@ mod tests {
                     taken: leaving,
                 },
             );
-            let c = e.contexts();
+            let c = live(&e);
             if c.is_empty() {
                 break;
             }
@@ -908,7 +909,7 @@ mod tests {
                 },
             );
         }
-        let c = e.contexts();
+        let c = live(&e);
         assert_eq!(c.len(), 1);
         assert_eq!(c[0].mask, 0b111, "all lanes reconverged after the loop");
         assert_eq!(c[0].pc, 10);
@@ -999,7 +1000,7 @@ mod tests {
                 if steps > 10_000 {
                     return Err("engine did not terminate within 10k steps".into());
                 }
-                let ctxs = engine.contexts();
+                let ctxs = live(&engine);
                 if ctxs.is_empty() {
                     return Err("no runnable context but engine not done".into());
                 }

@@ -8,7 +8,7 @@
 //! (warp handed to the RT unit).
 
 use crate::config::{DivergenceMode, GpuConfig};
-use crate::simt::{CtxOutcome, Mask, SimtEngine};
+use crate::simt::{Ctx, CtxOutcome, Mask, SimtEngine};
 use crate::{ScriptSource, WARP_SIZE};
 use std::collections::{BTreeMap, HashMap};
 use vksim_fault::SimError;
@@ -43,7 +43,23 @@ vksim_snapshot::snap_struct!(CtxState {
     pending_rt_job
 });
 
-#[derive(Clone, Debug, Default, PartialEq)]
+impl CtxState {
+    /// Resolves `n` outstanding chunks; `true` when they were the last, and
+    /// the context resumes at `ready_at`.
+    fn chunks_done(&mut self, n: u32, ready_at: u64) -> bool {
+        let CtxStatus::WaitMem { outstanding } = &mut self.status else {
+            return false;
+        };
+        *outstanding = outstanding.saturating_sub(n);
+        if *outstanding > 0 || !self.retry_chunks.is_empty() {
+            return false;
+        }
+        self.status = CtxStatus::OpUntil(ready_at);
+        true
+    }
+}
+
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 enum CtxStatus {
     #[default]
     Ready,
@@ -57,21 +73,26 @@ enum CtxStatus {
     InRt,
 }
 
-// Status codes match the post-mortem encoding in `Sm::post_mortem`.
+impl CtxStatus {
+    // The snapshot tag, which is also the post-mortem status code.
+    fn code(self) -> u8 {
+        match self {
+            CtxStatus::Ready => 0,
+            CtxStatus::OpUntil(_) => 1,
+            CtxStatus::WaitMem { .. } => 2,
+            CtxStatus::RtPending => 3,
+            CtxStatus::InRt => 4,
+        }
+    }
+}
+
 impl Snap for CtxStatus {
     fn save(&self, e: &mut Enc) {
+        e.u8(self.code());
         match *self {
-            CtxStatus::Ready => e.u8(0),
-            CtxStatus::OpUntil(t) => {
-                e.u8(1);
-                e.u64(t);
-            }
-            CtxStatus::WaitMem { outstanding } => {
-                e.u8(2);
-                e.u32(outstanding);
-            }
-            CtxStatus::RtPending => e.u8(3),
-            CtxStatus::InRt => e.u8(4),
+            CtxStatus::OpUntil(t) => e.u64(t),
+            CtxStatus::WaitMem { outstanding } => e.u32(outstanding),
+            _ => {}
         }
     }
 
@@ -98,7 +119,10 @@ pub struct Warp {
     pub base_tid: usize,
     threads: Vec<ThreadState>,
     engine: SimtEngine,
-    ctx_state: HashMap<u32, CtxState>,
+    // Scheduling state per context, sorted by context id so that every walk
+    // is in id order; a context without an entry is `Ready`. Entries
+    // outlive their context (ids are never reused).
+    ctx_state: Vec<(u32, CtxState)>,
 }
 
 impl Warp {
@@ -127,7 +151,7 @@ impl Warp {
             base_tid,
             threads,
             engine,
-            ctx_state: HashMap::new(),
+            ctx_state: Vec::new(),
         }
     }
 
@@ -135,8 +159,37 @@ impl Warp {
         self.engine.done()
             && self
                 .ctx_state
-                .values()
-                .all(|c| c.status == CtxStatus::Ready || matches!(c.status, CtxStatus::OpUntil(_)))
+                .iter()
+                .all(|(_, c)| matches!(c.status, CtxStatus::Ready | CtxStatus::OpUntil(_)))
+    }
+
+    // Where `ctx`'s entry is, or where it would be inserted.
+    fn slot(&self, ctx: u32) -> Result<usize, usize> {
+        self.ctx_state.binary_search_by_key(&ctx, |(id, _)| *id)
+    }
+
+    fn status(&self, ctx: u32) -> CtxStatus {
+        self.slot(ctx)
+            .map_or(CtxStatus::Ready, |i| self.ctx_state[i].1.status)
+    }
+
+    fn state_mut(&mut self, ctx: u32) -> &mut CtxState {
+        let i = self.slot(ctx).unwrap_or_else(|i| {
+            self.ctx_state.insert(i, (ctx, CtxState::default()));
+            i
+        });
+        &mut self.ctx_state[i].1
+    }
+
+    /// The lowest-id context that can issue at `now`: the one copy of the
+    /// rule the scheduler, the stall classifier and the watchdog share.
+    fn issuable_ctx(&self, now: u64) -> Option<u32> {
+        let ready = |c: &Ctx| match self.status(c.id) {
+            CtxStatus::Ready => true,
+            CtxStatus::OpUntil(t) => t <= now,
+            _ => false,
+        };
+        self.engine.contexts().filter(ready).map(|c| c.id).min()
     }
 }
 
@@ -202,6 +255,134 @@ impl Snap for CacheSel {
             1 => Ok(CacheSel::Rtc),
             t => Err(SnapError::bad_tag::<Self>(t)),
         }
+    }
+}
+
+/// The SM's memory port: its caches, miss bookkeeping and request-id
+/// counter, borrowed together with the cycle's sink. Shader loads and
+/// stores and the RT unit ([`RtMem`]) all go through it.
+struct SmPort<'a> {
+    l1: &'a mut Cache,
+    rtc: Option<&'a mut Cache>,
+    sink: &'a mut dyn MemSink,
+    waiting_lines: &'a mut HashMap<(CacheSel, u64), Vec<Waiter>>,
+    inflight: &'a mut HashMap<u64, (CacheSel, u64)>,
+    next_req: &'a mut u64,
+    sm_id: usize,
+    perfect_bvh: bool,
+    num_partitions: u32,
+    tracer: Option<&'a mut SmTracer>,
+}
+
+// Borrows the port's fields out of an `Sm`, leaving `warps`, `rt_unit` and
+// the counters free for the caller.
+macro_rules! port {
+    ($sm:ident, $sink:expr) => {
+        SmPort {
+            l1: &mut $sm.l1,
+            rtc: $sm.rtc.as_mut(),
+            sink: $sink,
+            waiting_lines: &mut $sm.waiting_lines,
+            inflight: &mut $sm.inflight,
+            next_req: &mut $sm.next_req,
+            sm_id: $sm.id,
+            perfect_bvh: $sm.perfect_bvh,
+            num_partitions: $sm.num_partitions,
+            tracer: $sm.tracer.as_deref_mut(),
+        }
+    };
+}
+
+impl SmPort<'_> {
+    fn alloc_req_id(&mut self) -> u64 {
+        *self.next_req += 1;
+        ((self.sm_id as u64) << 48) | *self.next_req
+    }
+
+    /// One cached load: RT-unit accesses go to the RT cache when there is
+    /// one, everything else to the L1. A miss parks its waiter on the line —
+    /// `Some((warp, ctx))` for a shader context, `None` for the RT unit,
+    /// which is woken through the returned token — and a miss to memory
+    /// also sends the request down. The token is the request's own id, or a
+    /// fresh id when the miss merged.
+    fn load(
+        &mut self,
+        addr: u64,
+        kind: AccessKind,
+        waiter: Option<(u32, u32)>,
+        now: u64,
+    ) -> (CacheOutcome, u64) {
+        let (sel, cache) = match self.rtc.as_deref_mut() {
+            Some(rtc) if kind == AccessKind::RtUnit => (CacheSel::Rtc, rtc),
+            _ => (CacheSel::L1, &mut *self.l1),
+        };
+        let line = cache.line_of(addr);
+        let outcome = cache.access(addr, kind, now);
+        let to_memory = outcome == CacheOutcome::MissToMemory;
+        if !to_memory && outcome != CacheOutcome::MissMerged {
+            return (outcome, 0);
+        }
+        let id = if to_memory || waiter.is_none() {
+            self.alloc_req_id()
+        } else {
+            0 // a merged shader miss is woken by name and sends nothing
+        };
+        let (warp, waiter) = match waiter {
+            Some((warp, ctx)) => (warp, Waiter::WarpCtx { warp, ctx }),
+            None => (NO_WARP, Waiter::RtToken(id)),
+        };
+        self.waiting_lines
+            .entry((sel, line))
+            .or_default()
+            .push(waiter);
+        if to_memory {
+            self.inflight.insert(id, (sel, line));
+            let req = MemRequest {
+                id,
+                addr,
+                kind,
+                is_store: false,
+            };
+            self.sink.submit(req, now);
+            if let Some(tr) = self.tracer.as_deref_mut() {
+                let partition = partition_of(line, self.num_partitions);
+                tr.record(now, warp, EventKind::MshrAlloc { line, partition });
+            }
+        }
+        (outcome, id)
+    }
+
+    /// Write-through store traffic; no completion is tracked.
+    fn store(&mut self, addr: u64, now: u64) {
+        let req = MemRequest {
+            id: self.alloc_req_id(),
+            addr,
+            kind: AccessKind::ShaderStore,
+            is_store: true,
+        };
+        self.sink.submit(req, now);
+    }
+}
+
+impl RtMem for SmPort<'_> {
+    fn load_chunk(&mut self, addr: u64, now: u64) -> RtMemResult {
+        if self.perfect_bvh {
+            return RtMemResult::Ready { at: now + 1 };
+        }
+        match self.load(addr, AccessKind::RtUnit, None, now) {
+            (CacheOutcome::Hit, _) => {
+                let cache = self.rtc.as_deref().unwrap_or(self.l1);
+                RtMemResult::Ready {
+                    at: now + cache.hit_latency() as u64,
+                }
+            }
+            (CacheOutcome::ReservationFail, _) => RtMemResult::Retry,
+            (_, token) => RtMemResult::Pending { token },
+        }
+    }
+
+    fn store_chunk(&mut self, addr: u64, now: u64) {
+        self.store(addr, now);
     }
 }
 
@@ -362,9 +543,8 @@ impl Sm {
             .push(Warp::new(id, base_tid, active, program, self.divergence));
     }
 
-    fn alloc_req_id(&mut self) -> u64 {
-        self.next_req += 1;
-        ((self.id as u64) << 48) | self.next_req
+    fn warp_index(&self, id: u32) -> Option<usize> {
+        self.warps.iter().position(|w| w.id == id)
     }
 
     /// Routes a completed backend request (id was allocated by this SM).
@@ -390,16 +570,12 @@ impl Sm {
             for w in waiters {
                 match w {
                     Waiter::WarpCtx { warp, ctx } => {
-                        if let Some(wp) = self.warps.iter_mut().find(|w| w.id == warp) {
-                            let st = wp.ctx_state.entry(ctx).or_default();
-                            if let CtxStatus::WaitMem { outstanding } = &mut st.status {
-                                *outstanding = outstanding.saturating_sub(1);
-                                if *outstanding == 0 && st.retry_chunks.is_empty() {
-                                    st.status = CtxStatus::OpUntil(at);
-                                    if let Some(tr) = self.tracer.as_mut() {
-                                        tr.stall_end(at, warp);
-                                    }
-                                }
+                        let Some(i) = self.warp_index(warp) else {
+                            continue;
+                        };
+                        if self.warps[i].state_mut(ctx).chunks_done(1, at) {
+                            if let Some(tr) = self.tracer.as_mut() {
+                                tr.stall_end(at, warp);
                             }
                         }
                     }
@@ -498,19 +674,7 @@ impl Sm {
     }
 
     fn tick_rt_unit(&mut self, now: u64, sink: &mut dyn MemSink) -> bool {
-        let mut port = SmRtPort {
-            l1: &mut self.l1,
-            rtc: self.rtc.as_mut(),
-            sink,
-            waiting_lines: &mut self.waiting_lines,
-            inflight: &mut self.inflight,
-            next_req: &mut self.next_req,
-            sm_id: self.id,
-            perfect_bvh: self.perfect_bvh,
-            num_partitions: self.num_partitions,
-            tracer: self.tracer.as_deref_mut(),
-        };
-        let done = self.rt_unit.tick(now, &mut port);
+        let done = self.rt_unit.tick(now, &mut port!(self, sink));
         let finished = !done.is_empty();
         // Translate the RT unit's job-keyed events into warp-keyed trace
         // events *before* done jobs drop out of the map below.
@@ -529,106 +693,53 @@ impl Sm {
         }
         for d in done {
             if let Some((warp, ctx)) = self.rt_job_map.remove(&d.warp_id) {
-                if let Some(w) = self.warps.iter_mut().find(|w| w.id == warp) {
-                    w.ctx_state.entry(ctx).or_default().status = CtxStatus::Ready;
+                if let Some(i) = self.warp_index(warp) {
+                    self.warps[i].state_mut(ctx).status = CtxStatus::Ready;
                 }
             }
         }
         finished
     }
 
+    /// Re-offers what an earlier cycle could not place, walking warps in
+    /// resident order and their contexts in id order.
     fn retry_stalled(&mut self, now: u64, sink: &mut dyn MemSink) {
-        // RT warp-buffer retries: admit stalled jobs while capacity lasts.
-        let mut slots = self
-            .rt_unit
-            .config()
-            .max_warps
-            .saturating_sub(self.rt_unit.resident_warps());
-        let mut enqueues: Vec<(u32, u32, WarpJob)> = Vec::new();
-        'outer: for w in &mut self.warps {
-            for (&ctx, st) in w.ctx_state.iter_mut() {
-                if slots == 0 {
-                    break 'outer;
+        // RT warp-buffer retries: admit held jobs while capacity lasts.
+        'admit: for w in &mut self.warps {
+            for (ctx, st) in &mut w.ctx_state {
+                if !self.rt_unit.has_capacity() {
+                    break 'admit;
                 }
-                if st.status == CtxStatus::RtPending && st.pending_rt_job.is_some() {
-                    let job = st.pending_rt_job.take().expect("checked");
+                if let Some(job) = st.pending_rt_job.take() {
+                    self.rt_job_map.insert(job.warp_id, (w.id, *ctx));
+                    let admitted = self.rt_unit.try_enqueue(job, now);
+                    debug_assert!(admitted, "capacity checked");
                     st.status = CtxStatus::InRt;
-                    slots -= 1;
-                    enqueues.push((w.id, ctx, job));
                 }
-            }
-        }
-        for (warp, ctx, job) in enqueues {
-            let job_id = job.warp_id;
-            if self.rt_unit.try_enqueue(job, now) {
-                self.rt_job_map.insert(job_id, (warp, ctx));
-            } else {
-                // Capacity raced away (shouldn't in a single-threaded
-                // model); count it and leave the ctx stuck for diagnosis.
-                self.stats.inc("rt.enqueue_race");
             }
         }
 
-        // Memory chunk retries (L1 MSHR was full).
-        let mut retries: Vec<(u32, u32, u64)> = Vec::new();
-        for w in &self.warps {
-            for (&ctx, st) in &w.ctx_state {
-                for &chunk in &st.retry_chunks {
-                    retries.push((w.id, ctx, chunk));
+        // Memory chunk retries (L1 MSHR was full). A chunk that now misses
+        // stays counted in `outstanding` until its fill; one that hits is
+        // resolved here.
+        let mut port = port!(self, sink);
+        let hit_at = now + port.l1.hit_latency() as u64;
+        for w in &mut self.warps {
+            for (ctx, st) in &mut w.ctx_state {
+                if st.retry_chunks.is_empty() {
+                    continue;
                 }
-            }
-        }
-        for (warp, ctx, chunk) in retries {
-            let outcome = self.l1.access(chunk, AccessKind::ShaderLoad, now);
-            let line = self.l1.line_of(chunk);
-            let resolved = match outcome {
-                CacheOutcome::Hit => Some(None),
-                CacheOutcome::MissToMemory => {
-                    let id = self.alloc_req_id();
-                    self.inflight.insert(id, (CacheSel::L1, line));
-                    sink.submit(
-                        MemRequest {
-                            id,
-                            addr: chunk,
-                            kind: AccessKind::ShaderLoad,
-                            is_store: false,
-                        },
-                        now,
-                    );
-                    if let Some(tr) = self.tracer.as_mut() {
-                        let partition = partition_of(line, self.num_partitions);
-                        tr.record(now, warp, EventKind::MshrAlloc { line, partition });
+                let mut hits = 0;
+                st.retry_chunks.retain(|&chunk| {
+                    let waiter = Some((w.id, *ctx));
+                    let (outcome, _) = port.load(chunk, AccessKind::ShaderLoad, waiter, now);
+                    hits += u32::from(outcome == CacheOutcome::Hit);
+                    outcome == CacheOutcome::ReservationFail
+                });
+                if st.chunks_done(hits, hit_at) {
+                    if let Some(tr) = port.tracer.as_deref_mut() {
+                        tr.stall_end(now, w.id);
                     }
-                    Some(Some(Waiter::WarpCtx { warp, ctx }))
-                }
-                CacheOutcome::MissMerged => Some(Some(Waiter::WarpCtx { warp, ctx })),
-                CacheOutcome::ReservationFail => None,
-            };
-            let Some(waiter) = resolved else { continue };
-            if let Some(wtr) = waiter {
-                self.waiting_lines
-                    .entry((CacheSel::L1, line))
-                    .or_default()
-                    .push(wtr);
-            }
-            if let Some(w) = self.warps.iter_mut().find(|w| w.id == warp) {
-                let st = w.ctx_state.entry(ctx).or_default();
-                st.retry_chunks.retain(|&c| c != chunk);
-                match (&mut st.status, waiter.is_some()) {
-                    (CtxStatus::WaitMem { outstanding }, true) => {
-                        // Already counted in outstanding.
-                        let _ = outstanding;
-                    }
-                    (CtxStatus::WaitMem { outstanding }, false) => {
-                        *outstanding = outstanding.saturating_sub(1);
-                        if *outstanding == 0 && st.retry_chunks.is_empty() {
-                            st.status = CtxStatus::OpUntil(now + self.l1.hit_latency() as u64);
-                            if let Some(tr) = self.tracer.as_mut() {
-                                tr.stall_end(now, warp);
-                            }
-                        }
-                    }
-                    _ => {}
                 }
             }
         }
@@ -650,26 +761,15 @@ impl Sm {
         let mut any_rt = false;
         let mut any_simt = false;
         for w in &self.warps {
-            let issuable = w.engine.contexts().iter().any(|c| {
-                match w.ctx_state.get(&c.id).map(|s| &s.status) {
-                    None | Some(CtxStatus::Ready) => true,
-                    Some(CtxStatus::OpUntil(t)) => *t <= now,
-                    _ => false,
-                }
-            });
-            if issuable {
-                eligible += 1;
-            }
-            for st in w.ctx_state.values() {
+            eligible += u64::from(w.issuable_ctx(now).is_some());
+            for (_, st) in &w.ctx_state {
                 match st.status {
                     CtxStatus::WaitMem { .. } => any_mem = true,
                     CtxStatus::RtPending | CtxStatus::InRt => any_rt = true,
                     _ => {}
                 }
             }
-            if w.engine.mid_divergence() {
-                any_simt = true;
-            }
+            any_simt |= w.engine.mid_divergence();
         }
         let cat = if icnt_blocked {
             CycleCategory::IcntStall
@@ -687,60 +787,24 @@ impl Sm {
         (cat, resident, eligible)
     }
 
-    /// GTO pick: (warp index, ctx id).
+    /// GTO pick: (warp index, ctx id). Greedy: stick to the last-issued
+    /// warp; then oldest (resident order is launch order).
     fn pick(&mut self, now: u64) -> Option<(usize, u32)> {
-        let issuable_ctx = |w: &Warp| -> Option<u32> {
-            w.engine
-                .contexts()
-                .iter()
-                .filter(|c| {
-                    let st = w.ctx_state.get(&c.id);
-                    match st.map(|s| &s.status) {
-                        None | Some(CtxStatus::Ready) => true,
-                        Some(CtxStatus::OpUntil(t)) => *t <= now,
-                        _ => false,
-                    }
-                })
-                .map(|c| c.id)
-                .min()
-        };
-        // Greedy: stick to the last-issued warp.
-        if let Some(last) = self.last_warp {
-            if Some(last) != self.stall_warp {
-                if let Some(idx) = self.warps.iter().position(|w| w.id == last) {
-                    if let Some(ctx) = issuable_ctx(&self.warps[idx]) {
-                        return Some((idx, ctx));
-                    }
-                }
-            }
-        }
-        // Then oldest (resident order is launch order).
-        for (idx, w) in self.warps.iter().enumerate() {
-            if Some(w.id) == self.stall_warp {
-                continue;
-            }
-            if let Some(ctx) = issuable_ctx(w) {
-                self.last_warp = Some(w.id);
-                return Some((idx, ctx));
-            }
-        }
-        None
+        let greedy = self.last_warp.and_then(|id| self.warp_index(id));
+        let (idx, ctx) = greedy
+            .into_iter()
+            .chain(0..self.warps.len())
+            .filter(|&i| Some(self.warps[i].id) != self.stall_warp)
+            .find_map(|i| Some((i, self.warps[i].issuable_ctx(now)?)))?;
+        self.last_warp = Some(self.warps[idx].id);
+        Some((idx, ctx))
     }
 
     /// `true` when some SIMT context could issue at `now`. Used by the
     /// watchdog to tell a scheduler livelock (schedulable work exists but
     /// nothing issues) from blocked-on-memory states.
     pub fn has_issuable_ctx(&self, now: u64) -> bool {
-        self.warps.iter().any(|w| {
-            w.engine.contexts().iter().any(|c| {
-                let st = w.ctx_state.get(&c.id);
-                match st.map(|s| &s.status) {
-                    None | Some(CtxStatus::Ready) => true,
-                    Some(CtxStatus::OpUntil(t)) => *t <= now,
-                    _ => false,
-                }
-            })
-        })
+        self.warps.iter().any(|w| w.issuable_ctx(now).is_some())
     }
 
     /// Records this SM's scheduler and memory state into a flat post-mortem
@@ -775,14 +839,7 @@ impl Sm {
                 let cp = format!("{p}.warp{}.ctx{}", w.id, c.id);
                 snap.insert(format!("{cp}.pc"), c.pc as u64);
                 snap.insert(format!("{cp}.mask"), c.mask as u64);
-                let code = match w.ctx_state.get(&c.id).map(|s| &s.status) {
-                    None | Some(CtxStatus::Ready) => 0,
-                    Some(CtxStatus::OpUntil(_)) => 1,
-                    Some(CtxStatus::WaitMem { .. }) => 2,
-                    Some(CtxStatus::RtPending) => 3,
-                    Some(CtxStatus::InRt) => 4,
-                };
-                snap.insert(format!("{cp}.status"), code);
+                snap.insert(format!("{cp}.status"), w.status(c.id).code().into());
             }
         }
         // Flight recorder: the last trace events before the failure, flat
@@ -812,11 +869,9 @@ impl Sm {
         hooks: &mut dyn GpuHooks,
     ) -> Result<(), Box<SimError>> {
         let warp = &mut self.warps[warp_idx];
-        let Some(ctx) = warp.engine.contexts().into_iter().find(|c| c.id == ctx_id) else {
+        let Some(Ctx { pc, mask, .. }) = warp.engine.context(ctx_id) else {
             return Ok(());
         };
-        let pc = ctx.pc;
-        let mask = ctx.mask;
         if pc as usize >= program.len() {
             return Err(Box::new(SimError::Exec {
                 sm: self.id,
@@ -856,66 +911,37 @@ impl Sm {
             return Ok(());
         };
 
+        // Each arm steers the divergence engine and yields the context's
+        // next status.
         let warp_id = warp.id;
+        let mut flow = CtxOutcome::Fallthrough;
+        let mut status = CtxStatus::Ready;
         match first {
-            Effect::Alu | Effect::RtOther => {
-                warp.engine.apply(ctx_id, CtxOutcome::Fallthrough);
-                warp.ctx_state.entry(ctx_id).or_default().status = CtxStatus::Ready;
-            }
-            Effect::Sfu => {
-                warp.engine.apply(ctx_id, CtxOutcome::Fallthrough);
-                warp.ctx_state.entry(ctx_id).or_default().status =
-                    CtxStatus::OpUntil(now + self.sfu_latency as u64);
-            }
-            Effect::Ssy { reconv } => {
-                warp.engine.apply(ctx_id, CtxOutcome::Ssy { reconv });
-                warp.ctx_state.entry(ctx_id).or_default().status = CtxStatus::Ready;
-            }
-            Effect::Sync => {
-                let info = warp.engine.apply(ctx_id, CtxOutcome::Sync);
-                if info.reconverged {
-                    if let Some(tr) = self.tracer.as_mut() {
-                        tr.record(now, warp_id, EventKind::Reconverge { pc });
-                    }
-                }
-                warp.ctx_state.entry(ctx_id).or_default().status = CtxStatus::Ready;
-            }
+            Effect::Alu | Effect::RtOther => {}
+            Effect::Sfu => status = CtxStatus::OpUntil(now + self.sfu_latency as u64),
+            Effect::Ssy { reconv } => flow = CtxOutcome::Ssy { reconv },
+            Effect::Sync => flow = CtxOutcome::Sync,
             Effect::Exited => {
+                // The context is gone; it leaves no scheduling state behind.
                 warp.engine.apply(ctx_id, CtxOutcome::Exit);
+                return Ok(());
             }
             Effect::Branch { target, .. } => {
                 let mut taken: Mask = 0;
                 for &(lane, eff) in &lane_effects {
-                    if let Effect::Branch { taken: t, .. } = eff {
-                        if t {
-                            taken |= 1 << lane;
-                        }
+                    if let Effect::Branch { taken: true, .. } = eff {
+                        taken |= 1 << lane;
                     }
                 }
                 if taken != 0 && taken != mask {
                     self.stats.inc("divergent_branches");
                 }
-                let info = warp
-                    .engine
-                    .apply(ctx_id, CtxOutcome::Branch { target, taken });
-                if let Some(tr) = self.tracer.as_mut() {
-                    if info.diverged {
-                        tr.record(now, warp_id, EventKind::Diverge { pc });
-                    }
-                    if info.reconverged {
-                        tr.record(now, warp_id, EventKind::Reconverge { pc });
-                    }
-                }
-                warp.ctx_state.entry(ctx_id).or_default().status = CtxStatus::Ready;
+                flow = CtxOutcome::Branch { target, taken };
             }
             Effect::Mem {
                 space: MemSpace::Const,
                 ..
-            } => {
-                // Constant cache: single-cycle, no traffic modelled.
-                warp.engine.apply(ctx_id, CtxOutcome::Fallthrough);
-                warp.ctx_state.entry(ctx_id).or_default().status = CtxStatus::Ready;
-            }
+            } => {} // Constant cache: single-cycle, no traffic modelled.
             Effect::Mem { is_store, .. } => {
                 // Coalesce lane addresses into unique 32 B chunks.
                 let mut chunks: Vec<u64> = Vec::new();
@@ -929,85 +955,33 @@ impl Sm {
                     }
                 }
                 self.stats.add("mem.coalesced_chunks", chunks.len() as u64);
-                warp.engine.apply(ctx_id, CtxOutcome::Fallthrough);
+                let mut port = port!(self, sink);
                 if is_store {
                     // Write-through, no stall.
                     for c in chunks {
-                        self.l1.access(c, AccessKind::ShaderStore, now);
-                        let id = self.alloc_req_id();
-                        sink.submit(
-                            MemRequest {
-                                id,
-                                addr: c,
-                                kind: AccessKind::ShaderStore,
-                                is_store: true,
-                            },
-                            now,
-                        );
+                        port.l1.access(c, AccessKind::ShaderStore, now);
+                        port.store(c, now);
                     }
-                    self.warps[warp_idx]
-                        .ctx_state
-                        .entry(ctx_id)
-                        .or_default()
-                        .status = CtxStatus::Ready;
-                    return Ok(());
-                }
-                let mut outstanding = 0u32;
-                let mut retries: Vec<u64> = Vec::new();
-                for c in chunks {
-                    match self.l1.access(c, AccessKind::ShaderLoad, now) {
-                        CacheOutcome::Hit => {}
-                        CacheOutcome::MissToMemory => {
-                            outstanding += 1;
-                            let line = self.l1.line_of(c);
-                            let id = self.alloc_req_id();
-                            self.inflight.insert(id, (CacheSel::L1, line));
-                            self.waiting_lines
-                                .entry((CacheSel::L1, line))
-                                .or_default()
-                                .push(Waiter::WarpCtx {
-                                    warp: warp_id,
-                                    ctx: ctx_id,
-                                });
-                            sink.submit(
-                                MemRequest {
-                                    id,
-                                    addr: c,
-                                    kind: AccessKind::ShaderLoad,
-                                    is_store: false,
-                                },
-                                now,
-                            );
-                            if let Some(tr) = self.tracer.as_mut() {
-                                let partition = partition_of(line, self.num_partitions);
-                                tr.record(now, warp_id, EventKind::MshrAlloc { line, partition });
-                            }
-                        }
-                        CacheOutcome::MissMerged => {
-                            outstanding += 1;
-                            let line = self.l1.line_of(c);
-                            self.waiting_lines
-                                .entry((CacheSel::L1, line))
-                                .or_default()
-                                .push(Waiter::WarpCtx {
-                                    warp: warp_id,
-                                    ctx: ctx_id,
-                                });
-                        }
-                        CacheOutcome::ReservationFail => {
-                            outstanding += 1;
-                            retries.push(c);
-                        }
-                    }
-                }
-                let st = self.warps[warp_idx].ctx_state.entry(ctx_id).or_default();
-                if outstanding == 0 {
-                    st.status = CtxStatus::OpUntil(now + self.l1.hit_latency() as u64);
                 } else {
-                    st.status = CtxStatus::WaitMem { outstanding };
-                    st.retry_chunks = retries;
-                    if let Some(tr) = self.tracer.as_mut() {
-                        tr.stall_begin(now, warp_id);
+                    let mut outstanding = 0u32;
+                    let mut retries: Vec<u64> = Vec::new();
+                    for c in chunks {
+                        let waiter = Some((warp_id, ctx_id));
+                        match port.load(c, AccessKind::ShaderLoad, waiter, now).0 {
+                            CacheOutcome::Hit => continue,
+                            CacheOutcome::ReservationFail => retries.push(c),
+                            CacheOutcome::MissToMemory | CacheOutcome::MissMerged => {}
+                        }
+                        outstanding += 1;
+                    }
+                    if outstanding == 0 {
+                        status = CtxStatus::OpUntil(now + self.l1.hit_latency() as u64);
+                    } else {
+                        status = CtxStatus::WaitMem { outstanding };
+                        warp.state_mut(ctx_id).retry_chunks = retries;
+                        if let Some(tr) = self.tracer.as_mut() {
+                            tr.stall_begin(now, warp_id);
+                        }
                     }
                 }
             }
@@ -1015,8 +989,7 @@ impl Sm {
                 // Collect the recorded traversal scripts for active lanes.
                 let mut scripts = vec![Vec::new(); WARP_SIZE];
                 for &(lane, _) in &lane_effects {
-                    let tid = self.warps[warp_idx].base_tid + lane;
-                    scripts[lane] = hooks.take_script(tid);
+                    scripts[lane] = hooks.take_script(warp.base_tid + lane);
                 }
                 if let Some(rec) = self.rt_analytics.as_mut() {
                     // Lane `l` is active at step `s` while its script still
@@ -1030,28 +1003,34 @@ impl Sm {
                     );
                 }
                 self.next_rt_job += 1;
-                let job_id = self.next_rt_job;
                 let job = WarpJob {
-                    warp_id: job_id,
+                    warp_id: self.next_rt_job,
                     scripts,
                 };
                 self.stats.inc("rt.trace_warps");
-                let warp = &mut self.warps[warp_idx];
-                warp.engine.apply(ctx_id, CtxOutcome::Fallthrough);
                 if self.rt_unit.has_capacity() {
+                    self.rt_job_map.insert(job.warp_id, (warp_id, ctx_id));
                     let admitted = self.rt_unit.try_enqueue(job, now);
                     debug_assert!(admitted, "capacity checked");
-                    self.rt_job_map.insert(job_id, (warp_id, ctx_id));
-                    warp.ctx_state.entry(ctx_id).or_default().status = CtxStatus::InRt;
+                    status = CtxStatus::InRt;
                 } else {
                     // Warp buffer full: hold the job; retried each cycle.
                     self.stats.inc("rt.enqueue_stall");
-                    let st = warp.ctx_state.entry(ctx_id).or_default();
-                    st.status = CtxStatus::RtPending;
-                    st.pending_rt_job = Some(job);
+                    warp.state_mut(ctx_id).pending_rt_job = Some(job);
+                    status = CtxStatus::RtPending;
                 }
             }
         }
+        let info = warp.engine.apply(ctx_id, flow);
+        if let Some(tr) = self.tracer.as_mut() {
+            if info.diverged {
+                tr.record(now, warp_id, EventKind::Diverge { pc });
+            }
+            if info.reconverged {
+                tr.record(now, warp_id, EventKind::Reconverge { pc });
+            }
+        }
+        warp.state_mut(ctx_id).status = status;
         Ok(())
     }
 }
@@ -1090,91 +1069,3 @@ vksim_snapshot::snap_state!(Sm {
     divergence,
     num_partitions
 });
-
-/// RT unit memory port backed by the SM's caches and the shared backend.
-struct SmRtPort<'a> {
-    l1: &'a mut Cache,
-    rtc: Option<&'a mut Cache>,
-    sink: &'a mut dyn MemSink,
-    waiting_lines: &'a mut HashMap<(CacheSel, u64), Vec<Waiter>>,
-    inflight: &'a mut HashMap<u64, (CacheSel, u64)>,
-    next_req: &'a mut u64,
-    sm_id: usize,
-    perfect_bvh: bool,
-    num_partitions: u32,
-    tracer: Option<&'a mut SmTracer>,
-}
-
-impl SmRtPort<'_> {
-    fn alloc_req_id(&mut self) -> u64 {
-        *self.next_req += 1;
-        ((self.sm_id as u64) << 48) | *self.next_req
-    }
-}
-
-impl RtMem for SmRtPort<'_> {
-    fn load_chunk(&mut self, addr: u64, now: u64) -> RtMemResult {
-        if self.perfect_bvh {
-            return RtMemResult::Ready { at: now + 1 };
-        }
-        let (sel, cache) = match self.rtc.as_deref_mut() {
-            Some(rtc) => (CacheSel::Rtc, rtc),
-            None => (CacheSel::L1, &mut *self.l1),
-        };
-        let line = cache.line_of(addr);
-        match cache.access(addr, AccessKind::RtUnit, now) {
-            CacheOutcome::Hit => RtMemResult::Ready {
-                at: now + cache.hit_latency() as u64,
-            },
-            CacheOutcome::MissToMemory => {
-                let id = self.alloc_req_id();
-                self.inflight.insert(id, (sel, line));
-                let token = id;
-                self.waiting_lines
-                    .entry((sel, line))
-                    .or_default()
-                    .push(Waiter::RtToken(token));
-                if let Some(tr) = self.tracer.as_deref_mut() {
-                    let partition = partition_of(line, self.num_partitions);
-                    tr.record(now, NO_WARP, EventKind::MshrAlloc { line, partition });
-                }
-                self.sink.submit(
-                    MemRequest {
-                        id,
-                        addr,
-                        kind: AccessKind::RtUnit,
-                        is_store: false,
-                    },
-                    now,
-                );
-                RtMemResult::Pending { token }
-            }
-            CacheOutcome::MissMerged => {
-                let token = {
-                    *self.next_req += 1;
-                    ((self.sm_id as u64) << 48) | *self.next_req
-                };
-                self.waiting_lines
-                    .entry((sel, line))
-                    .or_default()
-                    .push(Waiter::RtToken(token));
-                RtMemResult::Pending { token }
-            }
-            CacheOutcome::ReservationFail => RtMemResult::Retry,
-        }
-    }
-
-    fn store_chunk(&mut self, addr: u64, now: u64) {
-        // Write-through traffic; no completion tracked.
-        let id = self.alloc_req_id();
-        self.sink.submit(
-            MemRequest {
-                id,
-                addr,
-                kind: AccessKind::ShaderStore,
-                is_store: true,
-            },
-            now,
-        );
-    }
-}

@@ -229,6 +229,7 @@ impl WriteOverlay {
     /// Each address holds its final value, so application order between
     /// distinct addresses cannot matter; cross-SM ordering is the caller's
     /// contract (apply overlays in SM-id order).
+    #[allow(clippy::iter_over_hash_type)] // order-free, for the reason above
     pub fn apply_to(&mut self, mem: &mut SimMemory) {
         for (&addr, &value) in &self.bytes {
             mem.write_u8(addr, value);

@@ -75,14 +75,6 @@ impl Mat4x3 {
         }
     }
 
-    /// Rotation of `angle` radians about the X axis.
-    pub fn rotation_x(angle: f32) -> Self {
-        let (s, c) = angle.sin_cos();
-        Mat4x3 {
-            rows: [[1.0, 0.0, 0.0, 0.0], [0.0, c, -s, 0.0], [0.0, s, c, 0.0]],
-        }
-    }
-
     /// Transforms a point (applies the linear part and translation).
     #[inline]
     pub fn transform_point(&self, p: Vec3) -> Vec3 {

@@ -521,17 +521,6 @@ impl Dram {
             self.transfer_cycles() as f64 / (total_cycles * self.channels.len() as u64) as f64
         }
     }
-
-    /// Row-buffer hit rate.
-    pub fn row_hit_rate(&self) -> f64 {
-        let h = self.stats.get("row_hit") as f64;
-        let total = self.stats.get("req") as f64;
-        if total == 0.0 {
-            0.0
-        } else {
-            h / total
-        }
-    }
 }
 
 /// Replaces `channels` with the snapshot's, provided they have the

@@ -30,8 +30,7 @@ pub mod system;
 pub use cache::{AccessKind, Cache, CacheConfig, CacheOutcome};
 pub use dram::{Dram, DramConfig, DramIssue, DramSched};
 pub use system::{
-    partition_of, MemConfig, MemRequest, MemSink, RequestQueue, SharedMemSystem, SystemConfig,
-    PARTITION_BYTES,
+    partition_of, MemRequest, MemSink, RequestQueue, SharedMemSystem, SystemConfig, PARTITION_BYTES,
 };
 
 /// Memory chunk size: larger requests are broken into 32 B pieces

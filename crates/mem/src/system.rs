@@ -69,10 +69,6 @@ pub struct SystemConfig {
     pub icnt_return_credits: u32,
 }
 
-/// The name the memory-partition config goes by in the paper-scale
-/// experiment plumbing.
-pub type MemConfig = SystemConfig;
-
 impl Default for SystemConfig {
     fn default() -> Self {
         SystemConfig {
@@ -656,12 +652,6 @@ impl SharedMemSystem {
         done
     }
 
-    /// The first partition's L2 slice (single-partition convenience for
-    /// tests; reporting code uses [`SharedMemSystem::l2_stats`]).
-    pub fn l2(&self) -> &Cache {
-        &self.parts[0].l2
-    }
-
     /// The first partition's DRAM channel group (single-partition
     /// convenience; reporting code uses the merged accessors).
     pub fn dram(&self) -> &Dram {
@@ -961,7 +951,7 @@ mod tests {
         let done2 = drain(&mut sys, t1 + 100_000);
         let (_, t2) = done2[0];
         assert!(t2 - t1 < t1, "hit {t2} vs cold {t1}");
-        assert_eq!(sys.l2().stats.get("shader_load.hit"), 1);
+        assert_eq!(sys.l2_stats().get("shader_load.hit"), 1);
     }
 
     #[test]

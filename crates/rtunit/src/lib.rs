@@ -25,8 +25,7 @@
 pub mod unit;
 
 pub use unit::{
-    RtMem, RtMemResult, RtUnit, RtUnitAnalytics, RtUnitEvent, RtUnitEventKind, RtUnitStats,
-    WarpDone,
+    RtMem, RtMemResult, RtUnit, RtUnitAnalytics, RtUnitEvent, RtUnitEventKind, WarpDone,
 };
 
 use vksim_snapshot::{Dec, Enc, Snap, SnapError};
@@ -200,6 +199,14 @@ pub struct RtStatsBundle {
     /// Sum over busy cycles of resident warps (occupancy, Fig. 18).
     pub resident_warp_cycles: u64,
 }
+
+vksim_snapshot::snap_struct!(RtStatsBundle {
+    counters,
+    warp_latency,
+    active_ray_cycles,
+    busy_cycles,
+    resident_warp_cycles
+});
 
 #[cfg(test)]
 mod tests {

@@ -253,11 +253,7 @@ pub struct RtUnit {
     ready_seq: u64,
     last_warp: Option<u32>,
     arrivals: u64,
-    stats: Counters,
-    warp_latency: Histogram,
-    active_ray_cycles: u64,
-    busy_cycles: u64,
-    resident_warp_cycles: u64,
+    stats: RtStatsBundle,
     occupancy_trace: Vec<(u64, u32, u32)>, // (cycle, warps, active rays) sampled
     sample_period: u64,
     // Timeline event buffer, allocated only while tracing is enabled.
@@ -265,9 +261,6 @@ pub struct RtUnit {
     // Per-job attribution, allocated only while rt analytics is enabled.
     analytics: Option<Box<RtUnitAnalytics>>,
 }
-
-/// Snapshot of RT-unit statistics.
-pub type RtUnitStats = RtStatsBundle;
 
 impl RtUnit {
     /// Creates an empty RT unit.
@@ -282,11 +275,13 @@ impl RtUnit {
             ready_seq: 0,
             last_warp: None,
             arrivals: 0,
-            stats: Counters::new(),
-            warp_latency: Histogram::new(1000.0),
-            active_ray_cycles: 0,
-            busy_cycles: 0,
-            resident_warp_cycles: 0,
+            stats: RtStatsBundle {
+                counters: Counters::new(),
+                warp_latency: Histogram::new(1000.0),
+                active_ray_cycles: 0,
+                busy_cycles: 0,
+                resident_warp_cycles: 0,
+            },
             occupancy_trace: Vec::new(),
             sample_period: 256,
             events: None,
@@ -353,12 +348,14 @@ impl RtUnit {
     /// full (the SM must retry — the `traverseAS` issue stalls).
     pub fn try_enqueue(&mut self, job: WarpJob, now: u64) -> bool {
         if !self.has_capacity() {
-            self.stats.inc("warp_buffer_full");
+            self.stats.counters.inc("warp_buffer_full");
             return false;
         }
         self.arrivals += 1;
-        self.stats.inc("warps_entered");
-        self.stats.add("rays_entered", job.active_lanes() as u64);
+        self.stats.counters.inc("warps_entered");
+        self.stats
+            .counters
+            .add("rays_entered", job.active_lanes() as u64);
         if let Some(buf) = self.events.as_mut() {
             buf.push(RtUnitEvent {
                 cycle: now,
@@ -408,9 +405,11 @@ impl RtUnit {
                         OpKind::None => 1,
                     } as u64;
                     match lane.pending_op {
-                        OpKind::Box { tests } => self.stats.add("ops.box_tests", tests as u64),
-                        OpKind::Triangle => self.stats.inc("ops.triangle_tests"),
-                        OpKind::Transform => self.stats.inc("ops.transforms"),
+                        OpKind::Box { tests } => {
+                            self.stats.counters.add("ops.box_tests", tests as u64)
+                        }
+                        OpKind::Triangle => self.stats.counters.inc("ops.triangle_tests"),
+                        OpKind::Transform => self.stats.counters.inc("ops.transforms"),
                         OpKind::None => {}
                     }
                     lane.state = LaneState::InOp(now + lat);
@@ -465,15 +464,15 @@ impl RtUnit {
                     let key = self.ready_seq;
                     self.ready_store.insert(key, req);
                     self.ready_heap.push(Reverse((at.max(now + 1), key)));
-                    self.stats.inc("mem.issued");
+                    self.stats.counters.inc("mem.issued");
                 }
                 RtMemResult::Pending { token } => {
                     let req = self.mem_queue.pop_front().expect("nonempty");
                     self.inflight.insert(token, req);
-                    self.stats.inc("mem.issued");
+                    self.stats.counters.inc("mem.issued");
                 }
                 RtMemResult::Retry => {
-                    self.stats.inc("mem.retry");
+                    self.stats.counters.inc("mem.retry");
                     break;
                 }
             }
@@ -490,8 +489,8 @@ impl RtUnit {
             {
                 let w = self.warps.remove(i);
                 let latency = now.saturating_sub(w.entered_at).max(1);
-                self.warp_latency.record(latency as f64);
-                self.stats.inc("warps_completed");
+                self.stats.warp_latency.record(latency as f64);
+                self.stats.counters.inc("warps_completed");
                 if let Some(buf) = self.events.as_mut() {
                     buf.push(RtUnitEvent {
                         cycle: now,
@@ -513,9 +512,9 @@ impl RtUnit {
 
         // 5. Statistics sampling.
         if !self.warps.is_empty() {
-            self.busy_cycles += 1;
-            self.resident_warp_cycles += self.warps.len() as u64;
-            self.active_ray_cycles += self.active_rays() as u64;
+            self.stats.busy_cycles += 1;
+            self.stats.resident_warp_cycles += self.warps.len() as u64;
+            self.stats.active_ray_cycles += self.active_rays() as u64;
         }
         if now.is_multiple_of(self.sample_period) {
             self.occupancy_trace
@@ -560,7 +559,7 @@ impl RtUnit {
                     // stack spill); the lane advances after one cycle.
                     for chunk in chunk_addresses(addr, size) {
                         mem.store_chunk(chunk, now);
-                        self.stats.inc("mem.stores");
+                        self.stats.counters.inc("mem.stores");
                     }
                     let lane = &mut self.warps[w_idx].lanes[lane_idx];
                     lane.state = LaneState::InOp(now + 1);
@@ -575,21 +574,21 @@ impl RtUnit {
                         .filter(|c| !self.mem_queue.iter().any(|r| r.addr == **c))
                         .count();
                     if self.mem_queue.len() + new_needed > self.config.mem_queue {
-                        self.stats.inc("mem.queue_full");
+                        self.stats.counters.inc("mem.queue_full");
                         continue;
                     }
                     for chunk in &chunks {
                         match self.mem_queue.iter_mut().find(|r| r.addr == *chunk) {
                             Some(req) => {
                                 req.waiters.push((warp_id, lane_idx));
-                                self.stats.inc("mem.merged");
+                                self.stats.counters.inc("mem.merged");
                             }
                             None => {
                                 self.mem_queue.push_back(QueuedReq {
                                     addr: *chunk,
                                     waiters: vec![(warp_id, lane_idx)],
                                 });
-                                self.stats.inc("mem.requests");
+                                self.stats.counters.inc("mem.requests");
                             }
                         }
                     }
@@ -603,15 +602,9 @@ impl RtUnit {
         }
     }
 
-    /// Snapshot of accumulated statistics.
-    pub fn stats(&self) -> RtUnitStats {
-        RtStatsBundle {
-            counters: self.stats.clone(),
-            warp_latency: self.warp_latency.clone(),
-            active_ray_cycles: self.active_ray_cycles,
-            busy_cycles: self.busy_cycles,
-            resident_warp_cycles: self.resident_warp_cycles,
-        }
+    /// The accumulated statistics.
+    pub fn stats(&self) -> &RtStatsBundle {
+        &self.stats
     }
 
     /// Sampled `(cycle, resident warps, active rays)` occupancy timeline
@@ -623,11 +616,11 @@ impl RtUnit {
     /// RT-unit SIMT efficiency: mean active rays per busy cycle over the
     /// maximum lane count (paper §VI-B, 32-lane warps).
     pub fn simt_efficiency(&self, lanes_per_warp: u32) -> f64 {
-        if self.busy_cycles == 0 || self.resident_warp_cycles == 0 {
+        if self.stats.busy_cycles == 0 || self.stats.resident_warp_cycles == 0 {
             return 0.0;
         }
-        let max_rays = self.resident_warp_cycles as f64 * lanes_per_warp as f64;
-        self.active_ray_cycles as f64 / max_rays
+        let max_rays = self.stats.resident_warp_cycles as f64 * lanes_per_warp as f64;
+        self.stats.active_ray_cycles as f64 / max_rays
     }
 
     /// `true` when no warps are resident and no memory is outstanding.
@@ -649,10 +642,6 @@ vksim_snapshot::snap_state!(RtUnit {
     last_warp,
     arrivals,
     stats,
-    warp_latency,
-    active_ray_cycles,
-    busy_cycles,
-    resident_warp_cycles,
     occupancy_trace,
     events,
     analytics,

@@ -144,11 +144,6 @@ impl TraceConfig {
             self.flight_depth
         }
     }
-
-    /// `true` when any export file was requested.
-    pub fn wants_export(&self) -> bool {
-        self.out.is_some() || self.csv.is_some() || self.summary.is_some()
-    }
 }
 
 fn parse_env_u64(name: &str) -> Option<u64> {
@@ -163,7 +158,6 @@ mod tests {
     fn default_is_fully_off() {
         let c = TraceConfig::default();
         assert!(!c.enabled);
-        assert!(!c.wants_export());
         assert_eq!(c.effective_interval(), DEFAULT_INTERVAL);
     }
 

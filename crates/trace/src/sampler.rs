@@ -62,18 +62,6 @@ impl IntervalSnapshot {
         };
         (d, underflows)
     }
-
-    /// Per-field difference `self - prev`; debug-asserts the documented
-    /// monotonicity (use [`IntervalSnapshot::delta_from`] to observe an
-    /// underflow instead of asserting on it).
-    pub fn delta(&self, prev: &IntervalSnapshot) -> IntervalSnapshot {
-        let (d, underflows) = self.delta_from(prev);
-        debug_assert_eq!(
-            underflows, 0,
-            "non-monotonic interval counter: {prev:?} -> {self:?}"
-        );
-        d
-    }
 }
 
 /// One sampled interval: `[start, start + len)` plus the counter deltas
@@ -177,9 +165,8 @@ mod tests {
             l1_hits: 5,
             ..Default::default()
         };
-        let (d, underflows) = b.delta_from(&a);
+        let (_, underflows) = b.delta_from(&a);
         assert_eq!(underflows, 0);
-        assert_eq!(b.delta(&a), d, "delta agrees with delta_from");
     }
 
     #[test]

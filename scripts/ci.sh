@@ -49,8 +49,11 @@ join() {
 # the release build and the lint gate (clippy builds its own debug-profile
 # artifacts, so it shares little with the release build beyond the lock).
 bg "cargo fmt --check" cargo fmt --check
+# iter_over_hash_type is the determinism contract's lint: no outcome may
+# depend on the iteration order of a hashed container (DESIGN.md).
 bg "cargo clippy --offline --workspace -D warnings" \
-    cargo clippy --offline --workspace --all-targets -- -D warnings
+    cargo clippy --offline --workspace --all-targets -- \
+    -D warnings -D clippy::iter_over_hash_type
 bg "cargo build --release --offline --workspace" \
     cargo build --release --offline --workspace
 join

@@ -361,9 +361,45 @@ fn threads_do_not_change_counters() {
     );
 }
 
+/// ITS with the RT unit's warp buffer cut to two entries: several splits
+/// of one warp hold `RtPending` jobs and refused L1 chunks at once, so
+/// which split is admitted or re-offered first is decided by the order the
+/// SM walks a warp's contexts in.
+fn its_rt_buffer_pressure() -> SimConfig {
+    SimConfig::test_small().with_its(true).with_rt_max_warps(2)
+}
+
+/// Pins that order (context id).
+#[test]
+fn golden_ref_its_rtw2() {
+    let config = its_rt_buffer_pressure();
+    check_workload_with(WorkloadKind::Ref, "ref_its_rtw2", config);
+}
+
+/// That walk must not follow a hashed container: every `HashMap` draws a
+/// fresh `RandomState`, so 16 runs in one process sample 16 hash orders.
+/// All of them must agree on every counter.
+#[test]
+fn its_under_rt_buffer_pressure_is_deterministic() {
+    let w = build(WorkloadKind::Ref, Scale::Test);
+    let run = || {
+        let report = Simulator::new(its_rt_buffer_pressure())
+            .run(&w.device, &w.cmd)
+            .expect("healthy run");
+        snapshot(&report)
+    };
+    let first = run();
+    for i in 1..16 {
+        assert_eq!(first, run(), "run {i} diverged from run 0");
+    }
+}
+
 /// The simulator itself must be run-to-run deterministic, otherwise the
 /// goldens above would flake rather than gate. Two back-to-back runs must
-/// produce byte-identical snapshots.
+/// produce byte-identical snapshots. This covers the stack engine only
+/// (TRI on `test_small`, one context per warp);
+/// `its_under_rt_buffer_pressure_is_deterministic` covers the multipath
+/// engine, where a warp holds several contexts.
 #[test]
 fn simulation_is_deterministic() {
     let (_, a) = run_workload(WorkloadKind::Tri, Scale::Test, SimConfig::test_small());
