@@ -226,11 +226,7 @@ pub fn fig19_configs() -> Vec<(&'static str, SimConfig)> {
 
 /// Fig. 12: roofline points for all workloads plus the roofs.
 pub fn fig12_roofline(scale: Scale, config: &SimConfig) -> Vec<(String, f64, f64, bool)> {
-    let roof = rt_roofline(
-        config.gpu.rt_unit.box_latency,
-        config.gpu.rt_unit.triangle_latency,
-        config.gpu.rt_unit.transform_latency,
-    );
+    let roof = rt_roofline(&config.gpu.rt_unit);
     run_all(scale, config)
         .into_iter()
         .map(|r| {

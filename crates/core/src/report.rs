@@ -56,7 +56,7 @@ pub fn rt_time_fraction(stats: &GpuStats, num_sms: usize) -> f64 {
 
 /// Builds the RT-unit roofline (Fig. 12): performance = RT operations per
 /// cycle; operational intensity = operations per 32 B cache block fetched;
-/// compute roof = units × pipeline stages; memory roof = 1 block/cycle.
+/// roofs from [`rt_roofline`].
 pub fn roofline_point(stats: &GpuStats) -> RooflinePoint {
     let ops = stats.rt_ops as f64;
     let blocks = stats.rt_chunks_fetched.max(1) as f64;
@@ -68,10 +68,10 @@ pub fn roofline_point(stats: &GpuStats) -> RooflinePoint {
 }
 
 /// The paper's roofline bounds for a 32-wide RT unit: 32 instances of each
-/// operation unit with their pipeline depths, one cache block per cycle.
-pub fn rt_roofline(box_lat: u32, tri_lat: u32, tf_lat: u32) -> Roofline {
-    let stages = (box_lat + tri_lat + tf_lat) as f64;
-    Roofline::new(32.0 * stages, 1.0)
+/// operation unit with their pipeline depths, `issue_per_cycle` blocks.
+pub fn rt_roofline(rt: &vksim_rtunit::RtUnitConfig) -> Roofline {
+    let stages = (rt.box_latency + rt.triangle_latency + rt.transform_latency) as f64;
+    Roofline::new(32.0 * stages, rt.issue_per_cycle as f64)
 }
 
 /// DRAM row-buffer hit rate from run statistics.
@@ -134,6 +134,7 @@ impl CacheBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vksim_rtunit::RtUnitConfig;
     use vksim_stats::Counters;
 
     fn stats_with(counters: Counters) -> GpuStats {
@@ -196,9 +197,22 @@ mod tests {
         let p = roofline_point(&s);
         assert_eq!(p.operational_intensity, 4.0);
         assert_eq!(p.performance, 2.0);
-        let r = rt_roofline(4, 8, 4);
+        let r = rt_roofline(&RtUnitConfig::default());
         assert!(r.is_memory_bound(&p));
         assert!(r.utilization(&p) <= 1.0);
+    }
+
+    #[test]
+    fn rt_roofline_memory_roof_reads_issue_width() {
+        let rt = RtUnitConfig::default();
+        assert_eq!(rt_roofline(&rt).blocks_per_cycle, 1.0);
+        assert_eq!(rt_roofline(&rt).compute_roof, 32.0 * 16.0);
+        let wide = RtUnitConfig {
+            issue_per_cycle: 2,
+            ..rt
+        };
+        assert_eq!(rt_roofline(&wide).blocks_per_cycle, 2.0);
+        assert_eq!(rt_roofline(&wide).compute_roof, 32.0 * 16.0);
     }
 
     #[test]

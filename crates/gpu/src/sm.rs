@@ -409,7 +409,7 @@ pub struct Sm {
     waiting_lines: HashMap<(CacheSel, u64), Vec<Waiter>>,
     inflight: HashMap<u64, (CacheSel, u64)>, // req id -> (cache, line)
     next_rt_job: u32,
-    rt_job_map: HashMap<u32, (u32, u32)>, // job id -> (warp id, ctx id)
+    rt_job_map: BTreeMap<u32, (u32, u32)>, // job id -> (warp id, ctx id)
     last_warp: Option<u32>,
     /// Fault injection: never schedule this warp id (crafts a livelock).
     stall_warp: Option<u32>,
@@ -450,7 +450,7 @@ impl Sm {
             waiting_lines: HashMap::new(),
             inflight: HashMap::new(),
             next_rt_job: 0,
-            rt_job_map: HashMap::new(),
+            rt_job_map: BTreeMap::new(),
             last_warp: None,
             stall_warp: config.fault_plan.stall_warp,
             perfect_bvh: config.perfect_bvh,

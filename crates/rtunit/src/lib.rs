@@ -145,11 +145,6 @@ impl WarpJob {
     pub fn active_lanes(&self) -> usize {
         self.scripts.iter().filter(|s| !s.is_empty()).count()
     }
-
-    /// Total steps across lanes.
-    pub fn total_steps(&self) -> usize {
-        self.scripts.iter().map(|s| s.len()).sum()
-    }
 }
 
 vksim_snapshot::snap_struct!(WarpJob { warp_id, scripts });
@@ -226,7 +221,6 @@ mod tests {
             ],
         };
         assert_eq!(job.active_lanes(), 1);
-        assert_eq!(job.total_steps(), 1);
     }
 
     #[test]

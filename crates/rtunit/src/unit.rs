@@ -1,8 +1,8 @@
 //! The RT unit state machine.
 
-use crate::{OpKind, RtStatsBundle, RtUnitConfig, Step, WarpJob, SHORT_STACK_ENTRIES};
+use crate::{OpKind, RtStatsBundle, RtUnitConfig, Step, WarpJob};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use vksim_mem::chunk_addresses;
 use vksim_snapshot::{Dec, Enc, Snap, SnapError};
 use vksim_stats::{Counters, Histogram};
@@ -108,26 +108,47 @@ impl Lane {
         self.script.get(self.next).copied()
     }
 
-    fn advance(&mut self) {
+    /// Consumes the current step; returns the state the lane moves to.
+    fn advance(&mut self) -> LaneState {
         self.next += 1;
-        self.state = if self.next >= self.script.len() {
+        if self.next >= self.script.len() {
             LaneState::Done
         } else {
             LaneState::Ready
-        };
+        }
     }
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 struct WarpSlot {
     warp_id: u32,
     lanes: Vec<Lane>,
     entered_at: u64,
     arrival: u64,
+    // Derived from the lane states (never serialized): bit i set iff lane
+    // i is `Ready`, and the number of lanes not `Done`.
+    ready: u32,
+    live: u32,
 }
 
+impl WarpSlot {
+    /// Moves `lane` to `state`, keeping `ready` / `live` in step (`Done` is final).
+    fn set_state(&mut self, lane: usize, state: LaneState) {
+        self.ready &= !(1 << lane);
+        self.ready |= u32::from(state == LaneState::Ready) << lane;
+        self.live -= u32::from(state == LaneState::Done);
+        self.lanes[lane].state = state;
+    }
+}
+
+// Cache hits by (ready_at, issue sequence number).
+type ReadyHeap = BinaryHeap<Reverse<(u64, u64, QueuedReq)>>;
+// A lane in an operation unit: `(done, warp_id, lane)`.
+type InOpLane = (u64, u32, usize);
+
 // A merged memory-access-queue entry: one chunk address, many waiting lanes.
-#[derive(Clone, Debug)]
+// `Ord` only so it can ride the ready heap behind its unique key.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct QueuedReq {
     addr: u64,
     waiters: Vec<(u32, usize)>, // (warp_id, lane)
@@ -194,7 +215,7 @@ vksim_snapshot::snap_struct!(WarpSlot {
     lanes,
     entered_at,
     arrival
-});
+} skip { ready, live });
 vksim_snapshot::snap_struct!(QueuedReq { addr, waiters });
 vksim_snapshot::snap_struct!(RtUnitAnalytics {
     jobs,
@@ -216,7 +237,7 @@ pub struct RtUnitAnalytics {
     /// Σ enqueue→retire latency over retired jobs, in cycles.
     pub latency_total: u64,
     /// Steps consumed so far by each in-flight job.
-    live: HashMap<u32, u64>,
+    live: BTreeMap<u32, u64>,
 }
 
 impl RtUnitAnalytics {
@@ -241,16 +262,18 @@ impl RtUnitAnalytics {
 /// Drive it with [`RtUnit::try_enqueue`], one [`RtUnit::tick`] per core
 /// cycle, and [`RtUnit::on_mem_complete`] when the memory system finishes a
 /// pending chunk.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct RtUnit {
     config: RtUnitConfig,
     warps: Vec<WarpSlot>,
     mem_queue: VecDeque<QueuedReq>,
-    // Chunk addresses already in the queue (for merging).
-    inflight: HashMap<u64, QueuedReq>,
-    ready_heap: BinaryHeap<Reverse<(u64, u64)>>, // (ready_at, key into ready_store)
-    ready_store: HashMap<u64, QueuedReq>,
+    // Issued requests awaiting `on_mem_complete`, by the port's token.
+    inflight: BTreeMap<u64, QueuedReq>,
+    ready_heap: ReadyHeap,
     ready_seq: u64,
+    // Derived from the lane states (never serialized): `InOp` lanes, lanes not `Done`.
+    in_op: BinaryHeap<Reverse<InOpLane>>,
+    active: u32,
     last_warp: Option<u32>,
     arrivals: u64,
     stats: RtStatsBundle,
@@ -269,10 +292,11 @@ impl RtUnit {
             config,
             warps: Vec::new(),
             mem_queue: VecDeque::new(),
-            inflight: HashMap::new(),
+            inflight: BTreeMap::new(),
             ready_heap: BinaryHeap::new(),
-            ready_store: HashMap::new(),
             ready_seq: 0,
+            in_op: BinaryHeap::new(),
+            active: 0,
             last_warp: None,
             arrivals: 0,
             stats: RtStatsBundle {
@@ -310,11 +334,6 @@ impl RtUnit {
         self.events.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &RtUnitConfig {
-        &self.config
-    }
-
     /// `true` when another warp can enter the Warp Buffer.
     pub fn has_capacity(&self) -> bool {
         self.warps.len() < self.config.max_warps
@@ -327,11 +346,7 @@ impl RtUnit {
 
     /// Rays still traversing (not Done) across resident warps.
     pub fn active_rays(&self) -> u32 {
-        self.warps
-            .iter()
-            .flat_map(|w| &w.lanes)
-            .filter(|l| l.state != LaneState::Done)
-            .count() as u32
+        self.active
     }
 
     /// Memory requests waiting in the scheduler queue (post-mortem dumps).
@@ -345,7 +360,8 @@ impl RtUnit {
     }
 
     /// Attempts to admit a warp; returns `false` when the Warp Buffer is
-    /// full (the SM must retry — the `traverseAS` issue stalls).
+    /// full (the SM must retry — the `traverseAS` issue stalls). Panics on
+    /// a job of more than 32 lanes.
     pub fn try_enqueue(&mut self, job: WarpJob, now: u64) -> bool {
         if !self.has_capacity() {
             self.stats.counters.inc("warp_buffer_full");
@@ -371,7 +387,9 @@ impl RtUnit {
             lanes: job.scripts.into_iter().map(Lane::new).collect(),
             entered_at: now,
             arrival: self.arrivals,
+            ..Default::default()
         });
+        self.rebuild_indices().expect("a warp of at most 32 lanes");
         true
     }
 
@@ -380,6 +398,7 @@ impl RtUnit {
         if let Some(req) = self.inflight.remove(&token) {
             self.finish_chunk(req, now);
         }
+        self.debug_check_indices();
     }
 
     fn finish_chunk(&mut self, req: QueuedReq, now: u64) {
@@ -412,7 +431,8 @@ impl RtUnit {
                         OpKind::Transform => self.stats.counters.inc("ops.transforms"),
                         OpKind::None => {}
                     }
-                    lane.state = LaneState::InOp(now + lat);
+                    w.set_state(lane_idx, LaneState::InOp(now + lat));
+                    self.in_op.push(Reverse((now + lat, warp_id, lane_idx)));
                 }
             }
         }
@@ -421,27 +441,22 @@ impl RtUnit {
     /// Advances one cycle; returns warps that completed this cycle.
     pub fn tick(&mut self, now: u64, mem: &mut dyn RtMem) -> Vec<WarpDone> {
         // 0. Hit-latency completions that became ready.
-        while let Some(&Reverse((at, key))) = self.ready_heap.peek() {
-            if at > now {
-                break;
-            }
-            self.ready_heap.pop();
-            if let Some(req) = self.ready_store.remove(&key) {
-                self.finish_chunk(req, now);
-            }
+        while self.ready_heap.peek().is_some_and(|r| r.0 .0 <= now) {
+            let Reverse((_, _, req)) = self.ready_heap.pop().expect("peeked");
+            self.finish_chunk(req, now);
         }
 
         // 1. Operation-unit completions.
-        for w in &mut self.warps {
-            for lane in &mut w.lanes {
-                if let LaneState::InOp(done) = lane.state {
-                    if done <= now {
-                        lane.advance();
-                        if let Some(a) = self.analytics.as_mut() {
-                            a.on_step(w.warp_id);
-                        }
-                    }
-                }
+        while self.in_op.peek().is_some_and(|r| r.0 .0 <= now) {
+            let Reverse((_, warp_id, lane_idx)) = self.in_op.pop().expect("peeked");
+            let Some(w) = self.warps.iter_mut().find(|w| w.warp_id == warp_id) else {
+                continue;
+            };
+            let state = w.lanes[lane_idx].advance();
+            w.set_state(lane_idx, state);
+            self.active -= u32::from(state == LaneState::Done);
+            if let Some(a) = self.analytics.as_mut() {
+                a.on_step(warp_id);
             }
         }
 
@@ -461,9 +476,8 @@ impl RtUnit {
                 RtMemResult::Ready { at } => {
                     let req = self.mem_queue.pop_front().expect("nonempty");
                     self.ready_seq += 1;
-                    let key = self.ready_seq;
-                    self.ready_store.insert(key, req);
-                    self.ready_heap.push(Reverse((at.max(now + 1), key)));
+                    self.ready_heap
+                        .push(Reverse((at.max(now + 1), self.ready_seq, req)));
                     self.stats.counters.inc("mem.issued");
                 }
                 RtMemResult::Pending { token } => {
@@ -482,11 +496,7 @@ impl RtUnit {
         let mut done = Vec::new();
         let mut i = 0;
         while i < self.warps.len() {
-            if self.warps[i]
-                .lanes
-                .iter()
-                .all(|l| l.state == LaneState::Done)
-            {
+            if self.warps[i].live == 0 {
                 let w = self.warps.remove(i);
                 let latency = now.saturating_sub(w.entered_at).max(1);
                 self.stats.warp_latency.record(latency as f64);
@@ -514,29 +524,40 @@ impl RtUnit {
         if !self.warps.is_empty() {
             self.stats.busy_cycles += 1;
             self.stats.resident_warp_cycles += self.warps.len() as u64;
-            self.stats.active_ray_cycles += self.active_rays() as u64;
+            self.stats.active_ray_cycles += self.active as u64;
         }
         if now.is_multiple_of(self.sample_period) {
             self.occupancy_trace
-                .push((now, self.warps.len() as u32, self.active_rays()));
+                .push((now, self.warps.len() as u32, self.active));
         }
+        self.debug_check_indices();
         done
     }
 
+    /// The earliest cycle after `now` at which [`RtUnit::tick`] can do more
+    /// than bump the occupancy integrals and samples; `None` when only
+    /// [`RtUnit::on_mem_complete`] can wake the unit. A later `try_enqueue`
+    /// or `on_mem_complete` invalidates the answer.
+    pub fn next_wake(&self, now: u64) -> Option<u64> {
+        if !self.mem_queue.is_empty() || self.warps.iter().any(|w| w.ready != 0 || w.live == 0) {
+            return Some(now + 1);
+        }
+        let hit = self.ready_heap.peek().map(|r| r.0 .0);
+        let op = self.in_op.peek().map(|r| r.0 .0);
+        hit.into_iter().chain(op).min().map(|t| t.max(now + 1))
+    }
+
     fn pick_warp(&self) -> Option<u32> {
-        let schedulable = |w: &WarpSlot| w.lanes.iter().any(|l| l.state == LaneState::Ready);
         // Greedy: stick with the last warp while it has ready lanes.
         if let Some(last) = self.last_warp {
-            if let Some(w) = self.warps.iter().find(|w| w.warp_id == last) {
-                if schedulable(w) {
-                    return Some(last);
-                }
+            if self.warps.iter().any(|w| w.warp_id == last && w.ready != 0) {
+                return Some(last);
             }
         }
         // Then oldest (smallest arrival stamp).
         self.warps
             .iter()
-            .filter(|w| schedulable(w))
+            .filter(|w| w.ready != 0)
             .min_by_key(|w| w.arrival)
             .map(|w| w.warp_id)
     }
@@ -547,13 +568,12 @@ impl RtUnit {
         let Some(w_idx) = self.warps.iter().position(|w| w.warp_id == warp_id) else {
             return;
         };
-        let lanes = self.warps[w_idx].lanes.len();
-        for lane_idx in 0..lanes {
-            let lane = &self.warps[w_idx].lanes[lane_idx];
-            if lane.state != LaneState::Ready {
-                continue;
-            }
-            match lane.current_step() {
+        // Ready lanes in lane order; a lane leaves `Ready` only when visited.
+        let mut ready = self.warps[w_idx].ready;
+        while ready != 0 {
+            let lane_idx = ready.trailing_zeros() as usize;
+            ready &= ready - 1;
+            match self.warps[w_idx].lanes[lane_idx].current_step() {
                 Some(Step::Store { addr, size }) => {
                     // Fire-and-forget store traffic (intersection buffer,
                     // stack spill); the lane advances after one cycle.
@@ -561,8 +581,8 @@ impl RtUnit {
                         mem.store_chunk(chunk, now);
                         self.stats.counters.inc("mem.stores");
                     }
-                    let lane = &mut self.warps[w_idx].lanes[lane_idx];
-                    lane.state = LaneState::InOp(now + 1);
+                    self.warps[w_idx].set_state(lane_idx, LaneState::InOp(now + 1));
+                    self.in_op.push(Reverse((now + 1, warp_id, lane_idx)));
                 }
                 Some(Step::Fetch { addr, size, op }) => {
                     let chunks = chunk_addresses(addr, size);
@@ -592,10 +612,10 @@ impl RtUnit {
                             }
                         }
                     }
-                    let lane = &mut self.warps[w_idx].lanes[lane_idx];
-                    lane.state = LaneState::WaitMem;
-                    lane.outstanding_chunks = chunks.len() as u32;
-                    lane.pending_op = op;
+                    let w = &mut self.warps[w_idx];
+                    w.set_state(lane_idx, LaneState::WaitMem);
+                    w.lanes[lane_idx].outstanding_chunks = chunks.len() as u32;
+                    w.lanes[lane_idx].pending_op = op;
                 }
                 None => {}
             }
@@ -613,31 +633,87 @@ impl RtUnit {
         &self.occupancy_trace
     }
 
-    /// RT-unit SIMT efficiency: mean active rays per busy cycle over the
-    /// maximum lane count (paper §VI-B, 32-lane warps).
-    pub fn simt_efficiency(&self, lanes_per_warp: u32) -> f64 {
-        if self.stats.busy_cycles == 0 || self.stats.resident_warp_cycles == 0 {
-            return 0.0;
-        }
-        let max_rays = self.stats.resident_warp_cycles as f64 * lanes_per_warp as f64;
-        self.stats.active_ray_cycles as f64 / max_rays
-    }
-
     /// `true` when no warps are resident and no memory is outstanding.
     pub fn is_idle(&self) -> bool {
         self.warps.is_empty() && self.inflight.is_empty() && self.mem_queue.is_empty()
     }
+
+    /// The derived state recomputed from the lane states: each warp's
+    /// `(ready, live)`, and the `InOp` lanes as sorted `in_op` entries.
+    fn indices(&self) -> (Vec<(u32, u32)>, Vec<InOpLane>) {
+        let (mut per_warp, mut in_op) = (Vec::new(), Vec::new());
+        for w in &self.warps {
+            let (mut ready, mut live) = (0, 0);
+            for (i, l) in w.lanes.iter().enumerate() {
+                ready |= u32::from(l.state == LaneState::Ready) << i;
+                live += u32::from(l.state != LaneState::Done);
+                if let LaneState::InOp(done) = l.state {
+                    in_op.push((done, w.warp_id, i));
+                }
+            }
+            per_warp.push((ready, live));
+        }
+        in_op.sort_unstable();
+        (per_warp, in_op)
+    }
+
+    /// Recomputes the derived state (admission, restore); transitions keep it.
+    fn rebuild_indices(&mut self) -> Result<(), SnapError> {
+        if self.warps.iter().any(|w| w.lanes.len() > 32) {
+            return Err(SnapError::Malformed("warp of more than 32 lanes".into()));
+        }
+        let (per_warp, in_op) = self.indices();
+        for (w, index) in self.warps.iter_mut().zip(per_warp) {
+            (w.ready, w.live) = index;
+        }
+        self.active = self.warps.iter().map(|w| w.live).sum();
+        self.in_op = in_op.into_iter().map(Reverse).collect();
+        self.debug_check_indices();
+        Ok(())
+    }
+
+    /// Debug builds: the derived state equals a recomputation.
+    fn debug_check_indices(&self) {
+        if cfg!(debug_assertions) {
+            let (per_warp, in_op) = self.indices();
+            assert!(self.warps.iter().map(|w| (w.ready, w.live)).eq(per_warp));
+            assert_eq!(self.active, self.warps.iter().map(|w| w.live).sum());
+            let mut heap: Vec<_> = self.in_op.iter().map(|r| r.0).collect();
+            heap.sort_unstable();
+            assert_eq!(heap, in_op, "in-op heap");
+        }
+    }
+}
+
+/// The ready heap is written as the `(ready_at, key)` heap and then the
+/// `key -> request` map it folds in, as before the fold.
+fn save_ready(heap: &ReadyHeap, e: &mut Enc) {
+    let (order, store): (BinaryHeap<_>, BTreeMap<_, _>) = heap
+        .iter()
+        .map(|Reverse((at, key, req))| (Reverse((*at, *key)), (*key, req.clone())))
+        .unzip();
+    (order, store).save(e);
+}
+
+fn restore_ready(heap: &mut ReadyHeap, d: &mut Dec<'_>) -> Result<(), SnapError> {
+    let (order, mut store) = <(Vec<(u64, u64)>, BTreeMap<u64, QueuedReq>)>::load(d)?;
+    *heap = order
+        .into_iter()
+        .map(|(at, key)| Some(Reverse((at, key, store.remove(&key)?))))
+        .collect::<Option<_>>()
+        .filter(|_| store.is_empty())
+        .ok_or_else(|| SnapError::Malformed("ready heap and store disagree".into()))?;
+    Ok(())
 }
 
 // Insertion-ordered containers are written in order (warp/queue order feeds
 // the GTO scheduler). Configuration is rebuilt from the resuming config,
-// not the file.
+// not the file; the lane indices are rebuilt from the lanes.
 vksim_snapshot::snap_state!(RtUnit {
     warps,
     mem_queue,
     inflight,
-    ready_heap,
-    ready_store,
+    ready_heap: with(save_ready, restore_ready),
     ready_seq,
     last_warp,
     arrivals,
@@ -645,30 +721,12 @@ vksim_snapshot::snap_state!(RtUnit {
     occupancy_trace,
     events,
     analytics,
-} skip { config, sample_period });
-
-/// Computes stack-spill traffic: given a sequence of stack depths reached by
-/// pushes/pops, returns `(spill_stores, spill_loads)` for a short stack of
-/// [`SHORT_STACK_ENTRIES`] entries (paper §III-C2).
-pub fn short_stack_spills(depth_trace: &[u32]) -> (u32, u32) {
-    let mut stores = 0;
-    let mut loads = 0;
-    let mut prev = 0u32;
-    for &d in depth_trace {
-        if d > SHORT_STACK_ENTRIES && d > prev {
-            stores += d - prev.max(SHORT_STACK_ENTRIES);
-        }
-        if prev > SHORT_STACK_ENTRIES && d < prev {
-            loads += prev.min(prev) - d.max(SHORT_STACK_ENTRIES).min(prev);
-        }
-        prev = d;
-    }
-    (stores, loads)
-}
+} skip { config, sample_period, in_op, active } then rebuild_indices);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vksim_testkit::{prop, prop_assert, prop_assert_eq};
 
     /// Memory stub: every load hits after `lat` cycles.
     struct FlatMem {
@@ -1038,7 +1096,9 @@ mod tests {
         );
         let mut mem = FlatMem::new(30);
         run_until_done(&mut rt, &mut mem, 100_000);
-        let eff = rt.simt_efficiency(32);
+        // RT-unit SIMT efficiency as `GpuStats` derives it (§VI-B).
+        let s = rt.stats();
+        let eff = s.active_ray_cycles as f64 / (s.resident_warp_cycles * 32) as f64;
         assert!(eff < 0.5, "tail thread should drag efficiency down: {eff}");
         assert!(eff > 0.0);
     }
@@ -1160,15 +1220,277 @@ mod tests {
         assert_eq!(rt.take_events(), restored.take_events());
     }
 
+    /// Seeded stub port: each load answers `Ready` (sometimes already in
+    /// the past), `Pending` or `Retry` from its own stream. Pending tokens
+    /// fall due 1–40 cycles later and are delivered by [`Chaos::step`].
+    #[derive(Clone)]
+    struct ChaosMem {
+        rng: vksim_testkit::Pcg32,
+        next_token: u64,
+        due: Vec<(u64, u64)>, // (cycle, token)
+        calls: u64,
+    }
+
+    impl RtMem for ChaosMem {
+        fn load_chunk(&mut self, _addr: u64, now: u64) -> RtMemResult {
+            self.calls += 1;
+            match self.rng.u32_below(3) {
+                0 => RtMemResult::Ready {
+                    at: now + self.rng.u64_below(8),
+                },
+                1 => {
+                    self.next_token += 1;
+                    let at = now + 1 + self.rng.u64_below(40);
+                    self.due.push((at, self.next_token));
+                    RtMemResult::Pending {
+                        token: self.next_token,
+                    }
+                }
+                _ => RtMemResult::Retry,
+            }
+        }
+        fn store_chunk(&mut self, _addr: u64, _now: u64) {
+            self.calls += 1;
+        }
+    }
+
+    /// Port that records any call: a unit asleep must not touch it.
+    struct Tripwire(u64);
+
+    impl RtMem for Tripwire {
+        fn load_chunk(&mut self, _addr: u64, _now: u64) -> RtMemResult {
+            self.0 += 1;
+            RtMemResult::Retry
+        }
+        fn store_chunk(&mut self, _addr: u64, _now: u64) {
+            self.0 += 1;
+        }
+    }
+
+    /// A seeded scenario in flight: the unit, its port, the jobs not yet
+    /// admitted and the retirements so far.
+    #[derive(Clone)]
+    struct Chaos {
+        rt: RtUnit,
+        mem: ChaosMem,
+        queue: VecDeque<WarpJob>,
+        done: Vec<(u64, WarpDone)>,
+    }
+
+    impl Chaos {
+        /// 1–6 warps of 1–32 lanes, each lane 0–4 steps: `Fetch` of 1–3
+        /// chunks from a small address pool (so requests merge) under
+        /// every `OpKind`, or a `Store`; a small queue and warp buffer.
+        fn new(seed: u64) -> Self {
+            let mut rng = vksim_testkit::Pcg32::new(seed);
+            let config = RtUnitConfig {
+                max_warps: rng.usize_range(1, 4),
+                mem_queue: rng.usize_range(3, 16),
+                issue_per_cycle: rng.usize_range(1, 2),
+                ..Default::default()
+            };
+            let step = |rng: &mut vksim_testkit::Pcg32| {
+                let addr = 0x1000 + rng.u64_below(24) * 32;
+                let size = 32 * (1 + rng.u32_below(3));
+                let op = match rng.u32_below(5) {
+                    0 => return Step::Store { addr, size: 32 },
+                    1 => OpKind::Box {
+                        tests: 1 + rng.u32_below(6) as u8,
+                    },
+                    2 => OpKind::Triangle,
+                    3 => OpKind::Transform,
+                    _ => OpKind::None,
+                };
+                Step::Fetch { addr, size, op }
+            };
+            let queue = (0..rng.u32_below(6) + 1)
+                .map(|warp_id| WarpJob {
+                    warp_id,
+                    scripts: (0..rng.usize_range(1, 32))
+                        .map(|_| (0..rng.u32_below(5)).map(|_| step(&mut rng)).collect())
+                        .collect(),
+                })
+                .collect();
+            let mut rt = RtUnit::new(config);
+            rt.set_event_trace(true);
+            rt.set_analytics(true);
+            Chaos {
+                rt,
+                mem: ChaosMem {
+                    rng: rng.split(),
+                    next_token: 0,
+                    due: Vec::new(),
+                    calls: 0,
+                },
+                queue,
+                done: Vec::new(),
+            }
+        }
+
+        /// One cycle: deliver due completions, admit jobs, tick.
+        fn step(&mut self, now: u64) {
+            let (due, later): (Vec<_>, Vec<_>) =
+                self.mem.due.iter().partition(|&&(at, _)| at <= now);
+            self.mem.due = later;
+            for (_, token) in due {
+                self.rt.on_mem_complete(token, now);
+            }
+            while self.rt.has_capacity() {
+                let Some(job) = self.queue.pop_front() else {
+                    break;
+                };
+                assert!(self.rt.try_enqueue(job, now));
+            }
+            let done = self.rt.tick(now, &mut self.mem);
+            self.done.extend(done.into_iter().map(|d| (now, d)));
+        }
+
+        fn finished(&self) -> bool {
+            self.queue.is_empty() && self.rt.is_idle() && self.mem.due.is_empty()
+        }
+
+        /// Runs from cycle `from` to completion; returns the cycle after.
+        fn run(&mut self, from: u64) -> u64 {
+            let mut now = from;
+            while !self.finished() {
+                assert!(now < 100_000, "scenario does not finish");
+                self.step(now);
+                now += 1;
+            }
+            now
+        }
+    }
+
+    /// Everything a sleeping unit must leave alone: lane states, the
+    /// memory access queue, in-flight and ready requests, the GTO pick
+    /// and the counters.
+    fn sleep_state(rt: &RtUnit) -> Vec<u8> {
+        let mut e = Enc::new();
+        rt.warps.save(&mut e);
+        rt.mem_queue.save(&mut e);
+        rt.inflight.save(&mut e);
+        save_ready(&rt.ready_heap, &mut e);
+        rt.last_warp.save(&mut e);
+        rt.stats.counters.save(&mut e);
+        e.into_bytes()
+    }
+
+    fn encode(rt: &RtUnit) -> Vec<u8> {
+        let mut e = Enc::new();
+        rt.save(&mut e);
+        e.into_bytes()
+    }
+
+    fn prop_cases() -> vksim_testkit::Config {
+        let config = vksim_testkit::Config::from_env();
+        vksim_testkit::Config {
+            cases: config.cases.min(64),
+            ..config
+        }
+    }
+
+    /// (a) `next_wake` is exact: with no completion delivered, ticking
+    /// every cycle before it changes nothing and calls no port, and
+    /// ticking at it does something.
     #[test]
-    fn short_stack_spill_accounting() {
-        // Depth climbs to 10: 2 spill stores; then drops to 0: 2 reloads.
-        let trace: Vec<u32> = (1..=10).chain((0..10).rev()).collect();
-        let (stores, loads) = short_stack_spills(&trace);
-        assert_eq!(stores, 2);
-        assert_eq!(loads, 2);
-        // Never exceeding the short stack: no spills.
-        let shallow: Vec<u32> = (1..=8).collect();
-        assert_eq!(short_stack_spills(&shallow), (0, 0));
+    fn next_wake_is_exact() {
+        vksim_testkit::check_with(prop_cases(), &prop::u64_in(0, u64::MAX), |&seed| {
+            let mut c = Chaos::new(seed);
+            let mut now = 0;
+            while !c.finished() {
+                prop_assert!(now < 100_000, "scenario does not finish");
+                c.step(now);
+                let wake = c.rt.next_wake(now);
+                let mut idle = c.rt.clone();
+                let before = sleep_state(&idle);
+                let mut port = Tripwire(0);
+                let until = wake.unwrap_or(now + 64);
+                for t in now + 1..until {
+                    let retired = idle.tick(t, &mut port);
+                    prop_assert!(
+                        retired.is_empty(),
+                        "cycle {t} < wake {wake:?} retired a warp"
+                    );
+                    prop_assert_eq!(port.0, 0, "cycle {t} < wake {wake:?} called the port");
+                    prop_assert!(
+                        sleep_state(&idle) == before,
+                        "cycle {t} < wake {wake:?} moved"
+                    );
+                }
+                if let Some(t) = wake {
+                    let mut mem = c.mem.clone();
+                    idle.tick(t, &mut mem);
+                    prop_assert!(
+                        mem.calls > c.mem.calls || sleep_state(&idle) != before,
+                        "cycle {now}: nothing happened at wake {t}"
+                    );
+                }
+                now += 1;
+            }
+            Ok(())
+        });
+    }
+
+    /// (b) Restore rebuilds the indices: freeze at a random cycle (one
+    /// with lanes in all four states when there is one), save, restore
+    /// into a fresh unit, and run both copies to the end.
+    #[test]
+    fn restore_rebuilds_indices_at_any_freeze_point() {
+        let all_states_frozen = std::cell::Cell::new(0);
+        vksim_testkit::check_with(prop_cases(), &prop::u64_in(0, u64::MAX), |&seed| {
+            let mut c = Chaos::new(seed);
+            let mut pick = vksim_testkit::Pcg32::new(!seed);
+            // Reservoir-sample one freeze point, preferring cycles on
+            // which every lane state is present.
+            let (mut frozen, mut best, mut seen) = (None, false, 0u64);
+            let mut now = 0;
+            while !c.finished() {
+                prop_assert!(now < 100_000, "scenario does not finish");
+                c.step(now);
+                now += 1;
+                let states = c.rt.warps.iter().flat_map(|w| &w.lanes).fold(0u8, |m, l| {
+                    m | match l.state {
+                        LaneState::Ready => 1,
+                        LaneState::WaitMem => 2,
+                        LaneState::InOp(_) => 4,
+                        LaneState::Done => 8,
+                    }
+                });
+                let all = states == 15;
+                if all && !best {
+                    (best, seen) = (true, 0);
+                }
+                if all == best {
+                    seen += 1;
+                    if pick.u64_below(seen) == 0 {
+                        frozen = Some((now, c.clone()));
+                    }
+                }
+            }
+            let Some((resume_at, mut original)) = frozen else {
+                return Ok(());
+            };
+            all_states_frozen.set(all_states_frozen.get() + u32::from(best));
+
+            let bytes = encode(&original.rt);
+            let mut restored = original.clone();
+            restored.rt = RtUnit::new(original.rt.config.clone());
+            let mut d = Dec::new(&bytes);
+            restored.rt.restore(&mut d).map_err(|e| e.to_string())?;
+            d.finish().map_err(|e| e.to_string())?;
+            prop_assert!(encode(&restored.rt) == bytes, "re-encode differs");
+            prop_assert_eq!(restored.rt.active, original.rt.active);
+
+            let end = original.run(resume_at);
+            prop_assert_eq!(restored.run(resume_at), end);
+            prop_assert_eq!(&restored.done, &original.done);
+            prop_assert!(encode(&restored.rt) == encode(&original.rt), "final bytes");
+            prop_assert_eq!(restored.rt.take_events(), original.rt.take_events());
+            Ok(())
+        });
+        assert!(
+            all_states_frozen.get() > 0,
+            "no case froze with lanes in all four states"
+        );
     }
 }

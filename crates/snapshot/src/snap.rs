@@ -352,16 +352,19 @@ pub fn __with_restore<T>(
 /// struct Lane { next: usize, outstanding: u32 }
 /// vksim_snapshot::snap_struct!(Lane { next }); // `outstanding` is forgotten
 /// ```
+///
+/// A trailing `skip { .. }` lists derived fields: not written, `Default`
+/// on load.
 #[macro_export]
 macro_rules! snap_struct {
-    ($ty:ident { $($field:ident),* $(,)? }) => {
+    ($ty:ident { $($field:ident),* $(,)? } $(skip { $($skip:ident),* $(,)? })?) => {
         impl $crate::Snap for $ty {
             fn save(&self, e: &mut $crate::Enc) {
-                let Self { $($field),* } = self;
+                let Self { $($field,)* $($($skip: _,)*)? } = self;
                 $($crate::Snap::save($field, e);)*
             }
             fn load(d: &mut $crate::Dec<'_>) -> Result<Self, $crate::SnapError> {
-                Ok(Self { $($field: $crate::Snap::load(d)?),* })
+                Ok(Self { $($field: $crate::Snap::load(d)?,)* $($($skip: Default::default(),)*)? })
             }
         }
     };
@@ -387,6 +390,9 @@ macro_rules! snap_struct {
 ///   closures; closures may use the other fields (skipped ones included)
 ///   by name.
 ///
+/// A trailing `then method` names a `fn(&mut self) -> Result<(), SnapError>`
+/// that `restore` calls last, to rebuild skipped derived state.
+///
 /// ```
 /// use vksim_snapshot::{load_fixed, Dec, Enc, Snap};
 /// struct Cache { line_bytes: u64, sets: Vec<u64>, stamp: u64 }
@@ -409,7 +415,7 @@ macro_rules! snap_state {
     (
         $ty:ident {
             $($field:ident $(: $mode:ident $(($($arg:expr),+))?)?),* $(,)?
-        } skip { $($skip:ident),* $(,)? }
+        } skip { $($skip:ident),* $(,)? } $(then $then:ident)?
     ) => {
         impl $ty {
             /// Serializes the dynamic state for a machine-state snapshot.
@@ -435,6 +441,7 @@ macro_rules! snap_state {
                 let Self { $($field,)* $($skip,)* } = self;
                 let _ = ($(&$skip,)*);
                 $($crate::snap_state!(@restore d $field $($mode $(($($arg),+))?)?);)*
+                $(self.$then()?;)?
                 Ok(())
             }
         }

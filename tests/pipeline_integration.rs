@@ -46,7 +46,7 @@ fn roofline_points_are_memory_bound() {
     let w = build(WorkloadKind::Ext, Scale::Test);
     let report = small_sim().run(&w.device, &w.cmd).expect("healthy run");
     let point = roofline_point(&report.gpu);
-    let roof = rt_roofline(4, 8, 4);
+    let roof = rt_roofline(&SimConfig::test_small().gpu.rt_unit);
     assert!(
         roof.is_memory_bound(&point),
         "EXT should be memory bound: {point:?}"
