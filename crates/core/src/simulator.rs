@@ -6,7 +6,7 @@ use crate::runtime::{RtRuntime, RuntimeStats};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use vksim_fault::SimError;
-use vksim_gpu::{GpuFault, GpuSim, GpuStats, LaunchDims, RunOutcome};
+use vksim_gpu::{GpuConfig, GpuFault, GpuSim, GpuStats, LaunchDims, RunOutcome};
 use vksim_isa::interp::{run_to_exit, ExecError, ThreadState};
 use vksim_isa::SimMemory;
 use vksim_power::{ActivityCounts, PowerModel, PowerReport};
@@ -175,27 +175,7 @@ impl Simulator {
         let every = gpu_config.checkpoint_every;
         let keep = gpu_config.checkpoint_keep;
         let ckpt_dir = gpu_config.checkpoint_dir.clone();
-        let num_sms = gpu_config.num_sms;
-        let rt_analytics_on = gpu_config.trace.rt_analytics;
-        let mut gpu = GpuSim::new(gpu_config);
-        gpu.mem = device.memory.clone();
-        gpu.launch(
-            cmd.program.clone(),
-            LaunchDims {
-                width: cmd.dims.width,
-                height: cmd.dims.height,
-                depth: cmd.dims.depth,
-            },
-        );
-        // One runtime shard per SM at every thread count (warps never
-        // migrate between SMs, so per-thread state partitions exactly).
-        let mut shards: Vec<RtRuntime> = {
-            let mut runtime = self.make_runtime(device, cmd);
-            if rt_analytics_on {
-                runtime.enable_analytics();
-            }
-            (0..num_sms).map(|sm| runtime.shard(sm)).collect()
-        };
+        let (mut gpu, mut shards) = self.launch(gpu_config, device, cmd);
         if let Some(payload) = resume_payload {
             if let Err(e) = checkpoint::restore_machine(&mut gpu, &mut shards, &payload) {
                 return Err(snapshot_failure(format!(
@@ -318,6 +298,34 @@ impl Simulator {
                 }))
             }
         }
+    }
+
+    /// A machine with `cmd` launched, and one runtime shard per SM at every
+    /// thread count (warps never migrate, so per-thread state partitions).
+    fn launch(
+        &self,
+        config: GpuConfig,
+        device: &Device,
+        cmd: &TraceRaysCommand,
+    ) -> (GpuSim, Vec<RtRuntime>) {
+        let num_sms = config.num_sms;
+        let rt_analytics_on = config.trace.rt_analytics;
+        let mut gpu = GpuSim::new(config);
+        gpu.mem = device.memory.clone();
+        gpu.launch(
+            cmd.program.clone(),
+            LaunchDims {
+                width: cmd.dims.width,
+                height: cmd.dims.height,
+                depth: cmd.dims.depth,
+            },
+        );
+        let mut runtime = self.make_runtime(device, cmd);
+        if rt_analytics_on {
+            runtime.enable_analytics();
+        }
+        let shards = (0..num_sms).map(|sm| runtime.shard(sm)).collect();
+        (gpu, shards)
     }
 
     /// Functional-only run: executes every thread to completion without the
@@ -1122,5 +1130,72 @@ mod tests {
         assert!((mem.read_f32(fb) - 3.0).abs() < 1e-3, "hit t");
         assert_eq!(mem.read_f32(fb + 4), 42.0, "custom index");
         assert!(mem.read_f32(fb + 8) < 0.0, "normal faces the ray");
+    }
+
+    /// Everything a run leaves behind, for comparing two runs byte by byte.
+    fn outcome(gpu: &mut GpuSim, shards: &[RtRuntime], stats: GpuStats) -> String {
+        let payload = checkpoint::machine_payload(gpu, shards);
+        format!(
+            "{stats:?}\n{:?}\n{:?}\n{:?}\n{:?}\n{payload:?}",
+            gpu.prof_report(),
+            gpu.rt_report_parts(),
+            rt_report(gpu, shards),
+            gpu.take_trace_report(),
+        )
+    }
+
+    /// Idle SMs sleep through the ticks that would change nothing; a run
+    /// stepped one cycle at a time never skips a tick, because every exit
+    /// of the cycle loop wakes every SM. Both must leave identical
+    /// statistics, observers, trace and machine state.
+    #[test]
+    fn sleeping_sms_match_a_run_that_ticks_every_cycle() {
+        use vksim_scenes::{build, Scale, WorkloadKind};
+        let mut starved = SimConfig::paper();
+        starved.gpu.mem.l2.mshr_entries = starved.gpu.mem.num_partitions as usize;
+        starved.gpu.mem.l2.mshr_merge = 2;
+        let observed = SimConfig::paper()
+            .with_icnt_queue_depth(4)
+            .with_icnt_return_credits(2)
+            .with_trace(vksim_trace::TraceConfig {
+                enabled: true,
+                interval: 200,
+                ..Default::default()
+            })
+            .with_accounting(true)
+            .with_rt_analytics(true);
+        let small = SimConfig::test_small;
+        let cases = [
+            ("paper icnt + observers", observed, WorkloadKind::Ext, false),
+            ("paper l2 starved", starved, WorkloadKind::Tri, false),
+            (
+                "ref its rtw2",
+                small().with_its(true).with_rt_max_warps(2),
+                WorkloadKind::Ref,
+                false,
+            ),
+            ("rtv6 fcc", small(), WorkloadKind::Rtv6, true),
+        ];
+        for (name, config, kind, fcc) in cases {
+            let mut w = build(kind, Scale::Test);
+            let cmd = if fcc { w.with_fcc(true) } else { w.cmd.clone() };
+            let sim = Simulator::new(config);
+            let run = |stepped: bool| {
+                let (mut gpu, mut shards) = sim.launch(sim.config().resolve(), &w.device, &cmd);
+                let stats = if stepped {
+                    loop {
+                        let stop = gpu.cycles() + 1;
+                        match gpu.run_until(&mut shards, stop).expect("healthy run") {
+                            RunOutcome::Done(stats) => break *stats,
+                            RunOutcome::Paused => {}
+                        }
+                    }
+                } else {
+                    gpu.run(&mut shards).expect("healthy run")
+                };
+                outcome(&mut gpu, &shards, stats)
+            };
+            assert!(run(false) == run(true), "{name}: sleeping changed the run");
+        }
     }
 }

@@ -313,12 +313,13 @@ fn tick_chunk(
 
 /// Hands pending warps to the least-loaded SM below the occupancy limit,
 /// lowest SM id winning ties (`Iterator::min_by_key` keeps the first
-/// minimum).
+/// minimum); each SM that gets one is woken for its tick at `next`.
 fn refill(
     held: &mut [MutexGuard<'_, Chunk<'_>>],
     pending: &mut VecDeque<WarpSeed>,
     limit: usize,
     program: &Program,
+    next: u64,
 ) {
     while !pending.is_empty() {
         let Some(lane) = held
@@ -330,6 +331,7 @@ fn refill(
             break;
         };
         let seed = pending.pop_front().expect("nonempty");
+        lane.sm.wake(next);
         lane.sm
             .add_warp(seed.id, seed.base_tid, seed.active, program);
     }
@@ -613,7 +615,8 @@ impl GpuSim {
 
             let mut held: Vec<_> = slots.iter().map(lock).collect();
             let mut base = mem.write().expect("functional memory lock");
-            refill(&mut held, &mut self.pending, limit, &program);
+            let mut ticked = self.cycle;
+            refill(&mut held, &mut self.pending, limit, &program, ticked + 1);
             while !self.pending.is_empty()
                 || held.iter().flat_map(|c| c.iter()).any(|l| !l.sm.is_empty())
             {
@@ -634,9 +637,9 @@ impl GpuSim {
                     );
                     if sm < num {
                         let w = starts.partition_point(|&start| start <= sm) - 1;
-                        held[w][sm - starts[w]]
-                            .sm
-                            .on_mem_complete(id, at.max(cycle));
+                        let sm = &mut held[w][sm - starts[w]].sm;
+                        sm.wake(cycle);
+                        sm.on_mem_complete(id, at.max(cycle));
                     } else {
                         self.dropped_completions += 1;
                     }
@@ -666,6 +669,7 @@ impl GpuSim {
                     held.extend(slots[1..].iter().map(lock));
                     base = mem.write().expect("functional memory lock");
                 }
+                ticked = cycle;
                 // Phase B: drain request queues and write overlays in
                 // SM-id order; the first fault in that order wins.
                 let mut retired = false;
@@ -692,6 +696,9 @@ impl GpuSim {
                     col.push_mem_events(num as u32, rows.into_iter().map(row_activate_event));
                     let interval = col.interval();
                     if interval > 0 && cycle.is_multiple_of(interval) {
+                        for lane in held.iter_mut().flat_map(|c| c.iter_mut()) {
+                            lane.sm.wake(cycle + 1);
+                        }
                         let sms = held.iter().flat_map(|c| c.iter()).map(|l| &l.sm);
                         sample_interval(col, cycle, sms, &self.shared);
                     }
@@ -706,7 +713,7 @@ impl GpuSim {
                     break;
                 }
                 if retired {
-                    refill(&mut held, &mut self.pending, limit, &program);
+                    refill(&mut held, &mut self.pending, limit, &program, cycle + 1);
                 }
                 if progress {
                     self.last_progress = cycle;
@@ -727,6 +734,10 @@ impl GpuSim {
                     break;
                 }
             }
+            // Whatever reads the SMs next sees them ticked through `ticked`.
+            for lane in held.iter_mut().flat_map(|c| c.iter_mut()) {
+                lane.sm.wake(ticked + 1);
+            }
         });
 
         for lane in slots
@@ -737,6 +748,7 @@ impl GpuSim {
             self.queues.push(lane.queue);
         }
         self.mem = mem.into_inner().expect("functional memory lock");
+        debug_assert!(!self.sms.iter().any(Sm::is_asleep));
         if let Some(e) = fault {
             return Err(self.fail(e));
         }

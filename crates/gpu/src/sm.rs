@@ -10,13 +10,13 @@
 use crate::config::{DivergenceMode, GpuConfig};
 use crate::simt::{Ctx, CtxOutcome, Mask, SimtEngine};
 use crate::{ScriptSource, WARP_SIZE};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use vksim_fault::SimError;
 use vksim_isa::interp::{exec_at, Effect, RtHooks, ThreadState};
 use vksim_isa::op::MemSpace;
 use vksim_isa::{MemIo, Program};
 use vksim_mem::{
-    chunk_addresses, partition_of, AccessKind, Cache, CacheOutcome, MemRequest, MemSink,
+    chunk_addresses, partition_of, AccessKind, Cache, CacheOutcome, FixedMap, MemRequest, MemSink,
 };
 use vksim_rtunit::{RtMem, RtMemResult, RtUnit, RtUnitEventKind, WarpJob};
 use vksim_snapshot::{restore_opt, save_opt, Dec, Enc, Snap, SnapError};
@@ -181,14 +181,19 @@ impl Warp {
         &mut self.ctx_state[i].1
     }
 
+    /// The cycle `ctx` may issue from (0: `Ready`); `None` while it waits.
+    fn ready_at(&self, ctx: &Ctx) -> Option<u64> {
+        match self.status(ctx.id) {
+            CtxStatus::Ready => Some(0),
+            CtxStatus::OpUntil(t) => Some(t),
+            _ => None,
+        }
+    }
+
     /// The lowest-id context that can issue at `now`: the one copy of the
     /// rule the scheduler, the stall classifier and the watchdog share.
     fn issuable_ctx(&self, now: u64) -> Option<u32> {
-        let ready = |c: &Ctx| match self.status(c.id) {
-            CtxStatus::Ready => true,
-            CtxStatus::OpUntil(t) => t <= now,
-            _ => false,
-        };
+        let ready = |c: &Ctx| self.ready_at(c).is_some_and(|t| t <= now);
         self.engine.contexts().filter(ready).map(|c| c.id).min()
     }
 }
@@ -265,8 +270,8 @@ struct SmPort<'a> {
     l1: &'a mut Cache,
     rtc: Option<&'a mut Cache>,
     sink: &'a mut dyn MemSink,
-    waiting_lines: &'a mut HashMap<(CacheSel, u64), Vec<Waiter>>,
-    inflight: &'a mut HashMap<u64, (CacheSel, u64)>,
+    waiting_lines: &'a mut FixedMap<(CacheSel, u64), Vec<Waiter>>,
+    inflight: &'a mut FixedMap<u64, (CacheSel, u64)>,
     next_req: &'a mut u64,
     sm_id: usize,
     perfect_bvh: bool,
@@ -406,8 +411,8 @@ pub struct Sm {
     rtc: Option<Cache>,
     /// The SM's ray-tracing accelerator.
     pub rt_unit: RtUnit,
-    waiting_lines: HashMap<(CacheSel, u64), Vec<Waiter>>,
-    inflight: HashMap<u64, (CacheSel, u64)>, // req id -> (cache, line)
+    waiting_lines: FixedMap<(CacheSel, u64), Vec<Waiter>>,
+    inflight: FixedMap<u64, (CacheSel, u64)>, // req id -> (cache, line)
     next_rt_job: u32,
     rt_job_map: BTreeMap<u32, (u32, u32)>, // job id -> (warp id, ctx id)
     last_warp: Option<u32>,
@@ -436,6 +441,9 @@ pub struct Sm {
     // Warp traversal-coherence recorder (rt analytics); same
     // branch-on-null discipline.
     rt_analytics: Option<Box<WarpCoherence>>,
+    // `(from, until)` while asleep: ticks `from..until` are skipped and
+    // accounted at the wake. `None` at every cycle-loop exit: not written.
+    sleep: Option<(u64, u64)>,
 }
 
 impl Sm {
@@ -447,8 +455,8 @@ impl Sm {
             l1: Cache::new(config.l1.clone()),
             rtc: config.rt_cache.clone().map(Cache::new),
             rt_unit: RtUnit::new(config.rt_unit.clone()),
-            waiting_lines: HashMap::new(),
-            inflight: HashMap::new(),
+            waiting_lines: FixedMap::default(),
+            inflight: FixedMap::default(),
             next_rt_job: 0,
             rt_job_map: BTreeMap::new(),
             last_warp: None,
@@ -465,6 +473,7 @@ impl Sm {
             tracer: None,
             accounting: None,
             rt_analytics: None,
+            sleep: None,
         }
     }
 
@@ -609,6 +618,13 @@ impl Sm {
         // own submissions land — so the reading is identical at any thread
         // count.
         let icnt_blocked = sink.backlogged();
+        if let Some((_, until)) = self.sleep {
+            if now < until && !icnt_blocked {
+                debug_assert_eq!(self.idle_until(now - 1), Some(until), "changed asleep");
+                return Ok(TickReport::default());
+            }
+            self.wake(now);
+        }
         if icnt_blocked {
             self.stats.inc("sm.icnt_stall_cycles");
         }
@@ -654,8 +670,8 @@ impl Sm {
         // Attribute this cycle to exactly one category.
         if let Some((cat, resident, eligible)) = stall_class {
             let acc = self.accounting.as_mut().expect("classified => enabled");
-            acc.record(if issued { CycleCategory::Issued } else { cat });
-            acc.record_occupancy(resident, eligible);
+            let cat = if issued { CycleCategory::Issued } else { cat };
+            acc.record_span(cat, resident, eligible, 1);
         }
 
         // 4. Retire finished warps.
@@ -667,10 +683,62 @@ impl Sm {
         let before = self.warps.len();
         self.warps.retain(|w| !w.done());
         let retired = before != self.warps.len();
+
+        // 5. Sleep through ticks that would change nothing (not after a
+        // blocked one: the tracer ends the stall span on the next tick).
+        if !issued && !icnt_blocked {
+            self.sleep = self.idle_until(now).map(|until| (now + 1, until));
+        }
         Ok(TickReport {
             retired,
             progress: issued || retired || rt_finished,
         })
+    }
+
+    /// The cycle this SM next has work at (`u64::MAX`: only a completion or
+    /// a refill brings any) if the ticks before it would change nothing
+    /// [`Sm::wake`] cannot account for; `None` if the next tick may work.
+    /// An admission leaves the RT unit a step due at `now + 1`, so no trace
+    /// event waits untaken in a sleep.
+    fn idle_until(&self, now: u64) -> Option<u64> {
+        let mut until = self.rt_unit.next_wake(now).unwrap_or(u64::MAX);
+        let admits = self.rt_unit.has_capacity();
+        for w in &self.warps {
+            for c in w.engine.contexts() {
+                until = until.min(w.ready_at(&c).unwrap_or(u64::MAX));
+            }
+            for (_, st) in &w.ctx_state {
+                if !st.retry_chunks.is_empty() || (admits && st.pending_rt_job.is_some()) {
+                    return None;
+                }
+            }
+        }
+        (until > now + 1).then_some(until)
+    }
+
+    /// Ends a sleep before cycle `now`'s tick or anything that changes or
+    /// reads the SM, accounting the skipped ticks as they would have run:
+    /// each had the stall class and occupancy of the first.
+    pub fn wake(&mut self, now: u64) {
+        let Some((from, _)) = self.sleep.take() else {
+            return;
+        };
+        let n = now.checked_sub(from).expect("woken before the sleep began");
+        self.rt_unit.idle_cycles(from, n);
+        if self.rt_unit.resident_warps() > 0 {
+            self.trace_cycles += n;
+        }
+        if self.accounting.is_some() {
+            let (cat, resident, eligible) = self.classify_stall(from, false);
+            if let Some(acc) = self.accounting.as_mut() {
+                acc.record_span(cat, resident, eligible, n);
+            }
+        }
+    }
+
+    /// `true` while ticks are being skipped (see [`Sm::wake`]).
+    pub fn is_asleep(&self) -> bool {
+        self.sleep.is_some()
     }
 
     fn tick_rt_unit(&mut self, now: u64, sink: &mut dyn MemSink) -> bool {
@@ -1067,5 +1135,6 @@ vksim_snapshot::snap_state!(Sm {
     perfect_bvh,
     sfu_latency,
     divergence,
-    num_partitions
+    num_partitions,
+    sleep
 });

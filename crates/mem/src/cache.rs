@@ -1,6 +1,6 @@
 //! Set-associative LRU cache with MSHRs and miss classification.
 
-use std::collections::HashMap;
+use crate::{FixedMap, FixedSet};
 use vksim_snapshot::{load_fixed, Dec, Enc, Snap, SnapError};
 use vksim_stats::Counters;
 
@@ -147,7 +147,7 @@ pub(crate) enum Refusal {
 // One set's LRU state: line tag -> last-use stamp.
 #[derive(Default, Debug, Clone)]
 struct LruSet {
-    lines: HashMap<u64, u64>,
+    lines: FixedMap<u64, u64>,
 }
 
 // Snapshot encoding: (tag, stamp) pairs sorted by tag.
@@ -191,9 +191,9 @@ pub struct Cache {
     config: CacheConfig,
     sets: Vec<LruSet>,
     // MSHR: line address -> number of merged requesters.
-    mshr: HashMap<u64, usize>,
+    mshr: FixedMap<u64, usize>,
     // Shadow structures for miss classification.
-    ever_seen: HashMap<u64, ()>,
+    ever_seen: FixedSet<u64>,
     shadow_full: LruSet,
     stamp: u64,
     /// Classified statistics (hits/misses by [`AccessKind`]).
@@ -211,8 +211,8 @@ impl Cache {
         let sets = (0..config.num_sets()).map(|_| LruSet::default()).collect();
         Cache {
             sets,
-            mshr: HashMap::new(),
-            ever_seen: HashMap::new(),
+            mshr: FixedMap::default(),
+            ever_seen: FixedSet::default(),
             shadow_full: LruSet::default(),
             stamp: 0,
             config,
@@ -253,7 +253,7 @@ impl Cache {
         let is_store = kind == AccessKind::ShaderStore;
 
         // Shadow bookkeeping for classification (reads only).
-        let first_touch = !is_store && self.ever_seen.insert(line, ()).is_none();
+        let first_touch = !is_store && self.ever_seen.insert(line);
         let shadow_hit = !is_store && self.touch_shadow(line);
 
         if self.sets[set].touch(line, self.stamp) {
@@ -334,7 +334,7 @@ impl Cache {
     /// first refusal, and the tag and MSHR lookups change nothing.) The
     /// caller counts `mshr.full` / `mshr.merge_fail`.
     pub(crate) fn replay_refusal(&mut self, line: u64) {
-        debug_assert!(self.ever_seen.contains_key(&line));
+        debug_assert!(self.ever_seen.contains(&line));
         self.stamp += 1;
         self.touch_shadow(line);
     }

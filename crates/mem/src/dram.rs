@@ -404,7 +404,7 @@ impl Dram {
             } => (queue_depth as usize, age_cap),
             DramSched::Fcfs => return Vec::new(),
         };
-        if self.next_start.is_some_and(|start| horizon < start) {
+        if !self.schedule_due(horizon) {
             return Vec::new();
         }
         let mut out = Vec::new();
@@ -488,6 +488,13 @@ impl Dram {
         }
         self.next_start = Some(next_start);
         out
+    }
+
+    /// `false` when [`Dram::run_schedule`] up to `horizon` would finalize
+    /// nothing: FCFS, or below the earliest start the last scan left pending.
+    pub fn schedule_due(&self, horizon: u64) -> bool {
+        matches!(self.config.sched, DramSched::FrFcfs { .. })
+            && self.next_start.is_none_or(|start| horizon >= start)
     }
 
     /// Cycles spent transferring data, summed over channels.

@@ -25,10 +25,12 @@
 
 pub mod cache;
 pub mod dram;
+mod fixed_hash;
 pub mod system;
 
 pub use cache::{AccessKind, Cache, CacheConfig, CacheOutcome};
 pub use dram::{Dram, DramConfig, DramIssue, DramSched};
+pub use fixed_hash::{FixedMap, FixedSet, FixedState};
 pub use system::{
     partition_of, MemRequest, MemSink, RequestQueue, SharedMemSystem, SystemConfig, PARTITION_BYTES,
 };
@@ -67,5 +69,30 @@ mod tests {
         assert_eq!(chunk_addresses(31, 2), vec![0, 32]);
         assert_eq!(chunk_addresses(128, 128), vec![128, 160, 192, 224]);
         assert_eq!(chunk_addresses(100, 1), vec![96]);
+    }
+
+    /// The snapshot codec writes hashed containers sorted by key, so the
+    /// hasher never reaches the bytes.
+    #[test]
+    fn fixed_tables_encode_like_std_tables() {
+        use std::collections::{HashMap, HashSet};
+        use vksim_snapshot::{Enc, Snap};
+        let encode = |v: &dyn Fn(&mut Enc)| {
+            let mut e = Enc::new();
+            v(&mut e);
+            e.into_bytes()
+        };
+        let entries = (0..200u64).map(|i| (i * 32 * 7919 % 65_536, i));
+        let fixed: FixedMap<u64, u64> = entries.clone().collect();
+        let std: HashMap<u64, u64> = entries.collect();
+        assert_eq!(encode(&|e| fixed.save(e)), encode(&|e| std.save(e)));
+        let set: FixedSet<u64> = fixed.keys().copied().collect();
+        let std_set: HashSet<u64> = std.keys().copied().collect();
+        let as_map: HashMap<u64, ()> = std.keys().map(|&k| (k, ())).collect();
+        assert_eq!(encode(&|e| set.save(e)), encode(&|e| std_set.save(e)));
+        assert_eq!(encode(&|e| set.save(e)), encode(&|e| as_map.save(e)));
+        let bytes = encode(&|e| std.save(e));
+        let loaded = FixedMap::<u64, u64>::load(&mut vksim_snapshot::Dec::new(&bytes));
+        assert_eq!(loaded.unwrap(), fixed);
     }
 }

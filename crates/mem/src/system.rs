@@ -23,8 +23,9 @@
 
 use crate::cache::{AccessKind, Cache, CacheConfig, CacheOutcome, Refusal};
 use crate::dram::{Dram, DramConfig, DramIssue};
+use crate::FixedMap;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use vksim_snapshot::{load_fixed, restore_each, save_each, Dec, Enc, Snap, SnapError};
 use vksim_stats::Counters;
 
@@ -276,10 +277,10 @@ impl PartialOrd for Ev {
 struct Parked {
     ev: Ev,
     /// For a read the L2 refused: the partition's fill epoch at the
-    /// refusal and the check that refused it. Until the next fill the same
-    /// check refuses it again ([`Cache::would_refuse`]), so the re-offer
-    /// skips the access and only replays its side effects.
-    refused: Option<(u64, Refusal)>,
+    /// refusal, the check that refused it and the line. Until the next fill
+    /// the same check refuses it again ([`Cache::would_refuse`]), so the
+    /// re-offer skips the access and only replays its side effects.
+    refused: Option<(u64, Refusal, u64)>,
 }
 
 /// One memory partition: an L2 slice, a DRAM channel group and the
@@ -295,9 +296,9 @@ struct Partition {
     /// L2 read into an accepted one.
     fill_epoch: u64,
     seq: u64,
-    waiting: HashMap<u64, Vec<u64>>,
+    waiting: FixedMap<u64, Vec<u64>>,
     /// FR-FCFS tickets for in-flight reads: ticket -> L2 line to fill.
-    tickets: HashMap<u64, u64>,
+    tickets: FixedMap<u64, u64>,
     /// Requests accepted into this partition's ingress (on the wire or
     /// queued at the L2 slice) and not yet handed to the L2. Bounded by
     /// `icnt_queue_depth` when that knob is finite.
@@ -325,7 +326,7 @@ impl Partition {
     }
 
     /// Backs `kind` off until `time` (see [`Parked`]).
-    fn park(&mut self, time: u64, kind: EvKind, refused: Option<(u64, Refusal)>) {
+    fn park(&mut self, time: u64, kind: EvKind, refused: Option<(u64, Refusal, u64)>) {
         self.seq += 1;
         let ev = Ev {
             time,
@@ -349,6 +350,17 @@ impl Partition {
             (h, f) => h.or(f)?,
         };
         (time <= cycle).then_some((time, in_fifo))
+    }
+
+    /// The parked head's time, check and line if it is a read refused in this
+    /// fill epoch, due by `cycle`, ahead of the heap top and any DRAM decision.
+    fn replayable(&self, cycle: u64) -> Option<(u64, Refusal, u64)> {
+        let head = self.parked.front()?;
+        let (epoch, refusal, line) = head.refused?;
+        let t = head.ev.time;
+        let first = self.events.peek().is_none_or(|top| head.ev < top.0);
+        (epoch == self.fill_epoch && t <= cycle && first && !self.dram.schedule_due(t))
+            .then_some((t, refusal, line))
     }
 }
 
@@ -477,8 +489,8 @@ impl SharedMemSystem {
                 parked: VecDeque::new(),
                 fill_epoch: 0,
                 seq: 0,
-                waiting: HashMap::new(),
-                tickets: HashMap::new(),
+                waiting: FixedMap::default(),
+                tickets: FixedMap::default(),
                 ingress_occupancy: 0,
                 last_event_time: 0,
                 egress_free: vec![0; config.icnt_return_credits as usize],
@@ -569,14 +581,27 @@ impl SharedMemSystem {
             // string-keyed counters once, below.
             let (mut full, mut merge_fail) = (0u64, 0u64);
             loop {
+                // Refused reads with no fill since, due before anything else:
+                // the same check refuses them again, so replay the side
+                // effects of the failing access without performing it.
+                while let Some((t, refusal, line)) = p.replayable(cycle) {
+                    let Parked { ev, refused } = p.parked.pop_front().expect("peeked");
+                    debug_assert_eq!(p.l2.would_refuse(line), Some(refusal));
+                    p.l2.replay_refusal(line);
+                    match refusal {
+                        Refusal::MshrFull => full += 1,
+                        Refusal::MergeFull => merge_fail += 1,
+                    }
+                    p.last_event_time = t;
+                    p.park(t + RETRY_BACKOFF, ev.kind, refused);
+                }
                 // Finalize FR-FCFS scheduling decisions up to the next
                 // event (or `cycle`); redeemed read tickets become
                 // DramDone events at their completion cycle.
                 let next = p.next_due(cycle);
                 let horizon = next.map_or(cycle, |(time, _)| time);
-                let scheduled = p.dram.run_schedule(horizon);
-                if !scheduled.is_empty() {
-                    for (ticket, ready) in scheduled {
+                if p.dram.schedule_due(horizon) {
+                    for (ticket, ready) in p.dram.run_schedule(horizon) {
                         if let Some(line) = p.tickets.remove(&ticket) {
                             p.push(ready, EvKind::DramDone { line });
                         }
@@ -586,40 +611,27 @@ impl SharedMemSystem {
                 let Some((t, in_fifo)) = next else {
                     break;
                 };
-                let (ev, refused) = if in_fifo {
+                let ev = if in_fifo {
                     let parked = p.parked.pop_front().expect("peeked");
-                    (parked.ev, parked.refused)
+                    // The replay loop took every same-epoch refusal.
+                    debug_assert!(parked.refused.is_none_or(|(e, ..)| e != p.fill_epoch));
+                    parked.ev
                 } else {
-                    (p.events.pop().expect("peeked").0, None)
+                    p.events.pop().expect("peeked").0
                 };
                 p.last_event_time = t;
                 match ev.kind {
-                    EvKind::ArriveL2(req) => match refused {
-                        // No fill since this read was refused, so the same
-                        // check refuses it again: replay the side effects
-                        // of the failing access without performing it.
-                        Some((epoch, refusal)) if epoch == p.fill_epoch => {
-                            let line = p.l2.line_of(req.addr);
-                            debug_assert_eq!(p.l2.would_refuse(line), Some(refusal));
-                            p.l2.replay_refusal(line);
-                            match refusal {
-                                Refusal::MshrFull => full += 1,
-                                Refusal::MergeFull => merge_fail += 1,
-                            }
-                            p.park(t + RETRY_BACKOFF, ev.kind, refused);
-                        }
-                        _ => handle_l2(
-                            p,
-                            stats,
-                            *drop_nth_completion,
-                            completions_delivered,
-                            icnt,
-                            bounded,
-                            req,
-                            t,
-                            &mut done,
-                        ),
-                    },
+                    EvKind::ArriveL2(req) => handle_l2(
+                        p,
+                        stats,
+                        *drop_nth_completion,
+                        completions_delivered,
+                        icnt,
+                        bounded,
+                        req,
+                        t,
+                        &mut done,
+                    ),
                     EvKind::DramDone { line } => {
                         p.l2.fill(line, t);
                         p.fill_epoch += 1;
@@ -862,7 +874,7 @@ fn handle_l2(
         CacheOutcome::ReservationFail => {
             stats.inc("l2.retry");
             let refusal = p.l2.would_refuse(line).expect("the read was just refused");
-            let refused = Some((p.fill_epoch, refusal));
+            let refused = Some((p.fill_epoch, refusal, line));
             p.park(t + RETRY_BACKOFF, EvKind::ArriveL2(req), refused);
         }
     }

@@ -181,7 +181,7 @@ impl Default for RtUnitConfig {
 }
 
 /// Aggregated RT-unit statistics used by the evaluation experiments.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RtStatsBundle {
     /// Event counters (fetches, ops, spills, ...).
     pub counters: Counters,

@@ -521,21 +521,29 @@ impl RtUnit {
         }
 
         // 5. Statistics sampling.
-        if !self.warps.is_empty() {
-            self.stats.busy_cycles += 1;
-            self.stats.resident_warp_cycles += self.warps.len() as u64;
-            self.stats.active_ray_cycles += self.active as u64;
-        }
-        if now.is_multiple_of(self.sample_period) {
-            self.occupancy_trace
-                .push((now, self.warps.len() as u32, self.active));
-        }
+        self.idle_cycles(now, 1);
         self.debug_check_indices();
         done
     }
 
+    /// Accounts `n` cycles from `from` as ticks before [`RtUnit::next_wake`]
+    /// would: the occupancy integrals and samples. `tick` ends with one.
+    pub fn idle_cycles(&mut self, from: u64, n: u64) {
+        let warps = self.warps.len() as u64;
+        if warps > 0 {
+            self.stats.busy_cycles += n;
+            self.stats.resident_warp_cycles += warps * n;
+            self.stats.active_ray_cycles += u64::from(self.active) * n;
+        }
+        let mut at = from.next_multiple_of(self.sample_period);
+        while at < from + n {
+            self.occupancy_trace.push((at, warps as u32, self.active));
+            at += self.sample_period;
+        }
+    }
+
     /// The earliest cycle after `now` at which [`RtUnit::tick`] can do more
-    /// than bump the occupancy integrals and samples; `None` when only
+    /// than [`RtUnit::idle_cycles`]; `None` when only
     /// [`RtUnit::on_mem_complete`] can wake the unit. A later `try_enqueue`
     /// or `on_mem_complete` invalidates the answer.
     pub fn next_wake(&self, now: u64) -> Option<u64> {
@@ -1425,6 +1433,36 @@ mod tests {
                         "cycle {now}: nothing happened at wake {t}"
                     );
                 }
+                now += 1;
+            }
+            Ok(())
+        });
+    }
+
+    /// `idle_cycles` stands in for the ticks before `next_wake`: accounting
+    /// the span in one call and ticking at the wake leaves the unit
+    /// exactly as ticking every cycle does.
+    #[test]
+    fn idle_cycles_match_ticking() {
+        vksim_testkit::check_with(prop_cases(), &prop::u64_in(0, u64::MAX), |&seed| {
+            let mut c = Chaos::new(seed);
+            let mut now = 0;
+            while !c.finished() {
+                prop_assert!(now < 100_000, "scenario does not finish");
+                c.step(now);
+                let wake = c.rt.next_wake(now).unwrap_or(now + 300);
+                let (mut skipped, mut ticked) = (c.rt.clone(), c.rt.clone());
+                let (mut skip_mem, mut tick_mem) = (c.mem.clone(), c.mem.clone());
+                skipped.idle_cycles(now + 1, wake - now - 1);
+                let skip_done = skipped.tick(wake, &mut skip_mem);
+                let mut tick_done = Vec::new();
+                for t in now + 1..=wake {
+                    tick_done.extend(ticked.tick(t, &mut tick_mem));
+                }
+                prop_assert!(skipped.stats == ticked.stats, "cycle {now}: stats differ");
+                prop_assert_eq!(skipped.occupancy_trace(), ticked.occupancy_trace());
+                prop_assert_eq!(skip_done, tick_done);
+                prop_assert!(encode(&skipped) == encode(&ticked), "cycle {now}: bytes");
                 now += 1;
             }
             Ok(())

@@ -13,7 +13,7 @@ use crate::{Dec, Enc, SnapError};
 use std::any::type_name;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet, VecDeque};
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash};
 
 /// A value that writes itself into a snapshot and reads itself back.
 ///
@@ -202,7 +202,7 @@ impl<T: Snap + Ord> Snap for BTreeSet<T> {
     }
 }
 
-impl<K: Snap + Ord + Hash, V: Snap> Snap for HashMap<K, V> {
+impl<K: Snap + Ord + Hash, V: Snap, S: BuildHasher + Default> Snap for HashMap<K, V, S> {
     fn save(&self, e: &mut Enc) {
         let mut entries: Vec<(&K, &V)> = self.iter().collect();
         entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
@@ -217,7 +217,7 @@ impl<K: Snap + Ord + Hash, V: Snap> Snap for HashMap<K, V> {
     }
 }
 
-impl<T: Snap + Ord + Hash> Snap for HashSet<T> {
+impl<T: Snap + Ord + Hash, S: BuildHasher + Default> Snap for HashSet<T, S> {
     fn save(&self, e: &mut Enc) {
         save_sorted(e, self.iter().collect());
     }

@@ -109,21 +109,17 @@ impl CycleAccounting {
         Self::default()
     }
 
-    /// Attributes one cycle to `cat`. Called exactly once per SM tick.
-    pub fn record(&mut self, cat: CycleCategory) {
-        self.categories[cat as usize] += 1;
-    }
-
-    /// Accumulates the per-warp occupancy sample for one cycle:
-    /// `resident` warps on the SM, of which `eligible` had an issuable
-    /// context at tick start.
-    pub fn record_occupancy(&mut self, resident: u64, eligible: u64) {
+    /// Attributes `n` cycles to `cat`, each with `resident` warps on the SM
+    /// of which `eligible` could issue at tick start: one per tick, or a
+    /// sleeping SM's skipped span at its wake.
+    pub fn record_span(&mut self, cat: CycleCategory, resident: u64, eligible: u64, n: u64) {
         debug_assert!(
             eligible <= resident,
             "eligible {eligible} > resident {resident}"
         );
-        self.resident_warp_cycles += resident;
-        self.eligible_warp_cycles += eligible;
+        self.categories[cat as usize] += n;
+        self.resident_warp_cycles += resident * n;
+        self.eligible_warp_cycles += eligible * n;
     }
 
     /// Cycles attributed to `cat`.
@@ -174,7 +170,7 @@ vksim_snapshot::snap_struct!(CycleAccounting {
 /// needed to check conservation and derive rates.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProfReport {
-    /// Cycles the machine ran (every SM is ticked every cycle).
+    /// Cycles the machine ran (every cycle of every SM is attributed).
     pub cycles: u64,
     /// One recorder per SM, indexed by SM id.
     pub per_sm: Vec<CycleAccounting>,
@@ -378,13 +374,10 @@ mod tests {
     #[test]
     fn record_and_merge_conserve_totals() {
         let mut a = CycleAccounting::new();
-        a.record(CycleCategory::Issued);
-        a.record(CycleCategory::Issued);
-        a.record(CycleCategory::MemStall);
-        a.record_occupancy(4, 2);
+        a.record_span(CycleCategory::Issued, 1, 1, 2);
+        a.record_span(CycleCategory::MemStall, 2, 0, 1);
         let mut b = CycleAccounting::new();
-        b.record(CycleCategory::Drained);
-        b.record_occupancy(0, 0);
+        b.record_span(CycleCategory::Drained, 0, 0, 1);
         let mut m = CycleAccounting::new();
         m.merge(&a);
         m.merge(&b);
@@ -398,9 +391,8 @@ mod tests {
     #[test]
     fn snapshot_round_trip_is_byte_idempotent() {
         let mut a = CycleAccounting::new();
-        a.record(CycleCategory::RtStall);
-        a.record(CycleCategory::IcntStall);
-        a.record_occupancy(7, 3);
+        a.record_span(CycleCategory::RtStall, 7, 3, 1);
+        a.record_span(CycleCategory::IcntStall, 0, 0, 1);
         let mut e = vksim_snapshot::Enc::new();
         a.save(&mut e);
         let bytes = e.into_bytes();
@@ -415,17 +407,10 @@ mod tests {
 
     fn tiny_report() -> ProfReport {
         let mut sm0 = CycleAccounting::new();
-        for _ in 0..6 {
-            sm0.record(CycleCategory::Issued);
-        }
-        for _ in 0..4 {
-            sm0.record(CycleCategory::MemStall);
-        }
-        sm0.record_occupancy(20, 8);
+        sm0.record_span(CycleCategory::Issued, 2, 1, 6);
+        sm0.record_span(CycleCategory::MemStall, 2, 1, 4);
         let mut sm1 = CycleAccounting::new();
-        for _ in 0..10 {
-            sm1.record(CycleCategory::Drained);
-        }
+        sm1.record_span(CycleCategory::Drained, 0, 0, 10);
         ProfReport {
             cycles: 10,
             per_sm: vec![sm0, sm1],
