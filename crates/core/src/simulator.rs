@@ -236,7 +236,7 @@ impl Simulator {
         // cycle).
         let prof = gpu.prof_report();
         if let (Some(p), Some(path)) = (&prof, &gpu.config().trace.prof) {
-            export_prof(path, p);
+            write_export(path, "profile", p.flat_json());
         }
         // RT analytics likewise export on both paths; a faulted run's
         // partial heatmap is still a valid characterization of the rays
@@ -245,10 +245,10 @@ impl Simulator {
         if let Some(r) = &rt {
             let tcfg = &gpu.config().trace;
             if let Some(path) = &tcfg.rt {
-                export_rt(path, r);
+                write_export(path, "rt analytics", r.flat_json());
             }
             if let Some(path) = &tcfg.rt_heatmap {
-                export_rt_heatmap(path, r);
+                write_export(path, "rt heatmap", r.heatmap_csv());
             }
         }
         match outcome {
@@ -371,46 +371,32 @@ impl Simulator {
     }
 }
 
+/// Writes one exporter output: `-` prints `text` to stderr, any other
+/// path is written as a file. Export failures are warnings — a finished
+/// simulation never fails because a report could not be written.
+fn write_export(path: &str, what: &str, text: String) {
+    if path == "-" {
+        eprintln!("{text}");
+    } else if let Err(e) = std::fs::write(path, text) {
+        eprintln!("vksim: failed to write {what} {path}: {e}");
+    }
+}
+
 /// Writes the exporter files requested by the trace configuration: Chrome
 /// trace-event JSON (`out`), interval CSV (`csv`) and the hotspot summary
-/// (`summary`; `-` prints to stderr). Export failures are warnings — a
-/// finished simulation never fails because a trace file could not be
-/// written.
+/// (`summary`).
 fn export_trace(report: &TraceReport) {
-    let mut outputs: Vec<(&str, String)> = Vec::new();
     // The streaming exporter writes `out` incrementally during the run
     // and claims the file by setting `streamed`; only fall back to the
     // one-shot serialization when no stream ever reached the file.
     if let (Some(path), false) = (&report.config.out, report.streamed) {
-        outputs.push((path.as_str(), chrome_trace_json(report)));
+        write_export(path, "trace file", chrome_trace_json(report));
     }
     if let Some(path) = &report.config.csv {
-        outputs.push((path.as_str(), interval_csv(report)));
+        write_export(path, "trace file", interval_csv(report));
     }
     if let Some(path) = &report.config.summary {
-        let text = hotspot_summary(report, 10);
-        if path == "-" {
-            eprintln!("{text}");
-        } else {
-            outputs.push((path.as_str(), text));
-        }
-    }
-    for (path, contents) in outputs {
-        if let Err(e) = std::fs::write(path, contents) {
-            eprintln!("vksim: failed to write trace file {path}: {e}");
-        }
-    }
-}
-
-/// Writes the cycle-accounting breakdown requested by the trace config
-/// (`VKSIM_PROF`): flat `name -> u64` JSON, golden-comparable; `-` prints
-/// to stderr. Export failures are warnings, exactly like trace export.
-fn export_prof(path: &str, report: &ProfReport) {
-    let json = report.flat_json();
-    if path == "-" {
-        eprintln!("{json}");
-    } else if let Err(e) = std::fs::write(path, json) {
-        eprintln!("vksim: failed to write profile {path}: {e}");
+        write_export(path, "trace file", hotspot_summary(report, 10));
     }
 }
 
@@ -429,27 +415,6 @@ fn rt_report(gpu: &GpuSim, shards: &[RtRuntime]) -> Option<RtReport> {
         per_sm,
         rt_box_ops,
     })
-}
-
-/// Writes the ray-traversal analytics breakdown requested by the trace
-/// config (`VKSIM_RT_ANALYTICS`): flat `name -> u64` JSON,
-/// golden-comparable; `-` prints to stderr. Export failures are
-/// warnings, exactly like trace export.
-fn export_rt(path: &str, report: &RtReport) {
-    let json = report.flat_json();
-    if path == "-" {
-        eprintln!("{json}");
-    } else if let Err(e) = std::fs::write(path, json) {
-        eprintln!("vksim: failed to write rt analytics {path}: {e}");
-    }
-}
-
-/// Writes the per-BVH-node heatmap CSV (`VKSIM_RT_HEATMAP`). Export
-/// failures are warnings.
-fn export_rt_heatmap(path: &str, report: &RtReport) {
-    if let Err(e) = std::fs::write(path, report.heatmap_csv()) {
-        eprintln!("vksim: failed to write rt heatmap {path}: {e}");
-    }
 }
 
 /// Prunes all but the newest `keep` periodic `ckpt-*.vksnap` files in

@@ -22,13 +22,11 @@ use vksim_fault::{panic_detail, FaultPlan, HangClass, SimError};
 use vksim_isa::{OverlayMem, Program, SimMemory, WriteOverlay};
 use vksim_mem::{RequestQueue, SharedMemSystem};
 use vksim_parallel::{chunk_range, worker_cap, DoneGuard, RoundBarrier, ShutdownGuard};
-use vksim_snapshot::{
-    load_fixed, restore_each, restore_opt, save_each, save_opt, Dec, Snap, SnapError,
-};
+use vksim_snapshot::{load_fixed, restore_each, restore_opt, save_each, save_opt, Snap};
 use vksim_stats::{Counters, Histogram};
 use vksim_trace::{
-    Event, EventKind, IntervalSnapshot, ProfReport, RtSmAnalytics, TraceCollector, TraceConfig,
-    TraceReport, NO_WARP, NUM_CATEGORIES, NUM_RT_SERIES,
+    Event, EventKind, IntervalSnapshot, ProfReport, RtSmAnalytics, TraceCollector, TraceReport,
+    NO_WARP, NUM_CATEGORIES, NUM_RT_SERIES,
 };
 
 /// Ray-tracing launch dimensions (`vkCmdTraceRaysKHR` width/height/depth).
@@ -177,37 +175,6 @@ pub struct GpuSim {
     collector: Option<TraceCollector>,
 }
 
-/// Restores every SM in place, refusing a snapshot whose observers
-/// disagree with the effective trace configuration.
-fn restore_sms(sms: &mut [Sm], trace: &TraceConfig, d: &mut Dec<'_>) -> Result<(), SnapError> {
-    restore_each(sms, d, |sm, d| {
-        sm.restore(d)?;
-        for (observer, in_snapshot, enabled) in [
-            (
-                "cycle-accounting",
-                sm.accounting().is_some(),
-                trace.accounting,
-            ),
-            (
-                "rt-analytics",
-                sm.rt_analytics().is_some(),
-                trace.rt_analytics,
-            ),
-        ] {
-            if in_snapshot != enabled {
-                return Err(SnapError::Malformed(format!(
-                    "{observer} presence mismatch on SM {}: snapshot {} it, \
-                     {}abled in config",
-                    sm.id,
-                    if in_snapshot { "has" } else { "lacks" },
-                    if enabled { "en" } else { "dis" }
-                )));
-            }
-        }
-        Ok(())
-    })
-}
-
 // The complete machine state: every SM, the per-SM request queues (which
 // carry interconnect backpressure across cycle boundaries), the shared
 // L2/DRAM backend, the functional memory image, pending warps (the
@@ -221,7 +188,7 @@ fn restore_sms(sms: &mut [Sm], trace: &TraceConfig, d: &mut Dec<'_>) -> Result<(
 vksim_snapshot::snap_state!(GpuSim {
     sms: with(
         |sms, e| save_each(sms, e, Sm::save),
-        |sms, d| restore_sms(sms, &config.trace, d)
+        |sms, d| restore_each(sms, d, Sm::restore)
     ),
     queues: with(Snap::save, |queues, d| load_fixed(queues, d)),
     shared: state,
@@ -369,7 +336,8 @@ fn absorb_sm_snapshot(snap: &mut IntervalSnapshot, sm: &Sm) {
 fn accounting_totals<'a>(sms: impl Iterator<Item = &'a Sm>) -> Option<[u64; NUM_CATEGORIES]> {
     let mut totals = [0u64; NUM_CATEGORIES];
     for sm in sms {
-        for (t, v) in totals.iter_mut().zip(sm.accounting()?.categories()) {
+        let acc = sm.observers.accounting()?;
+        for (t, v) in totals.iter_mut().zip(acc.categories()) {
             *t += v;
         }
     }
@@ -382,7 +350,7 @@ fn accounting_totals<'a>(sms: impl Iterator<Item = &'a Sm>) -> Option<[u64; NUM_
 fn rt_totals<'a>(sms: impl Iterator<Item = &'a Sm>) -> Option<[u64; NUM_RT_SERIES]> {
     let mut totals = [0u64; NUM_RT_SERIES];
     for sm in sms {
-        let coh = sm.rt_analytics()?;
+        let coh = sm.observers.rt_analytics()?;
         totals[0] += coh.trace_warps();
         totals[1] += coh.lane_steps();
         totals[2] += coh.warp_steps();
@@ -421,21 +389,7 @@ impl GpuSim {
     /// Builds an idle GPU.
     pub fn new(config: GpuConfig) -> Self {
         let trace = config.trace.clone();
-        let sms = (0..config.num_sms)
-            .map(|i| {
-                let mut sm = Sm::new(i, &config);
-                if trace.enabled {
-                    sm.enable_trace(&trace);
-                }
-                if trace.accounting {
-                    sm.enable_accounting();
-                }
-                if trace.rt_analytics {
-                    sm.enable_rt_analytics();
-                }
-                sm
-            })
-            .collect();
+        let sms = (0..config.num_sms).map(|i| Sm::new(i, &config)).collect();
         let mut shared = SharedMemSystem::new(config.mem.clone());
         if let Some(n) = config.fault_plan.drop_nth_completion {
             shared.inject_drop_nth_completion(n);
@@ -687,10 +641,7 @@ impl GpuSim {
                 // then the interval series.
                 if let Some(col) = self.collector.as_mut() {
                     for lane in held.iter_mut().flat_map(|c| c.iter_mut()) {
-                        let id = lane.sm.id as u32;
-                        if let Some(tr) = lane.sm.tracer_mut() {
-                            col.drain_sm(id, tr);
-                        }
+                        lane.sm.observers.drain_into(col, lane.sm.id as u32);
                     }
                     let rows = self.shared.take_row_activates();
                     col.push_mem_events(num as u32, rows.into_iter().map(row_activate_event));
@@ -772,11 +723,7 @@ impl GpuSim {
     pub fn take_trace_report(&mut self) -> Option<TraceReport> {
         let mut col = self.collector.take()?;
         for sm in &mut self.sms {
-            let id = sm.id as u32;
-            sm.finalize_trace(self.cycle);
-            if let Some(tr) = sm.tracer_mut() {
-                col.drain_sm(id, tr);
-            }
+            sm.observers.finish_into(&mut col, sm.id as u32, self.cycle);
         }
         let rows = self.shared.take_row_activates();
         col.push_mem_events(
@@ -784,11 +731,6 @@ impl GpuSim {
             rows.into_iter().map(row_activate_event),
         );
         sample_interval(&mut col, self.cycle, self.sms.iter(), &self.shared);
-        for sm in &self.sms {
-            if let Some(tr) = sm.tracer() {
-                col.absorb_aggregates(sm.id as u32, tr);
-            }
-        }
         Some(col.finish(self.cycle, self.sms.len() as u32))
     }
 
@@ -798,13 +740,10 @@ impl GpuSim {
     /// a pause, or a restore); the conservation invariant
     /// `Σ categories == num_sms × cycles` holds exactly there.
     pub fn prof_report(&self) -> Option<ProfReport> {
-        let mut per_sm = Vec::with_capacity(self.sms.len());
-        for sm in &self.sms {
-            per_sm.push(sm.accounting()?.clone());
-        }
+        let per_sm = self.sms.iter().map(|sm| sm.observers.accounting().cloned());
         Some(ProfReport {
             cycles: self.cycle,
-            per_sm,
+            per_sm: per_sm.collect::<Option<_>>()?,
             issued_insts: self.sms.iter().map(|s| s.issued_insts).sum(),
             issued_lanes: self.sms.iter().map(|s| s.issued_lanes).sum(),
         })
@@ -819,7 +758,7 @@ impl GpuSim {
     pub fn rt_report_parts(&self) -> Option<(Vec<RtSmAnalytics>, u64)> {
         let mut per_sm = Vec::with_capacity(self.sms.len());
         for sm in &self.sms {
-            let coherence = sm.rt_analytics()?.clone();
+            let coherence = sm.observers.rt_analytics()?.clone();
             let rtu = sm.rt_unit.analytics()?;
             per_sm.push(RtSmAnalytics {
                 coherence,

@@ -706,37 +706,42 @@ fn accounting_survives_checkpoint_byte_identically() {
     assert_eq!(want, got, "resumed breakdown must be byte-identical");
 }
 
-#[test]
-fn restore_rejects_accounting_presence_mismatch() {
-    let mut gpu = GpuSim::new(accounting_config());
-    gpu.launch(
-        trace_program(),
-        LaunchDims {
-            width: 64,
-            height: 1,
-            depth: 1,
-        },
-    );
+/// Snapshots `config` mid-run and restores it into a plain machine: the
+/// SM's observer seam must refuse it, naming the observer.
+fn assert_presence_mismatch(config: GpuConfig, needle: &str) {
+    let dims = LaunchDims {
+        width: 64,
+        height: 1,
+        depth: 1,
+    };
+    let mut gpu = GpuSim::new(config);
+    gpu.launch(trace_program(), dims);
+    let mut hooks = shards(&gpu, 64);
+    let outcome = gpu.run_until(&mut hooks, 20).expect("healthy slice");
+    assert!(matches!(outcome, RunOutcome::Paused), "{outcome:?}");
     let mut enc = vksim_snapshot::Enc::new();
     gpu.save(&mut enc);
     let payload = enc.into_bytes();
     let mut other = GpuSim::new(small_config());
-    other.launch(
-        trace_program(),
-        LaunchDims {
-            width: 64,
-            height: 1,
-            depth: 1,
-        },
-    );
+    other.launch(trace_program(), dims);
     let mut dec = vksim_snapshot::Dec::new(&payload);
-    let err = other
-        .restore(&mut dec)
-        .expect_err("accounting presence mismatch");
+    let err = other.restore(&mut dec).expect_err("presence mismatch");
     assert!(
-        matches!(&err, vksim_snapshot::SnapError::Malformed(m) if m.contains("accounting")),
+        matches!(&err, vksim_snapshot::SnapError::Malformed(m) if m.contains(needle)),
         "{err:?}"
     );
+}
+
+#[test]
+fn restore_rejects_accounting_presence_mismatch() {
+    assert_presence_mismatch(accounting_config(), "accounting");
+}
+
+#[test]
+fn restore_rejects_tracer_presence_mismatch() {
+    let mut config = small_config();
+    config.trace.enabled = true;
+    assert_presence_mismatch(config, "SmTracer");
 }
 
 #[test]
@@ -885,35 +890,7 @@ fn rt_analytics_survives_checkpoint_byte_identically() {
 
 #[test]
 fn restore_rejects_rt_analytics_presence_mismatch() {
-    let mut gpu = GpuSim::new(rt_config());
-    gpu.launch(
-        trace_program(),
-        LaunchDims {
-            width: 64,
-            height: 1,
-            depth: 1,
-        },
-    );
-    let mut enc = vksim_snapshot::Enc::new();
-    gpu.save(&mut enc);
-    let payload = enc.into_bytes();
-    let mut other = GpuSim::new(small_config());
-    other.launch(
-        trace_program(),
-        LaunchDims {
-            width: 64,
-            height: 1,
-            depth: 1,
-        },
-    );
-    let mut dec = vksim_snapshot::Dec::new(&payload);
-    let err = other
-        .restore(&mut dec)
-        .expect_err("rt analytics presence mismatch");
-    assert!(
-        matches!(&err, vksim_snapshot::SnapError::Malformed(m) if m.contains("rt-analytics")),
-        "{err:?}"
-    );
+    assert_presence_mismatch(rt_config(), "rt_analytics");
 }
 
 #[test]

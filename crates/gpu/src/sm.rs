@@ -21,9 +21,7 @@ use vksim_mem::{
 use vksim_rtunit::{RtMem, RtMemResult, RtUnit, RtUnitEventKind, WarpJob};
 use vksim_snapshot::{restore_opt, save_opt, Dec, Enc, Snap, SnapError};
 use vksim_stats::Counters;
-use vksim_trace::{
-    CycleAccounting, CycleCategory, EventKind, SmTracer, TraceConfig, WarpCoherence, NO_WARP,
-};
+use vksim_trace::{CycleCategory, CycleState, EventKind, SmObservers, NO_WARP};
 
 /// Hooks the GPU needs from the simulator core: the RT functional runtime
 /// plus the recorded traversal scripts.
@@ -276,7 +274,7 @@ struct SmPort<'a> {
     sm_id: usize,
     perfect_bvh: bool,
     num_partitions: u32,
-    tracer: Option<&'a mut SmTracer>,
+    obs: &'a mut SmObservers,
 }
 
 // Borrows the port's fields out of an `Sm`, leaving `warps`, `rt_unit` and
@@ -293,7 +291,7 @@ macro_rules! port {
             sm_id: $sm.id,
             perfect_bvh: $sm.perfect_bvh,
             num_partitions: $sm.num_partitions,
-            tracer: $sm.tracer.as_deref_mut(),
+            obs: &mut $sm.observers,
         }
     };
 }
@@ -349,9 +347,10 @@ impl SmPort<'_> {
                 is_store: false,
             };
             self.sink.submit(req, now);
-            if let Some(tr) = self.tracer.as_deref_mut() {
+            if self.obs.tracing() {
                 let partition = partition_of(line, self.num_partitions);
-                tr.record(now, warp, EventKind::MshrAlloc { line, partition });
+                self.obs
+                    .event(now, warp, EventKind::MshrAlloc { line, partition });
             }
         }
         (outcome, id)
@@ -432,15 +431,9 @@ pub struct Sm {
     pub issued_insts: u64,
     /// Cycles where the RT unit had at least one resident warp.
     pub trace_cycles: u64,
-    // Cycle-level event recorder; `None` (the default) keeps every hook to
-    // a single branch-on-null.
-    tracer: Option<Box<SmTracer>>,
-    // Cycle-accounting recorder; same branch-on-null discipline as the
-    // tracer, so a disabled run pays one null check per tick.
-    accounting: Option<Box<CycleAccounting>>,
-    // Warp traversal-coherence recorder (rt analytics); same
-    // branch-on-null discipline.
-    rt_analytics: Option<Box<WarpCoherence>>,
+    /// The tracer, cycle accounting and rt analytics, each present when
+    /// its [`vksim_trace::TraceConfig`] switch is on.
+    pub observers: SmObservers,
     // `(from, until)` while asleep: ticks `from..until` are skipped and
     // accounted at the wake. `None` at every cycle-loop exit: not written.
     sleep: Option<(u64, u64)>,
@@ -449,12 +442,20 @@ pub struct Sm {
 impl Sm {
     /// Creates an SM from the GPU configuration.
     pub fn new(id: usize, config: &GpuConfig) -> Self {
+        let observers = SmObservers::new(&config.trace);
+        let mut rt_unit = RtUnit::new(config.rt_unit.clone());
+        if observers.tracing() {
+            rt_unit.enable_event_trace();
+        }
+        if observers.rt_analytics().is_some() {
+            rt_unit.enable_analytics();
+        }
         Sm {
             id,
             warps: Vec::new(),
             l1: Cache::new(config.l1.clone()),
             rtc: config.rt_cache.clone().map(Cache::new),
-            rt_unit: RtUnit::new(config.rt_unit.clone()),
+            rt_unit,
             waiting_lines: FixedMap::default(),
             inflight: FixedMap::default(),
             next_rt_job: 0,
@@ -470,58 +471,8 @@ impl Sm {
             issued_lanes: 0,
             issued_insts: 0,
             trace_cycles: 0,
-            tracer: None,
-            accounting: None,
-            rt_analytics: None,
+            observers,
             sleep: None,
-        }
-    }
-
-    /// Switches on cycle-level tracing for this SM and its RT unit.
-    pub fn enable_trace(&mut self, config: &TraceConfig) {
-        self.tracer = Some(Box::new(SmTracer::new(config)));
-        self.rt_unit.set_event_trace(true);
-    }
-
-    /// Switches on cycle accounting for this SM: from here on, every tick
-    /// attributes its cycle to exactly one [`CycleCategory`].
-    pub fn enable_accounting(&mut self) {
-        self.accounting = Some(Box::new(CycleAccounting::new()));
-    }
-
-    /// The cycle-accounting recorder, when enabled.
-    pub fn accounting(&self) -> Option<&CycleAccounting> {
-        self.accounting.as_deref()
-    }
-
-    /// Switches on ray-traversal analytics for this SM: warp coherence is
-    /// tallied at every `traceRay` issue and the RT unit attributes steps
-    /// and latency per job.
-    pub fn enable_rt_analytics(&mut self) {
-        self.rt_analytics = Some(Box::new(WarpCoherence::new()));
-        self.rt_unit.set_analytics(true);
-    }
-
-    /// The warp-coherence recorder, when rt analytics is enabled.
-    pub fn rt_analytics(&self) -> Option<&WarpCoherence> {
-        self.rt_analytics.as_deref()
-    }
-
-    /// The per-SM event recorder, when tracing is enabled. Phase B drains
-    /// it through [`vksim_trace::TraceCollector::drain_sm`].
-    pub fn tracer_mut(&mut self) -> Option<&mut SmTracer> {
-        self.tracer.as_deref_mut()
-    }
-
-    /// The per-SM event recorder (read-only view).
-    pub fn tracer(&self) -> Option<&SmTracer> {
-        self.tracer.as_deref()
-    }
-
-    /// Closes every open trace span (stalls, RT-busy) at end of run.
-    pub fn finalize_trace(&mut self, cycle: u64) {
-        if let Some(tr) = self.tracer.as_mut() {
-            tr.finalize(cycle);
         }
     }
 
@@ -561,9 +512,10 @@ impl Sm {
         let Some((sel, line)) = self.inflight.remove(&id) else {
             return;
         };
-        if let Some(tr) = self.tracer.as_mut() {
+        if self.observers.tracing() {
             let partition = partition_of(line, self.num_partitions);
-            tr.record(at, NO_WARP, EventKind::MshrFill { line, partition });
+            self.observers
+                .event(at, NO_WARP, EventKind::MshrFill { line, partition });
         }
         match sel {
             CacheSel::L1 => {
@@ -583,9 +535,8 @@ impl Sm {
                             continue;
                         };
                         if self.warps[i].state_mut(ctx).chunks_done(1, at) {
-                            if let Some(tr) = self.tracer.as_mut() {
-                                tr.stall_end(at, warp);
-                            }
+                            self.observers
+                                .event(at, warp, EventKind::StallEnd { cycles: 0 });
                         }
                     }
                     Waiter::RtToken(token) => {
@@ -628,9 +579,7 @@ impl Sm {
         if icnt_blocked {
             self.stats.inc("sm.icnt_stall_cycles");
         }
-        if let Some(tr) = self.tracer.as_mut() {
-            tr.icnt_stall_edge(now, icnt_blocked);
-        }
+        self.observers.icnt_edge(now, icnt_blocked);
 
         // Cycle accounting: classify the would-be stall reason from
         // SM-local state sampled at tick start — before the RT unit and
@@ -638,10 +587,7 @@ impl Sm {
         // is identical at any thread count (the `icnt_stall_cycles`
         // discipline). `Issued` overrides the
         // precomputed class after the issue stage.
-        let stall_class = self
-            .accounting
-            .is_some()
-            .then(|| self.classify_stall(now, icnt_blocked));
+        let stall = self.classify_stall(now, icnt_blocked);
 
         // 1. RT unit cycle.
         let rt_finished = self.tick_rt_unit(now, sink);
@@ -660,28 +606,27 @@ impl Sm {
             }
         }
 
-        if self.rt_unit.resident_warps() > 0 {
+        let rt_busy = self.rt_unit.resident_warps() > 0;
+        if rt_busy {
             self.trace_cycles += 1;
         }
-        if let Some(tr) = self.tracer.as_mut() {
-            tr.rt_busy_edge(now, self.rt_unit.resident_warps() > 0);
-        }
-
-        // Attribute this cycle to exactly one category.
-        if let Some((cat, resident, eligible)) = stall_class {
-            let acc = self.accounting.as_mut().expect("classified => enabled");
-            let cat = if issued { CycleCategory::Issued } else { cat };
-            acc.record_span(cat, resident, eligible, 1);
-        }
+        let state = CycleState {
+            rt_busy,
+            stall,
+            issued,
+        };
+        self.observers.on_cycle(now, state);
 
         // 4. Retire finished warps.
-        if let Some(tr) = self.tracer.as_mut() {
-            for w in self.warps.iter().filter(|w| w.done()) {
-                tr.record(now, w.id, EventKind::Retire);
-            }
-        }
         let before = self.warps.len();
-        self.warps.retain(|w| !w.done());
+        let observers = &mut self.observers;
+        self.warps.retain(|w| {
+            let done = w.done();
+            if done {
+                observers.event(now, w.id, EventKind::Retire);
+            }
+            !done
+        });
         let retired = before != self.warps.len();
 
         // 5. Sleep through ticks that would change nothing (not after a
@@ -725,15 +670,16 @@ impl Sm {
         };
         let n = now.checked_sub(from).expect("woken before the sleep began");
         self.rt_unit.idle_cycles(from, n);
-        if self.rt_unit.resident_warps() > 0 {
+        let rt_busy = self.rt_unit.resident_warps() > 0;
+        if rt_busy {
             self.trace_cycles += n;
         }
-        if self.accounting.is_some() {
-            let (cat, resident, eligible) = self.classify_stall(from, false);
-            if let Some(acc) = self.accounting.as_mut() {
-                acc.record_span(cat, resident, eligible, n);
-            }
-        }
+        let state = CycleState {
+            rt_busy,
+            stall: self.classify_stall(from, false),
+            issued: false,
+        };
+        self.observers.on_idle_span(from, n, state);
     }
 
     /// `true` while ticks are being skipped (see [`Sm::wake`]).
@@ -746,16 +692,14 @@ impl Sm {
         let finished = !done.is_empty();
         // Translate the RT unit's job-keyed events into warp-keyed trace
         // events *before* done jobs drop out of the map below.
-        if self.tracer.is_some() {
+        if self.observers.tracing() {
             for ev in self.rt_unit.take_events() {
                 if let Some(&(warp, _)) = self.rt_job_map.get(&ev.warp_id) {
                     let kind = match ev.kind {
                         RtUnitEventKind::Enqueue => EventKind::RtStart,
                         RtUnitEventKind::Finish { latency } => EventKind::RtFinish { latency },
                     };
-                    if let Some(tr) = self.tracer.as_mut() {
-                        tr.record(ev.cycle, warp, kind);
-                    }
+                    self.observers.event(ev.cycle, warp, kind);
                 }
             }
         }
@@ -805,9 +749,7 @@ impl Sm {
                     outcome == CacheOutcome::ReservationFail
                 });
                 if st.chunks_done(hits, hit_at) {
-                    if let Some(tr) = port.tracer.as_deref_mut() {
-                        tr.stall_end(now, w.id);
-                    }
+                    port.obs.event(now, w.id, EventKind::StallEnd { cycles: 0 });
                 }
             }
         }
@@ -815,14 +757,18 @@ impl Sm {
 
     /// Classifies the cycle's stall reason from tick-start state and
     /// samples the occupancy tallies. Returns
-    /// `(category, resident warps, eligible warps)`; the caller swaps the
-    /// category for `Issued` if the issue stage fires this cycle.
+    /// `(category, resident warps, eligible warps)`, or `None` when no
+    /// observer wants it; the caller swaps the category for `Issued` if
+    /// the issue stage fires this cycle.
     ///
     /// Precedence among simultaneous stall sources: interconnect
     /// backpressure freezes the whole issue stage, so it wins; an empty
     /// SM is `Drained`; then scoreboard memory waits, RT-unit parking,
     /// divergence wait, and finally the pure occupancy gap.
-    fn classify_stall(&self, now: u64, icnt_blocked: bool) -> (CycleCategory, u64, u64) {
+    fn classify_stall(&self, now: u64, icnt_blocked: bool) -> Option<(CycleCategory, u64, u64)> {
+        if !self.observers.wants_stall_class() {
+            return None;
+        }
         let resident = self.warps.len() as u64;
         let mut eligible = 0u64;
         let mut any_mem = false;
@@ -852,7 +798,7 @@ impl Sm {
         } else {
             CycleCategory::NoEligibleWarp
         };
-        (cat, resident, eligible)
+        Some((cat, resident, eligible))
     }
 
     /// GTO pick: (warp index, ctx id). Greedy: stick to the last-issued
@@ -912,16 +858,14 @@ impl Sm {
         }
         // Flight recorder: the last trace events before the failure, flat
         // so they survive the fault dump's counter-style encoding.
-        if let Some(tr) = &self.tracer {
-            for (i, ev) in tr.flight().enumerate() {
-                let ep = format!("{p}.trace.ev{i}");
-                snap.insert(format!("{ep}.cycle"), ev.cycle);
-                snap.insert(format!("{ep}.warp"), ev.warp as u64);
-                snap.insert(format!("{ep}.kind"), ev.kind.code());
-                let (a, b) = ev.kind.args();
-                snap.insert(format!("{ep}.a"), a);
-                snap.insert(format!("{ep}.b"), b);
-            }
+        for (i, ev) in self.observers.flight().enumerate() {
+            let ep = format!("{p}.trace.ev{i}");
+            snap.insert(format!("{ep}.cycle"), ev.cycle);
+            snap.insert(format!("{ep}.warp"), ev.warp as u64);
+            snap.insert(format!("{ep}.kind"), ev.kind.code());
+            let (a, b) = ev.kind.args();
+            snap.insert(format!("{ep}.a"), a);
+            snap.insert(format!("{ep}.b"), b);
         }
     }
 
@@ -952,10 +896,10 @@ impl Sm {
         let instr = *program.fetch(pc);
         self.stats.inc(&format!("inst.{:?}", instr.class()));
         self.issued_insts += 1;
-        self.issued_lanes += mask.count_ones() as u64;
-        if let Some(tr) = self.tracer.as_mut() {
-            tr.issue(now, warp.id, pc, mask.count_ones());
-        }
+        let lanes = mask.count_ones();
+        self.issued_lanes += lanes as u64;
+        self.observers
+            .event(now, warp.id, EventKind::Issue { pc, lanes });
 
         // Execute every active lane functionally.
         let mut lane_effects: Vec<(usize, Effect)> = Vec::new();
@@ -1047,9 +991,7 @@ impl Sm {
                     } else {
                         status = CtxStatus::WaitMem { outstanding };
                         warp.state_mut(ctx_id).retry_chunks = retries;
-                        if let Some(tr) = self.tracer.as_mut() {
-                            tr.stall_begin(now, warp_id);
-                        }
+                        self.observers.event(now, warp_id, EventKind::StallBegin);
                     }
                 }
             }
@@ -1059,17 +1001,7 @@ impl Sm {
                 for &(lane, _) in &lane_effects {
                     scripts[lane] = hooks.take_script(warp.base_tid + lane);
                 }
-                if let Some(rec) = self.rt_analytics.as_mut() {
-                    // Lane `l` is active at step `s` while its script still
-                    // has a step to run; tallying lane counts per step gives
-                    // the integer-exact warp·step integral.
-                    let max_len = scripts.iter().map(Vec::len).max().unwrap_or(0);
-                    rec.record_job(
-                        (0..max_len).map(|s| {
-                            scripts.iter().filter(|script| script.len() > s).count() as u32
-                        }),
-                    );
-                }
+                self.observers.trace_ray(&scripts);
                 self.next_rt_job += 1;
                 let job = WarpJob {
                     warp_id: self.next_rt_job,
@@ -1090,13 +1022,13 @@ impl Sm {
             }
         }
         let info = warp.engine.apply(ctx_id, flow);
-        if let Some(tr) = self.tracer.as_mut() {
-            if info.diverged {
-                tr.record(now, warp_id, EventKind::Diverge { pc });
-            }
-            if info.reconverged {
-                tr.record(now, warp_id, EventKind::Reconverge { pc });
-            }
+        if info.diverged {
+            self.observers
+                .event(now, warp_id, EventKind::Diverge { pc });
+        }
+        if info.reconverged {
+            self.observers
+                .event(now, warp_id, EventKind::Reconverge { pc });
         }
         warp.state_mut(ctx_id).status = status;
         Ok(())
@@ -1126,9 +1058,7 @@ vksim_snapshot::snap_state!(Sm {
     issued_lanes,
     issued_insts,
     trace_cycles,
-    tracer,
-    accounting,
-    rt_analytics,
+    observers: state,
 } skip {
     id,
     stall_warp,

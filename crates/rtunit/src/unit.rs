@@ -313,15 +313,14 @@ impl RtUnit {
         }
     }
 
-    /// Enables (or disables) timeline event recording. Off by default.
-    pub fn set_event_trace(&mut self, enabled: bool) {
-        self.events = if enabled { Some(Vec::new()) } else { None };
+    /// Enables timeline event recording. Off by default.
+    pub fn enable_event_trace(&mut self) {
+        self.events = Some(Vec::new());
     }
 
-    /// Enables (or disables) per-job step/latency attribution. Off by
-    /// default.
-    pub fn set_analytics(&mut self, enabled: bool) {
-        self.analytics = if enabled { Some(Box::default()) } else { None };
+    /// Enables per-job step/latency attribution. Off by default.
+    pub fn enable_analytics(&mut self) {
+        self.analytics = Some(Box::default());
     }
 
     /// The per-job attribution recorder, when analytics is enabled.
@@ -806,7 +805,7 @@ mod tests {
     #[test]
     fn analytics_attributes_steps_and_latency_per_job() {
         let mut rt = RtUnit::new(RtUnitConfig::default());
-        rt.set_analytics(true);
+        rt.enable_analytics();
         let job = WarpJob {
             warp_id: 3,
             scripts: vec![
@@ -1141,7 +1140,7 @@ mod tests {
         run_until_done(&mut rt, &mut mem, 1000);
         assert!(rt.take_events().is_empty());
 
-        rt.set_event_trace(true);
+        rt.enable_event_trace();
         rt.try_enqueue(
             WarpJob {
                 warp_id: 5,
@@ -1186,7 +1185,7 @@ mod tests {
             e.into_bytes()
         };
         let mut rt = RtUnit::new(RtUnitConfig::default());
-        rt.set_event_trace(true);
+        rt.enable_event_trace();
         for w in 0..2 {
             rt.try_enqueue(
                 WarpJob {
@@ -1320,8 +1319,8 @@ mod tests {
                 })
                 .collect();
             let mut rt = RtUnit::new(config);
-            rt.set_event_trace(true);
-            rt.set_analytics(true);
+            rt.enable_event_trace();
+            rt.enable_analytics();
             Chaos {
                 rt,
                 mem: ChaosMem {

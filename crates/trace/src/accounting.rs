@@ -3,13 +3,11 @@
 //! invariant (`Σ categories == ticks recorded`) that debug builds assert
 //! and release tests check end-to-end.
 //!
-//! The recorder ([`CycleAccounting`]) lives behind an
-//! `Option<Box<CycleAccounting>>` on each SM — the same branch-on-null
-//! discipline as `SmTracer` — so a disabled run pays one null check per
-//! tick and allocates nothing. Attribution is decided inside `Sm::tick`
-//! from SM-local state sampled at tick start (the `icnt_stall_cycles`
-//! discipline), which is what makes the breakdown byte-identical at any
-//! `VKSIM_THREADS`.
+//! The recorder ([`CycleAccounting`]) is one of the [`crate::SmObservers`],
+//! so a disabled run pays one branch per tick and allocates nothing.
+//! Attribution is decided inside `Sm::tick` from SM-local state sampled
+//! at tick start (the `icnt_stall_cycles` discipline), which is what
+//! makes the breakdown byte-identical at any `VKSIM_THREADS`.
 //!
 //! Alongside the category totals, the recorder keeps integer-exact
 //! per-warp occupancy tallies: resident warp-cycles, eligible (issuable)

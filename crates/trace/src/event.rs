@@ -34,7 +34,8 @@ pub enum EventKind {
     },
     /// A warp began stalling on memory.
     StallBegin,
-    /// The stall ended; `cycles` is the stall length.
+    /// The stall ended; `cycles` is the stall length, which the recorder
+    /// measures from the open span (a caller passes 0).
     StallEnd {
         /// Stall duration in cycles.
         cycles: u64,

@@ -22,6 +22,9 @@
 //!   Chrome trace, and a human-readable top-N hotspot summary
 //!   ([`hotspot_summary`]).
 //!
+//! Each SM holds its recorders in one [`SmObservers`], the seam the timing
+//! model calls at every hook; an observer that is off costs one branch.
+//!
 //! Determinism contract: SMs record into SM-local [`SmTracer`]s during
 //! phase A of the two-phase cycle engine; the cycle loop drains them into
 //! one [`TraceCollector`] in SM-id order during phase B. Shared-backend
@@ -37,6 +40,7 @@ mod accounting;
 mod config;
 mod event;
 mod export;
+mod observers;
 mod recorder;
 pub mod rt_analytics;
 mod sampler;
@@ -47,6 +51,7 @@ pub use event::{Event, EventKind, NO_WARP};
 pub use export::{
     chrome_trace_json, hotspot_summary, interval_csv, TraceReport, ICNT_STALL_TID, PROF_TID, RT_TID,
 };
+pub use observers::{CycleState, SmObservers};
 pub use recorder::{SmTracer, TraceCollector};
 pub use rt_analytics::{
     RayHistogram, RtReport, RtSmAnalytics, TraversalAnalytics, WarpCoherence, NUM_RT_SERIES,

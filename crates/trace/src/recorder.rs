@@ -10,9 +10,8 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io::{Seek as _, SeekFrom, Write as _};
 use vksim_snapshot::Snap;
 
-/// The per-SM recorder. Lives behind an `Option<Box<SmTracer>>` on each SM
-/// so a disabled run pays exactly one null check per hook site; all state
-/// is SM-local, which is what makes tracing safe inside phase A on any
+/// The per-SM recorder, one of the [`crate::SmObservers`]. All state is
+/// SM-local, which is what makes tracing safe inside phase A on any
 /// thread.
 #[derive(Clone, Debug)]
 pub struct SmTracer {
@@ -52,12 +51,32 @@ impl SmTracer {
         }
     }
 
-    /// Records a raw event.
-    pub fn record(&mut self, cycle: u64, warp: u32, kind: EventKind) {
-        if let EventKind::RtFinish { latency } = kind {
-            let agg = self.rt_warp_latency.entry(warp).or_insert((0, 0));
-            agg.0 += 1;
-            agg.1 += latency;
+    /// Records an event. `Issue` also feeds the hottest-PC aggregate and
+    /// `RtFinish` the per-warp latency one. `StallBegin` opens `warp`'s
+    /// memory-stall span and `StallEnd` closes it, measuring its `cycles`
+    /// here (callers pass 0); either records nothing when the span is
+    /// already open or closed.
+    pub fn record(&mut self, cycle: u64, warp: u32, mut kind: EventKind) {
+        match kind {
+            EventKind::Issue { pc, .. } => *self.pc_issues.entry(pc).or_insert(0) += 1,
+            EventKind::StallBegin if self.stall_since.contains_key(&warp) => return,
+            EventKind::StallBegin => {
+                self.stall_since.insert(warp, cycle);
+            }
+            EventKind::StallEnd { .. } => {
+                let Some(since) = self.stall_since.remove(&warp) else {
+                    return;
+                };
+                let cycles = cycle.saturating_sub(since);
+                *self.warp_stall_cycles.entry(warp).or_insert(0) += cycles;
+                kind = EventKind::StallEnd { cycles };
+            }
+            EventKind::RtFinish { latency } => {
+                let agg = self.rt_warp_latency.entry(warp).or_insert((0, 0));
+                agg.0 += 1;
+                agg.1 += latency;
+            }
+            _ => {}
         }
         let ev = Event { cycle, warp, kind };
         self.staged.push(ev);
@@ -65,29 +84,6 @@ impl SmTracer {
             self.flight.pop_front();
         }
         self.flight.push_back(ev);
-    }
-
-    /// Records an instruction issue and feeds the hottest-PC aggregate.
-    pub fn issue(&mut self, cycle: u64, warp: u32, pc: u32, lanes: u32) {
-        *self.pc_issues.entry(pc).or_insert(0) += 1;
-        self.record(cycle, warp, EventKind::Issue { pc, lanes });
-    }
-
-    /// Opens a memory-stall span for `warp` (idempotent while open).
-    pub fn stall_begin(&mut self, cycle: u64, warp: u32) {
-        if let std::collections::btree_map::Entry::Vacant(e) = self.stall_since.entry(warp) {
-            e.insert(cycle);
-            self.record(cycle, warp, EventKind::StallBegin);
-        }
-    }
-
-    /// Closes the memory-stall span for `warp`, if one is open.
-    pub fn stall_end(&mut self, cycle: u64, warp: u32) {
-        if let Some(since) = self.stall_since.remove(&warp) {
-            let cycles = cycle.saturating_sub(since);
-            *self.warp_stall_cycles.entry(warp).or_insert(0) += cycles;
-            self.record(cycle, warp, EventKind::StallEnd { cycles });
-        }
     }
 
     /// Edge-detects the RT unit's busy state into a begin/end span.
@@ -125,7 +121,7 @@ impl SmTracer {
     pub fn finalize(&mut self, cycle: u64) {
         let open: Vec<u32> = self.stall_since.keys().copied().collect();
         for warp in open {
-            self.stall_end(cycle, warp);
+            self.record(cycle, warp, EventKind::StallEnd { cycles: 0 });
         }
         self.rt_busy_edge(cycle, false);
         self.icnt_stall_edge(cycle, false);
@@ -573,11 +569,11 @@ mod tests {
     #[test]
     fn stall_spans_pair_and_accumulate() {
         let mut t = SmTracer::new(&cfg());
-        t.stall_begin(10, 3);
-        t.stall_begin(12, 3); // idempotent while open
-        t.stall_end(25, 3);
-        t.stall_end(26, 3); // no open span: no event
-        t.stall_begin(30, 3);
+        t.record(10, 3, EventKind::StallBegin);
+        t.record(12, 3, EventKind::StallBegin); // idempotent while open
+        t.record(25, 3, EventKind::StallEnd { cycles: 0 });
+        t.record(26, 3, EventKind::StallEnd { cycles: 0 }); // no open span: no event
+        t.record(30, 3, EventKind::StallBegin);
         t.finalize(40);
         let kinds: Vec<EventKind> = t.flight().map(|e| e.kind).collect();
         assert_eq!(
@@ -708,8 +704,15 @@ mod tests {
     #[test]
     fn tracer_and_collector_snapshot_round_trip() {
         let mut t = SmTracer::new(&cfg());
-        t.issue(5, 2, 0x80, 32);
-        t.stall_begin(6, 1);
+        t.record(
+            5,
+            2,
+            EventKind::Issue {
+                pc: 0x80,
+                lanes: 32,
+            },
+        );
+        t.record(6, 1, EventKind::StallBegin);
         t.rt_busy_edge(7, true);
         t.icnt_stall_edge(8, true);
         let mut c = TraceCollector::new(cfg(), 1);
@@ -896,12 +899,33 @@ mod tests {
     fn aggregates_merge_across_sms() {
         let mut c = TraceCollector::new(cfg(), 1);
         let mut a = SmTracer::new(&cfg());
-        a.issue(1, 0, 0x40, 32);
-        a.issue(2, 0, 0x40, 32);
+        a.record(
+            1,
+            0,
+            EventKind::Issue {
+                pc: 0x40,
+                lanes: 32,
+            },
+        );
+        a.record(
+            2,
+            0,
+            EventKind::Issue {
+                pc: 0x40,
+                lanes: 32,
+            },
+        );
         let mut b = SmTracer::new(&cfg());
-        b.issue(1, 0, 0x40, 16);
-        b.stall_begin(0, 1);
-        b.stall_end(9, 1);
+        b.record(
+            1,
+            0,
+            EventKind::Issue {
+                pc: 0x40,
+                lanes: 16,
+            },
+        );
+        b.record(0, 1, EventKind::StallBegin);
+        b.record(9, 1, EventKind::StallEnd { cycles: 0 });
         c.absorb_aggregates(0, &a);
         c.absorb_aggregates(1, &b);
         let r = c.finish(10, 2);

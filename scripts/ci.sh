@@ -78,55 +78,38 @@ step "fault-injection drills (classified errors + post-mortem dumps)"
 VKSIM_DUMP_DIR="$(mktemp -d)" \
     cargo test --offline -q -p vksim-bench --test fault_injection
 
-# Observability gate: a traced run must complete, write a parseable
-# Perfetto trace + interval CSV, and (per tests/trace_export.rs, which
-# also runs here) be byte-deterministic, thread-invariant and a pure
-# observer of the golden counters.
-step "traced smoke run + trace validation"
-trace_dir="$(mktemp -d)"
-VKSIM_TRACE_CSV="$trace_dir/intervals.csv" \
+# Observer gate: one run with every observer on together — tracer
+# (Perfetto trace + interval CSV), cycle accounting and rt analytics —
+# must write each export, and the validation suites run against the
+# files the experiments *binary* wrote: tests/trace_export.rs (also
+# byte-deterministic, thread-invariant and a pure observer of the golden
+# counters), tests/prof_smoke.rs (the flat-JSON stall breakdown parses,
+# carries the documented key schema and conserves Σ categories ==
+# num_sms × cycles) and tests/rt_analytics.rs (heatmap visits == Σ
+# per-ray node counts, Σ per-ray box tests == RT-unit box ops, every
+# histogram totalling the ray count).
+step "observer smoke run (trace + prof + rt analytics) + export validation"
+obs_dir="$(mktemp -d)"
+VKSIM_TRACE_CSV="$obs_dir/intervals.csv" \
     cargo run --release --offline -p vksim-bench --bin experiments -- \
-    fig01 --trace="$trace_dir/trace.json" --trace-interval=256 >/dev/null
-[ -s "$trace_dir/trace.json" ] || { echo "no trace written"; exit 1; }
-[ -s "$trace_dir/intervals.csv" ] || { echo "no interval CSV written"; exit 1; }
-head -1 "$trace_dir/intervals.csv" | grep -q '^start,len,' \
+    fig01 --trace="$obs_dir/trace.json" --trace-interval=256 \
+    --prof="$obs_dir/prof.json" \
+    --rt-analytics="$obs_dir/rt.json" --rt-heatmap="$obs_dir/heatmap.csv" >/dev/null
+for f in trace.json intervals.csv prof.json rt.json heatmap.csv; do
+    [ -s "$obs_dir/$f" ] || { echo "no $f written"; exit 1; }
+done
+head -1 "$obs_dir/intervals.csv" | grep -q '^start,len,' \
     || { echo "malformed interval CSV header"; exit 1; }
+head -1 "$obs_dir/heatmap.csv" | grep -q '^space,depth,node,visits,hits$' \
+    || { echo "malformed rt heatmap header"; exit 1; }
 if command -v python3 >/dev/null 2>&1; then
-    python3 -m json.tool "$trace_dir/trace.json" >/dev/null \
+    python3 -m json.tool "$obs_dir/trace.json" >/dev/null \
         || { echo "trace JSON does not parse"; exit 1; }
 fi
 cargo test --offline -q -p vksim-bench --test trace_export
-
-# Profiler gate: a cycle-accounting run must export a flat-JSON stall
-# breakdown that parses with the testkit's strict JSON reader, carries
-# the documented key schema, and conserves (Σ categories ==
-# num_sms × cycles, per-SM keys rolling up exactly into total.*) — the
-# validation lives in tests/prof_smoke.rs and runs here against the file
-# the experiments *binary* wrote, proving the whole VKSIM_PROF pipeline.
-step "cycle-accounting smoke run + prof export validation"
-prof_dir="$(mktemp -d)"
-cargo run --release --offline -p vksim-bench --bin experiments -- \
-    fig01 --prof="$prof_dir/prof.json" >/dev/null
-[ -s "$prof_dir/prof.json" ] || { echo "no prof export written"; exit 1; }
-VKSIM_PROF_SMOKE_FILE="$prof_dir/prof.json" \
+VKSIM_PROF_SMOKE_FILE="$obs_dir/prof.json" \
     cargo test --offline -q -p vksim-bench --test prof_smoke
-
-# RT-analytics gate: a ray-traversal characterization run must export a
-# flat-JSON analytics file and a heatmap CSV that parse, carry the
-# documented key schema, and conserve (heatmap visits == Σ per-ray node
-# counts, Σ per-ray box tests == RT-unit box ops, every histogram
-# totalling the ray count) — the validation lives in
-# tests/rt_analytics.rs and runs here against the files the experiments
-# *binary* wrote, proving the whole VKSIM_RT_ANALYTICS pipeline.
-step "rt-analytics smoke run + export validation"
-rt_dir="$(mktemp -d)"
-cargo run --release --offline -p vksim-bench --bin experiments -- \
-    fig01 --rt-analytics="$rt_dir/rt.json" --rt-heatmap="$rt_dir/heatmap.csv" >/dev/null
-[ -s "$rt_dir/rt.json" ] || { echo "no rt analytics export written"; exit 1; }
-[ -s "$rt_dir/heatmap.csv" ] || { echo "no rt heatmap written"; exit 1; }
-head -1 "$rt_dir/heatmap.csv" | grep -q '^space,depth,node,visits,hits$' \
-    || { echo "malformed rt heatmap header"; exit 1; }
-VKSIM_RT_SMOKE_FILE="$rt_dir/rt.json" \
+VKSIM_RT_SMOKE_FILE="$obs_dir/rt.json" \
     cargo test --offline -q -p vksim-bench --test rt_analytics
 
 # Chaos recovery drill: a fixed-seed campaign kills checkpointed runs
