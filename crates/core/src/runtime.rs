@@ -16,7 +16,6 @@
 //!   `getNextCoalescedCall`, at the cost of extra coalescing-table memory
 //!   traffic in the RT unit.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use vksim_bvh::traversal::{self, TraversalConfig};
 use vksim_bvh::{Blas, NodeKind, ProceduralHit, Tlas, TraceEvent};
@@ -25,6 +24,7 @@ use vksim_isa::interp::{RayDesc, RtHooks};
 use vksim_isa::op::{RtIdxQuery, RtQuery};
 use vksim_isa::RtError;
 use vksim_math::{Ray, Vec3};
+use vksim_mem::FixedMap;
 use vksim_rtunit::{OpKind, Step, SHORT_STACK_ENTRIES};
 use vksim_snapshot::{Dec, Enc, Snap, SnapError};
 use vksim_trace::TraversalAnalytics;
@@ -138,9 +138,9 @@ pub struct RtRuntime {
     blases: Arc<Vec<Blas>>,
     launch: [u32; 3],
     fcc: bool,
-    frames: HashMap<usize, Vec<Frame>>,
-    scripts: HashMap<usize, Vec<Step>>,
-    fcc_tables: HashMap<(usize, usize), Vec<FccRow>>,
+    frames: FixedMap<usize, Vec<Frame>>,
+    scripts: FixedMap<usize, Vec<Step>>,
+    fcc_tables: FixedMap<(usize, usize), Vec<FccRow>>,
     alloc_cursor: u64,
     /// Accumulated functional statistics.
     pub stats: RuntimeStats,
@@ -158,9 +158,9 @@ impl RtRuntime {
             blases: Arc::new(blases),
             launch,
             fcc,
-            frames: HashMap::new(),
-            scripts: HashMap::new(),
-            fcc_tables: HashMap::new(),
+            frames: FixedMap::default(),
+            scripts: FixedMap::default(),
+            fcc_tables: FixedMap::default(),
             alloc_cursor: SHARD_ALLOC_BASE,
             stats: RuntimeStats::default(),
             analytics: None,
@@ -188,9 +188,9 @@ impl RtRuntime {
             blases: Arc::clone(&self.blases),
             launch: self.launch,
             fcc: self.fcc,
-            frames: HashMap::new(),
-            scripts: HashMap::new(),
-            fcc_tables: HashMap::new(),
+            frames: FixedMap::default(),
+            scripts: FixedMap::default(),
+            fcc_tables: FixedMap::default(),
             alloc_cursor: SHARD_ALLOC_BASE + sm as u64 * SHARD_ALLOC_REGION,
             stats: RuntimeStats::default(),
             analytics: self

@@ -1015,6 +1015,144 @@ fn faults_are_identical_with_and_without_helpers() {
     }
 }
 
+/// A context that runs off the end of the program is reported at its
+/// first active lane, like any other lane fault, not at lane 0.
+#[test]
+fn pc_fault_names_the_first_active_lane() {
+    let mut b = ProgramBuilder::new();
+    let [idx, zero, acc] = b.regs::<3>();
+    let p = b.pred();
+    let rest = b.new_label();
+    b.emit(vksim_isa::op::Instr::RtRead {
+        dst: idx,
+        query: RtQuery::LaunchId(0),
+    });
+    b.setp_i(p, vksim_isa::op::CmpOp::Ne, idx, zero);
+    b.bra_if(rest, p, true);
+    b.exit(); // lane 0 leaves here
+    b.bind_label(rest);
+    b.iadd(acc, acc, idx);
+    b.exit();
+    let program = b.build();
+    let program = program.truncated(program.len() - 1);
+    let mut gpu = GpuSim::new(small_config());
+    let dims = LaunchDims {
+        width: WARP_SIZE as u32,
+        height: 1,
+        depth: 1,
+    };
+    gpu.launch(program.clone(), dims);
+    let mut hooks = shards(&gpu, dims.width);
+    let fault = gpu.run(&mut hooks).expect_err("lanes 1.. run off the end");
+    let SimError::Exec { lane, pc, .. } = fault.error else {
+        panic!("expected an execution fault, got {:?}", fault.error);
+    };
+    assert_eq!((lane, pc as usize), (1, program.len()));
+}
+
+/// Counts the allocations of the threads that armed it. Tests run on
+/// parallel threads, so a process-wide count would see the others.
+struct ThreadAllocCounter;
+
+thread_local! {
+    static ALLOCATIONS: std::cell::Cell<Option<u64>> = const { std::cell::Cell::new(None) };
+}
+
+fn count_allocation() {
+    // `try_with`: the allocator also runs while a thread's locals are torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get().map(|n| n + 1)));
+}
+
+// SAFETY: defers every call to `System` unchanged; the only addition is a
+// counter in a thread-local `Cell`, which allocates nothing.
+unsafe impl std::alloc::GlobalAlloc for ThreadAllocCounter {
+    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+        count_allocation();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { std::alloc::System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { std::alloc::System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
+        count_allocation();
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { std::alloc::System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: ThreadAllocCounter = ThreadAllocCounter;
+
+/// The allocations `f` makes on this thread.
+fn allocations_in(f: impl FnOnce()) -> u64 {
+    ALLOCATIONS.with(|n| n.set(Some(0)));
+    f();
+    ALLOCATIONS.with(|n| n.take()).expect("armed above")
+}
+
+/// Once warm, the issue path allocates nothing per cycle: a window twice as
+/// long allocates exactly as often (the per-call cost of entering the loop).
+#[test]
+fn a_warm_issue_path_allocates_nothing_per_cycle() {
+    // Forever: an L1-hitting load, ALU work and a branch that splits the
+    // odd lanes from the even ones, then reconverges.
+    let mut b = ProgramBuilder::new();
+    let [idx, one, src, v, acc, bit] = b.regs::<6>();
+    let odd = b.pred();
+    b.emit(vksim_isa::op::Instr::RtRead {
+        dst: idx,
+        query: RtQuery::LaunchId(0),
+    });
+    b.mov_imm_u32(one, 1);
+    b.mov_imm_u32(src, 0x50_0000);
+    let (top, odd_path, join) = (b.new_label(), b.new_label(), b.new_label());
+    b.bind_label(top);
+    b.ld_global(v, src, 0);
+    b.iadd(acc, acc, v);
+    b.emit(vksim_isa::op::Instr::IAnd {
+        dst: bit,
+        a: idx,
+        b: one,
+    });
+    b.setp_i(odd, vksim_isa::op::CmpOp::Eq, bit, one);
+    b.ssy(join);
+    b.bra_if(odd_path, odd, true);
+    b.iadd(acc, acc, one);
+    b.bra(join);
+    b.bind_label(odd_path);
+    b.iadd(acc, acc, idx);
+    b.bind_label(join);
+    b.sync();
+    b.bra(top);
+    let mut gpu = GpuSim::new(small_config());
+    let dims = LaunchDims {
+        width: 64,
+        height: 1,
+        depth: 1,
+    };
+    gpu.launch(b.build(), dims);
+    let mut hooks = shards(&gpu, 64);
+    let mut run_to = |stop: u64| {
+        let outcome = gpu.cycle_loop(erase(&mut hooks), 1, Some(stop));
+        assert!(
+            matches!(outcome, Ok(RunOutcome::Paused)),
+            "the loop never ends"
+        );
+    };
+    const M: u64 = 2_000;
+    run_to(M);
+    let one_window = allocations_in(|| run_to(2 * M));
+    let two_windows = allocations_in(|| run_to(4 * M));
+    assert_eq!(one_window, two_windows, "allocations grow with cycles");
+    let stats = gpu.collect_stats();
+    assert!(stats.counters.get("divergent_branches") > 0);
+    assert!(gpu.sms[0].l1().stats.get("shader_load.hit") > 0);
+}
+
 // -----------------------------------------------------------------
 // Property: on random divergent kernels the cycle-accounting
 // breakdown conserves (Σ categories == num_sms × cycles) and is

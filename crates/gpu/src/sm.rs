@@ -12,11 +12,11 @@ use crate::simt::{Ctx, CtxOutcome, Mask, SimtEngine};
 use crate::{ScriptSource, WARP_SIZE};
 use std::collections::BTreeMap;
 use vksim_fault::SimError;
-use vksim_isa::interp::{exec_at, Effect, RtHooks, ThreadState};
+use vksim_isa::interp::{self, exec_warp, Effect, ExecError, LaneOut, RtHooks, ThreadState};
 use vksim_isa::op::MemSpace;
 use vksim_isa::{MemIo, Program};
 use vksim_mem::{
-    chunk_addresses, partition_of, AccessKind, Cache, CacheOutcome, FixedMap, MemRequest, MemSink,
+    partition_of, AccessKind, Cache, CacheOutcome, FixedMap, MemRequest, MemSink, CHUNK_BYTES,
 };
 use vksim_rtunit::{RtMem, RtMemResult, RtUnit, RtUnitEventKind, WarpJob};
 use vksim_snapshot::{restore_opt, save_opt, Dec, Enc, Snap, SnapError};
@@ -884,51 +884,39 @@ impl Sm {
         let Some(Ctx { pc, mask, .. }) = warp.engine.context(ctx_id) else {
             return Ok(());
         };
-        if pc as usize >= program.len() {
-            return Err(Box::new(SimError::Exec {
-                sm: self.id,
-                warp: warp.id,
-                lane: 0,
+        let (sm, warp_id) = (self.id, warp.id);
+        let fault = |lane, e: ExecError| {
+            let detail = e.to_string();
+            Box::new(SimError::Exec {
+                sm,
+                warp: warp_id,
+                lane,
                 pc,
-                detail: format!("pc {pc} outside program of {} instructions", program.len()),
-            }));
-        }
-        let instr = *program.fetch(pc);
-        self.stats.inc(&format!("inst.{:?}", instr.class()));
+                detail,
+            })
+        };
+        // `exec_warp` refuses this pc too, but only after the counting below.
+        let Some(instr) = program.instrs().get(pc as usize) else {
+            let lane = mask.trailing_zeros() as usize;
+            return Err(fault(lane, ExecError::PcOutOfRange { pc }));
+        };
+        self.stats.inc(instr.class().counter());
         self.issued_insts += 1;
         let lanes = mask.count_ones();
         self.issued_lanes += lanes as u64;
         self.observers
-            .event(now, warp.id, EventKind::Issue { pc, lanes });
+            .event(now, warp_id, EventKind::Issue { pc, lanes });
 
-        // Execute every active lane functionally.
-        let mut lane_effects: Vec<(usize, Effect)> = Vec::new();
-        for lane in 0..WARP_SIZE {
-            if mask & (1 << lane) == 0 {
-                continue;
-            }
-            let t = &mut warp.threads[lane];
-            let eff = exec_at(program, pc, t, mem, hooks).map_err(|e| {
-                Box::new(SimError::Exec {
-                    sm: self.id,
-                    warp: warp.id,
-                    lane,
-                    pc,
-                    detail: e.to_string(),
-                })
-            })?;
-            lane_effects.push((lane, eff));
-        }
-        let Some(&(_, first)) = lane_effects.first() else {
-            return Ok(());
-        };
+        // Execute the instruction for every active lane functionally.
+        let mut out = LaneOut::default();
+        let effect = exec_warp(program, pc, mask, &mut warp.threads, mem, hooks, &mut out)
+            .map_err(|e| fault(e.0, e.1))?;
 
         // Each arm steers the divergence engine and yields the context's
         // next status.
-        let warp_id = warp.id;
         let mut flow = CtxOutcome::Fallthrough;
         let mut status = CtxStatus::Ready;
-        match first {
+        match effect {
             Effect::Alu | Effect::RtOther => {}
             Effect::Sfu => status = CtxStatus::OpUntil(now + self.sfu_latency as u64),
             Effect::Ssy { reconv } => flow = CtxOutcome::Ssy { reconv },
@@ -938,13 +926,8 @@ impl Sm {
                 warp.engine.apply(ctx_id, CtxOutcome::Exit);
                 return Ok(());
             }
-            Effect::Branch { target, .. } => {
-                let mut taken: Mask = 0;
-                for &(lane, eff) in &lane_effects {
-                    if let Effect::Branch { taken: true, .. } = eff {
-                        taken |= 1 << lane;
-                    }
-                }
+            Effect::Branch { target } => {
+                let taken = out.taken;
                 if taken != 0 && taken != mask {
                     self.stats.inc("divergent_branches");
                 }
@@ -954,30 +937,34 @@ impl Sm {
                 space: MemSpace::Const,
                 ..
             } => {} // Constant cache: single-cycle, no traffic modelled.
-            Effect::Mem { is_store, .. } => {
-                // Coalesce lane addresses into unique 32 B chunks.
-                let mut chunks: Vec<u64> = Vec::new();
-                for &(_, eff) in &lane_effects {
-                    if let Effect::Mem { addr, size, .. } = eff {
-                        for c in chunk_addresses(addr, size) {
-                            if !chunks.contains(&c) {
-                                chunks.push(c);
-                            }
+            Effect::Mem { is_store, size, .. } => {
+                // Coalesce lane addresses into unique 32 B chunks, in lane
+                // order. A lane's access (4 B) touches at most two chunks.
+                let chunk = |addr: u64| addr / CHUNK_BYTES as u64 * CHUNK_BYTES as u64;
+                let mut chunks = [0u64; 2 * WARP_SIZE];
+                let mut n = 0;
+                for lane in interp::lanes(mask) {
+                    let addr = out.addrs[lane];
+                    for c in [chunk(addr), chunk(addr + size as u64 - 1)] {
+                        if !chunks[..n].contains(&c) {
+                            chunks[n] = c;
+                            n += 1;
                         }
                     }
                 }
-                self.stats.add("mem.coalesced_chunks", chunks.len() as u64);
+                let chunks = &chunks[..n];
+                self.stats.add("mem.coalesced_chunks", n as u64);
                 let mut port = port!(self, sink);
                 if is_store {
                     // Write-through, no stall.
-                    for c in chunks {
+                    for &c in chunks {
                         port.l1.access(c, AccessKind::ShaderStore, now);
                         port.store(c, now);
                     }
                 } else {
                     let mut outstanding = 0u32;
                     let mut retries: Vec<u64> = Vec::new();
-                    for c in chunks {
+                    for &c in chunks {
                         let waiter = Some((warp_id, ctx_id));
                         match port.load(c, AccessKind::ShaderLoad, waiter, now).0 {
                             CacheOutcome::Hit => continue,
@@ -998,7 +985,7 @@ impl Sm {
             Effect::TraceRay => {
                 // Collect the recorded traversal scripts for active lanes.
                 let mut scripts = vec![Vec::new(); WARP_SIZE];
-                for &(lane, _) in &lane_effects {
+                for lane in interp::lanes(mask) {
                     scripts[lane] = hooks.take_script(warp.base_tid + lane);
                 }
                 self.observers.trace_ray(&scripts);

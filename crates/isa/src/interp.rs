@@ -1,11 +1,18 @@
-//! Per-thread functional interpreter.
+//! The functional interpreter: one instruction for a whole warp.
 //!
-//! The GPU timing model (`vksim-gpu`) drives warps through [`exec_at`]: it
-//! fetches the warp's next pc, executes every active lane at that pc and
-//! uses the returned [`Effect`] to route the instruction to the right
-//! execution unit (ALU/SFU/LDST/RT unit). A convenience [`run_to_exit`]
-//! executes a single thread functionally, used by tests and by functional
-//! (timing-free) rendering runs.
+//! [`exec_warp`] is the only interpreter. It decodes the instruction at a
+//! pc once, then runs it for every lane of an active mask in lane order,
+//! inside the matched arm. It returns one [`Effect`] for the warp, which
+//! the GPU timing model (`vksim-gpu`) uses to route the instruction to an
+//! execution unit (ALU/SFU/LDST/RT unit). The per-lane outcomes the timing
+//! model also needs, namely which lanes took a branch and each lane's
+//! address, go into a caller-owned [`LaneOut`], so nothing is allocated per
+//! instruction.
+//!
+//! The functional tier ([`run_to_exit`], used by tests and timing-free
+//! rendering runs) runs one thread as a one-lane warp (mask 1) through the
+//! same [`exec_warp`], which is always inlined so that the lane loop folds
+//! away there.
 //!
 //! Ray-tracing instructions are delegated to [`RtHooks`], implemented by
 //! the simulator core, which owns acceleration structures and the
@@ -40,7 +47,7 @@ vksim_snapshot::snap_struct!(RayDesc {
 });
 
 /// Error raised by an [`RtHooks`] implementation (no runtime bound, corrupt
-/// acceleration structure...). Surfaced as [`ExecError::Rt`] by [`exec_at`].
+/// acceleration structure...). Surfaced as [`ExecError::Rt`] by [`exec_warp`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RtError(pub String);
 
@@ -192,28 +199,26 @@ vksim_snapshot::snap_struct!(ThreadState {
     local_base
 });
 
-/// What an executed instruction did, for the timing model.
+/// What one instruction did for the whole warp, for the timing model. The
+/// per-lane parts (which lanes took a branch, each lane's address) are in
+/// [`LaneOut`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Effect {
     /// Plain ALU work.
     Alu,
     /// Special-function-unit work.
     Sfu,
-    /// A memory access of `size` bytes at `addr` (`is_store` for writes).
+    /// A memory access of `size` bytes per lane, at [`LaneOut::addrs`].
     Mem {
         /// Memory space accessed.
         space: MemSpace,
-        /// Absolute byte address.
-        addr: u64,
         /// `true` for stores.
         is_store: bool,
         /// Access size in bytes.
         size: u32,
     },
-    /// A branch; `taken` tells the SIMT stack which way this lane went.
+    /// A branch to `target`, taken by the lanes in [`LaneOut::taken`].
     Branch {
-        /// Whether this lane takes the branch.
-        taken: bool,
         /// Branch target pc.
         target: u32,
     },
@@ -228,8 +233,19 @@ pub enum Effect {
     TraceRay,
     /// Lightweight RT bookkeeping instruction.
     RtOther,
-    /// Thread exited.
+    /// The lanes exited.
     Exited,
+}
+
+/// The per-lane results of [`exec_warp`]. Only what the [`Effect`] names is
+/// written, and only for the lanes in the mask: `taken` by a branch,
+/// `addrs[lane]` by a load or store.
+#[derive(Clone, Debug, Default)]
+pub struct LaneOut {
+    /// The lanes that took a branch.
+    pub taken: u32,
+    /// Each lane's absolute byte address.
+    pub addrs: [u64; 32],
 }
 
 /// Error from executing an instruction.
@@ -263,7 +279,7 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-fn cmp_f(cmp: CmpOp, a: f32, b: f32) -> bool {
+fn cmp<T: PartialOrd>(cmp: CmpOp, a: T, b: T) -> bool {
     match cmp {
         CmpOp::Eq => a == b,
         CmpOp::Ne => a != b,
@@ -274,224 +290,160 @@ fn cmp_f(cmp: CmpOp, a: f32, b: f32) -> bool {
     }
 }
 
-fn cmp_u(cmp: CmpOp, a: u32, b: u32) -> bool {
-    match cmp {
-        CmpOp::Eq => a == b,
-        CmpOp::Ne => a != b,
-        CmpOp::Lt => a < b,
-        CmpOp::Le => a <= b,
-        CmpOp::Gt => a > b,
-        CmpOp::Ge => a >= b,
-    }
+/// The set bits of `mask`, lowest first: the active lanes in lane order.
+#[inline(always)]
+pub fn lanes(mask: u32) -> impl Iterator<Item = usize> {
+    let mut rest = mask;
+    std::iter::from_fn(move || {
+        let lane = rest.trailing_zeros() as usize;
+        rest &= rest.wrapping_sub(1);
+        (lane < 32).then_some(lane)
+    })
 }
 
-fn cmp_s(cmp: CmpOp, a: i32, b: i32) -> bool {
-    match cmp {
-        CmpOp::Eq => a == b,
-        CmpOp::Ne => a != b,
-        CmpOp::Lt => a < b,
-        CmpOp::Le => a <= b,
-        CmpOp::Gt => a > b,
-        CmpOp::Ge => a >= b,
-    }
-}
-
-/// Executes the instruction at `pc` for one thread, updating registers and
-/// `t.pc` (set to the lane's next pc) and returning the [`Effect`].
-///
-/// The caller (warp scheduler) decides what the *warp's* next pc is; for
-/// divergent branches different lanes report different [`Effect::Branch`]
-/// outcomes.
+/// Executes the instruction at `pc` for the lanes in `mask`, in lane order:
+/// `threads[lane]` is lane `lane`'s state. The instruction is decoded once
+/// and each arm loops over the lanes. Every lane that executes leaves its
+/// `pc` at its own next pc (a branch's target where it was taken).
 ///
 /// # Errors
 ///
-/// Returns [`ExecError::PcOutOfRange`] if `pc` is outside the program and
-/// [`ExecError::Rt`] if an RT instruction fails in its [`RtHooks`] backend
-/// (no runtime bound, corrupt acceleration structure).
-pub fn exec_at(
+/// Fails with the first active lane when `pc` is outside the program
+/// ([`ExecError::PcOutOfRange`]), and with the first lane whose RT
+/// instruction fails in its [`RtHooks`] backend ([`ExecError::Rt`]: no
+/// runtime bound, corrupt acceleration structure). The lanes before a
+/// failing lane have executed; the failing lane and those after it have
+/// not, and their `pc` is unchanged. The error is boxed so that the
+/// `Result` stays register-sized.
+///
+/// # Panics
+///
+/// Panics if a lane in `mask` has no entry in `threads`.
+#[inline(always)]
+pub fn exec_warp(
     program: &Program,
     pc: u32,
-    t: &mut ThreadState,
+    mask: u32,
+    threads: &mut [ThreadState],
     mem: &mut dyn MemIo,
     rt: &mut dyn RtHooks,
-) -> Result<Effect, ExecError> {
+    out: &mut LaneOut,
+) -> Result<Effect, Box<(usize, ExecError)>> {
     if pc as usize >= program.len() {
-        return Err(ExecError::PcOutOfRange { pc });
+        let lane = mask.trailing_zeros() as usize;
+        return Err(Box::new((lane, ExecError::PcOutOfRange { pc })));
     }
-    let instr = *program.fetch(pc);
-    let mut next = pc + 1;
-    let effect = match instr {
-        Instr::MovImm { dst, imm } => {
-            t.set_u(dst, imm);
-            Effect::Alu
+    // Runs `$body` for each active lane with `$t` bound to its thread, then
+    // moves the lane on; evaluates to `$effect`. A `?` in the body leaves
+    // the failing lane as it was.
+    macro_rules! each {
+        ($effect:expr, |$lane:pat_param, $t:ident| $body:expr) => {{
+            for lane in lanes(mask) {
+                let $lane = lane;
+                let $t = &mut threads[lane];
+                $body;
+                $t.pc = pc + 1;
+            }
+            $effect
+        }};
+    }
+    macro_rules! alu {
+        (|$t:ident| $body:expr) => {
+            each!(Effect::Alu, |_, $t| $body)
+        };
+    }
+    macro_rules! sfu {
+        (|$t:ident| $body:expr) => {
+            each!(Effect::Sfu, |_, $t| $body)
+        };
+    }
+    macro_rules! rt {
+        (|$t:ident| $body:expr) => {
+            each!(Effect::RtOther, |_, $t| $body)
+        };
+    }
+    let fault = |lane, e: RtError| Box::new((lane, ExecError::Rt { pc, detail: e.0 }));
+    Ok(match *program.fetch(pc) {
+        Instr::MovImm { dst, imm } => alu!(|t| t.set_u(dst, imm)),
+        Instr::Mov { dst, src } => alu!(|t| t.set_u(dst, t.u(src))),
+        Instr::IAdd { dst, a, b } => alu!(|t| t.set_u(dst, t.u(a).wrapping_add(t.u(b)))),
+        Instr::ISub { dst, a, b } => alu!(|t| t.set_u(dst, t.u(a).wrapping_sub(t.u(b)))),
+        Instr::IMul { dst, a, b } => alu!(|t| t.set_u(dst, t.u(a).wrapping_mul(t.u(b)))),
+        Instr::IMin { dst, a, b } => alu!(|t| t.set_u(dst, t.u(a).min(t.u(b)))),
+        Instr::IMax { dst, a, b } => alu!(|t| t.set_u(dst, t.u(a).max(t.u(b)))),
+        Instr::IAnd { dst, a, b } => alu!(|t| t.set_u(dst, t.u(a) & t.u(b))),
+        Instr::IOr { dst, a, b } => alu!(|t| t.set_u(dst, t.u(a) | t.u(b))),
+        Instr::IXor { dst, a, b } => alu!(|t| t.set_u(dst, t.u(a) ^ t.u(b))),
+        Instr::IShl { dst, a, b } => alu!(|t| t.set_u(dst, t.u(a) << (t.u(b) & 31))),
+        Instr::IShr { dst, a, b } => alu!(|t| t.set_u(dst, t.u(a) >> (t.u(b) & 31))),
+        Instr::FAdd { dst, a, b } => alu!(|t| t.set_f(dst, t.f(a) + t.f(b))),
+        Instr::FSub { dst, a, b } => alu!(|t| t.set_f(dst, t.f(a) - t.f(b))),
+        Instr::FMul { dst, a, b } => alu!(|t| t.set_f(dst, t.f(a) * t.f(b))),
+        Instr::FDiv { dst, a, b } => sfu!(|t| t.set_f(dst, t.f(a) / t.f(b))),
+        Instr::FFma { dst, a, b, c } => alu!(|t| t.set_f(dst, t.f(a).mul_add(t.f(b), t.f(c)))),
+        Instr::FMin { dst, a, b } => alu!(|t| t.set_f(dst, t.f(a).min(t.f(b)))),
+        Instr::FMax { dst, a, b } => alu!(|t| t.set_f(dst, t.f(a).max(t.f(b)))),
+        Instr::FNeg { dst, a } => alu!(|t| t.set_f(dst, -t.f(a))),
+        Instr::FAbs { dst, a } => alu!(|t| t.set_f(dst, t.f(a).abs())),
+        Instr::FSqrt { dst, a } => sfu!(|t| t.set_f(dst, t.f(a).sqrt())),
+        Instr::FRsqrt { dst, a } => sfu!(|t| t.set_f(dst, 1.0 / t.f(a).sqrt())),
+        Instr::FSin { dst, a } => sfu!(|t| t.set_f(dst, t.f(a).sin())),
+        Instr::FCos { dst, a } => sfu!(|t| t.set_f(dst, t.f(a).cos())),
+        Instr::FFloor { dst, a } => alu!(|t| t.set_f(dst, t.f(a).floor())),
+        Instr::CvtF2I { dst, a } => alu!(|t| t.set_u(dst, t.f(a) as i32 as u32)),
+        Instr::CvtI2F { dst, a } => alu!(|t| t.set_f(dst, t.u(a) as i32 as f32)),
+        Instr::CvtU2F { dst, a } => alu!(|t| t.set_f(dst, t.u(a) as f32)),
+        Instr::SetpF { dst, cmp: c, a, b } => {
+            alu!(|t| t.preds[dst.0 as usize] = cmp(c, t.f(a), t.f(b)))
         }
-        Instr::Mov { dst, src } => {
-            t.set_u(dst, t.u(src));
-            Effect::Alu
+        Instr::SetpI { dst, cmp: c, a, b } => {
+            alu!(|t| t.preds[dst.0 as usize] = cmp(c, t.u(a), t.u(b)))
         }
-        Instr::IAdd { dst, a, b } => {
-            t.set_u(dst, t.u(a).wrapping_add(t.u(b)));
-            Effect::Alu
-        }
-        Instr::ISub { dst, a, b } => {
-            t.set_u(dst, t.u(a).wrapping_sub(t.u(b)));
-            Effect::Alu
-        }
-        Instr::IMul { dst, a, b } => {
-            t.set_u(dst, t.u(a).wrapping_mul(t.u(b)));
-            Effect::Alu
-        }
-        Instr::IMin { dst, a, b } => {
-            t.set_u(dst, t.u(a).min(t.u(b)));
-            Effect::Alu
-        }
-        Instr::IMax { dst, a, b } => {
-            t.set_u(dst, t.u(a).max(t.u(b)));
-            Effect::Alu
-        }
-        Instr::IAnd { dst, a, b } => {
-            t.set_u(dst, t.u(a) & t.u(b));
-            Effect::Alu
-        }
-        Instr::IOr { dst, a, b } => {
-            t.set_u(dst, t.u(a) | t.u(b));
-            Effect::Alu
-        }
-        Instr::IXor { dst, a, b } => {
-            t.set_u(dst, t.u(a) ^ t.u(b));
-            Effect::Alu
-        }
-        Instr::IShl { dst, a, b } => {
-            t.set_u(dst, t.u(a) << (t.u(b) & 31));
-            Effect::Alu
-        }
-        Instr::IShr { dst, a, b } => {
-            t.set_u(dst, t.u(a) >> (t.u(b) & 31));
-            Effect::Alu
-        }
-        Instr::FAdd { dst, a, b } => {
-            t.set_f(dst, t.f(a) + t.f(b));
-            Effect::Alu
-        }
-        Instr::FSub { dst, a, b } => {
-            t.set_f(dst, t.f(a) - t.f(b));
-            Effect::Alu
-        }
-        Instr::FMul { dst, a, b } => {
-            t.set_f(dst, t.f(a) * t.f(b));
-            Effect::Alu
-        }
-        Instr::FDiv { dst, a, b } => {
-            t.set_f(dst, t.f(a) / t.f(b));
-            Effect::Sfu
-        }
-        Instr::FFma { dst, a, b, c } => {
-            t.set_f(dst, t.f(a).mul_add(t.f(b), t.f(c)));
-            Effect::Alu
-        }
-        Instr::FMin { dst, a, b } => {
-            t.set_f(dst, t.f(a).min(t.f(b)));
-            Effect::Alu
-        }
-        Instr::FMax { dst, a, b } => {
-            t.set_f(dst, t.f(a).max(t.f(b)));
-            Effect::Alu
-        }
-        Instr::FNeg { dst, a } => {
-            t.set_f(dst, -t.f(a));
-            Effect::Alu
-        }
-        Instr::FAbs { dst, a } => {
-            t.set_f(dst, t.f(a).abs());
-            Effect::Alu
-        }
-        Instr::FSqrt { dst, a } => {
-            t.set_f(dst, t.f(a).sqrt());
-            Effect::Sfu
-        }
-        Instr::FRsqrt { dst, a } => {
-            t.set_f(dst, 1.0 / t.f(a).sqrt());
-            Effect::Sfu
-        }
-        Instr::FSin { dst, a } => {
-            t.set_f(dst, t.f(a).sin());
-            Effect::Sfu
-        }
-        Instr::FCos { dst, a } => {
-            t.set_f(dst, t.f(a).cos());
-            Effect::Sfu
-        }
-        Instr::FFloor { dst, a } => {
-            t.set_f(dst, t.f(a).floor());
-            Effect::Alu
-        }
-        Instr::CvtF2I { dst, a } => {
-            t.set_u(dst, t.f(a) as i32 as u32);
-            Effect::Alu
-        }
-        Instr::CvtI2F { dst, a } => {
-            t.set_f(dst, t.u(a) as i32 as f32);
-            Effect::Alu
-        }
-        Instr::CvtU2F { dst, a } => {
-            t.set_f(dst, t.u(a) as f32);
-            Effect::Alu
-        }
-        Instr::SetpF { dst, cmp, a, b } => {
-            t.preds[dst.0 as usize] = cmp_f(cmp, t.f(a), t.f(b));
-            Effect::Alu
-        }
-        Instr::SetpI { dst, cmp, a, b } => {
-            t.preds[dst.0 as usize] = cmp_u(cmp, t.u(a), t.u(b));
-            Effect::Alu
-        }
-        Instr::SetpS { dst, cmp, a, b } => {
-            t.preds[dst.0 as usize] = cmp_s(cmp, t.u(a) as i32, t.u(b) as i32);
-            Effect::Alu
+        Instr::SetpS { dst, cmp: c, a, b } => {
+            alu!(|t| t.preds[dst.0 as usize] = cmp(c, t.u(a) as i32, t.u(b) as i32))
         }
         Instr::PredAnd { dst, a, b } => {
-            t.preds[dst.0 as usize] = t.preds[a.0 as usize] && t.preds[b.0 as usize];
-            Effect::Alu
+            alu!(|t| t.preds[dst.0 as usize] = t.preds[a.0 as usize] && t.preds[b.0 as usize])
         }
-        Instr::PredNot { dst, a } => {
-            t.preds[dst.0 as usize] = !t.preds[a.0 as usize];
-            Effect::Alu
-        }
+        Instr::PredNot { dst, a } => alu!(|t| t.preds[dst.0 as usize] = !t.preds[a.0 as usize]),
         Instr::Sel { dst, cond, a, b } => {
-            let v = if t.preds[cond.0 as usize] {
-                t.u(a)
-            } else {
-                t.u(b)
-            };
-            t.set_u(dst, v);
-            Effect::Alu
+            alu!(|t| t.set_u(
+                dst,
+                if t.preds[cond.0 as usize] {
+                    t.u(a)
+                } else {
+                    t.u(b)
+                }
+            ))
         }
         Instr::Bra { target, pred } => {
-            let taken = match pred {
-                None => true,
-                Some((p, expect)) => t.preds[p.0 as usize] == expect,
-            };
-            if taken {
-                next = target;
+            out.taken = 0;
+            for lane in lanes(mask) {
+                let t = &mut threads[lane];
+                let taken = pred.is_none_or(|(p, expect)| t.preds[p.0 as usize] == expect);
+                out.taken |= u32::from(taken) << lane;
+                t.pc = if taken { target } else { pc + 1 };
             }
-            Effect::Branch { taken, target }
+            Effect::Branch { target }
         }
-        Instr::Ssy { reconv } => Effect::Ssy { reconv },
-        Instr::Sync => Effect::Sync,
+        Instr::Ssy { reconv } => each!(Effect::Ssy { reconv }, |_, _t| {}),
+        Instr::Sync => each!(Effect::Sync, |_, _t| {}),
         Instr::Ld {
             dst,
             space,
             addr,
             offset,
         } => {
-            let a = resolve_addr(t, space, t.u(addr), offset);
-            t.set_u(dst, mem.read_u32(a));
-            Effect::Mem {
+            let effect = Effect::Mem {
                 space,
-                addr: a,
                 is_store: false,
                 size: 4,
-            }
+            };
+            each!(effect, |lane, t| {
+                let a = resolve_addr(t, space, t.u(addr), offset);
+                t.set_u(dst, mem.read_u32(a));
+                out.addrs[lane] = a;
+            })
         }
         Instr::St {
             src,
@@ -499,14 +451,16 @@ pub fn exec_at(
             addr,
             offset,
         } => {
-            let a = resolve_addr(t, space, t.u(addr), offset);
-            mem.write_u32(a, t.u(src));
-            Effect::Mem {
+            let effect = Effect::Mem {
                 space,
-                addr: a,
                 is_store: true,
                 size: 4,
-            }
+            };
+            each!(effect, |lane, t| {
+                let a = resolve_addr(t, space, t.u(addr), offset);
+                mem.write_u32(a, t.u(src));
+                out.addrs[lane] = a;
+            })
         }
         Instr::TraverseAs {
             origin,
@@ -514,7 +468,7 @@ pub fn exec_at(
             tmin,
             tmax,
             flags,
-        } => {
+        } => each!(Effect::TraceRay, |lane, t| {
             let ray = RayDesc {
                 origin: [t.f(origin[0]), t.f(origin[1]), t.f(origin[2])],
                 dir: [t.f(dir[0]), t.f(dir[1]), t.f(dir[2])],
@@ -522,50 +476,26 @@ pub fn exec_at(
                 t_max: t.f(tmax),
                 flags: t.u(flags),
             };
-            rt.traverse(t.tid, ray)
-                .map_err(|e| ExecError::Rt { pc, detail: e.0 })?;
-            Effect::TraceRay
-        }
-        Instr::EndTraceRay => {
-            rt.end_trace(t.tid);
-            Effect::RtOther
-        }
-        Instr::RtAllocMem { dst, size } => {
-            let addr = rt.alloc_mem(t.tid, size);
-            t.set_u(dst, addr as u32);
-            Effect::RtOther
-        }
-        Instr::RtRead { dst, query } => {
-            let v = rt.query(t.tid, query);
-            t.set_u(dst, v);
-            Effect::RtOther
-        }
+            rt.traverse(t.tid, ray).map_err(|e| fault(lane, e))?
+        }),
+        Instr::EndTraceRay => rt!(|t| rt.end_trace(t.tid)),
+        Instr::RtAllocMem { dst, size } => rt!(|t| t.set_u(dst, rt.alloc_mem(t.tid, size) as u32)),
+        Instr::RtRead { dst, query } => rt!(|t| t.set_u(dst, rt.query(t.tid, query))),
         Instr::RtReadIdx { dst, query, idx } => {
-            let v = rt.query_idx(t.tid, query, t.u(idx));
-            t.set_u(dst, v);
-            Effect::RtOther
+            rt!(|t| t.set_u(dst, rt.query_idx(t.tid, query, t.u(idx))))
         }
         Instr::IntersectionValid { dst, idx } => {
-            t.preds[dst.0 as usize] = rt.intersection_valid(t.tid, t.u(idx));
-            Effect::RtOther
+            rt!(|t| t.preds[dst.0 as usize] = rt.intersection_valid(t.tid, t.u(idx)))
         }
         Instr::NextCoalescedCall { dst, idx } => {
-            let v = rt.next_coalesced_call(t.tid, t.u(idx));
-            t.set_u(dst, v);
-            Effect::RtOther
+            rt!(|t| t.set_u(dst, rt.next_coalesced_call(t.tid, t.u(idx))))
         }
-        Instr::ReportIntersection { t: treg, idx } => {
+        Instr::ReportIntersection { t: treg, idx } => each!(Effect::RtOther, |lane, t| {
             rt.report_intersection(t.tid, t.u(idx), t.f(treg))
-                .map_err(|e| ExecError::Rt { pc, detail: e.0 })?;
-            Effect::RtOther
-        }
-        Instr::Exit => {
-            t.exited = true;
-            Effect::Exited
-        }
-    };
-    t.pc = next;
-    Ok(effect)
+                .map_err(|e| fault(lane, e))?
+        }),
+        Instr::Exit => each!(Effect::Exited, |_, t| t.exited = true),
+    })
 }
 
 #[inline]
@@ -577,13 +507,14 @@ fn resolve_addr(t: &ThreadState, space: MemSpace, base: u32, offset: i32) -> u64
     }
 }
 
-/// Runs a single thread functionally until `Exit`.
+/// Runs a single thread functionally until `Exit`: [`exec_warp`] on a
+/// one-lane warp.
 ///
 /// # Errors
 ///
 /// Returns [`ExecError::StepLimit`] after 100 million steps (runaway
-/// program) or [`ExecError::PcOutOfRange`] if control flow escapes the
-/// program.
+/// program), [`ExecError::PcOutOfRange`] if control flow escapes the
+/// program, and [`ExecError::Rt`] if an RT instruction fails.
 pub fn run_to_exit(
     program: &Program,
     t: &mut ThreadState,
@@ -591,12 +522,14 @@ pub fn run_to_exit(
     rt: &mut dyn RtHooks,
 ) -> Result<u64, ExecError> {
     const LIMIT: u64 = 100_000_000;
+    let mut out = LaneOut::default();
+    let thread = std::slice::from_mut(t);
     let mut steps = 0u64;
-    while !t.exited {
+    while !thread[0].exited {
         if steps >= LIMIT {
             return Err(ExecError::StepLimit);
         }
-        exec_at(program, t.pc, t, mem, rt)?;
+        exec_warp(program, thread[0].pc, 1, thread, mem, rt, &mut out).map_err(|e| e.1)?;
         steps += 1;
     }
     Ok(steps)
@@ -898,5 +831,290 @@ mod tests {
         let mut rt = MockRt::default();
         run_to_exit(&p, &mut t, &mut m, &mut rt).unwrap();
         assert_eq!(t.u(Reg(0)), 11);
+    }
+
+    mod warp_properties {
+        use super::*;
+        use crate::op::Pred;
+        use vksim_snapshot::Snap;
+        use vksim_testkit::prop::{check, u32_in, u64_in, vec_of};
+        use vksim_testkit::{prop_assert, prop_assert_eq};
+
+        /// Registers 0 to 6 are scratch; register 7 holds each lane's base
+        /// address and is never written, so loads and stores stay in a few
+        /// overlapping words around a page boundary.
+        const ADDR: Reg = Reg(7);
+
+        fn decode(op: u32, x: u32, y: u32, z: u32) -> Instr {
+            let r = |v: u32| Reg((v % 7) as u16);
+            let p = |v: u32| Pred((v % 4) as u16);
+            let cmp = [
+                CmpOp::Eq,
+                CmpOp::Ne,
+                CmpOp::Lt,
+                CmpOp::Le,
+                CmpOp::Gt,
+                CmpOp::Ge,
+            ];
+            let (dst, a, b) = (r(x), r(y), r(z));
+            let space = [MemSpace::Global, MemSpace::Local][z as usize % 2];
+            match op {
+                0 => Instr::IAdd { dst, a, b },
+                1 => Instr::IMul { dst, a, b },
+                2 => Instr::IShr { dst, a, b },
+                3 => Instr::FAdd { dst, a, b },
+                4 => Instr::FFma {
+                    dst,
+                    a,
+                    b,
+                    c: r(x ^ z),
+                },
+                5 => Instr::FDiv { dst, a, b },
+                6 => Instr::FSqrt { dst, a },
+                7 => Instr::CvtI2F { dst, a },
+                8 => Instr::MovImm {
+                    dst,
+                    imm: y << 16 | z,
+                },
+                9 => Instr::SetpF {
+                    dst: p(x),
+                    cmp: cmp[z as usize % 6],
+                    a,
+                    b,
+                },
+                10 => Instr::SetpS {
+                    dst: p(x),
+                    cmp: cmp[y as usize % 6],
+                    a,
+                    b,
+                },
+                11 => Instr::Sel {
+                    dst,
+                    cond: p(y),
+                    a,
+                    b,
+                },
+                12 => Instr::Ld {
+                    dst,
+                    space,
+                    addr: ADDR,
+                    offset: (y % 8) as i32,
+                },
+                13 => Instr::St {
+                    src: a,
+                    space,
+                    addr: ADDR,
+                    offset: (x % 8) as i32,
+                },
+                _ => Instr::Bra {
+                    target: z % 64,
+                    pred: Some((p(x), y.is_multiple_of(2))),
+                },
+            }
+        }
+
+        fn warp(seed: u32) -> Vec<ThreadState> {
+            (0..32)
+                .map(|lane| {
+                    let mut t = ThreadState::with_tid(8, 4, lane);
+                    let mix = (seed ^ lane as u32).wrapping_mul(0x9e37_79b9);
+                    for (i, reg) in t.regs.iter_mut().enumerate() {
+                        *reg = mix.rotate_left(5 * i as u32) % 1000;
+                    }
+                    t.regs[ADDR.0 as usize] = 0x2ff8 + (lane as u32 % 5) * 2;
+                    t.preds = (0..4).map(|i| (mix >> i) & 1 == 1).collect();
+                    t
+                })
+                .collect()
+        }
+
+        /// The reference lane order, independent of [`lanes`].
+        fn active(mask: u32) -> impl Iterator<Item = usize> {
+            (0..32).filter(move |lane| mask >> lane & 1 == 1)
+        }
+
+        fn image(mem: &SimMemory) -> Vec<u8> {
+            let mut e = vksim_snapshot::Enc::new();
+            mem.save(&mut e);
+            e.into_bytes()
+        }
+
+        /// Running an instruction once for a warp equals running it for each
+        /// active lane alone, in lane order: registers, predicates, pcs,
+        /// exits, memory, branch outcomes and addresses.
+        #[test]
+        fn a_warp_step_equals_its_lanes_one_at_a_time() {
+            let ops = vec_of(
+                (
+                    u32_in(0, 15),
+                    u32_in(0, 1 << 16),
+                    u32_in(0, 64),
+                    u32_in(0, 64),
+                ),
+                1,
+                24,
+            );
+            check(
+                &(ops, u64_in(1, 1 << 32), u32_in(0, u32::MAX)),
+                |(ops, mask, seed)| {
+                    let mask = *mask as u32;
+                    let mut instrs: Vec<Instr> =
+                        ops.iter().map(|&(o, x, y, z)| decode(o, x, y, z)).collect();
+                    instrs.push(Instr::Exit);
+                    let mut b = ProgramBuilder::new();
+                    instrs.iter().for_each(|&i| b.emit(i));
+                    let program = b.build();
+                    let (mut together, mut alone) = (warp(*seed), warp(*seed));
+                    let (mut mem_together, mut mem_alone) = (SimMemory::new(), SimMemory::new());
+                    for pc in 0..program.len() as u32 {
+                        let mut out = LaneOut::default();
+                        let effect = exec_warp(
+                            &program,
+                            pc,
+                            mask,
+                            &mut together,
+                            &mut mem_together,
+                            &mut NoRt,
+                            &mut out,
+                        )
+                        .map_err(|e| format!("{e:?}"))?;
+                        let mut single = LaneOut::default();
+                        let mut taken = 0;
+                        for lane in active(mask) {
+                            let one = exec_warp(
+                                &program,
+                                pc,
+                                1 << lane,
+                                &mut alone,
+                                &mut mem_alone,
+                                &mut NoRt,
+                                &mut single,
+                            )
+                            .map_err(|e| format!("{e:?}"))?;
+                            prop_assert_eq!(one, effect, "lane {lane} at pc {pc}");
+                            prop_assert_eq!(
+                                single.taken & !(1 << lane),
+                                0,
+                                "lane {lane} at pc {pc}"
+                            );
+                            taken |= single.taken;
+                        }
+                        prop_assert_eq!(&together, &alone, "threads after pc {pc}");
+                        prop_assert!(
+                            image(&mem_together) == image(&mem_alone),
+                            "memory after pc {pc}"
+                        );
+                        if let Effect::Branch { .. } = effect {
+                            prop_assert_eq!(out.taken, taken, "taken lanes at pc {pc}");
+                        }
+                        if let Effect::Mem { .. } = effect {
+                            for lane in active(mask) {
+                                prop_assert_eq!(
+                                    out.addrs[lane],
+                                    single.addrs[lane],
+                                    "lane {lane} at pc {pc}"
+                                );
+                            }
+                        }
+                    }
+                    prop_assert!(together
+                        .iter()
+                        .enumerate()
+                        .all(|(lane, t)| t.exited == (mask >> lane & 1 == 1)));
+                    Ok(())
+                },
+            );
+        }
+
+        /// Fails `traverse` and `report_intersection` for one thread id.
+        struct FailAt {
+            tid: usize,
+            calls: Vec<usize>,
+        }
+
+        impl RtHooks for FailAt {
+            fn traverse(&mut self, tid: usize, _ray: RayDesc) -> Result<(), RtError> {
+                self.report_intersection(tid, 0, 0.0)
+            }
+            fn end_trace(&mut self, _tid: usize) {}
+            fn alloc_mem(&mut self, _tid: usize, _size: u32) -> u64 {
+                0
+            }
+            fn query(&mut self, _tid: usize, _q: RtQuery) -> u32 {
+                0
+            }
+            fn query_idx(&mut self, _tid: usize, _q: RtIdxQuery, _idx: u32) -> u32 {
+                0
+            }
+            fn intersection_valid(&mut self, _tid: usize, _idx: u32) -> bool {
+                false
+            }
+            fn next_coalesced_call(&mut self, _tid: usize, _idx: u32) -> u32 {
+                u32::MAX
+            }
+            fn report_intersection(
+                &mut self,
+                tid: usize,
+                _idx: u32,
+                _t: f32,
+            ) -> Result<(), RtError> {
+                if tid == self.tid {
+                    return Err(RtError(format!("thread {tid} fails")));
+                }
+                self.calls.push(tid);
+                Ok(())
+            }
+        }
+
+        /// A backend failing at lane k leaves the active lanes below k
+        /// executed and k onwards untouched, and reports k.
+        #[test]
+        fn an_rt_fault_stops_the_warp_at_the_failing_lane() {
+            let r = |i| Reg(i);
+            let traverse = Instr::TraverseAs {
+                origin: [r(0), r(1), r(2)],
+                dir: [r(3), r(4), r(5)],
+                tmin: r(6),
+                tmax: r(0),
+                flags: r(1),
+            };
+            let report = Instr::ReportIntersection { t: r(0), idx: r(1) };
+            check(
+                &(u64_in(1, 1 << 32), u32_in(0, 32), u32_in(0, 2)),
+                |&(mask, k, which)| {
+                    let (mask, k) = (mask as u32 | 1 << k, k as usize);
+                    let mut b = ProgramBuilder::new();
+                    b.mov_imm_u32(r(0), 0);
+                    b.emit([traverse, report][which as usize]);
+                    let program = b.build();
+                    let before = warp(k as u32);
+                    let mut threads = before.clone();
+                    let mut rt = FailAt {
+                        tid: k,
+                        calls: Vec::new(),
+                    };
+                    let err = exec_warp(
+                        &program,
+                        1,
+                        mask,
+                        &mut threads,
+                        &mut SimMemory::new(),
+                        &mut rt,
+                        &mut LaneOut::default(),
+                    )
+                    .expect_err("lane k fails");
+                    prop_assert_eq!(err.0, k);
+                    prop_assert!(matches!(err.1, ExecError::Rt { pc: 1, .. }), "{:?}", err.1);
+                    let below: Vec<usize> = active(mask).take_while(|&lane| lane < k).collect();
+                    prop_assert_eq!(&rt.calls, &below);
+                    for (lane, (now, was)) in threads.iter().zip(&before).enumerate() {
+                        let pc = if below.contains(&lane) { 2 } else { was.pc };
+                        prop_assert_eq!(now.pc, pc, "lane {lane}");
+                        prop_assert_eq!(&now.regs, &was.regs, "lane {lane}");
+                    }
+                    Ok(())
+                },
+            );
+        }
     }
 }

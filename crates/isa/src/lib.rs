@@ -10,16 +10,20 @@
 //!   `load_ray_launch_id` and the trace-result accessors they imply);
 //! * [`program::Program`] / [`program::ProgramBuilder`] — the container the
 //!   NIR-to-PTX translator emits into, with label resolution;
-//! * [`interp`] — a per-thread functional interpreter. RT instructions are
-//!   delegated to an [`interp::RtHooks`] implementation supplied by the
-//!   simulator core, which owns the acceleration structures and per-thread
-//!   trace-result stacks;
+//! * [`interp`] — the functional interpreter, [`interp::exec_warp`]: it
+//!   decodes an instruction once and runs it for every active lane of a
+//!   warp. RT instructions are delegated to an [`interp::RtHooks`]
+//!   implementation supplied by the simulator core, which owns the
+//!   acceleration structures and per-thread trace-result stacks;
 //! * [`memory::SimMemory`] — the flat, sparse functional memory image that
-//!   loads and stores operate on.
+//!   loads and stores operate on, word-granular where a word fits a page.
 //!
 //! Divergence handling (SIMT stack / independent thread scheduling) is *not*
-//! here: the GPU timing model drives threads through [`interp::step`] one
-//! instruction at a time and reacts to the returned [`interp::Effect`].
+//! here: the GPU timing model picks a warp context (pc and active mask),
+//! runs one instruction for it through [`interp::exec_warp`], and reacts to
+//! the returned per-warp [`interp::Effect`] and the per-lane
+//! [`interp::LaneOut`]. The functional tier, [`interp::run_to_exit`], runs
+//! one thread as a one-lane warp through the same function.
 //!
 //! # Example
 //!
@@ -50,7 +54,7 @@ pub mod op;
 pub mod program;
 pub mod text;
 
-pub use interp::{Effect, ExecError, RtError, RtHooks, ThreadState};
+pub use interp::{Effect, ExecError, LaneOut, RtError, RtHooks, ThreadState};
 pub use memory::{MemIo, OverlayMem, SimMemory, WriteOverlay};
 pub use op::{CmpOp, InstClass, Instr, Pred, Reg, RtQuery};
 pub use program::{Program, ProgramBuilder};

@@ -5,8 +5,7 @@
 //! address space. The *timing* of accesses is modelled separately by
 //! `vksim-mem`; the functional interpreter only needs correct values.
 
-use std::collections::HashMap;
-use vksim_snapshot::{Dec, Enc, Snap, SnapError};
+use vksim_snapshot::{Dec, Enc, FixedMap, Snap, SnapError};
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
@@ -31,18 +30,12 @@ pub trait MemIo {
 
     /// Reads a little-endian u32 (byte-granular, may straddle pages).
     fn read_u32(&self, addr: u64) -> u32 {
-        let mut bytes = [0u8; 4];
-        for (i, b) in bytes.iter_mut().enumerate() {
-            *b = self.read_u8(addr + i as u64);
-        }
-        u32::from_le_bytes(bytes)
+        read_bytewise(self, addr)
     }
 
     /// Writes a little-endian u32.
     fn write_u32(&mut self, addr: u64, value: u32) {
-        for (i, b) in value.to_le_bytes().iter().enumerate() {
-            self.write_u8(addr + i as u64, *b);
-        }
+        write_bytewise(self, addr, value);
     }
 
     /// Reads an f32.
@@ -67,6 +60,25 @@ pub trait MemIo {
     }
 }
 
+// The byte path of a word access: four one-byte accesses, so the word may
+// straddle a page.
+fn read_bytewise(m: &(impl MemIo + ?Sized), addr: u64) -> u32 {
+    u32::from_le_bytes(std::array::from_fn(|i| m.read_u8(addr + i as u64)))
+}
+
+fn write_bytewise(m: &mut (impl MemIo + ?Sized), addr: u64, value: u32) {
+    for (i, b) in value.to_le_bytes().into_iter().enumerate() {
+        m.write_u8(addr + i as u64, b);
+    }
+}
+
+// Where the word at `addr` starts within its page; `None` when it straddles
+// a page boundary.
+fn word_offset(addr: u64) -> Option<usize> {
+    let off = (addr as usize) & (PAGE_SIZE - 1);
+    (off <= PAGE_SIZE - 4).then_some(off)
+}
+
 /// Sparse paged byte-addressable memory with little-endian 32-bit accessors.
 ///
 /// Unwritten memory reads as zero, like freshly allocated device memory in
@@ -83,7 +95,7 @@ pub trait MemIo {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct SimMemory {
-    pages: HashMap<u64, Page>,
+    pages: FixedMap<u64, Page>,
 }
 
 /// One resident page. A newtype so the snapshot codec can write it as a
@@ -124,26 +136,32 @@ impl SimMemory {
 
     /// Writes one byte.
     pub fn write_u8(&mut self, addr: u64, value: u8) {
-        let page = self
-            .pages
+        self.page_mut(addr).0[(addr as usize) & (PAGE_SIZE - 1)] = value;
+    }
+
+    fn page_mut(&mut self, addr: u64) -> &mut Page {
+        self.pages
             .entry(addr >> PAGE_SHIFT)
-            .or_insert_with(|| Page(Box::new([0u8; PAGE_SIZE])));
-        page.0[(addr as usize) & (PAGE_SIZE - 1)] = value;
+            .or_insert_with(|| Page(Box::new([0u8; PAGE_SIZE])))
     }
 
-    /// Reads a little-endian u32 (byte-granular, may straddle pages).
+    /// Reads a little-endian u32: one page lookup, or one per byte when the
+    /// word straddles a page.
     pub fn read_u32(&self, addr: u64) -> u32 {
-        let mut bytes = [0u8; 4];
-        for (i, b) in bytes.iter_mut().enumerate() {
-            *b = self.read_u8(addr + i as u64);
-        }
-        u32::from_le_bytes(bytes)
+        let Some(off) = word_offset(addr) else {
+            return read_bytewise(self, addr);
+        };
+        self.pages.get(&(addr >> PAGE_SHIFT)).map_or(0, |p| {
+            u32::from_le_bytes(p.0[off..off + 4].try_into().expect("a 4-byte slice"))
+        })
     }
 
-    /// Writes a little-endian u32.
+    /// Writes a little-endian u32: one page lookup, or one per byte when the
+    /// word straddles a page.
     pub fn write_u32(&mut self, addr: u64, value: u32) {
-        for (i, b) in value.to_le_bytes().iter().enumerate() {
-            self.write_u8(addr + i as u64, *b);
+        match word_offset(addr) {
+            Some(off) => self.page_mut(addr).0[off..off + 4].copy_from_slice(&value.to_le_bytes()),
+            None => write_bytewise(self, addr, value),
         }
     }
 
@@ -194,6 +212,14 @@ impl MemIo for SimMemory {
     fn write_u8(&mut self, addr: u64, value: u8) {
         SimMemory::write_u8(self, addr, value)
     }
+
+    fn read_u32(&self, addr: u64) -> u32 {
+        SimMemory::read_u32(self, addr)
+    }
+
+    fn write_u32(&mut self, addr: u64, value: u32) {
+        SimMemory::write_u32(self, addr, value)
+    }
 }
 
 /// A per-SM buffer of functional-memory writes made during one simulated
@@ -205,7 +231,7 @@ impl MemIo for SimMemory {
 /// order, so the final image is identical for any worker-thread count.
 #[derive(Clone, Debug, Default)]
 pub struct WriteOverlay {
-    bytes: HashMap<u64, u8>,
+    bytes: FixedMap<u64, u8>,
 }
 
 impl WriteOverlay {
@@ -266,6 +292,16 @@ impl MemIo for OverlayMem<'_> {
 
     fn write_u8(&mut self, addr: u64, value: u8) {
         self.overlay.bytes.insert(addr, value);
+    }
+
+    /// Word-granular while nothing is overlaid (every read misses the
+    /// overlay then); byte-granular once something is, so that a partly
+    /// overlaid word merges with the base.
+    fn read_u32(&self, addr: u64) -> u32 {
+        if self.overlay.bytes.is_empty() {
+            return self.base.read_u32(addr);
+        }
+        read_bytewise(self, addr)
     }
 }
 
@@ -385,5 +421,73 @@ mod tests {
         let mut view = OverlayMem::new(&base, &mut ov);
         view.write_u8(0x201, 0xEE); // only one byte overlaid
         assert_eq!(view.read_u32(0x200), 0xAABB_EEDD);
+    }
+
+    /// The word path against the byte path: on random addresses, page
+    /// offsets 4092–4095 included, in mapped and unmapped pages, through
+    /// `SimMemory` and through an overlay view that starts empty and then
+    /// overlays whole words and single bytes.
+    #[test]
+    fn word_accesses_equal_their_bytes() {
+        use vksim_testkit::prop::{check, u32_in, u64_in, vec_of};
+        use vksim_testkit::prop_assert_eq;
+        let image = |m: &SimMemory| {
+            let mut e = vksim_snapshot::Enc::new();
+            m.save(&mut e);
+            e.into_bytes()
+        };
+        let access = (
+            u64_in(0, 4),
+            u32_in(0, 8),
+            u32_in(0, 4096),
+            u32_in(0, u32::MAX),
+        );
+        check(&vec_of(access, 1, 24), |accesses| {
+            let addrs: Vec<u64> = accesses
+                .iter()
+                .map(|&(page, pick, off, _)| {
+                    let off = if pick < 4 { 4092 + pick } else { off };
+                    (page << PAGE_SHIFT) + u64::from(off)
+                })
+                .collect();
+            let (mut words, mut bytes) = (SimMemory::new(), SimMemory::new());
+            for (&a, &(.., value)) in addrs.iter().zip(accesses) {
+                words.write_u32(a, value);
+                value
+                    .to_le_bytes()
+                    .iter()
+                    .enumerate()
+                    .for_each(|(i, &b)| bytes.write_u8(a + i as u64, b));
+            }
+            prop_assert_eq!(image(&words), image(&bytes), "word writes vs byte writes");
+            let probes: Vec<u64> = addrs
+                .iter()
+                .flat_map(|&a| [a, a + (9 << PAGE_SHIFT)])
+                .collect();
+            for &a in &probes {
+                prop_assert_eq!(
+                    words.read_u32(a),
+                    read_bytewise(&words, a),
+                    "read at {a:#x}"
+                );
+            }
+            let mut overlay = WriteOverlay::new();
+            let mut view = OverlayMem::new(&words, &mut overlay);
+            for (&a, &(_, pick, _, value)) in addrs.iter().zip(accesses) {
+                for &p in &probes {
+                    prop_assert_eq!(
+                        view.read_u32(p),
+                        read_bytewise(&view, p),
+                        "view read at {p:#x}"
+                    );
+                }
+                if pick % 2 == 0 {
+                    view.write_u32(a, value);
+                } else {
+                    view.write_u8(a + u64::from(pick % 4), value as u8);
+                }
+            }
+            Ok(())
+        });
     }
 }

@@ -116,6 +116,21 @@ pub enum InstClass {
     Exit,
 }
 
+impl InstClass {
+    /// The instruction-mix counter, `inst.<class>`, from a table, so that
+    /// counting an issued instruction formats nothing.
+    pub const fn counter(self) -> &'static str {
+        match self {
+            InstClass::Alu => "inst.Alu",
+            InstClass::Sfu => "inst.Sfu",
+            InstClass::Mem => "inst.Mem",
+            InstClass::Ctrl => "inst.Ctrl",
+            InstClass::Rt => "inst.Rt",
+            InstClass::Exit => "inst.Exit",
+        }
+    }
+}
+
 /// One virtual instruction.
 ///
 /// The custom RT instructions from the paper's Table II are:
@@ -394,6 +409,14 @@ mod tests {
         );
         assert_eq!(Instr::EndTraceRay.class(), InstClass::Rt);
         assert_eq!(Instr::Exit.class(), InstClass::Exit);
+    }
+
+    #[test]
+    fn counter_names_are_inst_dot_the_class_name() {
+        use InstClass::*;
+        for class in [Alu, Sfu, Mem, Ctrl, Rt, Exit] {
+            assert_eq!(class.counter(), format!("inst.{class:?}"));
+        }
     }
 
     #[test]

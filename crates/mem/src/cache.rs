@@ -18,11 +18,26 @@ pub enum AccessKind {
 }
 
 impl AccessKind {
-    fn tag(self) -> &'static str {
+    /// This source's `<kind>.<event>` counters, spelled out at compile
+    /// time so that an access formats nothing: `hit`, `miss_pending`, then
+    /// the miss classes `miss_compulsory`, `miss_conflict` and
+    /// `miss_capacity`.
+    const fn counters(self) -> [&'static str; 5] {
+        macro_rules! names {
+            ($kind:literal) => {
+                [
+                    concat!($kind, ".hit"),
+                    concat!($kind, ".miss_pending"),
+                    concat!($kind, ".miss_compulsory"),
+                    concat!($kind, ".miss_conflict"),
+                    concat!($kind, ".miss_capacity"),
+                ]
+            };
+        }
         match self {
-            AccessKind::ShaderLoad => "shader_load",
-            AccessKind::ShaderStore => "shader_store",
-            AccessKind::RtUnit => "rt_unit",
+            AccessKind::ShaderLoad => names!("shader_load"),
+            AccessKind::ShaderStore => names!("shader_store"),
+            AccessKind::RtUnit => names!("rt_unit"),
         }
     }
 }
@@ -251,13 +266,14 @@ impl Cache {
         let line = self.line_of(addr);
         let set = self.set_index(line);
         let is_store = kind == AccessKind::ShaderStore;
+        let [hit, pending, compulsory, conflict, capacity] = kind.counters();
 
         // Shadow bookkeeping for classification (reads only).
         let first_touch = !is_store && self.ever_seen.insert(line);
         let shadow_hit = !is_store && self.touch_shadow(line);
 
         if self.sets[set].touch(line, self.stamp) {
-            self.stats.inc(&format!("{}.hit", kind.tag()));
+            self.stats.inc(hit);
             return CacheOutcome::Hit;
         }
 
@@ -276,26 +292,26 @@ impl Cache {
             }
             *cnt += 1;
             self.stats.inc("mshr.merged");
-            self.stats.inc(&format!("{}.miss_pending", kind.tag()));
+            self.stats.inc(pending);
             return CacheOutcome::MissMerged;
         }
 
         // Classify the demand miss.
         let class = if first_touch {
-            "compulsory"
+            compulsory
         } else if shadow_hit {
             // Fully associative shadow of the same capacity would have hit:
             // conflict miss.
-            "conflict"
+            conflict
         } else {
-            "capacity"
+            capacity
         };
 
         if self.mshr.len() >= self.config.mshr_entries {
             self.stats.inc("mshr.full");
             return CacheOutcome::ReservationFail;
         }
-        self.stats.inc(&format!("{}.miss_{class}", kind.tag()));
+        self.stats.inc(class);
         self.mshr.insert(line, 1);
         CacheOutcome::MissToMemory
     }

@@ -25,15 +25,14 @@
 
 pub mod cache;
 pub mod dram;
-mod fixed_hash;
 pub mod system;
 
 pub use cache::{AccessKind, Cache, CacheConfig, CacheOutcome};
 pub use dram::{Dram, DramConfig, DramIssue, DramSched};
-pub use fixed_hash::{FixedMap, FixedSet, FixedState};
 pub use system::{
     partition_of, MemRequest, MemSink, RequestQueue, SharedMemSystem, SystemConfig, PARTITION_BYTES,
 };
+pub use vksim_snapshot::{FixedMap, FixedSet, FixedState};
 
 /// Memory chunk size: larger requests are broken into 32 B pieces
 /// (paper §III-C3).

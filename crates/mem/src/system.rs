@@ -13,7 +13,7 @@
 //!
 //! The interconnect is a fixed-latency hop; each partition processes its
 //! own events in `(time, seq)` order, where `seq` is assigned in submit
-//! order (a heap, plus a FIFO of backed-off retries: see [`Parked`]). The
+//! order (a heap, plus a FIFO of backed-off retries: see `Parked`). The
 //! two-phase cycle engine drains per-SM request queues serially
 //! in SM-id order, so the ingress order of every partition — and therefore
 //! every counter — is bit-exact at any `VKSIM_THREADS` value. With

@@ -17,7 +17,7 @@
 //! substitution table).
 //!
 //! Shaders are written in the `vksim-shader` DSL (standing in for GLSL) and
-//! compiled by the device into executable pipelines. The [`reference`]
+//! compiled by the device into executable pipelines. The [`reference`](mod@reference)
 //! module renders TRI/REF/EXT with a plain CPU ray tracer that mirrors the
 //! shader math — the stand-in for the paper's NVIDIA-GPU images in the
 //! Fig. 2 pixel-diff validation.

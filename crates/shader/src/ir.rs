@@ -3,7 +3,7 @@
 //! The IR is deliberately close to NIR's shape: scalar SSA-ish expressions,
 //! structured control flow (NIR jumps are structurized before backends see
 //! them), and ray-tracing intrinsics as first-class operations. The
-//! translator in [`crate::translate`] lowers it to the PTX-like ISA.
+//! translator in [`crate::translate`](mod@crate::translate) lowers it to the PTX-like ISA.
 
 pub use vksim_isa::op::{CmpOp, RtIdxQuery};
 

@@ -11,7 +11,7 @@
 //!   `reportIntersectionEXT`, ...);
 //! * [`builder`] — an ergonomic Rust DSL for writing shaders (standing in
 //!   for GLSL source);
-//! * [`translate`] — the NIR→ISA translator. `traceRayEXT` lowers to the
+//! * [`translate`](mod@translate) — the NIR→ISA translator. `traceRayEXT` lowers to the
 //!   paper's Algorithm 1: `traverseAS`, a delayed intersection-shader loop
 //!   with if-else-if shader-ID dispatch, conditional closest-hit/miss
 //!   dispatch, and `endTraceRay`. With

@@ -34,8 +34,10 @@
 //! little-endian, but the payload layout is tied to [`FORMAT_VERSION`]
 //! and is not a cross-release interchange format.
 
+mod fixed_hash;
 mod snap;
 
+pub use fixed_hash::{FixedHasher, FixedMap, FixedSet, FixedState};
 pub use snap::{
     __with_restore, __with_save, load_fixed, restore_each, restore_opt, save_each, save_opt, Snap,
 };

@@ -12,7 +12,7 @@
 //!   for numeric ranges, tuples, mapped values and vectors; case
 //!   generation; iteration-bounded shrinking; failure-seed reporting
 //!   (replaces `proptest`).
-//! * [`bench`] — a micro-benchmark harness with warmup, calibrated inner
+//! * [`bench`](mod@bench) — a micro-benchmark harness with warmup, calibrated inner
 //!   loops, median/MAD reporting and JSON output to `BENCH_<suite>.json`
 //!   (replaces `criterion` for the `harness = false` bench targets).
 //! * [`golden`] — exact-compare golden-counter snapshots: the regression

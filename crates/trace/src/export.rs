@@ -98,8 +98,8 @@ pub struct TraceReport {
 /// Output is byte-deterministic for a fixed report.
 ///
 /// Built from the same three pieces the streaming exporter writes
-/// incrementally — [`chrome_header`], [`chrome_event_chunk`],
-/// [`chrome_counter_tail`] — so a streamed file and a one-shot export of
+/// incrementally — `chrome_header`, `chrome_event_chunk`,
+/// `chrome_counter_tail` — so a streamed file and a one-shot export of
 /// the same event stream are byte-identical.
 pub fn chrome_trace_json(report: &TraceReport) -> String {
     let mut out = chrome_header(report.num_sms);

@@ -1,6 +1,6 @@
 //! Ray-traversal workload characterization (`VKSIM_RT_ANALYTICS`).
 //!
-//! Where cycle accounting ([`crate::accounting`]) answers *what the SMs
+//! Where cycle accounting ([`crate::CycleAccounting`]) answers *what the SMs
 //! spent their cycles on*, this module answers *what the rays did to the
 //! acceleration structure*: per-BVH-node visit/hit heatmaps keyed by node
 //! id and tree depth, per-ray histograms (nodes visited, box tests,

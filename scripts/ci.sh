@@ -56,6 +56,9 @@ bg "cargo clippy --offline --workspace -D warnings" \
     -D warnings -D clippy::iter_over_hash_type
 bg "cargo build --release --offline --workspace" \
     cargo build --release --offline --workspace
+# Broken, ambiguous or private intra-doc links fail the gate.
+bg "cargo doc --offline --no-deps --workspace (rustdoc -D warnings)" \
+    env RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 join
 
 step "cargo test --offline --workspace -q"
