@@ -195,14 +195,8 @@ impl WideBvh {
         for (i, node) in self.nodes.iter().enumerate() {
             if let Node::Internal(int) = node {
                 let kids = &int.children[..int.child_count as usize];
-                for (&k, pair) in kids
-                    .iter()
-                    .zip(kids.windows(2).chain(std::iter::once(&[][..])))
-                {
-                    let _ = pair;
-                    if k as usize >= self.nodes.len() {
-                        return Err(format!("node {i}: child {k} out of range"));
-                    }
+                if let Some(k) = kids.iter().find(|&&k| k as usize >= self.nodes.len()) {
+                    return Err(format!("node {i}: child {k} out of range"));
                 }
                 // Consecutive in memory: each child's offset is the previous
                 // child's offset plus its size.

@@ -797,8 +797,7 @@ mod tests {
 
     #[test]
     fn missing_blas_is_a_classified_error() {
-        let (tlas, blas) = single_quad_scene();
-        let _ = blas;
+        let (tlas, _) = single_quad_scene();
         let ray = Ray::new(Vec3::new(0.2, 0.3, -5.0), Vec3::Z);
         let err = traverse(&tlas, &[], &ray, &TraversalConfig::default()).unwrap_err();
         assert!(

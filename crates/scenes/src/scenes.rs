@@ -278,8 +278,7 @@ fn build_ref(scale: Scale) -> Workload {
         -12.0, 12.0, -12.0, 12.0, 0.0,
     )));
     let boxes: Vec<u32> = (0..4)
-        .map(|i| {
-            let _ = i;
+        .map(|_| {
             device.create_blas(BlasGeometry::triangles(box_mesh(
                 Vec3::new(-0.8, 0.0, -0.8),
                 Vec3::new(0.8, 1.6, 0.8),

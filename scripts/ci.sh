@@ -73,6 +73,14 @@ cargo test --offline -q -p vksim-bench --test golden_counters
 step "golden-counter regression suite under VKSIM_THREADS=2"
 VKSIM_THREADS=2 cargo test --offline -q -p vksim-bench --test golden_counters
 
+# BVH layout pins at Paper scale: the EXT and RTV5 structures (BLASes of
+# 283 k and 328 k primitives, the largest builds any scene makes) must hash
+# node for node as recorded. The Test and Small pins of
+# tests/bvh_layout.rs run in the plain test stage above; these are
+# #[ignore]d there.
+step "Paper-scale BVH layout pins (release, --ignored)"
+cargo test --release --offline -q -p vksim-bench --test bvh_layout -- --ignored
+
 # Fault-injection smoke: one drill per fault class (dropped completion,
 # stalled warp, worker panic at threads 1 and 4, truncated program,
 # corrupted BVH) — each must end in a classified SimError with a
