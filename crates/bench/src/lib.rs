@@ -3,8 +3,9 @@
 //!
 //! Each `fig_*` / `tab_*` function runs the necessary simulations and
 //! returns the printable rows/series the paper reports. The
-//! `vksim-experiments` binary (`src/bin/experiments.rs`) exposes them on
-//! the command line; the Criterion benches in `benches/` wrap the hot paths.
+//! `experiments` binary (`src/bin/experiments.rs`) exposes them on the
+//! command line. Host speed is measured by the repo benchmark
+//! (`benchmark/`), not here.
 
 use vksim_core::hwproxy::{HwProxy, WorkloadProfile};
 use vksim_core::report::{
@@ -13,6 +14,11 @@ use vksim_core::report::{
 use vksim_core::{MemoryMode, RunReport, SimConfig, Simulator};
 use vksim_scenes::{build, reference, Scale, Workload, WorkloadKind};
 use vksim_stats::{least_squares_slope, pearson};
+
+// Compiles and runs the README's Rust snippet as a doctest.
+#[doc = include_str!("../../../README.md")]
+#[cfg(doctest)]
+struct ReadmeDoctest;
 
 /// The simulation configuration matched to a scene scale: paper-sized
 /// scenes run on the 48-SM, 8-partition paper machine (Table IV / Fig. 12

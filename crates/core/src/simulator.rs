@@ -1028,6 +1028,42 @@ mod tests {
         assert!(failure.dump.is_some(), "fault class still dumped");
     }
 
+    /// Without validation, each row panics inside a constructor or on the
+    /// first DRAM access.
+    #[test]
+    fn degenerate_geometries_are_rejected_before_the_run() {
+        let (device, cmd, _) = quad_workload(4, 4);
+        type Degrade = fn(&mut GpuConfig);
+        let rows: [(&str, Degrade); 7] = [
+            ("mem.num_partitions", |g| g.mem.num_partitions = 0),
+            ("l1.size_bytes", |g| g.l1.size_bytes = 0),
+            ("l1.line_bytes", |g| g.l1.line_bytes = 0),
+            ("rt_cache.size_bytes", |g| {
+                g.rt_cache = Some(vksim_mem::CacheConfig {
+                    size_bytes: 0,
+                    ..vksim_mem::CacheConfig::l1d_baseline()
+                })
+            }),
+            ("mem.l2.line_bytes", |g| g.mem.l2.line_bytes = 0),
+            ("mem.dram.banks_per_channel", |g| {
+                g.mem.dram.banks_per_channel = 0
+            }),
+            ("mem.dram.row_bytes", |g| g.mem.dram.row_bytes = 0),
+        ];
+        for (knob, degrade) in rows {
+            let mut cfg = SimConfig::test_small();
+            degrade(&mut cfg.gpu);
+            let failure = Simulator::new(cfg).run(&device, &cmd).expect_err(knob);
+            match &failure.error {
+                SimError::InvalidConfig { detail } => {
+                    assert!(detail.contains(knob), "{knob}: {detail}")
+                }
+                other => panic!("{knob}: expected InvalidConfig, got {other:?}"),
+            }
+            assert!(failure.report.is_none(), "{knob}: the run never started");
+        }
+    }
+
     #[test]
     fn truncated_program_fails_functionally_with_classified_error() {
         let (device, mut cmd, _) = quad_workload(4, 4);

@@ -12,7 +12,7 @@
 
 use vksim_gpu::GpuConfig;
 use vksim_isa::SimMemory;
-use vksim_mem::DramSched;
+use vksim_mem::{CacheConfig, DramSched};
 
 /// A configuration knob was rejected by [`validate_config`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -29,22 +29,60 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Checks a resolved GPU configuration for degenerate knob values.
+/// Checks a resolved GPU configuration for degenerate knob values: an
+/// FR-FCFS queue depth of 0, zero memory partitions, a cache that cannot
+/// hold one line (the L1, the RT cache, and one partition's L2 slice), or
+/// a DRAM channel with no banks or zero-byte rows.
 ///
-/// Historically `DramSched::FrFcfs { queue_depth: 0 }` was silently
-/// clamped to 1 deep inside the DRAM model; it is now rejected here (the
-/// model itself asserts against it as a second line of defense).
+/// Each of these would otherwise panic inside a memory-model constructor
+/// or on the first DRAM access; the constructors keep their asserts as a
+/// second line of defense.
 ///
 /// # Errors
 ///
 /// Returns a [`ConfigError`] naming the offending knob.
 pub fn validate_config(config: &GpuConfig) -> Result<(), ConfigError> {
-    if let DramSched::FrFcfs { queue_depth: 0, .. } = config.mem.dram.sched {
-        return Err(ConfigError {
-            detail: "DramSched::FrFcfs queue_depth must be >= 1 (0 would \
-                     mean no bank queue at all; use FCFS for unscheduled DRAM)"
-                .into(),
-        });
+    let mem = &config.mem;
+    if let DramSched::FrFcfs { queue_depth: 0, .. } = mem.dram.sched {
+        return reject(
+            "DramSched::FrFcfs queue_depth must be >= 1 (0 would mean no bank \
+             queue at all; use FCFS for unscheduled DRAM)",
+        );
+    }
+    if mem.num_partitions == 0 {
+        return reject("mem.num_partitions must be >= 1 (1 is the monolithic backend)");
+    }
+    check_cache("l1", &config.l1)?;
+    if let Some(rtc) = &config.rt_cache {
+        check_cache("rt_cache", rtc)?;
+    }
+    check_cache("mem.l2", &mem.l2.sliced(mem.num_partitions))?;
+    if mem.dram.banks_per_channel == 0 {
+        return reject("mem.dram.banks_per_channel must be >= 1");
+    }
+    if mem.dram.row_bytes == 0 {
+        return reject("mem.dram.row_bytes must be >= 1");
+    }
+    Ok(())
+}
+
+fn reject(detail: impl Into<String>) -> Result<(), ConfigError> {
+    Err(ConfigError {
+        detail: detail.into(),
+    })
+}
+
+/// A cache (for the L2, one partition's slice) must hold at least one
+/// nonzero-sized line.
+fn check_cache(knob: &str, cache: &CacheConfig) -> Result<(), ConfigError> {
+    if cache.line_bytes == 0 {
+        return reject(format!("{knob}.line_bytes must be >= 1"));
+    }
+    if cache.size_bytes < u64::from(cache.line_bytes) {
+        return reject(format!(
+            "{knob}.size_bytes ({}) must hold at least one {}-byte line",
+            cache.size_bytes, cache.line_bytes
+        ));
     }
     Ok(())
 }

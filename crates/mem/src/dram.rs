@@ -207,9 +207,9 @@ impl Dram {
     ///
     /// Panics on a zero-channel or zero-bank configuration, and on an
     /// FR-FCFS configuration with a zero queue depth (a zero-wide reorder
-    /// window has no schedulable requests; config validation in
-    /// `vksim-core` rejects it with a structured error before it can
-    /// reach this assert).
+    /// window has no schedulable requests). Config validation in
+    /// `vksim-core` rejects a zero bank count, a zero depth and zero-byte
+    /// rows with a structured error before they can reach this point.
     pub fn new(config: DramConfig) -> Self {
         assert!(
             config.channels > 0 && config.banks_per_channel > 0,

@@ -1,5 +1,5 @@
-//! The tiny JSON subset the testkit needs: string escaping for the bench
-//! writer, flat `{"name": integer, ...}` objects for golden-counter
+//! The tiny JSON subset the testkit needs: string escaping for JSON
+//! writers, flat `{"name": integer, ...}` objects for golden-counter
 //! files, and a small general [`JsonValue`] reader for validating
 //! structured test artifacts (the Chrome trace export). The flat-object
 //! path stays integer-only on purpose — goldens must stay trivially

@@ -2,8 +2,7 @@
 //!
 //! The workspace builds with **zero external dependencies** so that
 //! `cargo build && cargo test` succeed with the network disabled. This
-//! crate supplies everything the tests and benches previously pulled from
-//! crates.io:
+//! crate supplies everything the tests previously pulled from crates.io:
 //!
 //! * [`rng`] — a deterministic, seedable PCG32 generator with the small
 //!   distribution helpers scene generators and tests need (replaces
@@ -12,12 +11,11 @@
 //!   for numeric ranges, tuples, mapped values and vectors; case
 //!   generation; iteration-bounded shrinking; failure-seed reporting
 //!   (replaces `proptest`).
-//! * [`bench`](mod@bench) — a micro-benchmark harness with warmup, calibrated inner
-//!   loops, median/MAD reporting and JSON output to `BENCH_<suite>.json`
-//!   (replaces `criterion` for the `harness = false` bench targets).
 //! * [`golden`] — exact-compare golden-counter snapshots: the regression
 //!   gate that catches silent drift in simulator statistics. Goldens are
 //!   checked-in JSON; set `VKSIM_BLESS=1` to regenerate them.
+//! * [`json`] — the golden-file writer, a general JSON reader for
+//!   validating exported artifacts and a string escaper.
 //!
 //! Simulator papers live and die by reproducible counters; every future
 //! performance PR diffs against the golden suite built on this crate.
@@ -35,17 +33,11 @@
 //! });
 //! ```
 
-pub mod bench;
 pub mod golden;
 pub mod json;
 pub mod prop;
 pub mod rng;
 
-pub use bench::Bench;
 pub use golden::assert_matches_golden;
 pub use prop::{check, check_with, Config, Strategy, TestResult};
 pub use rng::Pcg32;
-
-/// Re-export of the standard optimization barrier, so bench targets do not
-/// need to reach into `std::hint` themselves.
-pub use std::hint::black_box;

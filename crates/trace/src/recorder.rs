@@ -178,6 +178,21 @@ struct EventStream {
     failed: bool,
 }
 
+impl EventStream {
+    /// Appends `chunk` to the file, creating (and truncating) it on the
+    /// first write; the file is kept only once a write into it succeeded.
+    fn write(&mut self, chunk: &str) -> std::io::Result<()> {
+        match &mut self.file {
+            Some(f) => f.write_all(chunk.as_bytes()),
+            none => std::fs::File::create(&self.path).and_then(|mut f| {
+                f.write_all(chunk.as_bytes())?;
+                *none = Some(f);
+                Ok(())
+            }),
+        }
+    }
+}
+
 /// The stream a fresh collector starts with: present exactly when
 /// tracing is enabled with an `out` file.
 fn fresh_stream(config: &TraceConfig) -> Option<EventStream> {
@@ -372,15 +387,7 @@ impl TraceCollector {
             chunk.push_str(&chrome_header(self.num_sms));
         }
         chrome_event_chunk(&mut chunk, &self.events);
-        let res = match &mut s.file {
-            Some(f) => f.write_all(chunk.as_bytes()),
-            none => std::fs::File::create(&s.path).and_then(|mut f| {
-                f.write_all(chunk.as_bytes())?;
-                *none = Some(f);
-                Ok(())
-            }),
-        };
-        match res {
+        match s.write(&chunk) {
             Ok(()) => {
                 s.header_written = true;
                 s.flushed += self.events.len() as u64;
@@ -488,15 +495,7 @@ impl TraceCollector {
             }
             chrome_event_chunk(&mut chunk, &report.events);
             chunk.push_str(&chrome_counter_tail(&report));
-            let res = match &mut s.file {
-                Some(f) => f.write_all(chunk.as_bytes()),
-                none => std::fs::File::create(&s.path).and_then(|mut f| {
-                    f.write_all(chunk.as_bytes())?;
-                    *none = Some(f);
-                    Ok(())
-                }),
-            };
-            match res {
+            match s.write(&chunk) {
                 Ok(()) => report.streamed = true,
                 Err(e) => {
                     // With a flushed prefix the file cannot be rebuilt

@@ -2,13 +2,14 @@
 # Offline CI gate for vulkan-sim-rs.
 #
 # Everything runs with --offline: the workspace has zero external
-# dependencies (vksim-testkit supplies PRNG / property testing /
-# micro-bench / golden comparison), so a network-less container must
-# pass this script end to end.
+# dependencies (vksim-testkit supplies PRNG / property testing / golden
+# comparison), so a network-less container must pass this script end to
+# end.
 #
-# Independent stages run as background jobs and join at barriers; stages
-# that share the cargo target-dir lock still serialize their compile
-# phases, but format checking, test execution, and example runs overlap.
+# The four independent first stages (format check, clippy, release build,
+# rustdoc) run as background jobs and join at one barrier; they share the
+# cargo target-dir lock, so only their compile phases serialize. The rest
+# runs in order.
 #
 # Usage: scripts/ci.sh            (from anywhere; cd's to the repo root)
 
@@ -45,7 +46,7 @@ join() {
     fi
 }
 
-# Stage group 1: format check needs no build artifacts — overlap it with
+# Format checking needs no build artifacts — overlap it with
 # the release build and the lint gate (clippy builds its own debug-profile
 # artifacts, so it shares little with the release build beyond the lock).
 bg "cargo fmt --check" cargo fmt --check
@@ -64,12 +65,11 @@ join
 step "cargo test --offline --workspace -q"
 cargo test --offline --workspace -q
 
-step "golden-counter regression suite (incl. threads=1 vs 4 equality)"
-cargo test --offline -q -p vksim-bench --test golden_counters
-
-# The same suite with a helper thread ticking half of every machine
-# (where the host has a second core; on one core the cap runs it inline):
-# every golden, not only the threads-1-vs-4 tests, through the helper path.
+# The workspace step above ran the golden suite (incl. the threads=1 vs 4
+# equality test); run it again with a helper thread ticking half of every
+# machine (where the host has a second core; on one core the cap runs it
+# inline): every golden, not only the threads-1-vs-4 tests, through the
+# helper path.
 step "golden-counter regression suite under VKSIM_THREADS=2"
 VKSIM_THREADS=2 cargo test --offline -q -p vksim-bench --test golden_counters
 
@@ -91,14 +91,14 @@ VKSIM_DUMP_DIR="$(mktemp -d)" \
 
 # Observer gate: one run with every observer on together — tracer
 # (Perfetto trace + interval CSV), cycle accounting and rt analytics —
-# must write each export, and the validation suites run against the
-# files the experiments *binary* wrote: tests/trace_export.rs (also
-# byte-deterministic, thread-invariant and a pure observer of the golden
-# counters), tests/prof_smoke.rs (the flat-JSON stall breakdown parses,
-# carries the documented key schema and conserves Σ categories ==
-# num_sms × cycles) and tests/rt_analytics.rs (heatmap visits == Σ
-# per-ray node counts, Σ per-ray box tests == RT-unit box ops, every
-# histogram totalling the ray count).
+# must write each export; the trace JSON must parse, and two validation
+# suites run against the files the experiments *binary* wrote:
+# tests/prof_smoke.rs (the flat-JSON stall breakdown parses, carries the
+# documented key schema and conserves Σ categories == num_sms × cycles)
+# and tests/rt_analytics.rs (heatmap visits == Σ per-ray node counts,
+# Σ per-ray box tests == RT-unit box ops, every histogram totalling the
+# ray count). tests/trace_export.rs validates traces it records itself
+# and runs in the workspace step.
 step "observer smoke run (trace + prof + rt analytics) + export validation"
 obs_dir="$(mktemp -d)"
 VKSIM_TRACE_CSV="$obs_dir/intervals.csv" \
@@ -117,7 +117,6 @@ if command -v python3 >/dev/null 2>&1; then
     python3 -m json.tool "$obs_dir/trace.json" >/dev/null \
         || { echo "trace JSON does not parse"; exit 1; }
 fi
-cargo test --offline -q -p vksim-bench --test trace_export
 VKSIM_PROF_SMOKE_FILE="$obs_dir/prof.json" \
     cargo test --offline -q -p vksim-bench --test prof_smoke
 VKSIM_RT_SMOKE_FILE="$obs_dir/rt.json" \
@@ -143,18 +142,9 @@ step "repo benchmark schema/correctness check (benchmark/run.sh --quick)"
 CARGO_TARGET_DIR="$PWD/target/benchmark" \
     bash benchmark/run.sh --quick --out "$(mktemp -d)/summary.json" | tail -n 2
 
-# Stage group 2: bench smoke and example runs only execute already-built
-# (or cheaply built) artifacts — overlap them.
-bench_out="$(mktemp -d)"
-bg "bench smoke run (VKSIM_BENCH_QUICK=1)" \
-    env VKSIM_BENCH_DIR="$bench_out" VKSIM_BENCH_QUICK=1 \
-    cargo bench --offline --workspace
-bg "examples build + run (quickstart, custom_scene)" bash -c '
-    set -euo pipefail
-    cargo build --release --offline --examples
-    cargo run --release --offline --example quickstart >/dev/null
-    cargo run --release --offline --example custom_scene >/dev/null
-'
-join
+step "examples build + run (quickstart, custom_scene)"
+cargo build --release --offline --examples
+cargo run --release --offline --example quickstart >/dev/null
+cargo run --release --offline --example custom_scene >/dev/null
 
 printf '\nCI gate passed.\n'
