@@ -1148,7 +1148,10 @@ mod tests {
     /// Idle SMs sleep through the ticks that would change nothing; a run
     /// stepped one cycle at a time never skips a tick, because every exit
     /// of the cycle loop wakes every SM. Both must leave identical
-    /// statistics, observers, trace and machine state.
+    /// statistics, observers, trace and machine state. The grid covers
+    /// every memory mode (the RT cache takes the RT unit's refusals apart
+    /// from the shader's) and a starved L1, and some RT unit must end a
+    /// stepped slice stalled, so the stall sleep cannot pass unexercised.
     #[test]
     fn sleeping_sms_match_a_run_that_ticks_every_cycle() {
         use vksim_scenes::{build, Scale, WorkloadKind};
@@ -1166,6 +1169,9 @@ mod tests {
             .with_accounting(true)
             .with_rt_analytics(true);
         let small = SimConfig::test_small;
+        let mut starved_l1 = small();
+        starved_l1.gpu.l1.mshr_entries = 4;
+        let mode = |mode| small().with_memory_mode(mode);
         let cases = [
             ("paper icnt + observers", observed, WorkloadKind::Ext, false),
             ("paper l2 starved", starved, WorkloadKind::Tri, false),
@@ -1176,27 +1182,61 @@ mod tests {
                 false,
             ),
             ("rtv6 fcc", small(), WorkloadKind::Rtv6, true),
+            (
+                "rt cache starved",
+                mode(MemoryMode::RtCache),
+                WorkloadKind::Ext,
+                false,
+            ),
+            (
+                "perfect bvh",
+                mode(MemoryMode::PerfectBvh),
+                WorkloadKind::Rtv5,
+                false,
+            ),
+            (
+                "perfect mem",
+                mode(MemoryMode::PerfectMem),
+                WorkloadKind::Rtv6,
+                false,
+            ),
+            ("l1 starved", starved_l1, WorkloadKind::Ext, false),
         ];
+        let mut stalled = Vec::new();
         for (name, config, kind, fcc) in cases {
             let mut w = build(kind, Scale::Test);
             let cmd = if fcc { w.with_fcc(true) } else { w.cmd.clone() };
             let sim = Simulator::new(config);
+            let mut resolved = sim.config().resolve();
+            if let Some(rtc) = resolved.rt_cache.as_mut() {
+                rtc.mshr_entries = 4; // so that the RT cache's refusals stall
+            }
             let run = |stepped: bool| {
-                let (mut gpu, mut shards) = sim.launch(sim.config().resolve(), &w.device, &cmd);
+                let (mut gpu, mut shards) = sim.launch(resolved.clone(), &w.device, &cmd);
+                let mut stall_seen = false;
                 let stats = if stepped {
                     loop {
                         let stop = gpu.cycles() + 1;
                         match gpu.run_until(&mut shards, stop).expect("healthy run") {
                             RunOutcome::Done(stats) => break *stats,
-                            RunOutcome::Paused => {}
+                            RunOutcome::Paused => {
+                                let mut sms = gpu.sms().iter();
+                                stall_seen |= sms.any(|sm| sm.rt_unit.stalled_on().is_some());
+                            }
                         }
                     }
                 } else {
                     gpu.run(&mut shards).expect("healthy run")
                 };
-                outcome(&mut gpu, &shards, stats)
+                (outcome(&mut gpu, &shards, stats), stall_seen)
             };
-            assert!(run(false) == run(true), "{name}: sleeping changed the run");
+            let (slept, (stepped, stall_seen)) = (run(false).0, run(true));
+            assert!(slept == stepped, "{name}: sleeping changed the run");
+            if stall_seen {
+                stalled.push(name);
+            }
         }
+        let starved = ["rtv6 fcc", "rt cache starved", "l1 starved"];
+        assert!(stalled == starved, "stalled: {stalled:?}");
     }
 }

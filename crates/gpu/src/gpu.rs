@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, RwLock};
 use vksim_fault::{panic_detail, FaultPlan, HangClass, SimError};
 use vksim_isa::{OverlayMem, Program, SimMemory, WriteOverlay};
-use vksim_mem::{RequestQueue, SharedMemSystem};
+use vksim_mem::{MemSink, RequestQueue, SharedMemSystem};
 use vksim_parallel::{chunk_range, worker_cap, DoneGuard, RoundBarrier, ShutdownGuard};
 use vksim_snapshot::{load_fixed, restore_each, restore_opt, save_each, save_opt, Snap};
 use vksim_stats::{Counters, Histogram};
@@ -241,7 +241,8 @@ fn lock<T>(slot: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Phase A for one chunk: ticks each SM against its own lane and the
 /// read-only memory image. Each tick is panic-contained: a dying tick
 /// becomes a classified fault harvested in phase B instead of tearing down
-/// the process or poisoning the round barrier.
+/// the process or poisoning the round barrier. An asleep SM is passed over
+/// first, unless the fault plan's worker panic must fire in its sleep.
 fn tick_chunk(
     chunk: &mut [Lane<'_>],
     now: u64,
@@ -251,6 +252,11 @@ fn tick_chunk(
 ) {
     for lane in chunk {
         let id = lane.sm.id;
+        let panics_here = plan.worker_panic.is_some_and(|spec| spec.sm == id);
+        if !panics_here && lane.sm.sleeps_through(now, lane.queue.backlogged()) {
+            (lane.retired, lane.progress) = (false, false);
+            continue;
+        }
         let mut view = OverlayMem::new(base, &mut lane.overlay);
         let (sm, queue, hooks) = (&mut lane.sm, &mut lane.queue, &mut *lane.hooks);
         let ticked = std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -628,8 +634,12 @@ impl GpuSim {
                 // SM-id order; the first fault in that order wins.
                 let mut retired = false;
                 for lane in held.iter_mut().flat_map(|c| c.iter_mut()) {
-                    lane.queue.drain_into(&mut self.shared);
-                    lane.overlay.apply_to(&mut base);
+                    if !lane.queue.is_empty() {
+                        lane.queue.drain_into(&mut self.shared);
+                    }
+                    if !lane.overlay.is_empty() {
+                        lane.overlay.apply_to(&mut base);
+                    }
                     retired |= lane.retired;
                     progress |= lane.progress;
                     if fault.is_none() {
@@ -714,6 +724,11 @@ impl GpuSim {
     /// Current cycle count.
     pub fn cycles(&self) -> u64 {
         self.cycle
+    }
+
+    /// The SMs, in id order.
+    pub fn sms(&self) -> &[Sm] {
+        &self.sms
     }
 
     /// Finishes the tracing layer: closes open spans, drains the residue,

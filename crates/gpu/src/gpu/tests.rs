@@ -473,6 +473,37 @@ fn injected_worker_panic_is_contained() {
     assert!(fault.dump.is_some());
 }
 
+/// Phase A passes over an asleep SM, but never the fault plan's
+/// worker-panic SM: its injection fires at its cycle even while the SM
+/// sleeps (it waits on the RT unit from about cycle 10 on).
+#[test]
+fn injected_worker_panic_fires_in_a_sleep() {
+    use vksim_fault::{FaultPlan, WorkerPanicSpec};
+    let mut gpu = GpuSim::new(GpuConfig {
+        num_sms: 1,
+        fault_plan: FaultPlan {
+            worker_panic: Some(WorkerPanicSpec { sm: 0, cycle: 100 }),
+            ..FaultPlan::default()
+        },
+        ..small_config()
+    });
+    gpu.launch(
+        trace_program(),
+        LaunchDims {
+            width: 32,
+            height: 1,
+            depth: 1,
+        },
+    );
+    let mut hooks = shards(&gpu, 32);
+    let fault = gpu.run(&mut hooks).expect_err("injected panic must fault");
+    assert!(matches!(
+        fault.error,
+        SimError::WorkerPanicked { sm: 0, .. }
+    ));
+    assert_eq!(fault.stats.cycles, 100, "fired at its cycle, not at a wake");
+}
+
 #[test]
 fn max_cycles_is_a_classified_error_not_a_panic() {
     use vksim_fault::FaultPlan;

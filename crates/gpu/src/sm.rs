@@ -569,13 +569,10 @@ impl Sm {
         // own submissions land — so the reading is identical at any thread
         // count.
         let icnt_blocked = sink.backlogged();
-        if let Some((_, until)) = self.sleep {
-            if now < until && !icnt_blocked {
-                debug_assert_eq!(self.idle_until(now - 1), Some(until), "changed asleep");
-                return Ok(TickReport::default());
-            }
-            self.wake(now);
+        if self.sleeps_through(now, icnt_blocked) {
+            return Ok(TickReport::default());
         }
+        self.wake(now);
         if icnt_blocked {
             self.stats.inc("sm.icnt_stall_cycles");
         }
@@ -661,15 +658,34 @@ impl Sm {
         (until > now + 1).then_some(until)
     }
 
+    /// `true` when the tick at `now` is skipped: the SM sleeps through it
+    /// and its request queue is not `backlogged` (the skip rule of
+    /// [`Sm::tick`] and phase A). Debug builds re-derive the sleep.
+    pub fn sleeps_through(&self, now: u64, backlogged: bool) -> bool {
+        let until = self.sleep.map_or(0, |(_, until)| until);
+        let skip = now < until && !backlogged;
+        debug_assert!(!skip || self.idle_until(now - 1) == Some(until));
+        skip
+    }
+
     /// Ends a sleep before cycle `now`'s tick or anything that changes or
     /// reads the SM, accounting the skipped ticks as they would have run:
-    /// each had the stall class and occupancy of the first.
+    /// each had the stall class, occupancy and RT-unit stall of the first.
     pub fn wake(&mut self, now: u64) {
         let Some((from, _)) = self.sleep.take() else {
             return;
         };
         let n = now.checked_sub(from).expect("woken before the sleep began");
         self.rt_unit.idle_cycles(from, n);
+        if let Some(addr) = self.rt_unit.stalled_on() {
+            // Only a fill changes the refusal, and a fill wakes the SM first.
+            let cache = self.rtc.as_mut().unwrap_or(&mut self.l1);
+            let line = cache.line_of(addr);
+            let refusal = cache.would_refuse(line).expect("refused until a fill");
+            cache.replay_refusals(line, n);
+            cache.stats.add(refusal.counter(), n);
+            self.rt_unit.stalled_cycles(n);
+        }
         let rt_busy = self.rt_unit.resident_warps() > 0;
         if rt_busy {
             self.trace_cycles += n;

@@ -152,11 +152,21 @@ pub enum CacheOutcome {
 /// Which check of [`Cache::access`] turns a read into a
 /// [`CacheOutcome::ReservationFail`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Refusal {
+pub enum Refusal {
     /// The line has no MSHR entry and the file is full (`mshr.full`).
     MshrFull,
     /// The line's MSHR entry has no merge slot left (`mshr.merge_fail`).
     MergeFull,
+}
+
+impl Refusal {
+    /// The counter a refusal by this check is counted under.
+    pub fn counter(self) -> &'static str {
+        match self {
+            Refusal::MshrFull => "mshr.full",
+            Refusal::MergeFull => "mshr.merge_fail",
+        }
+    }
 }
 
 // One set's LRU state: line tag -> last-use stamp.
@@ -287,7 +297,7 @@ impl Cache {
         // (counted separately, not as a new classified miss).
         if let Some(cnt) = self.mshr.get_mut(&line) {
             if *cnt >= self.config.mshr_merge {
-                self.stats.inc("mshr.merge_fail");
+                self.stats.inc(Refusal::MergeFull.counter());
                 return CacheOutcome::ReservationFail;
             }
             *cnt += 1;
@@ -308,7 +318,7 @@ impl Cache {
         };
 
         if self.mshr.len() >= self.config.mshr_entries {
-            self.stats.inc("mshr.full");
+            self.stats.inc(Refusal::MshrFull.counter());
             return CacheOutcome::ReservationFail;
         }
         self.stats.inc(class);
@@ -333,7 +343,7 @@ impl Cache {
     /// change at the next [`Cache::fill`]: nothing else installs a line or
     /// frees an MSHR entry, a full file cannot allocate `line` an entry, and
     /// a merge count only grows.
-    pub(crate) fn would_refuse(&self, line: u64) -> Option<Refusal> {
+    pub fn would_refuse(&self, line: u64) -> Option<Refusal> {
         if self.sets[self.set_index(line)].lines.contains_key(&line) {
             return None;
         }
@@ -343,15 +353,17 @@ impl Cache {
         }
     }
 
-    /// Applies what a refused read of `line` — one that was refused before,
-    /// with no [`Cache::fill`] since — does to the cache besides counting
-    /// the refusal: it advances the LRU stamp and touches the line in the
-    /// classification shadow. (`ever_seen` already holds the line from the
-    /// first refusal, and the tag and MSHR lookups change nothing.) The
-    /// caller counts `mshr.full` / `mshr.merge_fail`.
-    pub(crate) fn replay_refusal(&mut self, line: u64) {
-        debug_assert!(self.ever_seen.contains(&line));
-        self.stamp += 1;
+    /// Applies what `n` reads of `line`, refused before with no
+    /// [`Cache::fill`] since, do besides their count: the LRU stamp
+    /// advances by `n`, and one shadow touch at the final stamp leaves the
+    /// shadow as `n` do (`ever_seen` holds the line already). The caller
+    /// counts them under [`Cache::would_refuse`]'s [`Refusal::counter`].
+    pub fn replay_refusals(&mut self, line: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        debug_assert!(self.ever_seen.contains(&line) && self.would_refuse(line).is_some());
+        self.stamp += n;
         self.touch_shadow(line);
     }
 
@@ -775,6 +787,65 @@ mod tests {
                 prop_assert_eq!(c.total_hits(), 0, "LRU sequential thrash cannot hit");
                 Ok(())
             });
+        }
+
+        /// `replay_refusals(line, n)`, with the `n` counted under the
+        /// refusing check, leaves the cache byte for byte as `n` refused
+        /// reads of `line` do, under either check and after random traffic
+        /// that churns the classification shadow.
+        #[test]
+        fn replayed_refusals_equal_refused_reads() {
+            let traffic = vec_of((u64_in(0, 40), u32_in(0, 1)), 0, 60);
+            check(
+                &(traffic, u32_in(0, 1), u64_in(0, 5)),
+                |(traffic, merge_full, n)| {
+                    let mut c = build(8, 2, 3, 2);
+                    for (i, &(line, fill)) in traffic.iter().enumerate() {
+                        if fill == 1 {
+                            c.fill(line * 32, i as u64);
+                        } else {
+                            c.access(line * 32, AccessKind::ShaderLoad, i as u64);
+                        }
+                    }
+                    // Free the MSHR file, then fill the target's merge
+                    // slots (`MergeFull`) or the whole file (`MshrFull`).
+                    for line in c.mshr.keys().copied().collect::<Vec<_>>() {
+                        c.fill(line, 0);
+                    }
+                    let target = 100 * 32;
+                    let (setup, check) = if *merge_full == 1 {
+                        (vec![target; 2], Refusal::MergeFull)
+                    } else {
+                        ((200..203).map(|l| l * 32).collect(), Refusal::MshrFull)
+                    };
+                    for addr in setup {
+                        c.access(addr, AccessKind::ShaderLoad, 0);
+                    }
+                    prop_assert_eq!(
+                        c.access(target, AccessKind::RtUnit, 0),
+                        CacheOutcome::ReservationFail
+                    );
+                    prop_assert_eq!(c.would_refuse(target), Some(check));
+                    let mut accessed = c.clone();
+                    for _ in 0..*n {
+                        prop_assert_eq!(
+                            accessed.access(target, AccessKind::RtUnit, 0),
+                            CacheOutcome::ReservationFail
+                        );
+                    }
+                    c.replay_refusals(target, *n);
+                    c.stats.add(check.counter(), *n);
+                    prop_assert_eq!(c.stamp, accessed.stamp);
+                    prop_assert!(c.stats == accessed.stats, "stats differ");
+                    let bytes = |c: &Cache| {
+                        let mut e = Enc::new();
+                        c.save(&mut e);
+                        e.into_bytes()
+                    };
+                    prop_assert!(bytes(&c) == bytes(&accessed), "snapshot bytes differ");
+                    Ok(())
+                },
+            );
         }
 
         /// MSHR merge bookkeeping: k merged requesters on one line are all

@@ -27,7 +27,7 @@ pub mod cache;
 pub mod dram;
 pub mod system;
 
-pub use cache::{AccessKind, Cache, CacheConfig, CacheOutcome};
+pub use cache::{AccessKind, Cache, CacheConfig, CacheOutcome, Refusal};
 pub use dram::{Dram, DramConfig, DramIssue, DramSched};
 pub use system::{
     partition_of, MemRequest, MemSink, RequestQueue, SharedMemSystem, SystemConfig, PARTITION_BYTES,

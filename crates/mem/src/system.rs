@@ -587,7 +587,7 @@ impl SharedMemSystem {
                 while let Some((t, refusal, line)) = p.replayable(cycle) {
                     let Parked { ev, refused } = p.parked.pop_front().expect("peeked");
                     debug_assert_eq!(p.l2.would_refuse(line), Some(refusal));
-                    p.l2.replay_refusal(line);
+                    p.l2.replay_refusals(line, 1);
                     match refusal {
                         Refusal::MshrFull => full += 1,
                         Refusal::MergeFull => merge_fail += 1,
@@ -657,8 +657,8 @@ impl SharedMemSystem {
                     } => submit_dram(p, stats, bounded, addr, line, is_store, t),
                 }
             }
-            p.l2.stats.add("mshr.full", full);
-            p.l2.stats.add("mshr.merge_fail", merge_fail);
+            p.l2.stats.add(Refusal::MshrFull.counter(), full);
+            p.l2.stats.add(Refusal::MergeFull.counter(), merge_fail);
             stats.add("l2.retry", full + merge_fail);
         }
         done

@@ -274,6 +274,8 @@ pub struct RtUnit {
     // Derived from the lane states (never serialized): `InOp` lanes, lanes not `Done`.
     in_op: BinaryHeap<Reverse<InOpLane>>,
     active: u32,
+    // Derived, never serialized: `(head, refused ready lanes)`; `stalled_on`.
+    stalled: Option<(u64, u32)>,
     last_warp: Option<u32>,
     arrivals: u64,
     stats: RtStatsBundle,
@@ -297,6 +299,7 @@ impl RtUnit {
             ready_seq: 0,
             in_op: BinaryHeap::new(),
             active: 0,
+            stalled: None,
             last_warp: None,
             arrivals: 0,
             stats: RtStatsBundle {
@@ -394,6 +397,7 @@ impl RtUnit {
 
     /// Memory system callback for a pending chunk issued earlier.
     pub fn on_mem_complete(&mut self, token: u64, now: u64) {
+        self.stalled = None;
         if let Some(req) = self.inflight.remove(&token) {
             self.finish_chunk(req, now);
         }
@@ -439,14 +443,19 @@ impl RtUnit {
 
     /// Advances one cycle; returns warps that completed this cycle.
     pub fn tick(&mut self, now: u64, mem: &mut dyn RtMem) -> Vec<WarpDone> {
+        self.stalled = None;
+        // `Some(ready lanes refused queue space)` while nothing else happened.
+        let mut quiet = Some(0);
         // 0. Hit-latency completions that became ready.
         while self.ready_heap.peek().is_some_and(|r| r.0 .0 <= now) {
+            quiet = None;
             let Reverse((_, _, req)) = self.ready_heap.pop().expect("peeked");
             self.finish_chunk(req, now);
         }
 
         // 1. Operation-unit completions.
         while self.in_op.peek().is_some_and(|r| r.0 .0 <= now) {
+            quiet = None;
             let Reverse((_, warp_id, lane_idx)) = self.in_op.pop().expect("peeked");
             let Some(w) = self.warps.iter_mut().find(|w| w.warp_id == warp_id) else {
                 continue;
@@ -461,12 +470,13 @@ impl RtUnit {
 
         // 2. Warp scheduling: greedy-then-oldest.
         if let Some(wid) = self.pick_warp() {
-            self.last_warp = Some(wid);
-            self.schedule_memory(wid, mem, now);
+            let same = self.last_warp.replace(wid) == Some(wid);
+            let refused = self.schedule_memory(wid, mem, now);
+            quiet = quiet.and(refused).filter(|_| same);
         }
 
         // 3. Issue from the Memory Access Queue to the cache.
-        for _ in 0..self.config.issue_per_cycle {
+        for issued in 0..self.config.issue_per_cycle {
             let Some(req) = self.mem_queue.front() else {
                 break;
             };
@@ -486,6 +496,9 @@ impl RtUnit {
                 }
                 RtMemResult::Retry => {
                     self.stats.counters.inc("mem.retry");
+                    if issued == 0 {
+                        self.stalled = quiet.map(|lanes| (addr, lanes));
+                    }
                     break;
                 }
             }
@@ -521,8 +534,27 @@ impl RtUnit {
 
         // 5. Statistics sampling.
         self.idle_cycles(now, 1);
+        self.stalled = self.stalled.filter(|_| done.is_empty());
         self.debug_check_indices();
         done
+    }
+
+    /// The queue head the last [`RtUnit::tick`] only had refused again (no
+    /// step fell due, no lane moved, same pick, nothing retired); each tick
+    /// repeats that until a heap top falls due or the port answers otherwise.
+    pub fn stalled_on(&self) -> Option<u64> {
+        self.stalled.map(|(addr, _)| addr)
+    }
+
+    /// Accounts `n` repeats of a stalled tick besides their `idle_cycles`:
+    /// a `mem.retry` each and a `mem.queue_full` per refused ready lane.
+    /// The port's side of the refusals is the caller's.
+    pub fn stalled_cycles(&mut self, n: u64) {
+        if let Some((_, lanes)) = self.stalled {
+            let counters = &mut self.stats.counters;
+            counters.add("mem.retry", n);
+            counters.add("mem.queue_full", u64::from(lanes) * n);
+        }
     }
 
     /// Accounts `n` cycles from `from` as ticks before [`RtUnit::next_wake`]
@@ -542,11 +574,14 @@ impl RtUnit {
     }
 
     /// The earliest cycle after `now` at which [`RtUnit::tick`] can do more
-    /// than [`RtUnit::idle_cycles`]; `None` when only
-    /// [`RtUnit::on_mem_complete`] can wake the unit. A later `try_enqueue`
-    /// or `on_mem_complete` invalidates the answer.
+    /// than [`RtUnit::idle_cycles`] (or, stalled, than repeat the stall);
+    /// `None` when only [`RtUnit::on_mem_complete`] (or, stalled, the port)
+    /// can wake the unit. A later `try_enqueue` or `on_mem_complete`
+    /// invalidates the answer.
     pub fn next_wake(&self, now: u64) -> Option<u64> {
-        if !self.mem_queue.is_empty() || self.warps.iter().any(|w| w.ready != 0 || w.live == 0) {
+        let busy =
+            !self.mem_queue.is_empty() || self.warps.iter().any(|w| w.ready != 0 || w.live == 0);
+        if busy && self.stalled.is_none() {
             return Some(now + 1);
         }
         let hit = self.ready_heap.peek().map(|r| r.0 .0);
@@ -571,12 +606,12 @@ impl RtUnit {
 
     /// Collects memory requests from all ready lanes of the selected warp,
     /// merging identical chunk addresses (the paper's Memory Scheduler).
-    fn schedule_memory(&mut self, warp_id: u32, mem: &mut dyn RtMem, now: u64) {
-        let Some(w_idx) = self.warps.iter().position(|w| w.warp_id == warp_id) else {
-            return;
-        };
+    /// Returns the number of ready lanes if none found queue space.
+    fn schedule_memory(&mut self, warp_id: u32, mem: &mut dyn RtMem, now: u64) -> Option<u32> {
+        let w_idx = self.warps.iter().position(|w| w.warp_id == warp_id)?;
         // Ready lanes in lane order; a lane leaves `Ready` only when visited.
-        let mut ready = self.warps[w_idx].ready;
+        let before = self.warps[w_idx].ready;
+        let mut ready = before;
         while ready != 0 {
             let lane_idx = ready.trailing_zeros() as usize;
             ready &= ready - 1;
@@ -627,6 +662,7 @@ impl RtUnit {
                 None => {}
             }
         }
+        (self.warps[w_idx].ready == before).then_some(before.count_ones())
     }
 
     /// The accumulated statistics.
@@ -675,6 +711,7 @@ impl RtUnit {
         }
         self.active = self.warps.iter().map(|w| w.live).sum();
         self.in_op = in_op.into_iter().map(Reverse).collect();
+        self.stalled = None;
         self.debug_check_indices();
         Ok(())
     }
@@ -728,7 +765,7 @@ vksim_snapshot::snap_state!(RtUnit {
     occupancy_trace,
     events,
     analytics,
-} skip { config, sample_period, in_op, active } then rebuild_indices);
+} skip { config, sample_period, in_op, active, stalled } then rebuild_indices);
 
 #[cfg(test)]
 mod tests {
@@ -1261,16 +1298,30 @@ mod tests {
         }
     }
 
-    /// Port that records any call: a unit asleep must not touch it.
-    struct Tripwire(u64);
+    /// Port for a unit that should only wait: it refuses a re-offer of the
+    /// head a stalled unit is stalled on, and counts any other call as a
+    /// trip.
+    struct Tripwire {
+        stalled: Option<u64>,
+        trips: u64,
+    }
+
+    impl Tripwire {
+        fn new(rt: &RtUnit) -> Self {
+            Tripwire {
+                stalled: rt.stalled_on(),
+                trips: 0,
+            }
+        }
+    }
 
     impl RtMem for Tripwire {
-        fn load_chunk(&mut self, _addr: u64, _now: u64) -> RtMemResult {
-            self.0 += 1;
+        fn load_chunk(&mut self, addr: u64, _now: u64) -> RtMemResult {
+            self.trips += u64::from(self.stalled != Some(addr));
             RtMemResult::Retry
         }
         fn store_chunk(&mut self, _addr: u64, _now: u64) {
-            self.0 += 1;
+            self.trips += 1;
         }
     }
 
@@ -1396,11 +1447,13 @@ mod tests {
         }
     }
 
-    /// (a) `next_wake` is exact: with no completion delivered, ticking
-    /// every cycle before it changes nothing and calls no port, and
-    /// ticking at it does something.
+    /// (a) `next_wake` is exact: with no completion delivered, each tick
+    /// before it either changes nothing or only repeats the last tick's
+    /// stall (`stalled_cycles(1)`), against a port that refuses the stalled
+    /// head and trips on any other call; ticking at the wake does more.
     #[test]
     fn next_wake_is_exact() {
+        let stalls = std::cell::Cell::new(0u64);
         vksim_testkit::check_with(prop_cases(), &prop::u64_in(0, u64::MAX), |&seed| {
             let mut c = Chaos::new(seed);
             let mut now = 0;
@@ -1408,27 +1461,30 @@ mod tests {
                 prop_assert!(now < 100_000, "scenario does not finish");
                 c.step(now);
                 let wake = c.rt.next_wake(now);
-                let mut idle = c.rt.clone();
-                let before = sleep_state(&idle);
-                let mut port = Tripwire(0);
+                stalls.set(stalls.get() + u64::from(c.rt.stalled_on().is_some()));
+                let (mut idle, mut expect) = (c.rt.clone(), c.rt.clone());
+                let mut port = Tripwire::new(&c.rt);
                 let until = wake.unwrap_or(now + 64);
                 for t in now + 1..until {
                     let retired = idle.tick(t, &mut port);
+                    expect.stalled_cycles(1);
                     prop_assert!(
                         retired.is_empty(),
                         "cycle {t} < wake {wake:?} retired a warp"
                     );
-                    prop_assert_eq!(port.0, 0, "cycle {t} < wake {wake:?} called the port");
+                    prop_assert_eq!(port.trips, 0, "cycle {t} < wake {wake:?} tripped the port");
                     prop_assert!(
-                        sleep_state(&idle) == before,
+                        sleep_state(&idle) == sleep_state(&expect),
                         "cycle {t} < wake {wake:?} moved"
                     );
                 }
                 if let Some(t) = wake {
                     let mut mem = c.mem.clone();
                     idle.tick(t, &mut mem);
+                    expect.stalled_cycles(1);
+                    let called = c.rt.stalled_on().is_none() && mem.calls > c.mem.calls;
                     prop_assert!(
-                        mem.calls > c.mem.calls || sleep_state(&idle) != before,
+                        called || sleep_state(&idle) != sleep_state(&expect),
                         "cycle {now}: nothing happened at wake {t}"
                     );
                 }
@@ -1436,11 +1492,13 @@ mod tests {
             }
             Ok(())
         });
+        assert!(stalls.get() > 0, "no case stalled");
     }
 
-    /// `idle_cycles` stands in for the ticks before `next_wake`: accounting
-    /// the span in one call and ticking at the wake leaves the unit
-    /// exactly as ticking every cycle does.
+    /// `stalled_cycles` and `idle_cycles` stand in for the ticks before
+    /// `next_wake`: accounting the span in two calls and ticking at the
+    /// wake leaves the unit byte for byte as ticking every cycle does
+    /// against a port that refuses the stalled head again.
     #[test]
     fn idle_cycles_match_ticking() {
         vksim_testkit::check_with(prop_cases(), &prop::u64_in(0, u64::MAX), |&seed| {
@@ -1451,13 +1509,17 @@ mod tests {
                 c.step(now);
                 let wake = c.rt.next_wake(now).unwrap_or(now + 300);
                 let (mut skipped, mut ticked) = (c.rt.clone(), c.rt.clone());
-                let (mut skip_mem, mut tick_mem) = (c.mem.clone(), c.mem.clone());
+                skipped.stalled_cycles(wake - now - 1);
                 skipped.idle_cycles(now + 1, wake - now - 1);
-                let skip_done = skipped.tick(wake, &mut skip_mem);
+                let mut port = Tripwire::new(&c.rt);
                 let mut tick_done = Vec::new();
-                for t in now + 1..=wake {
-                    tick_done.extend(ticked.tick(t, &mut tick_mem));
+                for t in now + 1..wake {
+                    tick_done.extend(ticked.tick(t, &mut port));
                 }
+                prop_assert_eq!(port.trips, 0, "cycle {now}: tripped the port");
+                let (mut skip_mem, mut tick_mem) = (c.mem.clone(), c.mem.clone());
+                let skip_done = skipped.tick(wake, &mut skip_mem);
+                tick_done.extend(ticked.tick(wake, &mut tick_mem));
                 prop_assert!(skipped.stats == ticked.stats, "cycle {now}: stats differ");
                 prop_assert_eq!(skipped.occupancy_trace(), ticked.occupancy_trace());
                 prop_assert_eq!(skip_done, tick_done);

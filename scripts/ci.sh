@@ -142,6 +142,15 @@ step "repo benchmark schema/correctness check (benchmark/run.sh --quick)"
 CARGO_TARGET_DIR="$PWD/target/benchmark" \
     bash benchmark/run.sh --quick --out "$(mktemp -d)/summary.json" | tail -n 2
 
+# The same benchmark at Paper scale on the stall-heavy workload, where RT
+# units sleep on refused fetches (Test scale barely stalls): two passes,
+# so the second must reproduce the first's counters and image, and the
+# image must match the CPU reference. Requires zero failed operations.
+step "repo benchmark at Paper scale (ext_paper_sm48, two passes)"
+CARGO_TARGET_DIR="$PWD/target/benchmark" \
+    bash benchmark/run.sh --workload ext_paper_sm48 --seed 1 --seconds 2 --trace 0 \
+    | grep -E '^operations attempted [0-9]+ failed 0$'
+
 step "examples build + run (quickstart, custom_scene)"
 cargo build --release --offline --examples
 cargo run --release --offline --example quickstart >/dev/null
