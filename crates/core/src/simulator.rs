@@ -1034,8 +1034,14 @@ mod tests {
     fn degenerate_geometries_are_rejected_before_the_run() {
         let (device, cmd, _) = quad_workload(4, 4);
         type Degrade = fn(&mut GpuConfig);
-        let rows: [(&str, Degrade); 7] = [
+        let rows: [(&str, Degrade); 10] = [
             ("mem.num_partitions", |g| g.mem.num_partitions = 0),
+            ("mem.dram.channels", |g| g.mem.dram.channels = 0),
+            ("mem.dram.channels", |g| g.mem.num_partitions = 4),
+            ("mem.dram.channels", |g| {
+                g.mem.dram.channels = 6;
+                g.mem.num_partitions = 8
+            }),
             ("l1.size_bytes", |g| g.l1.size_bytes = 0),
             ("l1.line_bytes", |g| g.l1.line_bytes = 0),
             ("rt_cache.size_bytes", |g| {

@@ -30,9 +30,9 @@ impl std::fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// Checks a resolved GPU configuration for degenerate knob values: an
-/// FR-FCFS queue depth of 0, zero memory partitions, a cache that cannot
-/// hold one line (the L1, the RT cache, and one partition's L2 slice), or
-/// a DRAM channel with no banks or zero-byte rows.
+/// FR-FCFS queue depth of 0, zero partitions or channels that do not split
+/// evenly over them, a cache that cannot hold one line (the L1, the RT
+/// cache, one L2 slice), or a DRAM channel with no banks or zero-byte rows.
 ///
 /// Each of these would otherwise panic inside a memory-model constructor
 /// or on the first DRAM access; the constructors keep their asserts as a
@@ -51,6 +51,9 @@ pub fn validate_config(config: &GpuConfig) -> Result<(), ConfigError> {
     }
     if mem.num_partitions == 0 {
         return reject("mem.num_partitions must be >= 1 (1 is the monolithic backend)");
+    }
+    if mem.dram.channels == 0 || !mem.dram.channels.is_multiple_of(mem.num_partitions) {
+        return reject("mem.dram.channels must be a nonzero multiple of mem.num_partitions");
     }
     check_cache("l1", &config.l1)?;
     if let Some(rtc) = &config.rt_cache {
@@ -180,6 +183,40 @@ mod tests {
         let err = validate_config(&config).expect_err("depth 0 must be rejected");
         assert!(err.detail.contains("queue_depth"), "{err}");
         assert!(err.to_string().starts_with("invalid configuration:"));
+    }
+
+    /// `channels` DRAM channels over `partitions` partitions of the baseline.
+    fn channel_groups(channels: u32, partitions: u32) -> Result<(), ConfigError> {
+        let mut config = GpuConfig::baseline();
+        config.mem.dram.channels = channels;
+        config.mem.num_partitions = partitions;
+        validate_config(&config)
+    }
+
+    fn assert_channels_rejected(channels: u32, partitions: u32) {
+        let err = channel_groups(channels, partitions).expect_err("uneven channel groups");
+        assert!(err.detail.contains("mem.dram.channels"), "{err}");
+    }
+
+    #[test]
+    fn zero_dram_channels_are_rejected() {
+        assert_channels_rejected(0, 1);
+    }
+
+    #[test]
+    fn six_channels_over_four_partitions_are_rejected() {
+        assert_channels_rejected(6, 4);
+    }
+
+    #[test]
+    fn six_channels_over_eight_partitions_are_rejected() {
+        assert_channels_rejected(6, 8);
+    }
+
+    #[test]
+    fn even_channel_groups_validate() {
+        assert_eq!(channel_groups(8, 4), Ok(()));
+        assert_eq!(channel_groups(8, 8), Ok(()));
     }
 
     #[test]

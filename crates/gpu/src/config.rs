@@ -219,6 +219,41 @@ mod tests {
         ));
     }
 
+    /// The known coverage defect, pinned: every partition hands its L2
+    /// slice and its DRAM group the global address, so the partition bits
+    /// stay in the slice's set index and in the channel. On `paper()` one
+    /// slice's lines reach 128 of its 1 024 sets (the 4 MiB L2 acts as
+    /// 512 KiB), and with 4 partitions over 8 channels one group's lines
+    /// reach 1 of its 2 channels. ROADMAP item 2 step 2 strips the
+    /// partition bits; both numbers then become full coverage.
+    #[test]
+    fn partition_bits_leak_into_slice_sets_and_group_channels() {
+        use std::collections::BTreeSet;
+        use vksim_mem::{AddrMap, Cache};
+        let mem = GpuConfig::paper().mem;
+        let addrs = (0..1u64 << 20).step_by(32);
+        let map = AddrMap::new(&mem);
+        let slice = Cache::new(mem.l2.sliced(mem.num_partitions));
+        let geometry = slice.config();
+        let slice_sets = geometry.size_bytes / u64::from(geometry.line_bytes * geometry.assoc);
+        let sets: BTreeSet<usize> = addrs
+            .clone()
+            .filter(|&a| map.partition(a) == 0)
+            .map(|a| slice.set_index(slice.line_of(map.slice_addr(a))))
+            .collect();
+        assert_eq!((sets.len(), slice_sets), (128, 1024));
+
+        let map = AddrMap::new(&SystemConfig {
+            num_partitions: 4,
+            ..mem
+        });
+        let channels: BTreeSet<u32> = addrs
+            .filter(|&a| map.partition(a) == 0)
+            .map(|a| map.dram(a).channel)
+            .collect();
+        assert_eq!((channels.len(), map.group_channels()), (1, 2));
+    }
+
     #[test]
     fn mobile_is_smaller() {
         let m = GpuConfig::mobile();

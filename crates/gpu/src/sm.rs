@@ -16,7 +16,7 @@ use vksim_isa::interp::{self, exec_warp, Effect, ExecError, LaneOut, RtHooks, Th
 use vksim_isa::op::MemSpace;
 use vksim_isa::{MemIo, Program};
 use vksim_mem::{
-    partition_of, AccessKind, Cache, CacheOutcome, FixedMap, MemRequest, MemSink, CHUNK_BYTES,
+    AccessKind, AddrMap, Cache, CacheOutcome, FixedMap, MemRequest, MemSink, CHUNK_BYTES,
 };
 use vksim_rtunit::{RtMem, RtMemResult, RtUnit, RtUnitEventKind, WarpJob};
 use vksim_snapshot::{restore_opt, save_opt, Dec, Enc, Snap, SnapError};
@@ -273,7 +273,7 @@ struct SmPort<'a> {
     next_req: &'a mut u64,
     sm_id: usize,
     perfect_bvh: bool,
-    num_partitions: u32,
+    map: AddrMap,
     obs: &'a mut SmObservers,
 }
 
@@ -290,7 +290,7 @@ macro_rules! port {
             next_req: &mut $sm.next_req,
             sm_id: $sm.id,
             perfect_bvh: $sm.perfect_bvh,
-            num_partitions: $sm.num_partitions,
+            map: $sm.map,
             obs: &mut $sm.observers,
         }
     };
@@ -348,7 +348,7 @@ impl SmPort<'_> {
             };
             self.sink.submit(req, now);
             if self.obs.tracing() {
-                let partition = partition_of(line, self.num_partitions);
+                let partition = self.map.partition(line);
                 self.obs
                     .event(now, warp, EventKind::MshrAlloc { line, partition });
             }
@@ -420,8 +420,8 @@ pub struct Sm {
     perfect_bvh: bool,
     sfu_latency: u32,
     divergence: DivergenceMode,
-    /// Memory partitions in the shared backend (tags MSHR trace events).
-    num_partitions: u32,
+    /// The shared backend's address map (tags MSHR trace events).
+    map: AddrMap,
     next_req: u64,
     /// Per-SM counters (instruction mix, issue stats).
     pub stats: Counters,
@@ -465,7 +465,7 @@ impl Sm {
             perfect_bvh: config.perfect_bvh,
             sfu_latency: config.sfu_latency,
             divergence: config.divergence,
-            num_partitions: config.mem.num_partitions.max(1),
+            map: AddrMap::new(&config.mem),
             next_req: 0,
             stats: Counters::new(),
             issued_lanes: 0,
@@ -513,7 +513,7 @@ impl Sm {
             return;
         };
         if self.observers.tracing() {
-            let partition = partition_of(line, self.num_partitions);
+            let partition = self.map.partition(line);
             self.observers
                 .event(at, NO_WARP, EventKind::MshrFill { line, partition });
         }
@@ -1068,6 +1068,6 @@ vksim_snapshot::snap_state!(Sm {
     perfect_bvh,
     sfu_latency,
     divergence,
-    num_partitions,
+    map,
     sleep
 });

@@ -256,7 +256,8 @@ impl Cache {
         addr / self.config.line_bytes as u64 * self.config.line_bytes as u64
     }
 
-    fn set_index(&self, line: u64) -> usize {
+    /// The set `line`, an address as this cache is handed it, indexes.
+    pub fn set_index(&self, line: u64) -> usize {
         ((line / self.config.line_bytes as u64) % self.config.num_sets()) as usize
     }
 

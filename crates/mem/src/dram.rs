@@ -2,10 +2,10 @@
 //!
 //! Models what the Fig. 16 experiment measures: *DRAM efficiency* (cycles
 //! transferring data out of cycles with pending requests) and *DRAM
-//! utilization* (out of all cycles), plus row-buffer locality. Requests are
-//! interleaved across channels by address, and each channel has multiple
-//! banks with an open-row policy: a request to the open row pays only CAS
-//! latency; otherwise precharge + activate + CAS.
+//! utilization* (out of all cycles), plus row-buffer locality. Requests
+//! arrive as the (channel, bank, row) the [`AddrMap`](crate::AddrMap)
+//! decodes; each bank has an open-row policy: a request to the open row
+//! pays only CAS latency; otherwise precharge + activate + CAS.
 //!
 //! Two memory-access schedulers are modelled ([`DramSched`]):
 //!
@@ -23,6 +23,7 @@
 //!   burst_cycles`. With `age_cap = 0` the age rule fires on every
 //!   decision, which degenerates to exactly the FCFS schedule.
 
+use crate::DramLoc;
 use std::collections::VecDeque;
 use vksim_snapshot::{Dec, Snap, SnapError};
 use vksim_stats::Counters;
@@ -170,12 +171,13 @@ vksim_snapshot::snap_struct!(Channel {
 /// # Example
 ///
 /// ```
-/// use vksim_mem::{Dram, DramConfig};
+/// use vksim_mem::{AddrMap, Dram, DramConfig, SystemConfig};
+/// let map = AddrMap::new(&SystemConfig::default());
 /// let mut d = Dram::new(DramConfig::default());
-/// let done = d.service(0x1000, 0);
+/// let done = d.service(map.dram(0x1000), 0);
 /// assert!(done > 0);
 /// // Same row, immediately after: row hit is cheaper.
-/// let done2 = d.service(0x1020, done);
+/// let done2 = d.service(map.dram(0x1020), done);
 /// assert!(done2 - done < done);
 /// ```
 #[derive(Clone, Debug)]
@@ -255,13 +257,6 @@ impl Dram {
         &self.config
     }
 
-    /// Channel index for an address: channels interleave at 256 B
-    /// granularity (GPGPU-Sim-style memory partition interleaving) so
-    /// spatial locality sees row hits.
-    fn channel_of(&self, addr: u64) -> usize {
-        ((addr / 256) % self.channels.len() as u64) as usize
-    }
-
     /// Performs one access on `(ch_idx, bank_idx)` for a request that
     /// arrived at `arrival`, starting as soon as the bank and channel bus
     /// allow. Updates row state, counters, the activate trace and the
@@ -316,21 +311,18 @@ impl Dram {
         done
     }
 
-    /// Services one 32 B chunk read arriving at `now` strictly in call
-    /// order (the FCFS path); returns the absolute cycle its data is
+    /// Services one 32 B chunk read at `loc` arriving at `now` strictly in
+    /// call order (the FCFS path); returns the absolute cycle its data is
     /// available.
-    pub fn service(&mut self, addr: u64, now: u64) -> u64 {
+    pub fn service(&mut self, loc: DramLoc, now: u64) -> u64 {
         if self.config.perfect {
             self.stats.inc("req");
             return now + 1;
         }
-        let ch_idx = self.channel_of(addr);
-        let row = addr / self.config.row_bytes;
-        let bank_idx = (row % self.config.banks_per_channel as u64) as usize;
-        self.do_access(ch_idx, bank_idx, row, now)
+        self.do_access(loc.channel as usize, loc.bank as usize, loc.row, now)
     }
 
-    /// Submits one 32 B chunk request arriving at `now` under the
+    /// Submits one 32 B chunk request at `loc` arriving at `now` under the
     /// configured scheduler. FCFS (and perfect) configurations service it
     /// immediately and return [`DramIssue::Done`]; FR-FCFS queues it at its
     /// bank and returns a [`DramIssue::Queued`] ticket that
@@ -338,13 +330,10 @@ impl Dram {
     ///
     /// FR-FCFS requires nondecreasing arrival cycles across submissions
     /// (the event-driven memory system guarantees this).
-    pub fn submit(&mut self, addr: u64, now: u64) -> DramIssue {
+    pub fn submit(&mut self, loc: DramLoc, now: u64) -> DramIssue {
         if self.config.perfect || self.config.sched == DramSched::Fcfs {
-            return DramIssue::Done(self.service(addr, now));
+            return DramIssue::Done(self.service(loc, now));
         }
-        let ch_idx = self.channel_of(addr);
-        let row = addr / self.config.row_bytes;
-        let bank_idx = (row % self.config.banks_per_channel as u64) as usize;
         self.next_ticket += 1;
         let ticket = self.next_ticket;
         debug_assert!(
@@ -353,33 +342,28 @@ impl Dram {
         );
         self.last_arrival = self.last_arrival.max(now);
         self.next_start = None;
-        self.channels[ch_idx].banks[bank_idx]
+        self.channels[loc.channel as usize].banks[loc.bank as usize]
             .queue
             .push_back(Pending {
                 ticket,
-                row,
+                row: loc.row,
                 arrival: now,
             });
         DramIssue::Queued(ticket)
     }
 
-    /// Offers one 32 B chunk request arriving at `now`, honouring the
+    /// Offers one 32 B chunk request at `loc` arriving at `now`, honouring the
     /// bounded bank queues: an FR-FCFS submission whose target bank
     /// already holds `queue_depth` pending requests is refused (`None`)
     /// without consuming a ticket, back-pressuring the L2 slice. FCFS and
     /// perfect configurations never refuse.
-    pub fn try_submit(&mut self, addr: u64, now: u64) -> Option<DramIssue> {
+    pub fn try_submit(&mut self, loc: DramLoc, now: u64) -> Option<DramIssue> {
         let depth = match self.config.sched {
             DramSched::FrFcfs { queue_depth, .. } if !self.config.perfect => queue_depth as usize,
-            _ => return Some(self.submit(addr, now)),
+            _ => return Some(self.submit(loc, now)),
         };
-        let ch_idx = self.channel_of(addr);
-        let row = addr / self.config.row_bytes;
-        let bank_idx = (row % self.config.banks_per_channel as u64) as usize;
-        if self.channels[ch_idx].banks[bank_idx].queue.len() >= depth {
-            return None;
-        }
-        Some(self.submit(addr, now))
+        let bank = &self.channels[loc.channel as usize].banks[loc.bank as usize];
+        (bank.queue.len() < depth).then(|| self.submit(loc, now))
     }
 
     /// `true` while FR-FCFS requests are still queued (drain check).
@@ -507,27 +491,6 @@ impl Dram {
     pub fn active_cycles(&self) -> u64 {
         self.channels.iter().map(|c| c.active_cycles).sum()
     }
-
-    /// DRAM efficiency: transfer cycles / active cycles (paper Fig. 16:
-    /// "out of cycles where there were DRAM requests at the memory access
-    /// scheduler").
-    pub fn efficiency(&self) -> f64 {
-        let a = self.active_cycles();
-        if a == 0 {
-            0.0
-        } else {
-            self.transfer_cycles() as f64 / a as f64
-        }
-    }
-
-    /// DRAM utilization: transfer cycles / (total cycles × channels).
-    pub fn utilization(&self, total_cycles: u64) -> f64 {
-        if total_cycles == 0 {
-            0.0
-        } else {
-            self.transfer_cycles() as f64 / (total_cycles * self.channels.len() as u64) as f64
-        }
-    }
 }
 
 /// Replaces `channels` with the snapshot's, provided they have the
@@ -563,6 +526,17 @@ vksim_snapshot::snap_state!(Dram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AddrMap, SystemConfig};
+
+    /// `addr`'s coordinates in `d`, decoded by a one-partition map.
+    fn loc(d: &Dram, addr: u64) -> DramLoc {
+        let dram = d.config().clone();
+        AddrMap::new(&SystemConfig {
+            dram,
+            ..SystemConfig::default()
+        })
+        .dram(addr)
+    }
 
     #[test]
     fn row_hit_is_cheaper_than_row_miss() {
@@ -572,10 +546,10 @@ mod tests {
             banks_per_channel: 1,
             ..Default::default()
         });
-        let t1 = d.service(0x0000, 0);
-        let t2 = d.service(0x0020, t1); // same row
+        let t1 = d.service(loc(&d, 0x0000), 0);
+        let t2 = d.service(loc(&d, 0x0020), t1); // same row
         let row_hit_cost = t2 - t1;
-        let t3 = d.service(d.config().row_bytes * 5, t2); // different row
+        let t3 = d.service(loc(&d, d.config().row_bytes * 5), t2); // different row
         let row_miss_cost = t3 - t2;
         assert!(
             row_miss_cost > row_hit_cost,
@@ -590,8 +564,8 @@ mod tests {
     fn channels_serve_in_parallel() {
         let mut d = Dram::new(DramConfig::default());
         // Two chunks 256 B apart map to different channels, both at cycle 0.
-        let t_a = d.service(0, 0);
-        let t_b = d.service(256, 0);
+        let t_a = d.service(loc(&d, 0), 0);
+        let t_b = d.service(loc(&d, 256), 0);
         // Independent channels: neither waits for the other.
         assert_eq!(t_a, t_b);
     }
@@ -599,8 +573,8 @@ mod tests {
     #[test]
     fn same_channel_serializes_on_bus() {
         let mut d = Dram::new(DramConfig::default());
-        let t_a = d.service(0, 0);
-        let t_b = d.service(32, 0); // same 256 B block -> same channel
+        let t_a = d.service(loc(&d, 0), 0);
+        let t_b = d.service(loc(&d, 32), 0); // same 256 B block -> same channel
         assert!(t_b > t_a, "bus contention must serialize");
     }
 
@@ -610,7 +584,7 @@ mod tests {
             perfect: true,
             ..Default::default()
         });
-        assert_eq!(d.service(0x123456, 77), 78);
+        assert_eq!(d.service(loc(&d, 0x123456), 77), 78);
         assert_eq!(d.transfer_cycles(), 0);
     }
 
@@ -619,11 +593,12 @@ mod tests {
         let mut d = Dram::new(DramConfig::default());
         let mut t = 0;
         for i in 0..100u64 {
-            t = d.service(i * 32, t);
+            t = d.service(loc(&d, i * 32), t);
         }
-        let eff = d.efficiency();
+        let transfer = d.transfer_cycles() as f64;
+        let eff = transfer / d.active_cycles() as f64;
         assert!(eff > 0.0 && eff <= 1.0, "efficiency {eff}");
-        let util = d.utilization(t);
+        let util = transfer / (t * d.config().channels as u64) as f64;
         assert!(util > 0.0 && util <= 1.0, "utilization {util}");
         // With back-to-back demand, efficiency >= utilization.
         assert!(eff >= util);
@@ -636,10 +611,13 @@ mod tests {
         // much higher than utilization — exactly the Fig. 16 distinction.
         let mut sparse = Dram::new(DramConfig::default());
         for i in 0..50u64 {
-            sparse.service(i * 32, i * 1000);
+            sparse.service(loc(&sparse, i * 32), i * 1000);
         }
         let total = 50_000;
-        assert!(sparse.efficiency() > sparse.utilization(total) * 5.0);
+        let transfer = sparse.transfer_cycles() as f64;
+        let efficiency = transfer / sparse.active_cycles() as f64;
+        let utilization = transfer / (total * sparse.config().channels as u64) as f64;
+        assert!(efficiency > utilization * 5.0);
     }
 
     #[test]
@@ -650,11 +628,11 @@ mod tests {
             ..Default::default()
         });
         // Disabled by default: no events recorded.
-        d.service(0x0000, 0);
+        d.service(loc(&d, 0x0000), 0);
         assert!(d.take_row_activates().is_empty());
         d.set_trace(true);
-        let t1 = d.service(0x0020, 100); // row hit: no activate
-        d.service(d.config().row_bytes * 3, t1); // row miss: activate
+        let t1 = d.service(loc(&d, 0x0020), 100); // row hit: no activate
+        d.service(loc(&d, d.config().row_bytes * 3), t1); // row miss: activate
         let evs = d.take_row_activates();
         assert_eq!(evs.len(), 1);
         assert_eq!((evs[0].1, evs[0].2), (0, 0));
@@ -695,21 +673,27 @@ mod tests {
         let mut d = Dram::new(fr_fcfs(2, 1 << 40));
         let row = d.config().row_bytes;
         // Two same-bank requests fill the depth-2 queue...
-        assert!(matches!(d.try_submit(0, 0), Some(DramIssue::Queued(1))));
         assert!(matches!(
-            d.try_submit(2 * row, 0),
+            d.try_submit(loc(&d, 0), 0),
+            Some(DramIssue::Queued(1))
+        ));
+        assert!(matches!(
+            d.try_submit(loc(&d, 2 * row), 0),
             Some(DramIssue::Queued(2))
         ));
         // ...the third is refused and must not burn a ticket. Row 1 maps
         // to bank 1 of 2 — a different, non-full queue — so it still gets
         // the next ticket in sequence.
-        assert_eq!(d.try_submit(4 * row, 0), None);
-        assert!(matches!(d.try_submit(row, 0), Some(DramIssue::Queued(3))));
+        assert_eq!(d.try_submit(loc(&d, 4 * row), 0), None);
+        assert!(matches!(
+            d.try_submit(loc(&d, row), 0),
+            Some(DramIssue::Queued(3))
+        ));
         // Draining the bank reopens it.
         let served = d.run_schedule(u64::MAX);
         assert_eq!(served.len(), 3);
         assert!(matches!(
-            d.try_submit(4 * row, served[2].1),
+            d.try_submit(loc(&d, 4 * row), served[2].1),
             Some(DramIssue::Queued(4))
         ));
     }
@@ -723,8 +707,14 @@ mod tests {
             ..Default::default()
         });
         for i in 0..64u64 {
-            assert!(matches!(fcfs.try_submit(0, i), Some(DramIssue::Done(_))));
-            assert!(matches!(perfect.try_submit(0, i), Some(DramIssue::Done(_))));
+            assert!(matches!(
+                fcfs.try_submit(loc(&fcfs, 0), i),
+                Some(DramIssue::Done(_))
+            ));
+            assert!(matches!(
+                perfect.try_submit(loc(&perfect, 0), i),
+                Some(DramIssue::Done(_))
+            ));
         }
     }
 
@@ -745,14 +735,17 @@ mod tests {
         let mut d = Dram::new(fr_fcfs(16, 1 << 40));
         let row = d.config().row_bytes;
         // Open row 0 in bank 0.
-        assert!(matches!(d.submit(0, 0), DramIssue::Queued(1)));
+        assert!(matches!(d.submit(loc(&d, 0), 0), DramIssue::Queued(1)));
         let first = d.run_schedule(u64::MAX);
         assert_eq!(first.len(), 1);
         // Now queue an older row miss (row 2 -> bank 0) and a younger hit
         // to the open row 0; the hit must be scheduled first.
         let t = first[0].1;
-        assert!(matches!(d.submit(2 * row, t), DramIssue::Queued(2)));
-        assert!(matches!(d.submit(32, t), DramIssue::Queued(3)));
+        assert!(matches!(
+            d.submit(loc(&d, 2 * row), t),
+            DramIssue::Queued(2)
+        ));
+        assert!(matches!(d.submit(loc(&d, 32), t), DramIssue::Queued(3)));
         let order: Vec<u64> = d.run_schedule(u64::MAX).iter().map(|&(tk, _)| tk).collect();
         assert_eq!(order, vec![3, 2], "row hit bypasses the older miss");
         assert!(!d.has_queued());
@@ -785,8 +778,11 @@ mod tests {
         let mut expect = Vec::new();
         for (i, &a) in addrs.iter().enumerate() {
             let now = 3 * i as u64;
-            expect.push(fcfs.service(a, now));
-            assert!(matches!(frf.submit(a, now), DramIssue::Queued(_)));
+            expect.push(fcfs.service(loc(&fcfs, a), now));
+            assert!(matches!(
+                frf.submit(loc(&frf, a), now),
+                DramIssue::Queued(_)
+            ));
         }
         let mut got: Vec<(u64, u64)> = frf.run_schedule(u64::MAX);
         got.sort_by_key(|&(ticket, _)| ticket);
@@ -798,7 +794,7 @@ mod tests {
     #[test]
     fn fr_fcfs_horizon_defers_future_decisions() {
         let mut d = Dram::new(fr_fcfs(16, 1 << 40));
-        assert!(matches!(d.submit(0, 100), DramIssue::Queued(_)));
+        assert!(matches!(d.submit(loc(&d, 0), 100), DramIssue::Queued(_)));
         assert!(d.run_schedule(99).is_empty(), "not arrived yet");
         assert!(d.has_queued());
         let done = d.run_schedule(100);
@@ -813,14 +809,14 @@ mod tests {
         let cap = 500;
         let mut d = Dram::new(fr_fcfs(16, cap));
         let row_bytes = d.config().row_bytes;
-        assert!(matches!(d.submit(0, 0), DramIssue::Queued(1)));
+        assert!(matches!(d.submit(loc(&d, 0), 0), DramIssue::Queued(1)));
         // The victim: a row miss in bank 0, one older request ahead of it.
-        let DramIssue::Queued(victim) = d.submit(2 * row_bytes, 1) else {
+        let DramIssue::Queued(victim) = d.submit(loc(&d, 2 * row_bytes), 1) else {
             panic!("expected queued ticket");
         };
         for i in 1..40u64 {
             // Row hits to the open row 0, arriving steadily.
-            d.submit((i % 8) * 32, 2 * i + 1);
+            d.submit(loc(&d, (i % 8) * 32), 2 * i + 1);
         }
         let done = d.run_schedule(u64::MAX);
         let victim_done = done.iter().find(|&&(t, _)| t == victim).unwrap().1;

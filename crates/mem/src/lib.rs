@@ -14,10 +14,10 @@
 //!   with a bounded reorder window plus an age-cap starvation bound.
 //! * [`system::SharedMemSystem`] — the partitioned L2 + interconnect +
 //!   DRAM backend shared by all SMs: `num_partitions` independent memory
-//!   partitions (L2 slice + DRAM channel group each), interleaved at
-//!   128 B ([`system::partition_of`]); per-SM L1s forward misses into it.
-//!   Larger requests are split into 32 B chunks by the producers (paper
-//!   §III-C3).
+//!   partitions (L2 slice + DRAM channel group each); per-SM L1s forward
+//!   misses into it. Larger requests are split into 32 B chunks by the
+//!   producers (paper §III-C3).
+//! * [`map::AddrMap`] — the backend's address map, its one address decoder.
 //!
 //! The hierarchy is event-driven: producers submit requests with the
 //! current cycle, call [`system::SharedMemSystem::advance_to`] each cycle,
@@ -25,13 +25,13 @@
 
 pub mod cache;
 pub mod dram;
+pub mod map;
 pub mod system;
 
 pub use cache::{AccessKind, Cache, CacheConfig, CacheOutcome, Refusal};
 pub use dram::{Dram, DramConfig, DramIssue, DramSched};
-pub use system::{
-    partition_of, MemRequest, MemSink, RequestQueue, SharedMemSystem, SystemConfig, PARTITION_BYTES,
-};
+pub use map::{AddrMap, DramLoc};
+pub use system::{MemRequest, MemSink, RequestQueue, SharedMemSystem, SystemConfig};
 pub use vksim_snapshot::{FixedMap, FixedSet, FixedState};
 
 /// Memory chunk size: larger requests are broken into 32 B pieces

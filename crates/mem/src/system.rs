@@ -3,9 +3,9 @@
 //! All SMs' L1 misses funnel through one [`SharedMemSystem`] (paper Fig. 3:
 //! SMs connect to memory partitions through an on-chip interconnect). The
 //! backend is organised as `num_partitions` independent *memory
-//! partitions*, each owning an L2 slice and a DRAM channel group —
-//! addresses interleave across partitions at 128 B granularity
-//! ([`partition_of`]). The model is event-driven: producers
+//! partitions*, each owning an L2 slice and a DRAM channel group; the
+//! [`AddrMap`] decides which partition, slice address and DRAM channel,
+//! bank and row an address goes to. The model is event-driven: producers
 //! [`SharedMemSystem::submit`] chunk-sized requests and poll
 //! [`SharedMemSystem::advance_to`] each core cycle for completions.
 //!
@@ -23,7 +23,7 @@
 
 use crate::cache::{AccessKind, Cache, CacheConfig, CacheOutcome, Refusal};
 use crate::dram::{Dram, DramConfig, DramIssue};
-use crate::FixedMap;
+use crate::{AddrMap, FixedMap};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use vksim_snapshot::{load_fixed, restore_each, save_each, Dec, Enc, Snap, SnapError};
@@ -32,18 +32,6 @@ use vksim_stats::Counters;
 /// Cycles a refused access (L2 reservation fail, full DRAM bank queue)
 /// waits before it is offered again.
 const RETRY_BACKOFF: u64 = 4;
-
-/// Partition interleave granularity: consecutive 128 B lines map to
-/// consecutive partitions.
-pub const PARTITION_BYTES: u64 = 128;
-
-/// The memory partition an address belongs to. Total over all addresses
-/// and balanced: every 128 B line maps to exactly one partition, and
-/// consecutive lines rotate through all partitions.
-pub fn partition_of(addr: u64, num_partitions: u32) -> u32 {
-    debug_assert!(num_partitions >= 1, "degenerate partition count");
-    ((addr / PARTITION_BYTES) % num_partitions as u64) as u32
-}
 
 /// Configuration of the shared memory backend.
 #[derive(Clone, Debug)]
@@ -287,6 +275,7 @@ struct Parked {
 /// partition-local event machinery (its deterministic ingress queue).
 #[derive(Debug)]
 struct Partition {
+    map: AddrMap,
     l2: Cache,
     dram: Dram,
     events: BinaryHeap<Reverse<Ev>>,
@@ -389,7 +378,7 @@ vksim_snapshot::snap_state!(Partition {
     ingress_occupancy,
     last_event_time,
     egress_free: with(Snap::save, |credits, d| load_fixed(credits, d)),
-} skip { parked, fill_epoch });
+} skip { map, parked, fill_epoch });
 
 /// Routes one finished completion to `done`, unless it is the injected
 /// drop victim. Delivery order is global across partitions (partition
@@ -452,6 +441,7 @@ fn deliver(
 /// ```
 #[derive(Debug)]
 pub struct SharedMemSystem {
+    map: AddrMap,
     parts: Vec<Partition>,
     icnt_latency: u32,
     /// Ingress bound per partition (`0` = unbounded).
@@ -469,20 +459,17 @@ impl SharedMemSystem {
     ///
     /// Each partition's L2 slice gets `1/num_partitions` of the configured
     /// capacity and MSHRs ([`CacheConfig::sliced`]); each DRAM channel
-    /// group gets `1/num_partitions` of the channels (at least one).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero-partition configuration.
+    /// group gets `1/num_partitions` of the channels. Panics where
+    /// [`AddrMap::new`] does.
     pub fn new(config: SystemConfig) -> Self {
-        let n = config.num_partitions;
-        assert!(n >= 1, "degenerate partition count");
+        let (map, n) = (AddrMap::new(&config), config.num_partitions);
         let dram_cfg = DramConfig {
-            channels: (config.dram.channels / n).max(1),
+            channels: map.group_channels(),
             ..config.dram
         };
         let parts = (0..n)
             .map(|_| Partition {
+                map,
                 l2: Cache::new(config.l2.sliced(n)),
                 dram: Dram::new(dram_cfg.clone()),
                 events: BinaryHeap::new(),
@@ -497,6 +484,7 @@ impl SharedMemSystem {
             })
             .collect();
         SharedMemSystem {
+            map,
             parts,
             icnt_latency: config.icnt_latency,
             icnt_queue_depth: config.icnt_queue_depth,
@@ -525,7 +513,7 @@ impl SharedMemSystem {
     /// ingress bound (use [`SharedMemSystem::try_submit`] for the
     /// refusable, credit-checked path).
     pub fn submit(&mut self, req: MemRequest, now: u64) {
-        let pi = partition_of(req.addr, self.parts.len() as u32) as usize;
+        let pi = self.map.partition(req.addr) as usize;
         self.accept(pi, req, now);
     }
 
@@ -534,7 +522,7 @@ impl SharedMemSystem {
     /// `icnt.refused`) and the caller must re-offer later; with the
     /// unbounded default this is exactly [`SharedMemSystem::submit`].
     pub fn try_submit(&mut self, req: MemRequest, now: u64) -> bool {
-        let pi = partition_of(req.addr, self.parts.len() as u32) as usize;
+        let pi = self.map.partition(req.addr) as usize;
         if self.icnt_queue_depth > 0 && self.parts[pi].ingress_occupancy >= self.icnt_queue_depth {
             self.stats.inc("icnt.refused");
             return false;
@@ -664,12 +652,6 @@ impl SharedMemSystem {
         done
     }
 
-    /// The first partition's DRAM channel group (single-partition
-    /// convenience; reporting code uses the merged accessors).
-    pub fn dram(&self) -> &Dram {
-        &self.parts[0].dram
-    }
-
     /// Merged L2 counters: the sum over partitions under the original key
     /// names, plus per-partition copies under `p{i}.*` when more than one
     /// partition exists (so single-partition golden key sets are
@@ -701,12 +683,8 @@ impl SharedMemSystem {
     /// cycles over `total_cycles` × total channels.
     pub fn dram_utilization(&self, total_cycles: u64) -> f64 {
         let transfer: u64 = self.parts.iter().map(|p| p.dram.transfer_cycles()).sum();
-        let channels: u64 = self
-            .parts
-            .iter()
-            .map(|p| p.dram.config().channels as u64)
-            .sum();
-        if total_cycles == 0 || channels == 0 {
+        let channels = self.parts.len() as u64 * self.map.group_channels() as u64;
+        if total_cycles == 0 {
             0.0
         } else {
             transfer as f64 / (total_cycles * channels) as f64
@@ -739,16 +717,11 @@ impl SharedMemSystem {
     /// order, chronological within a partition — a deterministic order.
     pub fn take_row_activates(&mut self) -> Vec<(u64, u32, u32, u32)> {
         let mut out = Vec::new();
-        let mut base = 0u32;
-        for (pi, p) in self.parts.iter_mut().enumerate() {
-            let nch = p.dram.config().channels;
+        for (pi, p) in (0..).zip(&mut self.parts) {
+            let acts = p.dram.take_row_activates().into_iter();
             out.extend(
-                p.dram
-                    .take_row_activates()
-                    .into_iter()
-                    .map(|(cycle, ch, bank)| (cycle, pi as u32, base + ch, bank)),
+                acts.map(|(cycle, ch, bank)| (cycle, pi, self.map.global_channel(pi, ch), bank)),
             );
-            base += nch;
         }
         out
     }
@@ -800,7 +773,7 @@ vksim_snapshot::snap_state!(SharedMemSystem {
     drop_nth_completion,
     completions_delivered,
     stats,
-} skip { icnt_latency, icnt_queue_depth });
+} skip { map, icnt_latency, icnt_queue_depth });
 
 /// Sums counter bags over partitions, adding `p{i}.*` copies when more
 /// than one partition exists.
@@ -839,8 +812,9 @@ fn handle_l2(
     } else {
         req.kind
     };
-    let line = p.l2.line_of(req.addr);
-    match p.l2.access(req.addr, kind, t) {
+    let addr = p.map.slice_addr(req.addr);
+    let line = p.l2.line_of(addr);
+    match p.l2.access(addr, kind, t) {
         CacheOutcome::Hit => {
             p.ingress_occupancy -= 1;
             if req.is_store {
@@ -897,11 +871,11 @@ fn submit_dram(
     is_store: bool,
     t: u64,
 ) {
-    let at = t + p.l2.hit_latency() as u64;
+    let (at, loc) = (t + p.l2.hit_latency() as u64, p.map.dram(addr));
     let issue = if bounded {
-        p.dram.try_submit(addr, at)
+        p.dram.try_submit(loc, at)
     } else {
-        Some(p.dram.submit(addr, at))
+        Some(p.dram.submit(loc, at))
     };
     match issue {
         None => {
@@ -988,7 +962,7 @@ mod tests {
             "merged fills complete together"
         );
         // Only one DRAM read happened.
-        assert_eq!(sys.dram().stats.get("req"), 1);
+        assert_eq!(sys.dram_stats().get("req"), 1);
     }
 
     #[test]
@@ -1097,28 +1071,19 @@ mod tests {
     }
 
     #[test]
-    fn partition_of_is_total_and_rotates_lines() {
-        for n in 1..=8u32 {
-            for line in 0..32u64 {
-                let p = partition_of(line * PARTITION_BYTES, n);
-                assert!(p < n);
-                assert_eq!(p, (line % n as u64) as u32, "consecutive lines rotate");
-                // Every byte of the line maps to the same partition.
-                assert_eq!(p, partition_of(line * PARTITION_BYTES + 127, n));
-            }
-        }
-    }
-
-    #[test]
     fn partitions_split_traffic_and_report_per_partition_counters() {
         let mut sys = SharedMemSystem::new(SystemConfig {
             num_partitions: 4,
+            dram: DramConfig {
+                channels: 8,
+                ..Default::default()
+            },
             ..Default::default()
         });
         assert_eq!(sys.num_partitions(), 4);
         // One request per partition (consecutive 128 B lines).
         for id in 0..4u64 {
-            sys.submit(load(id, id * PARTITION_BYTES), 0);
+            sys.submit(load(id, id * AddrMap::PARTITION_BYTES), 0);
         }
         let done = drain(&mut sys, 1_000_000);
         assert_eq!(done.len(), 4);
@@ -1193,7 +1158,10 @@ mod tests {
             ..Default::default()
         });
         for id in 0..16u64 {
-            sys.submit(load(id, id * 4096 + (id % 2) * PARTITION_BYTES), id);
+            sys.submit(
+                load(id, id * 4096 + (id % 2) * AddrMap::PARTITION_BYTES),
+                id,
+            );
         }
         let mut done = Vec::new();
         let mut t = 0;
@@ -1281,7 +1249,7 @@ mod tests {
             },
             ..Default::default()
         });
-        let row_bytes = sys.dram().config().row_bytes;
+        let row_bytes = DramConfig::default().row_bytes;
         let mut q = RequestQueue::new();
         for id in 0..8u64 {
             MemSink::submit(&mut q, load(id, id * 16 * row_bytes), 0);
@@ -1328,7 +1296,10 @@ mod tests {
         };
         let mut sys = SharedMemSystem::new(config.clone());
         for id in 0..6u64 {
-            sys.try_submit(load(id, id * 4096 + (id % 2) * PARTITION_BYTES), id);
+            sys.try_submit(
+                load(id, id * 4096 + (id % 2) * AddrMap::PARTITION_BYTES),
+                id,
+            );
         }
         let mut done = sys.advance_to(40);
         assert!(!sys.is_idle(), "the freeze point must be mid-flight");
@@ -1395,13 +1366,13 @@ mod tests {
         });
         sys.set_trace(true);
         sys.submit(load(1, 0), 0);
-        sys.submit(load(2, PARTITION_BYTES), 0);
+        sys.submit(load(2, AddrMap::PARTITION_BYTES), 0);
         drain(&mut sys, 1_000_000);
         let acts = sys.take_row_activates();
         assert_eq!(acts.len(), 2);
         let parts: Vec<u32> = acts.iter().map(|a| a.1).collect();
         assert_eq!(parts, vec![0, 1]);
-        let per_part_channels = sys.dram().config().channels;
+        let per_part_channels = DramConfig::default().channels / 2;
         assert!(acts[0].2 < per_part_channels);
         assert!(acts[1].2 >= per_part_channels, "global channel index");
     }

@@ -7,36 +7,62 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use vksim_mem::{
-    partition_of, AccessKind, CacheConfig, Dram, DramConfig, DramIssue, DramSched, MemRequest,
-    MemSink, RequestQueue, SharedMemSystem, SystemConfig, PARTITION_BYTES,
+    AccessKind, AddrMap, CacheConfig, Dram, DramConfig, DramIssue, DramSched, MemRequest, MemSink,
+    RequestQueue, SharedMemSystem, SystemConfig,
 };
 use vksim_snapshot::{fnv1a, fnv1a_init, Dec, Enc, Snap};
 use vksim_testkit::prop::{check, u32_in, u64_in, vec_of};
 use vksim_testkit::{assert_matches_golden, prop_assert, prop_assert_eq, Pcg32};
+
+/// Interleave granularity of the partitions.
+const LINE: u64 = AddrMap::PARTITION_BYTES;
+
+/// The address map of an `n`-partition backend with one DRAM channel per
+/// partition; `log2_n` in `0..=3` draws n from {1, 2, 4, 8}.
+fn partition_map(log2_n: u32) -> (u32, AddrMap) {
+    let n = 1 << log2_n;
+    let config = SystemConfig {
+        num_partitions: n,
+        dram: DramConfig {
+            channels: n,
+            ..DramConfig::default()
+        },
+        ..SystemConfig::default()
+    };
+    (n, AddrMap::new(&config))
+}
+
+/// The address map of a one-partition backend over `dram`.
+fn dram_map(dram: &DramConfig) -> AddrMap {
+    AddrMap::new(&SystemConfig {
+        dram: dram.clone(),
+        ..SystemConfig::default()
+    })
+}
 
 /// Every address maps to exactly one partition (totality), all addresses
 /// within one 128 B line map to the same partition, and consecutive lines
 /// rotate through all partitions (perfect deterministic balance).
 #[test]
 fn partition_slicing_is_total_and_line_stable() {
-    let strat = (u32_in(1, 8), vec_of(u64_in(0, 1 << 40), 16, 64));
-    check(&strat, |(n, addrs)| {
-        let n = *n;
+    let strat = (u32_in(0, 3), vec_of(u64_in(0, 1 << 40), 16, 64));
+    check(&strat, |(log2_n, addrs)| {
+        let (n, map) = partition_map(*log2_n);
         for &addr in addrs {
-            let p = partition_of(addr, n);
+            let p = map.partition(addr);
             prop_assert!(p < n, "partition {} out of range for n={}", p, n);
             // Line stability: every byte of the 128 B line agrees.
-            let line = addr / PARTITION_BYTES * PARTITION_BYTES;
-            prop_assert_eq!(partition_of(line, n), p);
-            prop_assert_eq!(partition_of(line + PARTITION_BYTES - 1, n), p);
+            let line = addr / LINE * LINE;
+            prop_assert_eq!(map.partition(line), p);
+            prop_assert_eq!(map.partition(line + LINE - 1), p);
             // Rotation: the next line lands on the next partition.
-            prop_assert_eq!(partition_of(line + PARTITION_BYTES, n), (p + 1) % n);
+            prop_assert_eq!(map.partition(line + LINE), (p + 1) % n);
         }
         // Any window of n consecutive lines covers each partition once.
-        let base = addrs[0] / PARTITION_BYTES * PARTITION_BYTES;
+        let base = addrs[0] / LINE * LINE;
         let mut seen = vec![false; n as usize];
         for i in 0..n as u64 {
-            seen[partition_of(base + i * PARTITION_BYTES, n) as usize] = true;
+            seen[map.partition(base + i * LINE) as usize] = true;
         }
         prop_assert!(seen.iter().all(|&s| s), "window missed a partition");
         Ok(())
@@ -50,12 +76,12 @@ fn partition_slicing_balances_uniform_streams() {
     // 4096 samples: at n=8 the expected share is 512 with σ ≈ 21, so the
     // ±20% band is ≈ 4.9σ wide — deterministic under the suite seed and
     // comfortably stable under reasonable seed replay.
-    let strat = (u32_in(2, 8), vec_of(u64_in(0, 1 << 30), 4096, 4096));
-    check(&strat, |(n, addrs)| {
-        let n = *n;
+    let strat = (u32_in(0, 3), vec_of(u64_in(0, 1 << 30), 4096, 4096));
+    check(&strat, |(log2_n, addrs)| {
+        let (n, map) = partition_map(*log2_n);
         let mut occupancy = vec![0u64; n as usize];
         for &addr in addrs {
-            occupancy[partition_of(addr, n) as usize] += 1;
+            occupancy[map.partition(addr) as usize] += 1;
         }
         let expected = addrs.len() as f64 / n as f64;
         for (i, &c) in occupancy.iter().enumerate() {
@@ -174,6 +200,11 @@ fn unbounded_and_unreachable_depth_schedules_match() {
             let config = SystemConfig {
                 num_partitions: *parts,
                 icnt_queue_depth: depth,
+                // Divisible by every partition count drawn.
+                dram: DramConfig {
+                    channels: 12,
+                    ..DramConfig::default()
+                },
                 ..SystemConfig::default()
             };
             let mut sys = SharedMemSystem::new(config);
@@ -233,11 +264,6 @@ fn depth_one_ingress_refuses_concurrent_offers() {
     assert!(sys.try_submit(req(2, 32), 100_000), "freed queue accepts");
 }
 
-/// Replicates [`Dram`]'s documented channel interleave (256 B).
-fn channel_of(addr: u64, channels: u32) -> usize {
-    ((addr / 256) % channels as u64) as usize
-}
-
 /// FR-FCFS never starves: every request completes within the documented
 /// deterministic bound `age_cap + 2 * max_access * (k + 1)` of its
 /// arrival, where `k` counts older same-channel requests pending when it
@@ -261,6 +287,7 @@ fn fr_fcfs_completes_within_starvation_bound() {
             ..DramConfig::default()
         };
         let max_access = config.max_access_cycles();
+        let map = dram_map(&config);
         let mut d = Dram::new(config);
 
         // Submit everything up front: k for request i is then simply the
@@ -270,8 +297,9 @@ fn fr_fcfs_completes_within_starvation_bound() {
         let mut per_channel = [0u64; 2];
         for &(addr, gap) in stream {
             now += gap;
-            let ch = channel_of(addr, 2);
-            let DramIssue::Queued(ticket) = d.submit(addr, now) else {
+            let loc = map.dram(addr);
+            let ch = loc.channel as usize;
+            let DramIssue::Queued(ticket) = d.submit(loc, now) else {
                 prop_assert!(false, "FR-FCFS config must queue");
                 unreachable!()
             };
@@ -320,6 +348,7 @@ fn fr_fcfs_age_cap_zero_matches_fcfs_schedule() {
             row_bytes: 512,
             ..DramConfig::default()
         };
+        let map = dram_map(&base);
 
         // Reference: the in-order path services at submit.
         let mut fcfs = Dram::new(DramConfig {
@@ -330,7 +359,7 @@ fn fr_fcfs_age_cap_zero_matches_fcfs_schedule() {
         let mut expected = Vec::new();
         for &(addr, gap) in stream {
             now += gap;
-            match fcfs.submit(addr, now) {
+            match fcfs.submit(map.dram(addr), now) {
                 DramIssue::Done(done) => expected.push(done),
                 DramIssue::Queued(_) => {
                     prop_assert!(false, "FCFS never queues");
@@ -351,7 +380,7 @@ fn fr_fcfs_age_cap_zero_matches_fcfs_schedule() {
         let mut got = std::collections::HashMap::new();
         for &(addr, gap) in stream {
             now += gap;
-            let DramIssue::Queued(ticket) = fr.submit(addr, now) else {
+            let DramIssue::Queued(ticket) = fr.submit(map.dram(addr), now) else {
                 prop_assert!(false, "FR-FCFS config must queue");
                 unreachable!()
             };
