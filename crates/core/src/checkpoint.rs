@@ -1,18 +1,18 @@
 //! Checkpoint/restore orchestration: configuration fingerprinting and
 //! whole-machine snapshot payloads.
 //!
-//! A checkpoint captures *everything* the two-phase engine needs to
-//! continue bit-identically: every runtime shard's functional state
-//! (frame stacks, replay scripts, FCC buffers, allocation cursor,
-//! statistics) followed by the complete GPU machine state
-//! ([`GpuSim::save`]). The container ([`vksim_snapshot::Snapshot`])
-//! adds versioning and a checksum; this module adds the *fingerprint* —
-//! a hash of everything architecturally relevant — so a snapshot can only
-//! be resumed under the configuration, program and scene that produced
-//! it. Knobs that do not affect simulated state (thread count, watchdog,
-//! cycle bound, fault plan, checkpoint cadence, trace output paths) are
-//! deliberately excluded, so a run checkpointed under a watchdog can be
-//! resumed without one, and chaos-injected runs can resume cleanly.
+//! A checkpoint captures *everything* the cycle loop needs to continue
+//! bit-identically: every runtime shard's functional state (frame stacks,
+//! replay scripts, FCC buffers, allocation cursor, statistics) followed by
+//! the complete GPU machine state ([`GpuSim::save`]). The container
+//! ([`vksim_snapshot::Snapshot`]) adds versioning and a checksum; this
+//! module adds the *fingerprint* — a hash of everything architecturally
+//! relevant — so a snapshot can only be resumed under the configuration,
+//! program and scene that produced it. Knobs that do not affect simulated
+//! state (watchdog, cycle bound, fault plan, checkpoint cadence, trace
+//! output paths) are deliberately excluded, so a run checkpointed under a
+//! watchdog can be resumed without one, and chaos-injected runs can
+//! resume cleanly.
 
 use crate::runtime::RtRuntime;
 use vksim_fault::FaultPlan;
@@ -30,14 +30,13 @@ use vksim_vulkan::{Device, TraceRaysCommand};
 /// interval, flight depth, event cap — these shape collector state inside
 /// the snapshot), the full program text and launch header, and scene
 /// shape (BLAS and TLAS instance counts). It excludes anything that only
-/// controls how the run is driven or observed: `threads`, `max_cycles`,
-/// the watchdog, the fault plan, checkpoint cadence/directory, and trace
+/// controls how the run is driven or observed: `max_cycles`, the
+/// watchdog, the fault plan, checkpoint cadence/directory, and trace
 /// output file paths.
 pub fn config_fingerprint(config: &GpuConfig, device: &Device, cmd: &TraceRaysCommand) -> u64 {
     let trace = &config.trace;
     let canonical = GpuConfig {
         max_cycles: 0,
-        threads: 1,
         watchdog_cycles: 0,
         fault_plan: FaultPlan::default(),
         checkpoint_every: 0,
@@ -142,7 +141,6 @@ mod tests {
         let (device, cmd) = tiny_cmd(32);
         let base = SimConfig::test_small().resolve();
         let mut harness = SimConfig::test_small().resolve();
-        harness.threads = 8;
         harness.watchdog_cycles = 50_000;
         harness.max_cycles = 123;
         harness.checkpoint_every = 1000;

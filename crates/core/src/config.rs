@@ -76,10 +76,10 @@ impl SimConfig {
         self
     }
 
-    /// Sets how many threads tick SMs in the cycle loop (1 = the calling
-    /// thread alone; counters are identical at any value).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.gpu.threads = threads.max(1);
+    /// Does nothing: the cycle loop runs on the calling thread alone.
+    /// Kept only so that callers written for the retired threaded engine
+    /// still compile; it will be removed.
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -248,16 +248,11 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let c = SimConfig::mobile()
-            .with_rt_max_warps(12)
-            .with_its(true)
-            .with_threads(4);
+        let c = SimConfig::mobile().with_rt_max_warps(12).with_its(true);
         let g = c.resolve();
         assert_eq!(g.rt_unit.max_warps, 12);
         assert_eq!(g.divergence, DivergenceMode::Multipath);
         assert_eq!(g.num_sms, 8);
-        assert_eq!(g.threads, 4);
-        assert_eq!(SimConfig::baseline().with_threads(0).gpu.threads, 1);
     }
 
     #[test]

@@ -29,19 +29,33 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Checks a resolved GPU configuration for degenerate knob values: an
-/// FR-FCFS queue depth of 0, zero partitions or channels that do not split
+/// Checks a resolved GPU configuration for degenerate knob values: a
+/// machine with no SMs, no warp slots per SM, or an RT unit that admits
+/// no warp, queues no fetch or issues none per cycle; an FR-FCFS queue
+/// depth of 0, zero partitions or channels that do not split
 /// evenly over them, a cache that cannot hold one line (the L1, the RT
 /// cache, one L2 slice), or a DRAM channel with no banks or zero-byte rows.
 ///
-/// Each of these would otherwise panic inside a memory-model constructor
-/// or on the first DRAM access; the constructors keep their asserts as a
-/// second line of defense.
+/// Each of these would otherwise panic inside a constructor or on the
+/// first DRAM access, or spin until `max_cycles`; the constructors keep
+/// their asserts as a second line of defense.
 ///
 /// # Errors
 ///
 /// Returns a [`ConfigError`] naming the offending knob.
 pub fn validate_config(config: &GpuConfig) -> Result<(), ConfigError> {
+    let rt = &config.rt_unit;
+    for (knob, value) in [
+        ("num_sms", config.num_sms),
+        ("max_warps_per_sm", config.max_warps_per_sm),
+        ("rt_unit.max_warps", rt.max_warps),
+        ("rt_unit.mem_queue", rt.mem_queue),
+        ("rt_unit.issue_per_cycle", rt.issue_per_cycle),
+    ] {
+        if value == 0 {
+            return reject(format!("{knob} must be >= 1"));
+        }
+    }
     let mem = &config.mem;
     if let DramSched::FrFcfs { queue_depth: 0, .. } = mem.dram.sched {
         return reject(

@@ -88,8 +88,8 @@ pub enum SimError {
         /// Cycle at which the hang was declared.
         cycle: u64,
     },
-    /// A worker panicked inside the cycle engine; the panic was contained
-    /// and converted instead of poisoning the round barrier.
+    /// An SM tick panicked inside the cycle loop; the panic was contained
+    /// and converted instead of tearing down the process.
     WorkerPanicked {
         /// SM whose tick panicked.
         sm: usize,

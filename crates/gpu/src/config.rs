@@ -42,12 +42,6 @@ pub struct GpuConfig {
     pub core_clock_mhz: u32,
     /// Safety bound on simulated cycles.
     pub max_cycles: u64,
-    /// Threads that tick SMs in the cycle loop's phase A, the calling
-    /// thread included (`1` starts no helper thread; never more than the
-    /// host has cores or the machine has SMs). Any value produces
-    /// bit-identical counters (the engine's determinism contract, see
-    /// DESIGN.md). Overridable at run time with `VKSIM_THREADS`.
-    pub threads: usize,
     /// Forward-progress watchdog window in cycles: if no instruction
     /// issues, no warp retires and no memory completion arrives for this
     /// many consecutive cycles, the run fails with a classified hang
@@ -96,7 +90,6 @@ impl GpuConfig {
             sfu_latency: 4,
             core_clock_mhz: 1365,
             max_cycles: 2_000_000_000,
-            threads: 1,
             watchdog_cycles: 0,
             fault_plan: FaultPlan::default(),
             checkpoint_every: 0,
@@ -145,11 +138,11 @@ impl GpuConfig {
     }
 
     /// Returns this configuration with the environment overrides applied:
-    /// `VKSIM_THREADS` (a positive integer), `VKSIM_WATCHDOG`,
-    /// `VKSIM_CHECKPOINT_EVERY` and `VKSIM_CHECKPOINT_KEEP` (integers; `0`
-    /// disables either way), `VKSIM_CHECKPOINT_DIR` (non-empty) and the
-    /// trace variables of [`TraceConfig::with_env_overrides`]. A variable
-    /// that is unset, empty or does not parse leaves its field alone.
+    /// `VKSIM_WATCHDOG`, `VKSIM_CHECKPOINT_EVERY` and
+    /// `VKSIM_CHECKPOINT_KEEP` (integers; `0` disables either way),
+    /// `VKSIM_CHECKPOINT_DIR` (non-empty) and the trace variables of
+    /// [`TraceConfig::with_env_overrides`]. A variable that is unset, empty
+    /// or does not parse leaves its field alone.
     ///
     /// The environment is read here and nowhere else: a run applies this
     /// once, before it fingerprints the configuration and builds the
@@ -157,9 +150,6 @@ impl GpuConfig {
     pub fn with_env_overrides(mut self) -> Self {
         fn parsed<T: std::str::FromStr>(name: &str) -> Option<T> {
             std::env::var(name).ok()?.trim().parse().ok()
-        }
-        if let Some(n) = parsed("VKSIM_THREADS").filter(|&n: &usize| n >= 1) {
-            self.threads = n;
         }
         if let Some(n) = parsed("VKSIM_WATCHDOG") {
             self.watchdog_cycles = n;
@@ -260,12 +250,6 @@ mod tests {
         assert_eq!(m.num_sms, 8);
         assert_eq!(m.registers_per_sm, 32768);
         assert!(m.mem.dram.channels < GpuConfig::baseline().mem.dram.channels);
-    }
-
-    #[test]
-    fn threads_default_to_serial_reference_path() {
-        assert_eq!(GpuConfig::baseline().threads, 1);
-        assert_eq!(GpuConfig::mobile().threads, 1);
     }
 
     #[test]

@@ -1,27 +1,21 @@
 //! Whole-GPU simulation: SM array + shared memory backend + kernel launch.
 //!
-//! There is one cycle loop, and it is a *two-phase* engine (see DESIGN.md):
-//! phase A ticks every SM against SM-local state only, buffering outbound
-//! memory requests in per-SM [`RequestQueue`]s and functional-memory writes
-//! in per-SM [`WriteOverlay`]s; phase B drains both serially in SM-id order
-//! into the shared backend and memory image. The SMs are split into
-//! contiguous chunks, one per participant: the calling thread ticks chunk 0
-//! and each helper thread ticks one of the others. Because the drain order
-//! is fixed, the request interleaving — and every counter — is identical
-//! with zero helpers or many.
+//! There is one cycle loop on one thread (see DESIGN.md). Each cycle it
+//! routes the backend's completions to their SMs, ticks every SM in SM-id
+//! order against the functional memory image, then drains the per-SM
+//! [`RequestQueue`]s into the shared backend, again in SM-id order. The
+//! fixed orders make the request interleaving — and every counter — a
+//! function of the configuration and the work alone.
 
 use crate::config::GpuConfig;
-use crate::sm::{GpuHooks, Sm};
+use crate::sm::{GpuHooks, Sm, TickReport};
 use crate::{Mask, WARP_SIZE};
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, RwLock};
 use vksim_fault::{panic_detail, FaultPlan, HangClass, SimError};
-use vksim_isa::{OverlayMem, Program, SimMemory, WriteOverlay};
+use vksim_isa::{Program, SimMemory};
 use vksim_mem::{MemSink, RequestQueue, SharedMemSystem};
-use vksim_parallel::{chunk_range, worker_cap, DoneGuard, RoundBarrier, ShutdownGuard};
 use vksim_snapshot::{load_fixed, restore_each, restore_opt, save_each, save_opt, Snap};
 use vksim_stats::{Counters, Histogram};
 use vksim_trace::{
@@ -67,7 +61,7 @@ pub enum RunOutcome {
     /// The kernel ran to completion.
     Done(Box<GpuStats>),
     /// The stop cycle was reached with work still resident; machine state
-    /// is at a clean cycle boundary (phase B drained).
+    /// is at a clean cycle boundary (request queues drained).
     Paused,
 }
 
@@ -162,10 +156,10 @@ pub struct GpuSim {
     cycle: u64,
     dropped_completions: u64,
     faults: u64,
-    /// Per-SM outbound request queues. Owned by the GPU (not the cycle
-    /// loop) because the bounded interconnect can refuse requests in
-    /// phase B, leaving them queued across cycle — and therefore pause —
-    /// boundaries.
+    /// Per-SM outbound request queues, drained into the backend in SM-id
+    /// order after every SM has ticked. The bounded interconnect can refuse
+    /// requests at the drain, leaving them queued across cycle — and
+    /// therefore pause — boundaries.
     queues: Vec<RequestQueue>,
     /// Watchdog baseline: the last cycle that made forward progress.
     /// Persisted so a checkpointed run resumes with the same hang window.
@@ -180,8 +174,7 @@ pub struct GpuSim {
 // L2/DRAM backend, the functional memory image, pending warps (the
 // launch-seeded queue is replaced wholesale), cycle/watchdog cursors and
 // the trace collector. `save` must be called at a clean cycle boundary
-// (between [`GpuSim::run_until`] slices); overlays are always empty there
-// and are not written. `restore` wants a freshly built and launched
+// (between [`GpuSim::run_until`] slices). `restore` wants a freshly built and launched
 // [`GpuSim`] under the saving run's configuration (the snapshot
 // fingerprint check upstream guarantees that); SM, queue and partition
 // counts and observer presence are checked against it.
@@ -204,83 +197,46 @@ vksim_snapshot::snap_state!(GpuSim {
     ),
 } skip { config, program });
 
-/// One SM's slice of engine state: everything its phase-A tick touches.
-struct Lane<'h> {
-    sm: Sm,
-    hooks: &'h mut (dyn GpuHooks + Send),
-    queue: RequestQueue,
-    overlay: WriteOverlay,
-    retired: bool,
-    progress: bool,
-    /// Tick fault (or contained panic), harvested in phase B.
-    fault: Option<SimError>,
-}
-
-/// One participant's contiguous run of lanes. A helper locks its chunk for
-/// the length of a round; the calling thread holds every chunk the rest of
-/// the time, so each lock is taken uncontended.
-type Chunk<'h> = Vec<Lane<'h>>;
-
 /// The hook shards as the cycle loop takes them. The loop is deliberately
 /// not generic over the hook type: a generic loop is instantiated in the
 /// caller's crate, out of inlining reach of this crate's SM methods, which
 /// cost ≈ 4 % of `wall_s` on the issue-bound benchmark workload.
-fn erase<H: GpuHooks + Send>(shards: &mut [H]) -> Vec<&mut (dyn GpuHooks + Send)> {
-    shards
-        .iter_mut()
-        .map(|h| h as &mut (dyn GpuHooks + Send))
-        .collect()
+fn erase<H: GpuHooks>(shards: &mut [H]) -> Vec<&mut dyn GpuHooks> {
+    shards.iter_mut().map(|h| h as &mut dyn GpuHooks).collect()
 }
 
-/// Takes ownership of a chunk. A poisoned lock means a helper died outside
-/// the per-lane panic net while holding it.
-fn lock<T>(slot: &Mutex<T>) -> MutexGuard<'_, T> {
-    slot.lock().expect("chunk lock")
-}
-
-/// Phase A for one chunk: ticks each SM against its own lane and the
-/// read-only memory image. Each tick is panic-contained: a dying tick
-/// becomes a classified fault harvested in phase B instead of tearing down
-/// the process or poisoning the round barrier. An asleep SM is passed over
+/// Ticks one SM against the memory image, submitting into its request
+/// queue. The tick is panic-contained: a dying tick becomes a classified
+/// fault instead of tearing down the process. An asleep SM is passed over
 /// first, unless the fault plan's worker panic must fire in its sleep.
-fn tick_chunk(
-    chunk: &mut [Lane<'_>],
+fn tick_sm(
+    sm: &mut Sm,
     now: u64,
     program: &Program,
-    base: &SimMemory,
+    mem: &mut SimMemory,
+    queue: &mut RequestQueue,
+    hooks: &mut dyn GpuHooks,
     plan: FaultPlan,
-) {
-    for lane in chunk {
-        let id = lane.sm.id;
-        let panics_here = plan.worker_panic.is_some_and(|spec| spec.sm == id);
-        if !panics_here && lane.sm.sleeps_through(now, lane.queue.backlogged()) {
-            (lane.retired, lane.progress) = (false, false);
-            continue;
+) -> Result<TickReport, SimError> {
+    let id = sm.id;
+    let panics_here = plan.worker_panic.is_some_and(|spec| spec.sm == id);
+    if !panics_here && sm.sleeps_through(now, queue.backlogged()) {
+        return Ok(TickReport::default());
+    }
+    let ticked = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        if let Some(spec) = plan.worker_panic {
+            if spec.sm == id && now >= spec.cycle {
+                panic!("injected worker panic (fault plan)");
+            }
         }
-        let mut view = OverlayMem::new(base, &mut lane.overlay);
-        let (sm, queue, hooks) = (&mut lane.sm, &mut lane.queue, &mut *lane.hooks);
-        let ticked = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            if let Some(spec) = plan.worker_panic {
-                if spec.sm == id && now >= spec.cycle {
-                    panic!("injected worker panic (fault plan)");
-                }
-            }
-            sm.tick(now, program, &mut view, queue, hooks)
-        }));
-        (lane.retired, lane.progress) = match ticked {
-            Ok(Ok(t)) => (t.retired, t.progress),
-            Ok(Err(e)) => {
-                lane.fault = Some(*e);
-                (false, false)
-            }
-            Err(p) => {
-                lane.fault = Some(SimError::WorkerPanicked {
-                    sm: id,
-                    detail: panic_detail(&*p),
-                });
-                (false, false)
-            }
-        };
+        sm.tick(now, program, mem, queue, hooks)
+    }));
+    match ticked {
+        Ok(report) => report.map_err(|e| *e),
+        Err(p) => Err(SimError::WorkerPanicked {
+            sm: id,
+            detail: panic_detail(&*p),
+        }),
     }
 }
 
@@ -288,25 +244,23 @@ fn tick_chunk(
 /// lowest SM id winning ties (`Iterator::min_by_key` keeps the first
 /// minimum); each SM that gets one is woken for its tick at `next`.
 fn refill(
-    held: &mut [MutexGuard<'_, Chunk<'_>>],
+    sms: &mut [Sm],
     pending: &mut VecDeque<WarpSeed>,
     limit: usize,
     program: &Program,
     next: u64,
 ) {
     while !pending.is_empty() {
-        let Some(lane) = held
+        let Some(sm) = sms
             .iter_mut()
-            .flat_map(|c| c.iter_mut())
-            .filter(|l| l.sm.resident_warps() < limit)
-            .min_by_key(|l| l.sm.resident_warps())
+            .filter(|sm| sm.resident_warps() < limit)
+            .min_by_key(|sm| sm.resident_warps())
         else {
             break;
         };
         let seed = pending.pop_front().expect("nonempty");
-        lane.sm.wake(next);
-        lane.sm
-            .add_warp(seed.id, seed.base_tid, seed.active, program);
+        sm.wake(next);
+        sm.add_warp(seed.id, seed.base_tid, seed.active, program);
     }
 }
 
@@ -453,25 +407,21 @@ impl GpuSim {
     }
 
     /// Runs the launched kernel to completion with one hook shard per SM.
-    /// Phase A is ticked by `min(threads, cores, num_sms)` participants
-    /// ([`GpuConfig::threads`]): the calling thread plus helper
-    /// threads, none at one thread. Counters are bit-identical at any
-    /// thread count.
     ///
     /// # Errors
     ///
     /// Returns a [`GpuFault`] — classified [`SimError`], partial
-    /// statistics and the post-mortem dump path — when a lane faults, the
-    /// cycle cap is exceeded, a tick panics (on any thread), or the
-    /// forward-progress watchdog declares a hang. A faulting cycle is
-    /// finished first — every SM ticks and phase B drains — and the fault
-    /// reported is the first in SM-id order.
+    /// statistics and the post-mortem dump path — when a tick faults or
+    /// panics, the cycle cap is exceeded, or the forward-progress watchdog
+    /// declares a hang. A faulting cycle is finished first — every SM
+    /// ticks and the request queues drain — and the fault reported is the
+    /// first in SM-id order.
     ///
     /// # Panics
     ///
     /// Panics if `shards.len() != num_sms` or no kernel was launched.
-    pub fn run<H: GpuHooks + Send>(&mut self, shards: &mut [H]) -> Result<GpuStats, Box<GpuFault>> {
-        match self.cycle_loop(erase(shards), self.participants(), None)? {
+    pub fn run<H: GpuHooks>(&mut self, shards: &mut [H]) -> Result<GpuStats, Box<GpuFault>> {
+        match self.cycle_loop(erase(shards), None)? {
             RunOutcome::Done(stats) => Ok(*stats),
             RunOutcome::Paused => unreachable!("unbounded run cannot pause"),
         }
@@ -479,9 +429,9 @@ impl GpuSim {
 
     /// Runs until the kernel completes or the cycle counter reaches
     /// `stop_at`, whichever comes first. A [`RunOutcome::Paused`] return
-    /// leaves the machine at a clean cycle boundary (phase B drained, no
-    /// in-flight overlays), so [`GpuSim::save`] captures a state from
-    /// which a resumed run — at any thread count — is bit-identical to an
+    /// leaves the machine at a clean cycle boundary (request queues
+    /// drained up to what the interconnect refused), so [`GpuSim::save`]
+    /// captures a state from which a resumed run is bit-identical to an
     /// uninterrupted one.
     ///
     /// # Errors
@@ -491,33 +441,25 @@ impl GpuSim {
     /// # Panics
     ///
     /// As [`GpuSim::run`].
-    pub fn run_until<H: GpuHooks + Send>(
+    pub fn run_until<H: GpuHooks>(
         &mut self,
         shards: &mut [H],
         stop_at: u64,
     ) -> Result<RunOutcome, Box<GpuFault>> {
-        self.cycle_loop(erase(shards), self.participants(), Some(stop_at))
+        self.cycle_loop(erase(shards), Some(stop_at))
     }
 
-    /// Threads that tick SMs in phase A, the caller included. More than
-    /// the host has cores can only take turns yielding, and more than
-    /// there are SMs would have nothing to tick. Counters are identical at
-    /// any count, so this moves host time only.
-    fn participants(&self) -> usize {
-        worker_cap(self.config.threads).min(self.sms.len()).max(1)
-    }
-
-    /// The cycle loop. `participants` is not a knob: the public entry
-    /// points always pass [`GpuSim::participants`]; tests pass more than
-    /// the host has cores to reach the helper path anywhere.
+    /// The cycle loop: route completions, tick every SM in id order, drain
+    /// the request queues in id order, then the trace, refill and watchdog
+    /// steps.
     fn cycle_loop(
         &mut self,
-        shards: Vec<&mut (dyn GpuHooks + Send)>,
-        participants: usize,
+        mut shards: Vec<&mut dyn GpuHooks>,
         stop_at: Option<u64>,
     ) -> Result<RunOutcome, Box<GpuFault>> {
         let num = self.sms.len();
         assert_eq!(shards.len(), num, "run needs one hook shard per SM");
+        debug_assert_eq!(self.queues.len(), num, "one request queue per SM");
         let program = self.program.clone().expect("launch() before run()");
         let limit = self.config.occupancy_limit(program.num_regs() as u32);
         let max_cycles = self.config.max_cycles;
@@ -526,189 +468,112 @@ impl GpuSim {
         let mut fault: Option<SimError> = None;
         let mut paused = false;
 
-        // Chunk `w` holds the SMs of `chunk_range(num, participants, w)`.
-        let starts: Vec<usize> = (0..participants)
-            .map(|w| chunk_range(num, participants, w).start)
-            .collect();
-        let queues = std::mem::take(&mut self.queues);
-        debug_assert_eq!(queues.len(), num, "one request queue per SM");
-        let mut lanes = std::mem::take(&mut self.sms)
-            .into_iter()
-            .zip(shards)
-            .zip(queues)
-            .map(|((sm, hooks), queue)| Lane {
-                sm,
-                hooks,
-                queue,
-                overlay: WriteOverlay::new(),
-                retired: false,
-                progress: false,
-                fault: None,
-            });
-        let slots: Vec<Mutex<Chunk<'_>>> = (0..participants)
-            .map(|w| {
-                let len = chunk_range(num, participants, w).len();
-                Mutex::new(lanes.by_ref().take(len).collect())
-            })
-            .collect();
-        // Read-shared while a round is open (writes land in the lane
-        // overlays), exclusively held by the caller between rounds.
-        let mem = RwLock::new(std::mem::take(&mut self.mem));
-        let barrier = RoundBarrier::new(participants - 1);
-        let now_cycle = AtomicU64::new(self.cycle);
-
-        std::thread::scope(|s| {
-            let _shutdown = ShutdownGuard::new(&barrier);
-            for slot in &slots[1..] {
-                let (mem, barrier, now_cycle, program) = (&mem, &barrier, &now_cycle, &program);
-                s.spawn(move || {
-                    let mut epoch = 0;
-                    while let Some(e) = barrier.wait_round(epoch) {
-                        epoch = e;
-                        let _done = DoneGuard::new(barrier);
-                        let now = now_cycle.load(Ordering::Acquire);
-                        let base = mem.read().expect("functional memory lock");
-                        tick_chunk(&mut lock(slot), now, program, &base, plan);
-                    }
-                });
+        let mut ticked = self.cycle;
+        refill(
+            &mut self.sms,
+            &mut self.pending,
+            limit,
+            &program,
+            ticked + 1,
+        );
+        while !self.pending.is_empty() || self.sms.iter().any(|sm| !sm.is_empty()) {
+            self.cycle += 1;
+            let cycle = self.cycle;
+            if cycle >= max_cycles {
+                fault = Some(SimError::MaxCycles { limit: max_cycles });
+                break;
             }
-
-            let mut held: Vec<_> = slots.iter().map(lock).collect();
-            let mut base = mem.write().expect("functional memory lock");
-            let mut ticked = self.cycle;
-            refill(&mut held, &mut self.pending, limit, &program, ticked + 1);
-            while !self.pending.is_empty()
-                || held.iter().flat_map(|c| c.iter()).any(|l| !l.sm.is_empty())
-            {
-                self.cycle += 1;
-                let cycle = self.cycle;
-                if cycle >= max_cycles {
-                    fault = Some(SimError::MaxCycles { limit: max_cycles });
-                    break;
-                }
-                // Backend completions routed to their SM.
-                let completions = self.shared.advance_to(cycle);
-                let mut progress = !completions.is_empty();
-                for (id, at) in completions {
-                    let sm = (id >> 48) as usize;
-                    debug_assert!(
-                        sm < num,
-                        "completion id {id:#x} routes to nonexistent SM {sm}"
-                    );
-                    if sm < num {
-                        let w = starts.partition_point(|&start| start <= sm) - 1;
-                        let sm = &mut held[w][sm - starts[w]].sm;
+            // Backend completions routed to their SM.
+            let completions = self.shared.advance_to(cycle);
+            let mut progress = !completions.is_empty();
+            for (id, at) in completions {
+                let sm = (id >> 48) as usize;
+                debug_assert!(
+                    sm < num,
+                    "completion id {id:#x} routes to nonexistent SM {sm}"
+                );
+                match self.sms.get_mut(sm) {
+                    Some(sm) => {
                         sm.wake(cycle);
                         sm.on_mem_complete(id, at.max(cycle));
-                    } else {
-                        self.dropped_completions += 1;
                     }
-                }
-                // Phase A: tick SMs against SM-local state only. Helpers,
-                // when there are any, take their chunks and a read view of
-                // the memory image for the length of the round.
-                let mut poisoned = false;
-                if participants == 1 {
-                    tick_chunk(&mut held[0], cycle, &program, &base, plan);
-                } else {
-                    held.truncate(1);
-                    drop(base);
-                    now_cycle.store(cycle, Ordering::Release);
-                    barrier.begin_round();
-                    tick_chunk(
-                        &mut held[0],
-                        cycle,
-                        &program,
-                        &mem.read().expect("functional memory lock"),
-                        plan,
-                    );
-                    // Defense in depth: panics are contained per lane, but
-                    // if a helper still dies outside that net the barrier
-                    // reports poison instead of spinning forever.
-                    poisoned = barrier.try_wait_workers().is_err();
-                    held.extend(slots[1..].iter().map(lock));
-                    base = mem.write().expect("functional memory lock");
-                }
-                ticked = cycle;
-                // Phase B: drain request queues and write overlays in
-                // SM-id order; the first fault in that order wins.
-                let mut retired = false;
-                for lane in held.iter_mut().flat_map(|c| c.iter_mut()) {
-                    if !lane.queue.is_empty() {
-                        lane.queue.drain_into(&mut self.shared);
-                    }
-                    if !lane.overlay.is_empty() {
-                        lane.overlay.apply_to(&mut base);
-                    }
-                    retired |= lane.retired;
-                    progress |= lane.progress;
-                    if fault.is_none() {
-                        fault = lane.fault.take();
-                    }
-                }
-                // Trace maintenance: per-SM staged events in SM-id order,
-                // shared-backend events under the memory pseudo-process,
-                // then the interval series.
-                if let Some(col) = self.collector.as_mut() {
-                    for lane in held.iter_mut().flat_map(|c| c.iter_mut()) {
-                        lane.sm.observers.drain_into(col, lane.sm.id as u32);
-                    }
-                    let rows = self.shared.take_row_activates();
-                    col.push_mem_events(num as u32, rows.into_iter().map(row_activate_event));
-                    let interval = col.interval();
-                    if interval > 0 && cycle.is_multiple_of(interval) {
-                        for lane in held.iter_mut().flat_map(|c| c.iter_mut()) {
-                            lane.sm.wake(cycle + 1);
-                        }
-                        let sms = held.iter().flat_map(|c| c.iter()).map(|l| &l.sm);
-                        sample_interval(col, cycle, sms, &self.shared);
-                    }
-                }
-                if fault.is_none() && poisoned {
-                    fault = Some(SimError::WorkerPanicked {
-                        sm: 0,
-                        detail: "a phase-A helper poisoned the round barrier".into(),
-                    });
-                }
-                if fault.is_some() {
-                    break;
-                }
-                if retired {
-                    refill(&mut held, &mut self.pending, limit, &program, cycle + 1);
-                }
-                if progress {
-                    self.last_progress = cycle;
-                } else if watchdog > 0 && cycle - self.last_progress >= watchdog {
-                    let issuable = held
-                        .iter()
-                        .flat_map(|c| c.iter())
-                        .any(|l| l.sm.has_issuable_ctx(cycle));
-                    fault = Some(SimError::Hang {
-                        class: classify_hang(issuable, self.shared.is_idle()),
-                        window: watchdog,
-                        cycle,
-                    });
-                    break;
-                }
-                if stop_at.is_some_and(|s| cycle >= s) {
-                    paused = true;
-                    break;
+                    None => self.dropped_completions += 1,
                 }
             }
-            // Whatever reads the SMs next sees them ticked through `ticked`.
-            for lane in held.iter_mut().flat_map(|c| c.iter_mut()) {
-                lane.sm.wake(ticked + 1);
+            // Tick every SM in id order; an SM sees the functional writes
+            // of the lower-id SMs that ticked before it this cycle. The
+            // first fault in that order wins.
+            let mut retired = false;
+            let lanes = self.sms.iter_mut().zip(&mut self.queues).zip(&mut shards);
+            for ((sm, queue), hooks) in lanes {
+                match tick_sm(
+                    sm,
+                    cycle,
+                    &program,
+                    &mut self.mem,
+                    queue,
+                    &mut **hooks,
+                    plan,
+                ) {
+                    Ok(t) => {
+                        retired |= t.retired;
+                        progress |= t.progress;
+                    }
+                    Err(e) => {
+                        fault.get_or_insert(e);
+                    }
+                }
             }
-        });
-
-        for lane in slots
-            .into_iter()
-            .flat_map(|c| c.into_inner().expect("chunk lock"))
-        {
-            self.sms.push(lane.sm);
-            self.queues.push(lane.queue);
+            ticked = cycle;
+            // Drain the request queues into the backend in SM-id order.
+            for queue in &mut self.queues {
+                if !queue.is_empty() {
+                    queue.drain_into(&mut self.shared);
+                }
+            }
+            // Trace maintenance: per-SM staged events in SM-id order,
+            // shared-backend events under the memory pseudo-process, then
+            // the interval series.
+            if let Some(col) = self.collector.as_mut() {
+                for sm in &mut self.sms {
+                    sm.observers.drain_into(col, sm.id as u32);
+                }
+                let rows = self.shared.take_row_activates();
+                col.push_mem_events(num as u32, rows.into_iter().map(row_activate_event));
+                let interval = col.interval();
+                if interval > 0 && cycle.is_multiple_of(interval) {
+                    for sm in &mut self.sms {
+                        sm.wake(cycle + 1);
+                    }
+                    sample_interval(col, cycle, self.sms.iter(), &self.shared);
+                }
+            }
+            if fault.is_some() {
+                break;
+            }
+            if retired {
+                refill(&mut self.sms, &mut self.pending, limit, &program, cycle + 1);
+            }
+            if progress {
+                self.last_progress = cycle;
+            } else if watchdog > 0 && cycle - self.last_progress >= watchdog {
+                let issuable = self.sms.iter().any(|sm| sm.has_issuable_ctx(cycle));
+                fault = Some(SimError::Hang {
+                    class: classify_hang(issuable, self.shared.is_idle()),
+                    window: watchdog,
+                    cycle,
+                });
+                break;
+            }
+            if stop_at.is_some_and(|s| cycle >= s) {
+                paused = true;
+                break;
+            }
         }
-        self.mem = mem.into_inner().expect("functional memory lock");
+        // Whatever reads the SMs next sees them ticked through `ticked`.
+        for sm in &mut self.sms {
+            sm.wake(ticked + 1);
+        }
         debug_assert!(!self.sms.iter().any(Sm::is_asleep));
         if let Some(e) = fault {
             return Err(self.fail(e));

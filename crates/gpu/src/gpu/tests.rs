@@ -74,19 +74,6 @@ fn shards(gpu: &GpuSim, width: u32) -> Vec<TestHooks> {
         .collect()
 }
 
-/// The cycle loop with an explicit participant count, so the helper path
-/// runs on any host (the public entry points cap it by the core count).
-fn run_with(
-    gpu: &mut GpuSim,
-    hooks: &mut [TestHooks],
-    participants: usize,
-) -> Result<GpuStats, Box<GpuFault>> {
-    match gpu.cycle_loop(erase(hooks), participants, None)? {
-        RunOutcome::Done(stats) => Ok(*stats),
-        RunOutcome::Paused => unreachable!("unbounded run cannot pause"),
-    }
-}
-
 fn small_config() -> GpuConfig {
     GpuConfig {
         num_sms: 2,
@@ -383,26 +370,6 @@ fn trace_program() -> vksim_isa::Program {
     b.build()
 }
 
-fn run_trace_with_threads(threads: usize) -> GpuStats {
-    let mut gpu = GpuSim::new(GpuConfig {
-        threads,
-        ..small_config()
-    });
-    gpu.launch(
-        trace_program(),
-        LaunchDims {
-            width: 256,
-            height: 1,
-            depth: 1,
-        },
-    );
-    let mut hooks = shards(&gpu, 256);
-    let stats = gpu.run(&mut hooks).expect("healthy run");
-    let taken: usize = hooks.iter().map(|h| h.scripts_taken).sum();
-    assert_eq!(taken, 256, "every lane's script consumed");
-    stats
-}
-
 #[test]
 fn stalled_warp_trips_watchdog_as_simt_livelock() {
     use vksim_fault::{FaultPlan, HangClass};
@@ -473,7 +440,7 @@ fn injected_worker_panic_is_contained() {
     assert!(fault.dump.is_some());
 }
 
-/// Phase A passes over an asleep SM, but never the fault plan's
+/// The cycle loop passes over an asleep SM, but never the fault plan's
 /// worker-panic SM: its injection fires at its cycle even while the SM
 /// sleeps (it waits on the RT unit from about cycle 10 on).
 #[test]
@@ -610,18 +577,6 @@ fn restore_rejects_mismatched_sm_count() {
     );
 }
 
-#[test]
-fn threads_do_not_change_counters() {
-    let serial = run_trace_with_threads(1);
-    let parallel = run_trace_with_threads(4);
-    assert_eq!(serial.cycles, parallel.cycles);
-    assert_eq!(serial.issued_insts, parallel.issued_insts);
-    assert_eq!(serial.counters, parallel.counters);
-    assert_eq!(serial.l1_stats, parallel.l1_stats);
-    assert_eq!(serial.l2_stats, parallel.l2_stats);
-    assert_eq!(serial.dram_stats, parallel.dram_stats);
-}
-
 fn accounting_config() -> GpuConfig {
     GpuConfig {
         trace: vksim_trace::TraceConfig {
@@ -674,33 +629,6 @@ fn accounting_disabled_leaves_no_trace_of_itself() {
     let mut hooks = shards(&gpu, 64);
     gpu.run(&mut hooks).expect("healthy run");
     assert!(gpu.prof_report().is_none());
-}
-
-fn run_prof_with_threads(threads: usize) -> String {
-    let mut gpu = GpuSim::new(GpuConfig {
-        threads,
-        ..accounting_config()
-    });
-    gpu.launch(
-        trace_program(),
-        LaunchDims {
-            width: 256,
-            height: 1,
-            depth: 1,
-        },
-    );
-    let mut hooks = shards(&gpu, 256);
-    gpu.run(&mut hooks).expect("healthy run");
-    let report = gpu.prof_report().expect("accounting enabled");
-    assert!(report.conservation_holds(), "{report:?}");
-    report.flat_json()
-}
-
-#[test]
-fn accounting_breakdown_is_thread_count_invariant() {
-    let serial = run_prof_with_threads(1);
-    let parallel = run_prof_with_threads(4);
-    assert_eq!(serial, parallel, "breakdown must be byte-identical");
 }
 
 #[test]
@@ -859,32 +787,6 @@ fn rt_analytics_disabled_leaves_no_trace_of_itself() {
     assert!(gpu.rt_report_parts().is_none());
 }
 
-fn run_rt_with_threads(threads: usize) -> String {
-    let mut gpu = GpuSim::new(GpuConfig {
-        threads,
-        ..rt_config()
-    });
-    gpu.launch(
-        trace_program(),
-        LaunchDims {
-            width: 256,
-            height: 1,
-            depth: 1,
-        },
-    );
-    let mut hooks = shards(&gpu, 256);
-    gpu.run(&mut hooks).expect("healthy run");
-    let parts = gpu.rt_report_parts().expect("rt analytics enabled");
-    format!("{parts:?}")
-}
-
-#[test]
-fn rt_analytics_is_thread_count_invariant() {
-    let serial = run_rt_with_threads(1);
-    let parallel = run_rt_with_threads(4);
-    assert_eq!(serial, parallel, "rt analytics must be identical");
-}
-
 #[test]
 fn rt_analytics_survives_checkpoint_byte_identically() {
     let config = rt_config();
@@ -960,8 +862,7 @@ fn rt_counter_tracks_reach_chrome_trace() {
     );
 }
 
-/// Four SMs with both conservation-checked observers on: three
-/// participants split them 2 + 1 + 1.
+/// Four SMs with both conservation-checked observers on.
 fn observed_4sm(fault_plan: vksim_fault::FaultPlan) -> GpuSim {
     GpuSim::new(GpuConfig {
         num_sms: 4,
@@ -981,42 +882,40 @@ const WIDE: LaunchDims = LaunchDims {
     depth: 1,
 };
 
+/// On four SMs every cycle is attributed once per SM, every SM keeps its
+/// own hook shard, and every lane's script is consumed exactly once.
 #[test]
-fn helpers_on_uneven_chunks_match_the_inline_run() {
-    let observe = |participants: usize| {
-        let mut gpu = observed_4sm(vksim_fault::FaultPlan::default());
-        gpu.launch(trace_program(), WIDE);
-        let mut hooks = shards(&gpu, WIDE.width);
-        let stats = run_with(&mut gpu, &mut hooks, participants).expect("healthy run");
-        let prof = gpu.prof_report().expect("accounting enabled");
-        assert!(prof.conservation_holds(), "{prof:?}");
-        let (per_sm, rt_box_ops) = gpu.rt_report_parts().expect("rt analytics enabled");
-        let rt = vksim_trace::RtReport {
-            traversal: vksim_trace::TraversalAnalytics::default(),
-            per_sm,
-            rt_box_ops,
-        };
-        let taken: Vec<usize> = hooks.iter().map(|h| h.scripts_taken).collect();
-        (stats, prof.flat_map(), rt.flat_map(), taken)
-    };
-    let (inline, inline_prof, inline_rt, inline_taken) = observe(1);
-    let (helped, helped_prof, helped_rt, helped_taken) = observe(3);
-    assert_eq!(inline.cycles, helped.cycles);
-    assert_eq!(inline.issued_insts, helped.issued_insts);
-    assert_eq!(inline.counters, helped.counters);
-    assert_eq!(inline.l1_stats, helped.l1_stats);
-    assert_eq!(inline.l2_stats, helped.l2_stats);
-    assert_eq!(inline.dram_stats, helped.dram_stats);
-    assert_eq!(inline_prof, helped_prof);
-    assert_eq!(inline_rt, helped_rt);
-    assert_eq!(inline_taken, helped_taken, "every SM keeps its own shard");
-    assert_eq!(inline_taken.iter().sum::<usize>(), 512);
+fn four_sms_conserve_cycles_and_scripts() {
+    let mut gpu = observed_4sm(vksim_fault::FaultPlan::default());
+    gpu.launch(trace_program(), WIDE);
+    let mut hooks = shards(&gpu, WIDE.width);
+    let stats = gpu.run(&mut hooks).expect("healthy run");
+    let prof = gpu.prof_report().expect("accounting enabled");
+    assert!(prof.conservation_holds(), "{prof:?}");
+    assert_eq!(prof.cycles, stats.cycles);
+    let (per_sm, rt_box_ops) = gpu.rt_report_parts().expect("rt analytics enabled");
+    assert_eq!(per_sm.len(), 4);
+    assert_eq!(
+        per_sm
+            .iter()
+            .map(|s| s.coherence.trace_warps())
+            .sum::<u64>(),
+        16,
+        "512 threads = 16 trace warps"
+    );
+    assert_eq!(rt_box_ops, 512 * 6, "one 6-test box step per lane");
+    let taken: Vec<usize> = hooks.iter().map(|h| h.scripts_taken).collect();
+    assert!(
+        taken.iter().all(|&n| n > 0),
+        "every SM ran warps: {taken:?}"
+    );
+    assert_eq!(taken.iter().sum::<usize>(), 512);
 }
 
-/// A fault finishes its cycle — every SM ticks, phase B drains — and the
-/// first fault in SM-id order is reported, whoever ticked the SM.
+/// A fault finishes its cycle — every SM ticks, the request queues
+/// drain — and the first fault in SM-id order is reported.
 #[test]
-fn faults_are_identical_with_and_without_helpers() {
+fn faults_report_the_first_in_sm_id_order() {
     use vksim_fault::{FaultPlan, WorkerPanicSpec};
     let program = trace_program();
     let truncated = program.truncated(program.len() - 1);
@@ -1028,21 +927,17 @@ fn faults_are_identical_with_and_without_helpers() {
         ("truncated program", truncated, FaultPlan::default()),
         ("injected panic", program, panic_plan),
     ] {
-        let faulted = |participants: usize| {
-            let mut gpu = observed_4sm(plan);
-            gpu.launch(program.clone(), WIDE);
-            let mut hooks = shards(&gpu, WIDE.width);
-            let fault = run_with(&mut gpu, &mut hooks, participants).expect_err(label);
-            (fault.error, fault.stats.cycles, fault.stats.counters)
-        };
-        let inline = faulted(1);
-        let helped = faulted(3);
-        match (label, &inline.0) {
+        let mut gpu = observed_4sm(plan);
+        gpu.launch(program, WIDE);
+        let mut hooks = shards(&gpu, WIDE.width);
+        let fault = gpu.run(&mut hooks).expect_err(label);
+        match (label, &fault.error) {
             ("truncated program", SimError::Exec { sm: 0, .. }) => {}
-            ("injected panic", SimError::WorkerPanicked { sm: 2, .. }) => {}
+            ("injected panic", SimError::WorkerPanicked { sm: 2, .. }) => {
+                assert_eq!(fault.stats.cycles, 12, "fired at its cycle");
+            }
             other => panic!("unexpected fault {other:?}"),
         }
-        assert_eq!(inline, helped, "{label}");
     }
 }
 
@@ -1168,7 +1063,7 @@ fn a_warm_issue_path_allocates_nothing_per_cycle() {
     gpu.launch(b.build(), dims);
     let mut hooks = shards(&gpu, 64);
     let mut run_to = |stop: u64| {
-        let outcome = gpu.cycle_loop(erase(&mut hooks), 1, Some(stop));
+        let outcome = gpu.run_until(&mut hooks, stop);
         assert!(
             matches!(outcome, Ok(RunOutcome::Paused)),
             "the loop never ends"
@@ -1186,14 +1081,13 @@ fn a_warm_issue_path_allocates_nothing_per_cycle() {
 
 // -----------------------------------------------------------------
 // Property: on random divergent kernels the cycle-accounting
-// breakdown conserves (Σ categories == num_sms × cycles) and is
-// byte-identical with and without a helper thread.
+// breakdown conserves (Σ categories == num_sms × cycles).
 // -----------------------------------------------------------------
 
 mod accounting_properties {
     use super::*;
     use vksim_testkit::prop::{check, u32_in};
-    use vksim_testkit::prop_assert_eq;
+    use vksim_testkit::{prop_assert, prop_assert_eq};
 
     fn prop_program(threshold: u32, alu_len: u32, with_store: bool) -> vksim_isa::Program {
         let mut b = ProgramBuilder::new();
@@ -1231,39 +1125,29 @@ mod accounting_properties {
         b.build()
     }
 
-    fn run_case(participants: usize, program: &vksim_isa::Program, width: u32) -> String {
-        let mut gpu = GpuSim::new(accounting_config());
-        gpu.launch(
-            program.clone(),
-            LaunchDims {
-                width,
-                height: 1,
-                depth: 1,
-            },
-        );
-        let mut hooks = shards(&gpu, width);
-        run_with(&mut gpu, &mut hooks, participants).expect("healthy run");
-        let report = gpu.prof_report().expect("accounting enabled");
-        assert!(
-            report.conservation_holds(),
-            "conservation violated at {participants} participants: {report:?}"
-        );
-        report.flat_json()
-    }
-
     #[test]
-    fn random_kernels_conserve_at_any_thread_count() {
+    fn random_kernels_conserve() {
         let strat = (u32_in(0, 33), u32_in(1, 12), u32_in(1, 200), u32_in(0, 2));
         check(&strat, |&(threshold, alu_len, width, store)| {
             let program = prop_program(threshold, alu_len, store == 1);
-            let serial = run_case(1, &program, width);
-            let parallel = run_case(4, &program, width);
-            prop_assert_eq!(
-                &serial,
-                &parallel,
-                "breakdown diverged (threshold {threshold}, alu {alu_len}, \
-                 width {width}, store {store})"
+            let mut gpu = GpuSim::new(accounting_config());
+            gpu.launch(
+                program,
+                LaunchDims {
+                    width,
+                    height: 1,
+                    depth: 1,
+                },
             );
+            let mut hooks = shards(&gpu, width);
+            let stats = gpu.run(&mut hooks).expect("healthy run");
+            let report = gpu.prof_report().expect("accounting enabled");
+            prop_assert!(
+                report.conservation_holds(),
+                "conservation violated (threshold {threshold}, alu {alu_len}, \
+                 width {width}, store {store}): {report:?}"
+            );
+            prop_assert_eq!(report.cycles, stats.cycles);
             Ok(())
         });
     }

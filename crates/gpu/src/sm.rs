@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use vksim_fault::SimError;
 use vksim_isa::interp::{self, exec_warp, Effect, ExecError, LaneOut, RtHooks, ThreadState};
 use vksim_isa::op::MemSpace;
-use vksim_isa::{MemIo, Program};
+use vksim_isa::{Program, SimMemory};
 use vksim_mem::{
     AccessKind, AddrMap, Cache, CacheOutcome, FixedMap, MemRequest, MemSink, CHUNK_BYTES,
 };
@@ -559,15 +559,14 @@ impl Sm {
         &mut self,
         now: u64,
         program: &Program,
-        mem: &mut dyn MemIo,
+        mem: &mut SimMemory,
         sink: &mut dyn MemSink,
         hooks: &mut dyn GpuHooks,
     ) -> Result<TickReport, Box<SimError>> {
         // Interconnect backpressure: leftovers in the SM's request queue
-        // after the previous phase-B drain mean the bounded interconnect
-        // refused them. Sampled once at tick start — before this cycle's
-        // own submissions land — so the reading is identical at any thread
-        // count.
+        // after the previous cycle's drain mean the bounded interconnect
+        // refused them. Sampled once at tick start, before this cycle's
+        // own submissions land.
         let icnt_blocked = sink.backlogged();
         if self.sleeps_through(now, icnt_blocked) {
             return Ok(TickReport::default());
@@ -579,10 +578,9 @@ impl Sm {
         self.observers.icnt_edge(now, icnt_blocked);
 
         // Cycle accounting: classify the would-be stall reason from
-        // SM-local state sampled at tick start — before the RT unit and
-        // retry passes below mutate context statuses — so the attribution
-        // is identical at any thread count (the `icnt_stall_cycles`
-        // discipline). `Issued` overrides the
+        // SM-local state sampled at tick start, before the RT unit and
+        // retry passes below mutate context statuses (the
+        // `icnt_stall_cycles` discipline). `Issued` overrides the
         // precomputed class after the issue stage.
         let stall = self.classify_stall(now, icnt_blocked);
 
@@ -660,7 +658,8 @@ impl Sm {
 
     /// `true` when the tick at `now` is skipped: the SM sleeps through it
     /// and its request queue is not `backlogged` (the skip rule of
-    /// [`Sm::tick`] and phase A). Debug builds re-derive the sleep.
+    /// [`Sm::tick`] and of the cycle loop). Debug builds re-derive the
+    /// sleep.
     pub fn sleeps_through(&self, now: u64, backlogged: bool) -> bool {
         let until = self.sleep.map_or(0, |(_, until)| until);
         let skip = now < until && !backlogged;
@@ -892,7 +891,7 @@ impl Sm {
         ctx_id: u32,
         now: u64,
         program: &Program,
-        mem: &mut dyn MemIo,
+        mem: &mut SimMemory,
         sink: &mut dyn MemSink,
         hooks: &mut dyn GpuHooks,
     ) -> Result<(), Box<SimError>> {

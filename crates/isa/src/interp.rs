@@ -19,7 +19,7 @@
 //! per-thread traversal-result stacks (paper §III-B2: "results of traversal
 //! are stored in a stack").
 
-use crate::memory::MemIo;
+use crate::memory::SimMemory;
 use crate::op::{CmpOp, Instr, MemSpace, RtIdxQuery, RtQuery};
 use crate::program::Program;
 
@@ -325,7 +325,7 @@ pub fn exec_warp(
     pc: u32,
     mask: u32,
     threads: &mut [ThreadState],
-    mem: &mut dyn MemIo,
+    mem: &mut SimMemory,
     rt: &mut dyn RtHooks,
     out: &mut LaneOut,
 ) -> Result<Effect, Box<(usize, ExecError)>> {
@@ -518,7 +518,7 @@ fn resolve_addr(t: &ThreadState, space: MemSpace, base: u32, offset: i32) -> u64
 pub fn run_to_exit(
     program: &Program,
     t: &mut ThreadState,
-    mem: &mut dyn MemIo,
+    mem: &mut SimMemory,
     rt: &mut dyn RtHooks,
 ) -> Result<u64, ExecError> {
     const LIMIT: u64 = 100_000_000;

@@ -55,7 +55,7 @@ pub mod program;
 pub mod text;
 
 pub use interp::{Effect, ExecError, LaneOut, RtError, RtHooks, ThreadState};
-pub use memory::{MemIo, OverlayMem, SimMemory, WriteOverlay};
+pub use memory::SimMemory;
 pub use op::{CmpOp, InstClass, Instr, Pred, Reg, RtQuery};
 pub use program::{Program, ProgramBuilder};
 

@@ -10,63 +10,13 @@ use vksim_snapshot::{Dec, Enc, FixedMap, Snap, SnapError};
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 
-/// Byte-granular functional memory access, with multi-byte little-endian
-/// accessors provided on top.
-///
-/// The interpreter executes against `&mut dyn MemIo` so the same functional
-/// semantics run against two backings:
-///
-/// * [`SimMemory`] — the flat image, used by functional-only execution;
-/// * [`OverlayMem`] — a read-only view of the image plus a private
-///   [`WriteOverlay`], used by the two-phase cycle engine so concurrent SMs
-///   never mutate the shared image mid-cycle (writes are applied serially,
-///   in SM-id order, at the cycle's drain phase).
-pub trait MemIo {
-    /// Reads one byte.
-    fn read_u8(&self, addr: u64) -> u8;
-
-    /// Writes one byte.
-    fn write_u8(&mut self, addr: u64, value: u8);
-
-    /// Reads a little-endian u32 (byte-granular, may straddle pages).
-    fn read_u32(&self, addr: u64) -> u32 {
-        read_bytewise(self, addr)
-    }
-
-    /// Writes a little-endian u32.
-    fn write_u32(&mut self, addr: u64, value: u32) {
-        write_bytewise(self, addr, value);
-    }
-
-    /// Reads an f32.
-    fn read_f32(&self, addr: u64) -> f32 {
-        f32::from_bits(self.read_u32(addr))
-    }
-
-    /// Writes an f32.
-    fn write_f32(&mut self, addr: u64, value: f32) {
-        self.write_u32(addr, value.to_bits());
-    }
-
-    /// Reads a little-endian u64.
-    fn read_u64(&self, addr: u64) -> u64 {
-        (self.read_u32(addr) as u64) | ((self.read_u32(addr + 4) as u64) << 32)
-    }
-
-    /// Writes a little-endian u64.
-    fn write_u64(&mut self, addr: u64, value: u64) {
-        self.write_u32(addr, value as u32);
-        self.write_u32(addr + 4, (value >> 32) as u32);
-    }
-}
-
 // The byte path of a word access: four one-byte accesses, so the word may
 // straddle a page.
-fn read_bytewise(m: &(impl MemIo + ?Sized), addr: u64) -> u32 {
+fn read_bytewise(m: &SimMemory, addr: u64) -> u32 {
     u32::from_le_bytes(std::array::from_fn(|i| m.read_u8(addr + i as u64)))
 }
 
-fn write_bytewise(m: &mut (impl MemIo + ?Sized), addr: u64, value: u32) {
+fn write_bytewise(m: &mut SimMemory, addr: u64, value: u32) {
     for (i, b) in value.to_le_bytes().into_iter().enumerate() {
         m.write_u8(addr + i as u64, b);
     }
@@ -204,107 +154,6 @@ impl SimMemory {
     }
 }
 
-impl MemIo for SimMemory {
-    fn read_u8(&self, addr: u64) -> u8 {
-        SimMemory::read_u8(self, addr)
-    }
-
-    fn write_u8(&mut self, addr: u64, value: u8) {
-        SimMemory::write_u8(self, addr, value)
-    }
-
-    fn read_u32(&self, addr: u64) -> u32 {
-        SimMemory::read_u32(self, addr)
-    }
-
-    fn write_u32(&mut self, addr: u64, value: u32) {
-        SimMemory::write_u32(self, addr, value)
-    }
-}
-
-/// A per-SM buffer of functional-memory writes made during one simulated
-/// cycle, keyed by byte address (last write to an address wins, matching
-/// in-order execution within the SM).
-///
-/// The two-phase cycle engine gives every SM an [`OverlayMem`] view for its
-/// tick; the overlays are then applied to the shared [`SimMemory`] in SM-id
-/// order, so the final image is identical for any worker-thread count.
-#[derive(Clone, Debug, Default)]
-pub struct WriteOverlay {
-    bytes: FixedMap<u64, u8>,
-}
-
-impl WriteOverlay {
-    /// Creates an empty overlay.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// `true` when no writes are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
-    }
-
-    /// Number of buffered byte writes.
-    pub fn len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// Applies all buffered writes to `mem` and clears the overlay.
-    ///
-    /// Each address holds its final value, so application order between
-    /// distinct addresses cannot matter; cross-SM ordering is the caller's
-    /// contract (apply overlays in SM-id order).
-    #[allow(clippy::iter_over_hash_type)] // order-free, for the reason above
-    pub fn apply_to(&mut self, mem: &mut SimMemory) {
-        for (&addr, &value) in &self.bytes {
-            mem.write_u8(addr, value);
-        }
-        self.bytes.clear();
-    }
-}
-
-/// Read-through view: reads hit the overlay first, then the base image;
-/// writes land only in the overlay. See [`WriteOverlay`].
-#[derive(Debug)]
-pub struct OverlayMem<'a> {
-    base: &'a SimMemory,
-    overlay: &'a mut WriteOverlay,
-}
-
-impl<'a> OverlayMem<'a> {
-    /// A view of `base` buffering writes into `overlay`.
-    pub fn new(base: &'a SimMemory, overlay: &'a mut WriteOverlay) -> Self {
-        OverlayMem { base, overlay }
-    }
-}
-
-impl MemIo for OverlayMem<'_> {
-    fn read_u8(&self, addr: u64) -> u8 {
-        if self.overlay.bytes.is_empty() {
-            return self.base.read_u8(addr);
-        }
-        match self.overlay.bytes.get(&addr) {
-            Some(&b) => b,
-            None => self.base.read_u8(addr),
-        }
-    }
-
-    fn write_u8(&mut self, addr: u64, value: u8) {
-        self.overlay.bytes.insert(addr, value);
-    }
-
-    /// Word-granular while nothing is overlaid (every read misses the
-    /// overlay then); byte-granular once something is, so that a partly
-    /// overlaid word merges with the base.
-    fn read_u32(&self, addr: u64) -> u32 {
-        if self.overlay.bytes.is_empty() {
-            return self.base.read_u32(addr);
-        }
-        read_bytewise(self, addr)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,55 +227,8 @@ mod tests {
         assert_eq!(e2.into_bytes(), bytes);
     }
 
-    #[test]
-    fn overlay_reads_through_to_base() {
-        let mut base = SimMemory::new();
-        base.write_u32(0x100, 0xCAFE_F00D);
-        let mut ov = WriteOverlay::new();
-        let view = OverlayMem::new(&base, &mut ov);
-        assert_eq!(view.read_u32(0x100), 0xCAFE_F00D);
-        assert_eq!(view.read_u32(0x9000), 0);
-    }
-
-    #[test]
-    fn overlay_buffers_writes_without_touching_base() {
-        let mut base = SimMemory::new();
-        base.write_u32(0x100, 1);
-        let mut ov = WriteOverlay::new();
-        let mut view = OverlayMem::new(&base, &mut ov);
-        view.write_u32(0x100, 2);
-        // The view observes its own write; the base image is untouched.
-        assert_eq!(view.read_u32(0x100), 2);
-        assert_eq!(base.read_u32(0x100), 1);
-        assert_eq!(ov.len(), 4);
-    }
-
-    #[test]
-    fn overlay_apply_flushes_and_clears() {
-        let mut base = SimMemory::new();
-        let mut ov = WriteOverlay::new();
-        let mut view = OverlayMem::new(&base, &mut ov);
-        view.write_f32(0x40, 2.5);
-        view.write_u32(0x40, 7); // last write to the address wins
-        ov.apply_to(&mut base);
-        assert_eq!(base.read_u32(0x40), 7);
-        assert!(ov.is_empty());
-    }
-
-    #[test]
-    fn overlay_partial_write_merges_with_base() {
-        let mut base = SimMemory::new();
-        base.write_u32(0x200, 0xAABB_CCDD);
-        let mut ov = WriteOverlay::new();
-        let mut view = OverlayMem::new(&base, &mut ov);
-        view.write_u8(0x201, 0xEE); // only one byte overlaid
-        assert_eq!(view.read_u32(0x200), 0xAABB_EEDD);
-    }
-
     /// The word path against the byte path: on random addresses, page
-    /// offsets 4092–4095 included, in mapped and unmapped pages, through
-    /// `SimMemory` and through an overlay view that starts empty and then
-    /// overlays whole words and single bytes.
+    /// offsets 4092–4095 included, in mapped and unmapped pages.
     #[test]
     fn word_accesses_equal_their_bytes() {
         use vksim_testkit::prop::{check, u32_in, u64_in, vec_of};
@@ -470,22 +272,6 @@ mod tests {
                     read_bytewise(&words, a),
                     "read at {a:#x}"
                 );
-            }
-            let mut overlay = WriteOverlay::new();
-            let mut view = OverlayMem::new(&words, &mut overlay);
-            for (&a, &(_, pick, _, value)) in addrs.iter().zip(accesses) {
-                for &p in &probes {
-                    prop_assert_eq!(
-                        view.read_u32(p),
-                        read_bytewise(&view, p),
-                        "view read at {p:#x}"
-                    );
-                }
-                if pick % 2 == 0 {
-                    view.write_u32(a, value);
-                } else {
-                    view.write_u8(a + u64::from(pick % 4), value as u8);
-                }
             }
             Ok(())
         });

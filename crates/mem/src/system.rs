@@ -14,9 +14,9 @@
 //! The interconnect is a fixed-latency hop; each partition processes its
 //! own events in `(time, seq)` order, where `seq` is assigned in submit
 //! order (a heap, plus a FIFO of backed-off retries: see `Parked`). The
-//! two-phase cycle engine drains per-SM request queues serially
-//! in SM-id order, so the ingress order of every partition — and therefore
-//! every counter — is bit-exact at any `VKSIM_THREADS` value. With
+//! cycle loop drains per-SM request queues in SM-id order after every SM
+//! has ticked, so the ingress order of every partition — and therefore
+//! every counter — is a function of the configuration and the work. With
 //! `num_partitions = 1` the backend is structurally identical to the
 //! historical monolithic L2, which keeps pre-partitioning goldens
 //! byte-identical.
@@ -94,14 +94,13 @@ vksim_snapshot::snap_struct!(MemRequest {
 /// Anything that accepts timed [`MemRequest`]s.
 ///
 /// The SM pipeline is written against this trait so the same tick code runs
-/// in two regimes:
+/// against two sinks:
 ///
-/// * serial reference path — the sink *is* the [`SharedMemSystem`] and the
-///   request enters the event heap immediately;
-/// * two-phase cycle engine — the sink is a per-SM [`RequestQueue`]; the
-///   coordinator later drains the queues serially in SM-id order, which
-///   reproduces the exact submit order (and `seq` numbering) of the serial
-///   path regardless of worker-thread count.
+/// * the [`SharedMemSystem`] itself — the request enters the event heap
+///   immediately;
+/// * a per-SM [`RequestQueue`] — the cycle loop drains the queues in SM-id
+///   order after every SM has ticked, which reproduces the submit order
+///   (and `seq` numbering) of submitting directly in that order.
 pub trait MemSink {
     /// Accepts a request issued at cycle `now`.
     fn submit(&mut self, req: MemRequest, now: u64);
@@ -1015,7 +1014,7 @@ mod tests {
 
     #[test]
     fn queued_submission_matches_direct_submission() {
-        // The two-phase engine's contract: queue-then-drain must be
+        // The cycle loop's contract: queue-then-drain must be
         // indistinguishable from direct submission, including `seq` order.
         let reqs: Vec<MemRequest> = (0..4).map(|i| load(i, 0x1000 + i * 0x40)).collect();
         let mut direct = SharedMemSystem::new(SystemConfig::default());

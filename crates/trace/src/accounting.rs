@@ -6,8 +6,8 @@
 //! The recorder ([`CycleAccounting`]) is one of the [`crate::SmObservers`],
 //! so a disabled run pays one branch per tick and allocates nothing.
 //! Attribution is decided inside `Sm::tick` from SM-local state sampled
-//! at tick start (the `icnt_stall_cycles` discipline), which is what
-//! makes the breakdown byte-identical at any `VKSIM_THREADS`.
+//! at tick start (the `icnt_stall_cycles` discipline), before the tick
+//! changes any of it.
 //!
 //! Alongside the category totals, the recorder keeps integer-exact
 //! per-warp occupancy tallies: resident warp-cycles, eligible (issuable)

@@ -25,12 +25,11 @@
 //! Each SM holds its recorders in one [`SmObservers`], the seam the timing
 //! model calls at every hook; an observer that is off costs one branch.
 //!
-//! Determinism contract: SMs record into SM-local [`SmTracer`]s during
-//! phase A of the two-phase cycle engine; the cycle loop drains them into
-//! one [`TraceCollector`] in SM-id order during phase B. Shared-backend
-//! events (DRAM row activates) only occur in phase B, which is serial. The
-//! merged event stream — and therefore the exported trace — is identical
-//! at any `VKSIM_THREADS`.
+//! Determinism contract: SMs record into SM-local [`SmTracer`]s while they
+//! tick; after every SM has ticked, the cycle loop drains them into one
+//! [`TraceCollector`] in SM-id order, then appends the shared-backend
+//! events (DRAM row activates). The merged event stream — and therefore
+//! the exported trace — is identical run-to-run.
 //!
 //! The crate is dependency-free by design: it sits below every timing
 //! crate in the workspace graph so `vksim-gpu`, `vksim-mem`, `vksim-rtunit`

@@ -127,7 +127,7 @@ impl SmObservers {
         self.tracer.iter().flat_map(|tr| tr.flight())
     }
 
-    /// Moves the staged events into `col` under SM `sm` (phase B).
+    /// Moves the staged events into `col` under SM `sm`.
     pub fn drain_into(&mut self, col: &mut TraceCollector, sm: u32) {
         if let Some(tr) = self.tracer.as_deref_mut() {
             col.drain_sm(sm, tr);

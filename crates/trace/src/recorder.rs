@@ -11,11 +11,10 @@ use std::io::{Seek as _, SeekFrom, Write as _};
 use vksim_snapshot::Snap;
 
 /// The per-SM recorder, one of the [`crate::SmObservers`]. All state is
-/// SM-local, which is what makes tracing safe inside phase A on any
-/// thread.
+/// SM-local; the cycle loop merges it after every SM has ticked.
 #[derive(Clone, Debug)]
 pub struct SmTracer {
-    // Events staged since the last phase-B drain.
+    // Events staged since the last drain.
     staged: Vec<Event>,
     // Bounded ring of the most recent events (the flight recorder).
     flight: VecDeque<Event>,
@@ -138,9 +137,9 @@ impl SmTracer {
     }
 }
 
-// Checkpoints are taken at cycle boundaries, after phase B drained `staged`,
-// but the staged buffer is encoded anyway so the codec has no implicit
-// precondition.
+// Checkpoints are taken at cycle boundaries, after the cycle loop drained
+// `staged`, but the staged buffer is encoded anyway so the codec has no
+// implicit precondition.
 vksim_snapshot::snap_struct!(SmTracer {
     staged,
     flight,
@@ -257,9 +256,10 @@ fn reopen_stream(
     Some(stream)
 }
 
-/// The serial merge point: phase B drains every SM's staged events — in
-/// SM-id order — into one collector, samples the interval series, and at
-/// end of run folds everything into a [`TraceReport`].
+/// The merge point: each cycle, after every SM has ticked, the cycle loop
+/// drains every SM's staged events — in SM-id order — into one collector,
+/// samples the interval series, and at end of run folds everything into a
+/// [`TraceReport`].
 #[derive(Debug)]
 pub struct TraceCollector {
     config: TraceConfig,
@@ -326,7 +326,8 @@ impl TraceCollector {
     }
 
     /// Drains one SM's staged events. Must be called in SM-id order each
-    /// cycle (phase B) to keep the merged stream thread-count invariant.
+    /// cycle, after every SM has ticked, to keep the merged stream in a
+    /// fixed order.
     pub fn drain_sm(&mut self, sm: u32, tracer: &mut SmTracer) {
         for ev in std::mem::take(&mut tracer.staged) {
             self.push(sm, ev);
@@ -334,7 +335,7 @@ impl TraceCollector {
     }
 
     /// Appends shared-backend events under the pseudo-process `sm` id
-    /// (callers pass `num_sms`). Only called from serial phase-B code.
+    /// (callers pass `num_sms`), after the SM drains of the cycle.
     pub fn push_mem_events(&mut self, sm: u32, events: impl IntoIterator<Item = Event>) {
         for ev in events {
             self.push(sm, ev);
@@ -366,7 +367,7 @@ impl TraceCollector {
         self.last_snapshot = snapshot;
         self.interval_start = cycle;
         // The interval boundary is the streaming flush point: every event
-        // recorded so far is complete (phase B already drained this
+        // recorded so far is complete (the SMs were already drained this
         // cycle), so the chunk can leave RAM.
         self.flush_stream();
     }

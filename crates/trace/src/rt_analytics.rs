@@ -14,7 +14,7 @@
 //! * [`TraversalAnalytics`] lives on the functional runtime (one per
 //!   shard); per-node and per-ray facts are recorded at traversal time
 //!   and shard tallies merge commutatively (key-wise sums, line-set
-//!   unions), so the merged view is identical at any `VKSIM_THREADS`.
+//!   unions), so the merged view does not depend on merge order.
 //! * [`WarpCoherence`] lives on each SM and tallies active-lane
 //!   occupancy per traversal step at `TraceRay` issue.
 //! * RT-unit job attribution (jobs retired, script steps consumed,
@@ -23,7 +23,7 @@
 //!
 //! Everything is integer-exact, keys iterate in `BTreeMap` order, and
 //! the flat JSON matches the golden-counter shape — so exports diff
-//! byte-for-byte across thread counts and checkpoint/resume.
+//! byte-for-byte run-to-run and across checkpoint/resume.
 
 use std::collections::{BTreeMap, BTreeSet};
 

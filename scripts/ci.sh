@@ -65,14 +65,6 @@ join
 step "cargo test --offline --workspace -q"
 cargo test --offline --workspace -q
 
-# The workspace step above ran the golden suite (incl. the threads=1 vs 4
-# equality test); run it again with a helper thread ticking half of every
-# machine (where the host has a second core; on one core the cap runs it
-# inline): every golden, not only the threads-1-vs-4 tests, through the
-# helper path.
-step "golden-counter regression suite under VKSIM_THREADS=2"
-VKSIM_THREADS=2 cargo test --offline -q -p vksim-bench --test golden_counters
-
 # BVH layout pins at Paper scale: the EXT and RTV5 structures (BLASes of
 # 283 k and 328 k primitives, the largest builds any scene makes) must hash
 # node for node as recorded. The Test and Small pins of
@@ -82,8 +74,7 @@ step "Paper-scale BVH layout pins (release, --ignored)"
 cargo test --release --offline -q -p vksim-bench --test bvh_layout -- --ignored
 
 # Fault-injection smoke: one drill per fault class (dropped completion,
-# stalled warp, worker panic at threads 1 and 4, truncated program,
-# corrupted BVH) — each must end in a classified SimError with a
+# stalled warp, worker panic, truncated program, corrupted BVH) — each must end in a classified SimError with a
 # parseable post-mortem dump, never a raw panic or a hang.
 step "fault-injection drills (classified errors + post-mortem dumps)"
 VKSIM_DUMP_DIR="$(mktemp -d)" \

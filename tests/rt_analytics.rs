@@ -19,8 +19,8 @@
 //! series rolls up exactly into its merged total.
 //!
 //! The property test at the bottom re-proves conservation across the
-//! configuration space (workload × RT-warp limit × threads × divergence
-//! mode), not just on the golden configs.
+//! configuration space (workload × RT-warp limit × divergence mode), not
+//! just on the golden configs.
 
 use std::collections::BTreeMap;
 use vksim_bench::run_workload;
@@ -171,8 +171,8 @@ fn rt_export_parses_and_conserves() {
 }
 
 /// Conservation is a structural invariant, not a property of the golden
-/// configs: any workload under any (RT-warp limit, thread count,
-/// divergence mode) combination must produce an export whose legs agree.
+/// configs: any workload under any (RT-warp limit, divergence mode)
+/// combination must produce an export whose legs agree.
 #[test]
 fn rt_conservation_holds_across_configs() {
     let strat = map(
@@ -180,33 +180,24 @@ fn rt_conservation_holds_across_configs() {
             u32_in(0, WorkloadKind::ALL.len() as u32 - 1),
             u32_in(1, 20),
             u32_in(0, 1),
-            u32_in(0, 1),
         ),
-        |(w, warps, threads, its)| {
-            (
-                WorkloadKind::ALL[w as usize],
-                warps as usize,
-                if threads == 0 { 1usize } else { 4 },
-                its == 1,
-            )
-        },
+        |(w, warps, its)| (WorkloadKind::ALL[w as usize], warps as usize, its == 1),
     );
     // Each case is a full simulation; keep the count CI-sized.
     let config = Config {
         cases: 8,
         ..Config::from_env()
     };
-    check_with(config, &strat, |&(kind, warps, threads, its)| {
+    check_with(config, &strat, |&(kind, warps, its)| {
         let sim = SimConfig::test_small()
             .with_rt_analytics(true)
             .with_rt_max_warps(warps)
-            .with_threads(threads)
             .with_its(its);
         let (_, report) = run_workload(kind, Scale::Test, sim);
         let rt = report.rt.expect("analytics enabled");
         prop_assert!(
             rt.conservation_holds(),
-            "conservation violated for {kind:?} warps={warps} threads={threads} its={its}"
+            "conservation violated for {kind:?} warps={warps} its={its}"
         );
         validate(&rt.flat_map());
         Ok(())

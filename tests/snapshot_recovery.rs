@@ -2,8 +2,7 @@
 //!
 //! The contract under test: a run killed at an arbitrary point and resumed
 //! from its last checkpoint produces **byte-identical** counters, golden
-//! snapshots and functional memory to an uninterrupted run — at threads = 1
-//! and threads = 4 (and from one thread count to another), on the
+//! snapshots and functional memory to an uninterrupted run, on the
 //! paper-scale partitioned config and the bounded-interconnect config
 //! whose backpressure state must survive the snapshot.
 //!
@@ -100,8 +99,8 @@ fn checkpoints_in(dir: &Path) -> Vec<(u64, PathBuf)> {
 /// The two configurations the tentpole contract names: paper-scale
 /// partitioned memory, and the same machine behind a bounded interconnect
 /// (ingress queues + return credits must survive the snapshot).
-fn named_config(icnt_bounded: bool, threads: usize) -> SimConfig {
-    let base = SimConfig::paper().with_threads(threads);
+fn named_config(icnt_bounded: bool) -> SimConfig {
+    let base = SimConfig::paper();
     if icnt_bounded {
         base.with_icnt_queue_depth(4).with_icnt_return_credits(2)
     } else {
@@ -117,28 +116,25 @@ fn run_plain(config: SimConfig, w: &Workload) -> RunReport {
 
 /// Enabling checkpointing must be a pure observer: the checkpointed run's
 /// golden snapshot is byte-equal to the plain run's, for both named
-/// configs at both thread counts.
+/// configs.
 #[test]
 fn checkpointing_does_not_change_counters() {
     let w = build(WorkloadKind::Tri, Scale::Test);
     for icnt in [false, true] {
-        for threads in [1usize, 4] {
-            let golden = snapshot(&run_plain(named_config(icnt, threads), &w));
-            let dir = ckpt_dir(&format!("pure-{icnt}-{threads}"));
-            let cfg =
-                named_config(icnt, threads).with_checkpoint(500, dir.to_string_lossy().to_string());
-            let report = run_plain(cfg, &w);
-            assert!(
-                !checkpoints_in(&dir).is_empty(),
-                "icnt={icnt} threads={threads}: checkpoints were written"
-            );
-            assert_eq!(
-                golden,
-                snapshot(&report),
-                "icnt={icnt} threads={threads}: checkpointing moved a counter"
-            );
-            let _ = std::fs::remove_dir_all(&dir);
-        }
+        let golden = snapshot(&run_plain(named_config(icnt), &w));
+        let dir = ckpt_dir(&format!("pure-{icnt}"));
+        let cfg = named_config(icnt).with_checkpoint(500, dir.to_string_lossy().to_string());
+        let report = run_plain(cfg, &w);
+        assert!(
+            !checkpoints_in(&dir).is_empty(),
+            "icnt={icnt}: checkpoints were written"
+        );
+        assert_eq!(
+            golden,
+            snapshot(&report),
+            "icnt={icnt}: checkpointing moved a counter"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -155,135 +151,90 @@ fn resume_from_random_checkpoint_is_bit_identical() {
         lcg % bound.max(1)
     };
     for icnt in [false, true] {
-        for threads in [1usize, 4] {
-            let dir = ckpt_dir(&format!("resume-{icnt}-{threads}"));
-            let cfg = || {
-                named_config(icnt, threads).with_checkpoint(400, dir.to_string_lossy().to_string())
-            };
-            let reference = run_plain(cfg(), &w);
-            let ckpts = checkpoints_in(&dir);
-            assert!(
-                ckpts.len() >= 2,
-                "icnt={icnt} threads={threads}: expected several checkpoints, got {}",
-                ckpts.len()
-            );
-            let originals: Vec<(u64, Vec<u8>)> = ckpts
-                .iter()
-                .map(|(c, p)| (*c, std::fs::read(p).expect("checkpoint readable")))
-                .collect();
-            let pick = &ckpts[next(ckpts.len() as u64 - 1) as usize];
-            let resume = |label: &str| {
-                Simulator::new(cfg())
-                    .resume(&w.device, &w.cmd, &pick.1)
-                    .unwrap_or_else(|e| {
-                        panic!("icnt={icnt} threads={threads}: {label} resume failed: {e}")
-                    })
-            };
-            let resumed = resume("first");
-            assert_eq!(
-                snapshot(&reference),
-                snapshot(&resumed),
-                "icnt={icnt} threads={threads}: resume from cycle {} drifted",
-                pick.0
-            );
-            // The resumed run rewrote every checkpoint after the pick;
-            // idempotency demands the rewrites are byte-identical.
-            for (cycle, original) in originals.iter().filter(|(c, _)| *c > pick.0) {
-                let rewritten = std::fs::read(dir.join(format!("ckpt-{cycle}.vksnap")))
-                    .expect("rewritten checkpoint readable");
-                assert_eq!(
-                    original, &rewritten,
-                    "icnt={icnt} threads={threads}: checkpoint at cycle {cycle} \
-                     is not idempotent across resume"
-                );
-            }
-            // A second resume from the same file agrees with the first.
-            let again = resume("second");
-            assert_eq!(
-                snapshot(&resumed),
-                snapshot(&again),
-                "icnt={icnt} threads={threads}: two resumes from one checkpoint disagree"
-            );
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-    }
-}
-
-/// Checkpoints are thread-count interchangeable: one taken at threads = 1
-/// resumes at threads = 2 and the reverse, both ending on the
-/// uninterrupted run's golden counters.
-#[test]
-fn checkpoint_resumes_at_a_different_thread_count() {
-    let w = build(WorkloadKind::Tri, Scale::Test);
-    let golden = snapshot(&run_plain(named_config(false, 1), &w));
-    for (from, to) in [(1usize, 2usize), (2, 1)] {
-        let dir = ckpt_dir(&format!("cross-{from}-{to}"));
-        let cfg = |threads: usize| {
-            named_config(false, threads).with_checkpoint(400, dir.to_string_lossy().to_string())
-        };
-        run_plain(cfg(from), &w);
-        let ckpts = checkpoints_in(&dir);
-        let (cycle, path) = &ckpts[ckpts.len() / 2];
-        let resumed = Simulator::new(cfg(to))
-            .resume(&w.device, &w.cmd, path)
-            .unwrap_or_else(|e| panic!("threads {from} -> {to}: resume failed: {e}"));
-        assert_eq!(
-            golden,
-            snapshot(&resumed),
-            "threads {from} -> {to}: resume from cycle {cycle} drifted"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}
-
-/// Ray-traversal analytics must survive kill-and-resume byte-identically
-/// and be thread-count invariant: the resumed run's flat rt JSON (every
-/// heatmap cell, histogram bucket and per-SM roll-up) equals the
-/// uninterrupted run's, at threads = 1 and threads = 4, and both thread
-/// counts serialize the identical characterization.
-#[test]
-fn rt_analytics_survive_resume_and_threads() {
-    let w = build(WorkloadKind::Tri, Scale::Test);
-    let mut flats: Vec<String> = Vec::new();
-    for threads in [1usize, 4] {
-        let dir = ckpt_dir(&format!("rt-resume-{threads}"));
-        let cfg = || {
-            named_config(false, threads)
-                .with_rt_analytics(true)
-                .with_checkpoint(400, dir.to_string_lossy().to_string())
-        };
+        let dir = ckpt_dir(&format!("resume-{icnt}"));
+        let cfg = || named_config(icnt).with_checkpoint(400, dir.to_string_lossy().to_string());
         let reference = run_plain(cfg(), &w);
-        let rt_flat = |r: &RunReport| r.rt.as_ref().expect("analytics enabled").flat_json();
-        let want = rt_flat(&reference);
-        // Kill the run two-thirds in, resume from the last surviving
-        // checkpoint, and demand the identical characterization.
-        let mut doomed = cfg();
-        doomed.gpu.fault_plan.worker_panic = Some(WorkerPanicSpec {
-            sm: 0,
-            cycle: (reference.gpu.cycles * 2 / 3).max(401),
-        });
-        Simulator::new(doomed)
-            .run(&w.device, &w.cmd)
-            .expect_err("injected panic kills the run");
-        let (cycle, last) = checkpoints_in(&dir)
-            .into_iter()
-            .next_back()
-            .expect("checkpoint written before the kill");
-        let resumed = Simulator::new(cfg())
-            .resume(&w.device, &w.cmd, &last)
-            .expect("resume completes");
-        assert_eq!(
-            want,
-            rt_flat(&resumed),
-            "threads={threads}: rt analytics drifted across resume from cycle {cycle}"
+        let ckpts = checkpoints_in(&dir);
+        assert!(
+            ckpts.len() >= 2,
+            "icnt={icnt}: expected several checkpoints, got {}",
+            ckpts.len()
         );
-        flats.push(want);
+        let originals: Vec<(u64, Vec<u8>)> = ckpts
+            .iter()
+            .map(|(c, p)| (*c, std::fs::read(p).expect("checkpoint readable")))
+            .collect();
+        let pick = &ckpts[next(ckpts.len() as u64 - 1) as usize];
+        let resume = |label: &str| {
+            Simulator::new(cfg())
+                .resume(&w.device, &w.cmd, &pick.1)
+                .unwrap_or_else(|e| panic!("icnt={icnt}: {label} resume failed: {e}"))
+        };
+        let resumed = resume("first");
+        assert_eq!(
+            snapshot(&reference),
+            snapshot(&resumed),
+            "icnt={icnt}: resume from cycle {} drifted",
+            pick.0
+        );
+        // The resumed run rewrote every checkpoint after the pick;
+        // idempotency demands the rewrites are byte-identical.
+        for (cycle, original) in originals.iter().filter(|(c, _)| *c > pick.0) {
+            let rewritten = std::fs::read(dir.join(format!("ckpt-{cycle}.vksnap")))
+                .expect("rewritten checkpoint readable");
+            assert_eq!(
+                original, &rewritten,
+                "icnt={icnt}: checkpoint at cycle {cycle} is not idempotent across resume"
+            );
+        }
+        // A second resume from the same file agrees with the first.
+        let again = resume("second");
+        assert_eq!(
+            snapshot(&resumed),
+            snapshot(&again),
+            "icnt={icnt}: two resumes from one checkpoint disagree"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Ray-traversal analytics must survive kill-and-resume byte-identically:
+/// the resumed run's flat rt JSON (every heatmap cell, histogram bucket
+/// and per-SM roll-up) equals the uninterrupted run's.
+#[test]
+fn rt_analytics_survive_resume() {
+    let w = build(WorkloadKind::Tri, Scale::Test);
+    let dir = ckpt_dir("rt-resume");
+    let cfg = || {
+        named_config(false)
+            .with_rt_analytics(true)
+            .with_checkpoint(400, dir.to_string_lossy().to_string())
+    };
+    let reference = run_plain(cfg(), &w);
+    let rt_flat = |r: &RunReport| r.rt.as_ref().expect("analytics enabled").flat_json();
+    // Kill the run two-thirds in, resume from the last surviving
+    // checkpoint, and demand the identical characterization.
+    let mut doomed = cfg();
+    doomed.gpu.fault_plan.worker_panic = Some(WorkerPanicSpec {
+        sm: 0,
+        cycle: (reference.gpu.cycles * 2 / 3).max(401),
+    });
+    Simulator::new(doomed)
+        .run(&w.device, &w.cmd)
+        .expect_err("injected panic kills the run");
+    let (cycle, last) = checkpoints_in(&dir)
+        .into_iter()
+        .next_back()
+        .expect("checkpoint written before the kill");
+    let resumed = Simulator::new(cfg())
+        .resume(&w.device, &w.cmd, &last)
+        .expect("resume completes");
     assert_eq!(
-        flats[0], flats[1],
-        "threads=1 and threads=4 must serialize identical rt analytics"
+        rt_flat(&reference),
+        rt_flat(&resumed),
+        "rt analytics drifted across resume from cycle {cycle}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Fixed-seed chaos campaign: each iteration injects a worker panic at a
@@ -305,15 +256,13 @@ fn chaos_kill_and_resume_recovers_golden_counters() {
     };
     for iter in 0..iters {
         let icnt = next(2) == 1;
-        let threads = if next(2) == 1 { 4 } else { 1 };
-        let reference = run_plain(named_config(icnt, threads), &w);
+        let reference = run_plain(named_config(icnt), &w);
         let every = (reference.gpu.cycles / 6).max(1);
         // Kill somewhere after the first checkpoint and before the end.
         let kill_cycle = every + 1 + next(reference.gpu.cycles.saturating_sub(every + 2));
         let sm = next(48) as usize;
         let dir = ckpt_dir(&format!("chaos-{iter}"));
-        let mut cfg =
-            named_config(icnt, threads).with_checkpoint(every, dir.to_string_lossy().to_string());
+        let mut cfg = named_config(icnt).with_checkpoint(every, dir.to_string_lossy().to_string());
         cfg.gpu.fault_plan.worker_panic = Some(WorkerPanicSpec {
             sm,
             cycle: kill_cycle,
@@ -339,7 +288,7 @@ fn chaos_kill_and_resume_recovers_golden_counters() {
         assert_eq!(
             snapshot(&reference),
             snapshot(&recovered),
-            "iter {iter}: icnt={icnt} threads={threads} kill@{kill_cycle} sm{sm} \
+            "iter {iter}: icnt={icnt} kill@{kill_cycle} sm{sm} \
              resume@{last_cycle}: recovered counters drifted"
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -532,24 +481,24 @@ fn machine_layout_is_pinned() {
         (
             "tri_paper_icnt+observers",
             mid_run_checkpoint("pin-icnt", observed, half, &|c| run_plain(c, &tri)),
-            0x4376_8ca8_a690_a90b,
+            0x7c71_5794_8e56_018a,
         ),
         (
             "tri_paper_l2starve",
             mid_run_checkpoint("pin-starve", starved, in_storm, &|c| run_plain(c, &tri)),
-            0xc2b2_5604_f89e_1c46,
+            0xc213_ddb9_2896_655c,
         ),
         (
             "ref_its",
             mid_run_checkpoint("pin-its", small().with_its(true), half, &|c| {
                 run_plain(c, &reference)
             }),
-            0x92c3_1252_4a38_4b37,
+            0x8993_82ef_0c95_eae8,
         ),
         (
             "rtv6_fcc",
             mid_run_checkpoint("pin-fcc", small(), half, &run_fcc),
-            0x1a27_ca11_544c_ed96,
+            0x7908_aa66_d5a8_d8f0,
         ),
     ];
     let hashed: Vec<(&str, u64, usize, u64)> = pins

@@ -1,15 +1,13 @@
 //! Observability-layer validation: the Chrome trace export must be
 //! schema-valid and deterministic, and tracing must be a pure observer —
-//! enabling it (at any thread count) may not move a single counter.
+//! enabling it may not move a single counter.
 //!
 //! * Schema: the JSON parses with the in-repo reader, every event carries
 //!   `ph`/`pid`, timestamps are nondecreasing per `(pid, tid)` track, and
 //!   every `B` has a matching `E` (finalize closes open spans).
-//! * Determinism: the serialized trace is byte-identical run-to-run and
-//!   across `threads = 1` vs `4` — the same drain-order contract the
-//!   golden counters rely on.
-//! * Invariance: counter snapshots with tracing on/off, threads 1/4, are
-//!   byte-equal.
+//! * Determinism: the serialized trace is byte-identical run-to-run — the
+//!   same drain-order contract the golden counters rely on.
+//! * Invariance: counter snapshots with tracing on and off are byte-equal.
 //! * Flight recorder: an induced hang embeds the last trace events per SM
 //!   in the post-mortem dump.
 
@@ -25,18 +23,16 @@ use vksim_trace::{
 /// A test-small config with tracing on (no export files — the report is
 /// inspected in-process) and a short sampler period so even the tiny test
 /// scene produces several intervals.
-fn traced_config(threads: usize) -> SimConfig {
-    SimConfig::test_small()
-        .with_threads(threads)
-        .with_trace(TraceConfig {
-            enabled: true,
-            interval: 256,
-            ..Default::default()
-        })
+fn traced_config() -> SimConfig {
+    SimConfig::test_small().with_trace(TraceConfig {
+        enabled: true,
+        interval: 256,
+        ..Default::default()
+    })
 }
 
-fn traced_run(threads: usize) -> RunReport {
-    let (_, report) = run_workload(WorkloadKind::Tri, Scale::Test, traced_config(threads));
+fn traced_run() -> RunReport {
+    let (_, report) = run_workload(WorkloadKind::Tri, Scale::Test, traced_config());
     report
 }
 
@@ -119,7 +115,7 @@ fn bounded_icnt_stalls_reach_the_exported_trace() {
 
 #[test]
 fn chrome_trace_schema_is_valid() {
-    let report = traced_run(1);
+    let report = traced_run();
     let trace = trace_of(&report);
     assert!(!trace.events.is_empty(), "a real run produces events");
     assert!(!trace.intervals.is_empty(), "sampler produced intervals");
@@ -214,42 +210,32 @@ fn chrome_trace_schema_is_valid() {
 }
 
 #[test]
-fn trace_is_deterministic_and_thread_invariant() {
-    let a = traced_run(1);
-    let b = traced_run(1);
-    let c = traced_run(4);
-    let json_a = chrome_trace_json(trace_of(&a));
+fn trace_is_deterministic() {
+    let a = traced_run();
+    let b = traced_run();
     assert_eq!(
-        json_a,
+        chrome_trace_json(trace_of(&a)),
         chrome_trace_json(trace_of(&b)),
         "trace JSON must be byte-identical run-to-run"
     );
-    assert_eq!(
-        json_a,
-        chrome_trace_json(trace_of(&c)),
-        "threads=1 and threads=4 must serialize the identical trace"
-    );
-    assert_eq!(interval_csv(trace_of(&a)), interval_csv(trace_of(&c)));
+    assert_eq!(interval_csv(trace_of(&a)), interval_csv(trace_of(&b)));
 }
 
 /// The partitioned memory path (8 partitions, FR-FCFS) must serialize a
-/// byte-identical trace run-to-run and across thread counts — partition
-/// IDs on MSHR and row-activate events included.
+/// byte-identical trace run-to-run — partition IDs on MSHR and
+/// row-activate events included.
 #[test]
 fn partitioned_trace_is_byte_deterministic() {
-    let config = |threads: usize| {
-        SimConfig::paper()
-            .with_threads(threads)
-            .with_trace(TraceConfig {
-                enabled: true,
-                interval: 256,
-                ..Default::default()
-            })
+    let run = || {
+        let config = SimConfig::paper().with_trace(TraceConfig {
+            enabled: true,
+            interval: 256,
+            ..Default::default()
+        });
+        run_workload(WorkloadKind::Tri, Scale::Test, config).1
     };
-    let run = |threads| run_workload(WorkloadKind::Tri, Scale::Test, config(threads)).1;
-    let a = run(1);
-    let b = run(1);
-    let c = run(4);
+    let a = run();
+    let b = run();
     let json_a = chrome_trace_json(trace_of(&a));
     assert!(
         json_a.contains("\"partition\""),
@@ -260,34 +246,23 @@ fn partitioned_trace_is_byte_deterministic() {
         chrome_trace_json(trace_of(&b)),
         "partitioned trace JSON must be byte-identical run-to-run"
     );
-    assert_eq!(
-        json_a,
-        chrome_trace_json(trace_of(&c)),
-        "threads=1 and threads=4 must serialize the identical partitioned trace"
-    );
-    assert_eq!(interval_csv(trace_of(&a)), interval_csv(trace_of(&c)));
+    assert_eq!(interval_csv(trace_of(&a)), interval_csv(trace_of(&b)));
 }
 
 #[test]
 fn tracing_does_not_change_counters() {
     let (_, base) = run_workload(WorkloadKind::Tri, Scale::Test, SimConfig::test_small());
     assert!(base.trace.is_none(), "tracing is off by default");
-    let golden = snapshot(&base);
-    for (label, report) in [
-        ("trace on, threads 1", traced_run(1)),
-        ("trace on, threads 4", traced_run(4)),
-    ] {
-        assert_eq!(
-            golden,
-            snapshot(&report),
-            "{label}: tracing must be a pure observer"
-        );
-    }
+    assert_eq!(
+        snapshot(&base),
+        snapshot(&traced_run()),
+        "tracing must be a pure observer"
+    );
 }
 
 #[test]
 fn csv_and_summary_are_well_formed() {
-    let report = traced_run(1);
+    let report = traced_run();
     let trace = trace_of(&report);
     let csv = interval_csv(trace);
     let lines: Vec<&str> = csv.lines().collect();
@@ -311,7 +286,7 @@ fn exporter_writes_requested_files() {
     let dir = std::env::temp_dir();
     let out = dir.join(format!("vksim_trace_export_{}.json", std::process::id()));
     let csv = dir.join(format!("vksim_trace_export_{}.csv", std::process::id()));
-    let mut cfg = traced_config(1);
+    let mut cfg = traced_config();
     cfg.gpu.trace.out = Some(out.to_string_lossy().into_owned());
     cfg.gpu.trace.csv = Some(csv.to_string_lossy().into_owned());
     let w = build(WorkloadKind::Tri, Scale::Test);
@@ -338,7 +313,7 @@ fn streamed_export_is_byte_identical_to_one_shot() {
     ));
     let _ = std::fs::remove_file(&out);
     let w = build(WorkloadKind::Tri, Scale::Test);
-    let mut cfg = traced_config(1);
+    let mut cfg = traced_config();
     cfg.gpu.trace.out = Some(out.to_string_lossy().into_owned());
     let streamed = Simulator::new(cfg)
         .run(&w.device, &w.cmd)
@@ -357,7 +332,7 @@ fn streamed_export_is_byte_identical_to_one_shot() {
         "flushed events left RAM ({} remained)",
         trace.events.len()
     );
-    let in_memory = Simulator::new(traced_config(1))
+    let in_memory = Simulator::new(traced_config())
         .run(&w.device, &w.cmd)
         .expect("healthy run");
     assert_eq!(
@@ -379,14 +354,14 @@ fn streamed_export_is_byte_identical_to_one_shot() {
 #[test]
 fn sampler_survives_resume_without_duplicate_intervals() {
     let w = build(WorkloadKind::Tri, Scale::Test);
-    let reference = Simulator::new(traced_config(1))
+    let reference = Simulator::new(traced_config())
         .run(&w.device, &w.cmd)
         .expect("healthy run");
     let dir = std::env::temp_dir().join(format!("vksim-trace-resume-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let cfg = || {
-        let mut c = traced_config(1).with_checkpoint(300, dir.to_string_lossy().to_string());
+        let mut c = traced_config().with_checkpoint(300, dir.to_string_lossy().to_string());
         c.gpu.fault_plan.worker_panic = Some(WorkerPanicSpec {
             sm: 0,
             cycle: (reference.gpu.cycles * 2 / 3).max(301),
@@ -448,7 +423,7 @@ fn streamed_file_survives_resume_byte_identically() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let w = build(WorkloadKind::Tri, Scale::Test);
-    let mut ref_cfg = traced_config(1);
+    let mut ref_cfg = traced_config();
     ref_cfg.gpu.trace.out = Some(ref_out.to_string_lossy().into_owned());
     let reference = Simulator::new(ref_cfg)
         .run(&w.device, &w.cmd)
@@ -456,7 +431,7 @@ fn streamed_file_survives_resume_byte_identically() {
     assert!(trace_of(&reference).streamed);
     let want = std::fs::read_to_string(&ref_out).expect("reference streamed file");
     let cfg = || {
-        let mut c = traced_config(1).with_checkpoint(300, dir.to_string_lossy().to_string());
+        let mut c = traced_config().with_checkpoint(300, dir.to_string_lossy().to_string());
         c.gpu.trace.out = Some(out.to_string_lossy().into_owned());
         c.gpu.fault_plan.worker_panic = Some(WorkerPanicSpec {
             sm: 0,
@@ -496,7 +471,7 @@ fn streamed_file_survives_resume_byte_identically() {
 #[test]
 fn fault_dump_embeds_flight_recorder() {
     let w = build(WorkloadKind::Tri, Scale::Test);
-    let mut cfg = traced_config(1);
+    let mut cfg = traced_config();
     cfg.gpu.watchdog_cycles = 2_000;
     cfg.gpu.fault_plan.stall_warp = Some(0);
     let failure = Simulator::new(cfg)
