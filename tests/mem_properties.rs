@@ -512,13 +512,15 @@ struct StormRun {
 
 /// Drives `stream` through a backend built from `config` — one
 /// `advance_to` and one queue drain per cycle — until everything is
-/// submitted, accepted and drained. At `pause_at` the backend is saved and
+/// submitted, accepted and drained. `observe` sees the backend right after
+/// each cycle's `advance_to`. At `pause_at` the backend is saved and
 /// replaced by one rebuilt from those bytes (which must re-encode
 /// identically).
 fn run_storm(
     config: &SystemConfig,
     stream: &[(MemRequest, u64)],
     pause_at: Option<u64>,
+    observe: &mut dyn FnMut(u64, &SharedMemSystem),
 ) -> Result<StormRun, String> {
     let mut sys = SharedMemSystem::new(config.clone());
     let mut queue = RequestQueue::new();
@@ -535,6 +537,7 @@ fn run_storm(
             ));
         }
         done.extend(sys.advance_to(cycle));
+        observe(cycle, &sys);
         while next < stream.len() && stream[next].1 <= cycle {
             queue.submit(stream[next].0, cycle);
             next += 1;
@@ -575,7 +578,7 @@ fn mshr_retry_storms_are_exact_and_survive_snapshots() {
     let mut fingerprints = BTreeMap::new();
     for seed in 0..STORM_SEEDS {
         let (config, stream) = storm_case(seed);
-        let reference = run_storm(&config, &stream, None)
+        let reference = run_storm(&config, &stream, None, &mut |_, _| {})
             .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{config:?}"));
         let mut ids: Vec<u64> = reference.done.iter().map(|&(id, _)| id).collect();
         ids.sort_unstable();
@@ -595,7 +598,7 @@ fn mshr_retry_storms_are_exact_and_survive_snapshots() {
         let pause = *Pcg32::new(seed)
             .choose(&reference.storm_cycles)
             .unwrap_or_else(|| panic!("seed {seed}: the generator lost its storm"));
-        let paused = run_storm(&config, &stream, Some(pause))
+        let paused = run_storm(&config, &stream, Some(pause), &mut |_, _| {})
             .unwrap_or_else(|e| panic!("seed {seed} paused at {pause}: {e}"));
         assert_eq!(
             paused.done, reference.done,
@@ -604,6 +607,19 @@ fn mshr_retry_storms_are_exact_and_survive_snapshots() {
         assert!(
             encode(&paused.sys) == encode(&reference.sys),
             "seed {seed}: pause at {pause} changed the final snapshot"
+        );
+
+        // Saving after every cycle observes the backend mid-storm; it must
+        // not perturb it.
+        let observed = run_storm(&config, &stream, None, &mut |_, sys| drop(encode(sys)))
+            .unwrap_or_else(|e| panic!("seed {seed} saving every cycle: {e}"));
+        assert_eq!(
+            observed.done, reference.done,
+            "seed {seed}: saving every cycle changed the completion list"
+        );
+        assert!(
+            encode(&observed.sys) == encode(&reference.sys),
+            "seed {seed}: saving every cycle changed the final snapshot"
         );
 
         let mut e = Enc::new();
@@ -622,5 +638,41 @@ fn mshr_retry_storms_are_exact_and_survive_snapshots() {
     }
     let golden =
         PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/goldens/mem_retry_storm.json");
+    assert_matches_golden(golden, &fingerprints);
+}
+
+/// What a storm looks like from outside while it runs: over the seeds of
+/// [`storm_case`], an FNV over every cycle's `l2.retry`, `mshr.full` and
+/// `mshr.merge_fail` (read right after `advance_to`) and over the `save`
+/// bytes at eight cycles spread over the cycles that re-offered a refused
+/// access, pinned in `tests/goldens/mem_retry_storm_saves.json`.
+#[test]
+fn mshr_retry_storm_observations_are_pinned() {
+    let mut fingerprints = BTreeMap::new();
+    for seed in 0..STORM_SEEDS {
+        let (config, stream) = storm_case(seed);
+        let reference = run_storm(&config, &stream, None, &mut |_, _| {})
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let cycles = &reference.storm_cycles;
+        let picks: Vec<u64> = (0..8).map(|i| cycles[i * cycles.len() / 8]).collect();
+        let mut h = fnv1a_init();
+        run_storm(&config, &stream, None, &mut |cycle, sys| {
+            let l2 = sys.l2_stats();
+            for n in [
+                sys.stats.get("l2.retry"),
+                l2.get("mshr.full"),
+                l2.get("mshr.merge_fail"),
+            ] {
+                h = fnv1a(h, &n.to_le_bytes());
+            }
+            if picks.contains(&cycle) {
+                h = fnv1a(h, &encode(sys));
+            }
+        })
+        .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        fingerprints.insert(format!("seed_{seed:02}"), h);
+    }
+    let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/goldens/mem_retry_storm_saves.json");
     assert_matches_golden(golden, &fingerprints);
 }
