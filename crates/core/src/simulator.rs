@@ -1014,12 +1014,12 @@ mod tests {
     }
 
     /// Without validation, each row panics inside a constructor or on the
-    /// first DRAM access.
+    /// first DRAM access, or spins until `max_cycles`.
     #[test]
     fn degenerate_geometries_are_rejected_before_the_run() {
         let (device, cmd, _) = quad_workload(4, 4);
         type Degrade = fn(&mut GpuConfig);
-        let rows: [(&str, Degrade); 15] = [
+        let rows: [(&str, Degrade); 17] = [
             ("num_sms", |g| g.num_sms = 0),
             ("max_warps_per_sm", |g| g.max_warps_per_sm = 0),
             ("rt_unit.max_warps", |g| g.rt_unit.max_warps = 0),
@@ -1037,6 +1037,13 @@ mod tests {
             ("rt_cache.size_bytes", |g| {
                 g.rt_cache = Some(vksim_mem::CacheConfig {
                     size_bytes: 0,
+                    ..vksim_mem::CacheConfig::l1d_baseline()
+                })
+            }),
+            ("l1.mshr_entries", |g| g.l1.mshr_entries = 0),
+            ("rt_cache.mshr_entries", |g| {
+                g.rt_cache = Some(vksim_mem::CacheConfig {
+                    mshr_entries: 0,
                     ..vksim_mem::CacheConfig::l1d_baseline()
                 })
             }),

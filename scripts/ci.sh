@@ -134,13 +134,19 @@ CARGO_TARGET_DIR="$PWD/target/benchmark" \
     bash benchmark/run.sh --quick --out "$(mktemp -d)/summary.json" | tail -n 2
 
 # The same benchmark at Paper scale on the stall-heavy workload, where RT
-# units sleep on refused fetches (Test scale barely stalls): two passes,
-# so the second must reproduce the first's counters and image, and the
-# image must match the CPU reference. Requires zero failed operations.
-step "repo benchmark at Paper scale (ext_paper_sm48, two passes)"
-CARGO_TARGET_DIR="$PWD/target/benchmark" \
-    bash benchmark/run.sh --workload ext_paper_sm48 --seed 1 --seconds 2 --trace 0 \
-    | grep -E '^operations attempted [0-9]+ failed 0$'
+# units sleep on refused fetches and starved L2 slices back reads off
+# (Test scale barely stalls): repeated passes, so each must reproduce the
+# first's counters and image, and the image must match the CPU reference.
+# The traced pass pins the run end to end: its counter fingerprint and
+# cycle count, and zero failed operations.
+step "repo benchmark at Paper scale (ext_paper_sm48, traced, pinned counters)"
+paper_out="$(CARGO_TARGET_DIR="$PWD/target/benchmark" \
+    bash benchmark/run.sh --workload ext_paper_sm48 --seed 1 --seconds 2 --trace 1)"
+for want in '^gpu\.counters_fnv 3069388910270302 ' '^gpu\.sim_cycles 220294 ' \
+    '^operations attempted [0-9]+ failed 0$'; do
+    grep -Eq "$want" <<<"$paper_out" || { echo "ext_paper_sm48: no line matches '$want'"; exit 1; }
+done
+printf '%s\n' "$paper_out" | grep -E '^(gpu\.counters_fnv|gpu\.sim_cycles|operations) '
 
 step "examples build + run (quickstart, custom_scene)"
 cargo build --release --offline --examples
