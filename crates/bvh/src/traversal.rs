@@ -7,8 +7,8 @@
 //! intersection buffer for delayed intersection-shader execution (paper
 //! §III-A, "delayed intersection and any-hit execution").
 //!
-//! Every node access and BVH operation is recorded as a [`TraceEvent`]; the
-//! RT unit timing model replays this script against the simulated memory
+//! Every node access and BVH operation can be recorded as a [`TraceEvent`];
+//! the RT unit timing model replays this script against the simulated memory
 //! hierarchy — the paper's *transactions buffer* (§III-B4: "Every time a ray
 //! accesses a node or intersection buffer, we record memory addresses that
 //! are accessed with its size and data type to a transactions buffer, which
@@ -16,7 +16,11 @@
 
 use crate::node::{Node, NodeKind};
 use crate::tlas::{Blas, Tlas};
+use std::borrow::Borrow;
 use vksim_math::{intersect, Ray, Vec3};
+
+/// Short-stack entries per ray; deeper pushes spill to memory (§III-C2).
+pub const SHORT_STACK_ENTRIES: u32 = 8;
 
 /// One recorded step of a ray's traversal, replayed by the timing model.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -122,7 +126,8 @@ pub struct TraversalConfig {
     /// Terminate on the first confirmed triangle hit
     /// (`gl_RayFlagsTerminateOnFirstHitEXT`, used by shadow rays).
     pub terminate_on_first_hit: bool,
-    /// Record the [`TraceEvent`] script (disable for functional-only runs).
+    /// Record the [`TraceEvent`] script (off for functional-only runs; no
+    /// count in [`TraversalResult`] depends on it).
     pub record_events: bool,
     /// Record a [`NodeVisit`] per fetched node (analytics layer only).
     pub record_visits: bool,
@@ -166,6 +171,10 @@ pub struct TraversalResult {
     pub transforms: u32,
     /// Deepest traversal-stack occupancy reached.
     pub max_stack_depth: u32,
+    /// Spill stores: pushes leaving more than [`SHORT_STACK_ENTRIES`].
+    pub spill_stores: u32,
+    /// Spill reloads: pops from more than [`SHORT_STACK_ENTRIES`].
+    pub spill_loads: u32,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -251,8 +260,9 @@ impl std::error::Error for TraversalError {}
 /// Traverses the two-level acceleration structure for one ray.
 ///
 /// `blases[instance.blas_index]` must hold every BLAS referenced by the
-/// TLAS. The world-space ray's `t_max` shrinks as triangle hits commit;
-/// procedural hits do not shrink it (their surfaces are resolved later by
+/// TLAS; the table may hold the BLASes or references to them. The
+/// world-space ray's `t_max` shrinks as triangle hits commit; procedural
+/// hits do not shrink it (their surfaces are resolved later by
 /// intersection shaders, per the delayed-execution scheme).
 ///
 /// # Errors
@@ -260,9 +270,9 @@ impl std::error::Error for TraversalError {}
 /// Returns a [`TraversalError`] when the structure is corrupt: a missing
 /// BLAS, an out-of-range child pointer, a bottom-level leaf in the TLAS, or
 /// a pointer cycle (caught by a node-visit budget).
-pub fn traverse(
+pub fn traverse<B: Borrow<Blas>>(
     tlas: &Tlas,
-    blases: &[&Blas],
+    blases: &[B],
     ray: &Ray,
     config: &TraversalConfig,
 ) -> Result<TraversalResult, TraversalError> {
@@ -274,8 +284,8 @@ pub fn traverse(
     // A healthy two-level walk visits each TLAS node at most once and each
     // BLAS node at most once per instance entry; corrupt pointers that form
     // a cycle blow well past this bound and are caught instead of spinning.
-    let total_nodes = tlas.bvh.node_count()
-        + blases.iter().map(|b| b.bvh.node_count()).sum::<usize>() * tlas.instances.len().max(1);
+    let blas_nodes: usize = blases.iter().map(|b| b.borrow().bvh.node_count()).sum();
+    let total_nodes = tlas.bvh.node_count() + blas_nodes * tlas.instances.len().max(1);
     let visit_budget = (total_nodes as u64).saturating_mul(4).max(4096);
 
     let mut world_ray = *ray;
@@ -293,6 +303,7 @@ pub fn traverse(
     let mut object_ray = world_ray;
 
     while let Some(entry) = stack.pop() {
+        out.spill_loads += u32::from(stack.len() >= SHORT_STACK_ENTRIES as usize);
         push_event(&mut out, config, TraceEvent::StackPop);
         // A committed hit may have shrunk t_max below this subtree's entry.
         if entry.t_enter > world_ray.t_max {
@@ -306,13 +317,13 @@ pub fn traverse(
             }),
             Space::Blas { instance } => {
                 let inst = &tlas.instances[instance as usize];
-                let blas =
-                    blases
-                        .get(inst.blas_index as usize)
-                        .ok_or(TraversalError::MissingBlas {
-                            instance,
-                            blas_index: inst.blas_index,
-                        })?;
+                let blas = blases
+                    .get(inst.blas_index as usize)
+                    .ok_or(TraversalError::MissingBlas {
+                        instance,
+                        blas_index: inst.blas_index,
+                    })?
+                    .borrow();
                 if cached_instance != Some(instance) {
                     // Re-entering a different instance: re-apply the
                     // world-to-object transform (Algorithm 2 line 6).
@@ -393,6 +404,7 @@ pub fn traverse(
                         depth: entry.depth + 1,
                     });
                     push_event(&mut out, config, TraceEvent::StackPush);
+                    out.spill_stores += u32::from(stack.len() > SHORT_STACK_ENTRIES as usize);
                 }
                 out.max_stack_depth = out.max_stack_depth.max(stack.len() as u32);
                 if nhits > 0 {
@@ -401,13 +413,13 @@ pub fn traverse(
             }
             Node::Instance(leaf) => {
                 let inst = &tlas.instances[leaf.instance_index as usize];
-                let blas =
-                    blases
-                        .get(inst.blas_index as usize)
-                        .ok_or(TraversalError::MissingBlas {
-                            instance: leaf.instance_index,
-                            blas_index: inst.blas_index,
-                        })?;
+                let blas = blases
+                    .get(inst.blas_index as usize)
+                    .ok_or(TraversalError::MissingBlas {
+                        instance: leaf.instance_index,
+                        blas_index: inst.blas_index,
+                    })?
+                    .borrow();
                 if !blas.bvh.is_empty() {
                     stack.push(StackEntry {
                         node: 0,
@@ -418,6 +430,7 @@ pub fn traverse(
                         depth: 0,
                     });
                     push_event(&mut out, config, TraceEvent::StackPush);
+                    out.spill_stores += u32::from(stack.len() > SHORT_STACK_ENTRIES as usize);
                     out.max_stack_depth = out.max_stack_depth.max(stack.len() as u32);
                     mark_visit_hit(&mut out, config);
                 }
@@ -750,7 +763,7 @@ mod tests {
     fn empty_tlas_returns_default() {
         let tlas = Tlas::build(vec![], &[]);
         let ray = Ray::new(Vec3::ZERO, Vec3::Z);
-        let r = traverse(&tlas, &[], &ray, &TraversalConfig::default()).unwrap();
+        let r = traverse::<Blas>(&tlas, &[], &ray, &TraversalConfig::default()).unwrap();
         assert_eq!(r, TraversalResult::default());
     }
 
@@ -799,7 +812,7 @@ mod tests {
     fn missing_blas_is_a_classified_error() {
         let (tlas, _) = single_quad_scene();
         let ray = Ray::new(Vec3::new(0.2, 0.3, -5.0), Vec3::Z);
-        let err = traverse(&tlas, &[], &ray, &TraversalConfig::default()).unwrap_err();
+        let err = traverse::<Blas>(&tlas, &[], &ray, &TraversalConfig::default()).unwrap_err();
         assert!(
             matches!(err, TraversalError::MissingBlas { blas_index: 0, .. }),
             "{err:?}"

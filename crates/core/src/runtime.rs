@@ -5,8 +5,8 @@
 //! * `traverseAS` runs the functional traversal (Algorithm 2) against the
 //!   scene's TLAS/BLAS, commits the closest triangle hit, collects
 //!   procedural-leaf encounters into the *intersection table* for delayed
-//!   shader execution, and converts the recorded trace events into the
-//!   RT-unit replay script (the paper's transactions buffer);
+//!   shader execution, and (outside functional-only runs) converts the trace
+//!   events into the RT-unit replay script (the paper's transactions buffer);
 //! * traversal results live on a per-thread stack so `traceRayEXT` can
 //!   recurse (paper §III-B2);
 //! * `endTraceRay` pops the stack and clears the intersection table;
@@ -17,7 +17,7 @@
 //!   traffic in the RT unit.
 
 use std::sync::Arc;
-use vksim_bvh::traversal::{self, TraversalConfig};
+use vksim_bvh::traversal::{self, TraversalConfig, SHORT_STACK_ENTRIES};
 use vksim_bvh::{Blas, NodeKind, ProceduralHit, Tlas, TraceEvent};
 use vksim_gpu::ScriptSource;
 use vksim_isa::interp::{RayDesc, RtHooks};
@@ -25,7 +25,7 @@ use vksim_isa::op::{RtIdxQuery, RtQuery};
 use vksim_isa::RtError;
 use vksim_math::{Ray, Vec3};
 use vksim_mem::FixedMap;
-use vksim_rtunit::{OpKind, Step, SHORT_STACK_ENTRIES};
+use vksim_rtunit::{OpKind, Step};
 use vksim_snapshot::{Dec, Enc, Snap, SnapError};
 use vksim_trace::TraversalAnalytics;
 
@@ -41,6 +41,11 @@ const SHARD_ALLOC_BASE: u64 = 0x6000_0000;
 /// Per-shard slice of the arena: 1 MiB per SM keeps even 48-SM configs well
 /// clear of the local-memory window.
 const SHARD_ALLOC_REGION: u64 = 0x10_0000;
+
+/// Base of thread `tid`'s 64-slot short-stack spill window.
+fn spill_base(tid: usize) -> u64 {
+    0x7000_0000 + tid as u64 * 0x1_0000 + 0x8000
+}
 
 /// Committed hit of one trace frame.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -93,9 +98,9 @@ pub struct RuntimeStats {
     pub misses: u64,
     /// Deepest traversal stack seen.
     pub max_stack_depth: u32,
-    /// Short-stack spill stores synthesized.
+    /// Short-stack spill stores (counted by the traversal).
     pub spill_stores: u64,
-    /// Short-stack spill reloads synthesized.
+    /// Short-stack spill reloads (counted by the traversal).
     pub spill_loads: u64,
 }
 
@@ -138,6 +143,8 @@ pub struct RtRuntime {
     blases: Arc<Vec<Blas>>,
     launch: [u32; 3],
     fcc: bool,
+    /// Build replay scripts (off only for functional-only runs).
+    record_scripts: bool,
     frames: FixedMap<usize, Vec<Frame>>,
     scripts: FixedMap<usize, Vec<Step>>,
     fcc_tables: FixedMap<(usize, usize), Vec<FccRow>>,
@@ -151,13 +158,19 @@ pub struct RtRuntime {
 }
 
 impl RtRuntime {
-    /// Binds a runtime to a scene and launch.
-    pub fn new(tlas: Tlas, blases: Vec<Blas>, launch: [u32; 3], fcc: bool) -> Self {
+    /// Binds a runtime to a scene (an `Arc` is shared) and launch.
+    pub fn new(
+        tlas: impl Into<Arc<Tlas>>,
+        blases: impl Into<Arc<Vec<Blas>>>,
+        launch: [u32; 3],
+        fcc: bool,
+    ) -> Self {
         RtRuntime {
-            tlas: Arc::new(tlas),
-            blases: Arc::new(blases),
+            tlas: tlas.into(),
+            blases: blases.into(),
             launch,
             fcc,
+            record_scripts: true,
             frames: FixedMap::default(),
             scripts: FixedMap::default(),
             fcc_tables: FixedMap::default(),
@@ -165,6 +178,12 @@ impl RtRuntime {
             stats: RuntimeStats::default(),
             analytics: None,
         }
+    }
+
+    /// This runtime, building no replay scripts (same statistics).
+    pub(crate) fn without_scripts(mut self) -> Self {
+        self.record_scripts = false;
+        self
     }
 
     /// Turns on ray-traversal analytics collection: per-node heatmaps,
@@ -188,6 +207,7 @@ impl RtRuntime {
             blases: Arc::clone(&self.blases),
             launch: self.launch,
             fcc: self.fcc,
+            record_scripts: self.record_scripts,
             frames: FixedMap::default(),
             scripts: FixedMap::default(),
             fcc_tables: FixedMap::default(),
@@ -270,13 +290,13 @@ impl RtRuntime {
     }
 
     /// Converts the functional trace events into the RT-unit replay script,
-    /// synthesizing short-stack spill traffic (paper §III-C2) and, under
-    /// FCC, the extra coalescing-table loads (§VI-E: "FCC results in 11%
-    /// more memory loads in the RT unit").
-    fn events_to_script(&mut self, tid: usize, events: &[TraceEvent]) -> Vec<Step> {
+    /// writing the short-stack spill traffic the traversal counted (paper
+    /// §III-C2) and, under FCC, the extra coalescing-table loads (§VI-E:
+    /// "FCC results in 11% more memory loads in the RT unit").
+    fn events_to_script(&self, tid: usize, events: &[TraceEvent]) -> Vec<Step> {
         let mut script = Vec::with_capacity(events.len());
         let mut depth: u32 = 0;
-        let spill_base = 0x7000_0000u64 + (tid as u64) * 0x1_0000 + 0x8000;
+        let spill_base = spill_base(tid);
         let mut i = 0;
         while i < events.len() {
             match events[i] {
@@ -300,7 +320,6 @@ impl RtRuntime {
                     depth += 1;
                     if depth > SHORT_STACK_ENTRIES {
                         // Spill the bottom entry to per-thread memory.
-                        self.stats.spill_stores += 1;
                         script.push(Step::Store {
                             addr: spill_base + (depth as u64 % 64) * 32,
                             size: 32,
@@ -310,7 +329,6 @@ impl RtRuntime {
                 TraceEvent::StackPop => {
                     if depth > SHORT_STACK_ENTRIES {
                         // Refill from spill memory.
-                        self.stats.spill_loads += 1;
                         script.push(Step::Fetch {
                             addr: spill_base + (depth as u64 % 64) * 32,
                             size: 32,
@@ -415,8 +433,8 @@ impl Snap for Frame {
 
 // The mutable state: per-thread frame stacks, pending replay scripts, FCC
 // coalescing buffers, the `rt_alloc_mem` cursor, the functional statistics
-// and the analytics shard. Scene data (TLAS/BLAS), launch dims and the FCC
-// switch belong to the runtime the resuming run bound to the same scene.
+// and the analytics shard. Scene data (TLAS/BLAS), launch dims and the
+// switches belong to the runtime the resuming run bound to the same scene.
 vksim_snapshot::snap_state!(RtRuntime {
     frames,
     scripts,
@@ -424,7 +442,7 @@ vksim_snapshot::snap_state!(RtRuntime {
     alloc_cursor,
     stats,
     analytics,
-} skip { tlas, blases, launch, fcc });
+} skip { tlas, blases, launch, fcc, record_scripts });
 
 impl RtHooks for RtRuntime {
     fn traverse(&mut self, tid: usize, ray: RayDesc) -> Result<(), RtError> {
@@ -437,12 +455,11 @@ impl RtHooks for RtRuntime {
         let per_thread_buffer = 0x4000_0000u64 + (tid as u64) * 0x800;
         let cfg = TraversalConfig {
             terminate_on_first_hit: ray.flags & RAY_FLAG_TERMINATE_ON_FIRST_HIT != 0,
-            record_events: true,
+            record_events: self.record_scripts,
             record_visits: self.analytics.is_some(),
             intersection_buffer_base: per_thread_buffer,
         };
-        let blas_refs: Vec<&Blas> = self.blases.iter().collect();
-        let result = traversal::traverse(&self.tlas, &blas_refs, &r, &cfg)
+        let result = traversal::traverse(&self.tlas, &self.blases[..], &r, &cfg)
             .map_err(|e| RtError(format!("acceleration structure traversal failed: {e}")))?;
 
         self.stats.rays += 1;
@@ -452,6 +469,8 @@ impl RtHooks for RtRuntime {
         self.stats.transforms += result.transforms as u64;
         self.stats.procedural_hits += result.procedural_hits.len() as u64;
         self.stats.max_stack_depth = self.stats.max_stack_depth.max(result.max_stack_depth);
+        self.stats.spill_stores += result.spill_stores as u64;
+        self.stats.spill_loads += result.spill_loads as u64;
 
         let committed = match result.closest {
             Some(h) => {
@@ -476,11 +495,6 @@ impl RtHooks for RtRuntime {
             }
         };
 
-        // Script synthesis tallies short-stack spill reloads; the delta
-        // over this call is exactly this ray's traversal restarts.
-        let spill_loads_before = self.stats.spill_loads;
-        let script = self.events_to_script(tid, &result.events);
-        let restarts = self.stats.spill_loads - spill_loads_before;
         if let Some(a) = self.analytics.as_deref_mut() {
             for v in &result.visits {
                 a.record_visit(v.blas, v.depth, v.node, v.addr, v.hit);
@@ -489,10 +503,14 @@ impl RtHooks for RtRuntime {
                 result.nodes_visited as u64,
                 result.box_tests as u64,
                 result.triangle_tests as u64,
-                restarts,
+                // Each short-stack spill reload is a traversal restart.
+                result.spill_loads as u64,
             );
         }
-        self.scripts.insert(tid, script);
+        if self.record_scripts {
+            let script = self.events_to_script(tid, &result.events);
+            self.scripts.insert(tid, script);
+        }
         self.frames.entry(tid).or_default().push(Frame {
             ray,
             committed,
@@ -946,11 +964,10 @@ mod tests {
         );
     }
 
-    #[test]
-    fn deep_scene_generates_spill_traffic() {
-        // Thousands of overlapping triangles scattered in a cube: poor
-        // spatial separation makes many children overlap the ray, forcing a
-        // deep traversal stack.
+    /// Thousands of overlapping triangles scattered in a cube: poor spatial
+    /// separation makes many children overlap a ray, forcing a deep
+    /// traversal stack.
+    fn deep_scene() -> (Tlas, Vec<Blas>) {
         let mut tris = Vec::new();
         let mut state = 0x12345678u32;
         let mut rng = || {
@@ -968,7 +985,13 @@ mod tests {
         }
         let blas = Blas::from_triangles(&tris);
         let tlas = Tlas::build(vec![Instance::new(0, Mat4x3::IDENTITY)], &[&blas]);
-        let mut rt = RtRuntime::new(tlas, vec![blas], [1, 1, 1], false);
+        (tlas, vec![blas])
+    }
+
+    #[test]
+    fn deep_scene_generates_spill_traffic() {
+        let (tlas, blases) = deep_scene();
+        let mut rt = RtRuntime::new(tlas, blases, [1, 1, 1], false);
         // Ray through the middle of the cloud, forced to visit everything
         // near its path (no early hit thanks to a tiny t interval... use a
         // ray that misses all triangles but crosses many boxes).
@@ -985,5 +1008,141 @@ mod tests {
         .unwrap();
         assert!(rt.stats.max_stack_depth > SHORT_STACK_ENTRIES);
         assert!(rt.stats.spill_stores > 0);
+    }
+
+    /// A script's spill stores and spill reloads: its steps inside thread
+    /// `tid`'s spill window.
+    fn spill_steps(tid: usize, script: &[Step]) -> (u64, u64) {
+        let window = spill_base(tid)..spill_base(tid) + 64 * 32;
+        script
+            .iter()
+            .fold((0, 0), |(stores, loads), step| match *step {
+                Step::Store { addr, .. } if window.contains(&addr) => (stores + 1, loads),
+                Step::Fetch {
+                    addr,
+                    op: OpKind::None,
+                    ..
+                } if window.contains(&addr) => (stores, loads + 1),
+                _ => (stores, loads),
+            })
+    }
+
+    /// Property: the spill counts in `RuntimeStats` are exactly the spill
+    /// steps of the replay scripts, ray by ray, and a runtime without
+    /// scripts reports the same statistics and stores no script.
+    #[test]
+    fn spill_counts_have_one_source() {
+        use std::cell::Cell;
+        use vksim_testkit::prop::{check, f32_in, vec_of};
+        let (tlas, blases) = deep_scene();
+        let scene = RtRuntime::new(tlas, blases, [64, 1, 1], false);
+        let spilled = Cell::new(0u64);
+        let c = || f32_in(-15.0, 15.0);
+        check(&vec_of((c(), c(), c(), c(), c(), c()), 1, 8), |rays| {
+            let mut rec = scene.shard(0);
+            let mut func = scene.shard(0).without_scripts();
+            for (tid, &(ox, oy, oz, dx, dy, dz)) in rays.iter().enumerate() {
+                let ray = RayDesc {
+                    origin: [ox, oy, oz],
+                    dir: [dx, dy, dz],
+                    t_min: 1e-3,
+                    t_max: 1e30,
+                    flags: tid as u32 % 2 * RAY_FLAG_TERMINATE_ON_FIRST_HIT,
+                };
+                let before = rec.stats.clone();
+                rec.traverse(tid, ray).map_err(|e| e.0)?;
+                func.traverse(tid, ray).map_err(|e| e.0)?;
+                let counted = (
+                    rec.stats.spill_stores - before.spill_stores,
+                    rec.stats.spill_loads - before.spill_loads,
+                );
+                let steps = spill_steps(tid, &rec.take_script(tid));
+                if steps != counted {
+                    return Err(format!(
+                        "ray {tid}: script spills {steps:?}, counted {counted:?}"
+                    ));
+                }
+                spilled.set(spilled.get() + counted.0);
+            }
+            if func.stats != rec.stats {
+                return Err(format!("{:?} != {:?}", func.stats, rec.stats));
+            }
+            if !func.scripts.is_empty() {
+                return Err("a runtime without scripts stored one".into());
+            }
+            Ok(())
+        });
+        assert!(spilled.get() > 0, "the rays exercise the short stack");
+    }
+
+    /// Traces `ray` through a runtime with scripts and one without; both
+    /// must agree on the outcome, the committed hit kind and the stats.
+    /// Returns the outcome and the hit kind.
+    fn trace_both_modes(scene: (Tlas, Vec<Blas>), ray: RayDesc) -> (Result<(), RtError>, u32) {
+        let (tlas, blases) = scene;
+        let mut rec = RtRuntime::new(tlas, blases, [4, 4, 1], false);
+        let mut func = rec.shard(0).without_scripts();
+        let outcome = rec.traverse(0, ray);
+        assert_eq!(func.traverse(0, ray), outcome);
+        let kind = rec.query(0, RtQuery::HitKind);
+        assert_eq!(func.query(0, RtQuery::HitKind), kind);
+        assert_eq!(func.stats, rec.stats);
+        assert!(func.take_script(0).is_empty());
+        (outcome, kind)
+    }
+
+    #[test]
+    fn degenerate_rays_miss_in_both_modes() {
+        let nan = f32::NAN;
+        for (what, ray) in [
+            (
+                "NaN origin",
+                RayDesc {
+                    origin: [nan, 0.0, -5.0],
+                    ..z_ray()
+                },
+            ),
+            (
+                "NaN direction",
+                RayDesc {
+                    dir: [0.0, nan, 1.0],
+                    ..z_ray()
+                },
+            ),
+            (
+                "t_min > t_max",
+                RayDesc {
+                    t_min: 10.0,
+                    t_max: 1.0,
+                    ..z_ray()
+                },
+            ),
+        ] {
+            assert_eq!(trace_both_modes(quad_scene(), ray), (Ok(()), 0), "{what}");
+        }
+        // An unbounded interval is a well-formed ray: it still hits.
+        let unbounded = RayDesc {
+            t_max: f32::INFINITY,
+            ..z_ray()
+        };
+        assert_eq!(trace_both_modes(quad_scene(), unbounded), (Ok(()), 1));
+    }
+
+    #[test]
+    fn instances_of_an_empty_blas_are_skipped_in_both_modes() {
+        let (_, quad) = quad_scene();
+        let empty = Blas::from_triangles(&[]);
+        let instances = vec![
+            Instance::new(0, Mat4x3::IDENTITY),
+            Instance::new(1, Mat4x3::IDENTITY),
+        ];
+        let tlas = Tlas::build(instances.clone(), &[&empty, &quad[0]]);
+        let scene = (tlas, vec![empty.clone(), quad[0].clone()]);
+        assert_eq!(trace_both_modes(scene, z_ray()), (Ok(()), 1));
+        let only_empty = Tlas::build(instances[..1].to_vec(), &[&empty]);
+        assert_eq!(
+            trace_both_modes((only_empty, vec![empty]), z_ray()),
+            (Ok(()), 0)
+        );
     }
 }

@@ -5,6 +5,7 @@ use crate::config::SimConfig;
 use crate::runtime::{RtRuntime, RuntimeStats};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use vksim_fault::SimError;
 use vksim_gpu::{GpuConfig, GpuFault, GpuSim, GpuStats, LaunchDims, RunOutcome};
 use vksim_isa::interp::{run_to_exit, ExecError, ThreadState};
@@ -341,12 +342,13 @@ impl Simulator {
         device: &Device,
         cmd: &TraceRaysCommand,
     ) -> Result<(SimMemory, RuntimeStats), Box<SimFailure>> {
-        let mut runtime = self.make_runtime(device, cmd);
+        let mut runtime = self.make_runtime(device, cmd).without_scripts();
         let mut mem = device.memory.clone();
         let total = cmd.dims.width as usize * cmd.dims.height as usize * cmd.dims.depth as usize;
+        let mut t =
+            ThreadState::with_tid(cmd.program.num_regs(), cmd.program.num_preds().max(1), 0);
         for tid in 0..total {
-            let mut t =
-                ThreadState::with_tid(cmd.program.num_regs(), cmd.program.num_preds().max(1), tid);
+            t.reset(tid);
             if let Err(e) = run_to_exit(&cmd.program, &mut t, &mut mem, &mut runtime) {
                 return Err(functional_failure(tid, &e));
             }
@@ -362,7 +364,7 @@ impl Simulator {
         });
         RtRuntime::new(
             tlas,
-            device.blases.clone(),
+            Arc::clone(&device.blases),
             [cmd.dims.width, cmd.dims.height, cmd.dims.depth],
             cmd.fcc,
         )

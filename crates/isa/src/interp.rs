@@ -131,7 +131,7 @@ impl RtHooks for NoRt {
 }
 
 /// Architectural state of one thread.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ThreadState {
     /// Program counter.
     pub pc: u32,
@@ -155,14 +155,21 @@ impl ThreadState {
 
     /// Creates a fresh thread with explicit register/predicate counts and id.
     pub fn with_tid(num_regs: u16, num_preds: u16, tid: usize) -> Self {
-        ThreadState {
-            pc: 0,
-            tid,
+        let mut t = ThreadState {
             regs: vec![0; num_regs as usize],
             preds: vec![false; num_preds as usize],
-            exited: false,
-            local_base: 0x7000_0000 + (tid as u64) * 0x1_0000,
-        }
+            ..ThreadState::default()
+        };
+        t.reset(tid);
+        t
+    }
+
+    /// Makes this a fresh thread `tid`, keeping the register allocations.
+    pub fn reset(&mut self, tid: usize) {
+        self.regs.fill(0);
+        self.preds.fill(false);
+        (self.pc, self.tid, self.exited) = (0, tid, false);
+        self.local_base = 0x7000_0000 + (tid as u64) * 0x1_0000;
     }
 
     /// Register read as f32.

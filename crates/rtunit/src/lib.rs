@@ -15,8 +15,10 @@
 //! * returning data enters the *Response FIFO*; the *Operation Scheduler*
 //!   forwards waiting threads to the pipelined ray-box / ray-triangle /
 //!   transform *Operation Units*, which have fixed latency (§III-C4);
-//! * each ray's traversal stack is a short stack with
-//!   [`SHORT_STACK_ENTRIES`] entries that spills into per-thread memory.
+//! * each ray's traversal stack is an eight-entry short stack that spills
+//!   into per-thread memory; the functional traversal counts the spills
+//!   and the simulator core writes them into the script as stores and
+//!   fetches.
 //!
 //! A warp completes when every thread finished its script; until then
 //! finished threads idle — the source of the low RT-unit SIMT efficiency
@@ -30,10 +32,6 @@ pub use unit::{
 
 use vksim_snapshot::{Dec, Enc, Snap, SnapError};
 use vksim_stats::{Counters, Histogram};
-
-/// Short-stack depth per ray; deeper pushes spill to per-thread memory
-/// (paper §III-C2, eight entries).
-pub const SHORT_STACK_ENTRIES: u32 = 8;
 
 /// One step of a thread's traversal script (converted from the functional
 /// model's trace events by the simulator core).

@@ -37,6 +37,7 @@
 //! assert_eq!(cmd.dims.width, 64);
 //! ```
 
+use std::sync::Arc;
 use vksim_bvh::geometry::BlasGeometry;
 use vksim_bvh::{Blas, Instance, Tlas};
 use vksim_isa::{Program, SimMemory};
@@ -138,8 +139,9 @@ pub struct LaunchSize {
 pub struct Device {
     /// The functional memory image (descriptor table, buffers).
     pub memory: SimMemory,
-    /// All bottom-level acceleration structures, by handle.
-    pub blases: Vec<Blas>,
+    /// All bottom-level acceleration structures, by handle. Every run of
+    /// the device shares this one copy.
+    pub blases: Arc<Vec<Blas>>,
     /// The top-level acceleration structure, once built.
     pub tlas: Option<Tlas>,
     buffer_cursor: u64,
@@ -151,7 +153,7 @@ impl Device {
     pub fn new() -> Self {
         Device {
             memory: SimMemory::new(),
-            blases: Vec::new(),
+            blases: Arc::default(),
             tlas: None,
             buffer_cursor: BUFFER_ARENA_BASE,
             blas_cursor: BLAS_ARENA_BASE,
@@ -205,7 +207,7 @@ impl Device {
         let mut blas = Blas::build(geometry);
         blas.set_base_addr(self.blas_cursor);
         self.blas_cursor += blas.size_bytes().div_ceil(4096) * 4096;
-        self.blases.push(blas);
+        Arc::make_mut(&mut self.blases).push(blas);
         (self.blases.len() - 1) as u32
     }
 

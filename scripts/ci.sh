@@ -73,6 +73,13 @@ cargo test --offline --workspace -q
 step "Paper-scale BVH layout pins (release, --ignored)"
 cargo test --release --offline -q -p vksim-bench --test bvh_layout -- --ignored
 
+# The functional tier at Paper scale: each scene's run_functional
+# statistics and an FNV-1a-64 hash of its framebuffer must equal
+# tests/goldens/func_paper.json (the Test-scale check against the timing
+# goldens runs in the plain test stage above).
+step "Paper-scale functional-tier pins (release, --ignored)"
+cargo test --release --offline -q -p vksim-bench --test functional_tier -- --ignored
+
 # Fault-injection smoke: one drill per fault class (dropped completion,
 # stalled warp, worker panic, truncated program, corrupted BVH) — each must end in a classified SimError with a
 # parseable post-mortem dump, never a raw panic or a hang.
@@ -147,6 +154,16 @@ for want in '^gpu\.counters_fnv 3069388910270302 ' '^gpu\.sim_cycles 220294 ' \
     grep -Eq "$want" <<<"$paper_out" || { echo "ext_paper_sm48: no line matches '$want'"; exit 1; }
 done
 printf '%s\n' "$paper_out" | grep -E '^(gpu\.counters_fnv|gpu\.sim_cycles|operations) '
+
+# The functional tier through the benchmark at Paper scale: every pass of
+# the five scenes must repeat the first pass's statistics and image, and
+# the TRI/REF/EXT images must match the CPU reference.
+step "repo benchmark at Paper scale (func_paper5, functional tier)"
+func_out="$(CARGO_TARGET_DIR="$PWD/target/benchmark" \
+    bash benchmark/run.sh --workload func_paper5 --seed 1 --seconds 2 --trace 0)"
+grep -Eq '^operations attempted [0-9]+ failed 0$' <<<"$func_out" \
+    || { echo "func_paper5: failed operations"; printf '%s\n' "$func_out"; exit 1; }
+printf '%s\n' "$func_out" | grep -E '^(wall_s|image_match_frac|operations) '
 
 step "examples build + run (quickstart, custom_scene)"
 cargo build --release --offline --examples

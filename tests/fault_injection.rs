@@ -111,7 +111,10 @@ fn truncated_program_faults_in_the_timing_model() {
 #[test]
 fn corrupted_bvh_child_pointer_is_an_exec_fault() {
     let mut w = build(WorkloadKind::Ext, Scale::Test);
-    let corrupted = w.device.blases.iter_mut().any(|blas| {
+    // The device's one BLAS copy is shared by every run; corrupt it
+    // before any run takes a reference.
+    let blases = std::sync::Arc::make_mut(&mut w.device.blases);
+    let corrupted = blases.iter_mut().any(|blas| {
         for node in &mut blas.bvh.nodes {
             if let vksim_bvh::node::Node::Internal(internal) = node {
                 internal.children[0] = 9_999;
@@ -121,17 +124,23 @@ fn corrupted_bvh_child_pointer_is_an_exec_fault() {
         false
     });
     assert!(corrupted, "EXT has at least one internal BLAS node");
-    let failure = Simulator::new(SimConfig::test_small())
+    let mut sim = Simulator::new(SimConfig::test_small());
+    let functional = sim
         .run_functional(&w.device, &w.cmd)
         .expect_err("traversal must reject the wild pointer");
-    let SimError::Exec { ref detail, .. } = failure.error else {
-        panic!("expected an execution fault, got {failure}");
-    };
-    assert!(
-        detail.contains("acceleration structure traversal failed"),
-        "{detail}"
-    );
-    read_dump(&failure);
+    let timing = sim
+        .run(&w.device, &w.cmd)
+        .expect_err("the timing tier traverses the same corrupt BLAS");
+    for failure in [functional, timing] {
+        let SimError::Exec { ref detail, .. } = failure.error else {
+            panic!("expected an execution fault, got {failure}");
+        };
+        assert!(
+            detail.contains("acceleration structure traversal failed"),
+            "{detail}"
+        );
+        read_dump(&failure);
+    }
 }
 
 /// Property: dropping the Nth completion, for any N, either finishes the
