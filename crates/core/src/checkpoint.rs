@@ -2,7 +2,7 @@
 //! whole-machine snapshot payloads.
 //!
 //! A checkpoint captures *everything* the cycle loop needs to continue
-//! bit-identically: every runtime shard's functional state (frame stacks,
+//! bit-identically: the RT runtime's functional state (frame stacks,
 //! replay scripts, FCC buffers, allocation cursor, statistics) followed by
 //! the complete GPU machine state ([`GpuSim::save`]). The container
 //! ([`vksim_snapshot::Snapshot`]) adds versioning and a checksum; this
@@ -17,7 +17,7 @@
 use crate::runtime::RtRuntime;
 use vksim_fault::FaultPlan;
 use vksim_gpu::{GpuConfig, GpuSim};
-use vksim_snapshot::{fnv1a, fnv1a_init, save_each, Dec, Enc, SnapError};
+use vksim_snapshot::{fnv1a, fnv1a_init, Dec, Enc, SnapError};
 use vksim_trace::TraceConfig;
 use vksim_vulkan::{Device, TraceRaysCommand};
 
@@ -73,11 +73,10 @@ pub fn config_fingerprint(config: &GpuConfig, device: &Device, cmd: &TraceRaysCo
 }
 
 /// Builds the snapshot payload for the machine at a clean cycle boundary:
-/// the runtime shard count (one per SM), every shard's functional state,
-/// then the complete GPU state.
-pub(crate) fn machine_payload(gpu: &GpuSim, shards: &[RtRuntime]) -> Vec<u8> {
+/// the runtime's functional state, then the complete GPU state.
+pub(crate) fn machine_payload(gpu: &GpuSim, runtime: &RtRuntime) -> Vec<u8> {
     let mut e = Enc::new();
-    save_each(shards, &mut e, RtRuntime::save);
+    runtime.save(&mut e);
     gpu.save(&mut e);
     e.into_bytes()
 }
@@ -87,28 +86,16 @@ pub(crate) fn machine_payload(gpu: &GpuSim, shards: &[RtRuntime]) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns [`SnapError::Malformed`] when the shard count disagrees with
-/// the SM count (a foreign payload, or one written by an older build whose
-/// one-thread runs kept a single runtime) or when any embedded state
-/// disagrees with the resuming configuration; [`SnapError::Truncated`] on
-/// a short payload.
+/// Returns [`SnapError::Malformed`] when any embedded state disagrees
+/// with the resuming configuration; [`SnapError::Truncated`] on a short
+/// payload.
 pub(crate) fn restore_machine(
     gpu: &mut GpuSim,
-    shards: &mut [RtRuntime],
+    runtime: &mut RtRuntime,
     payload: &[u8],
 ) -> Result<(), SnapError> {
     let mut d = Dec::new(payload);
-    let n = d.seq()?;
-    if n != shards.len() {
-        return Err(SnapError::Malformed(format!(
-            "snapshot holds {n} runtime shard(s) but this machine has {} SMs \
-             (one shard each)",
-            shards.len()
-        )));
-    }
-    for shard in shards.iter_mut() {
-        shard.restore(&mut d)?;
-    }
+    runtime.restore(&mut d)?;
     gpu.restore(&mut d)?;
     d.finish()
 }

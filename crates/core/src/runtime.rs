@@ -35,12 +35,8 @@ pub const RAY_FLAG_TERMINATE_ON_FIRST_HIT: u32 = 1;
 const WARP_SIZE: usize = 32;
 
 /// Base of the `rt_alloc_mem` arena (below per-thread local memory at
-/// 0x7000_0000).
-const SHARD_ALLOC_BASE: u64 = 0x6000_0000;
-
-/// Per-shard slice of the arena: 1 MiB per SM keeps even 48-SM configs well
-/// clear of the local-memory window.
-const SHARD_ALLOC_REGION: u64 = 0x10_0000;
+/// 0x7000_0000); one cursor hands out disjoint addresses from here.
+const ALLOC_BASE: u64 = 0x6000_0000;
 
 /// Base of thread `tid`'s 64-slot short-stack spill window.
 fn spill_base(tid: usize) -> u64 {
@@ -105,23 +101,6 @@ pub struct RuntimeStats {
 }
 
 impl RuntimeStats {
-    /// Accumulates another shard's statistics into this one. All fields are
-    /// sums except `max_stack_depth` (a max), so merging is commutative and
-    /// independent of shard order.
-    pub fn merge(&mut self, other: &RuntimeStats) {
-        self.rays += other.rays;
-        self.nodes_visited += other.nodes_visited;
-        self.box_tests += other.box_tests;
-        self.triangle_tests += other.triangle_tests;
-        self.transforms += other.transforms;
-        self.procedural_hits += other.procedural_hits;
-        self.triangle_hits += other.triangle_hits;
-        self.misses += other.misses;
-        self.max_stack_depth = self.max_stack_depth.max(other.max_stack_depth);
-        self.spill_stores += other.spill_stores;
-        self.spill_loads += other.spill_loads;
-    }
-
     /// Average BVH nodes visited per ray (Table IV).
     pub fn avg_nodes_per_ray(&self) -> f64 {
         if self.rays == 0 {
@@ -132,12 +111,12 @@ impl RuntimeStats {
     }
 }
 
-/// The scene-bound RT runtime.
+/// The scene-bound RT runtime: one per run, serving every SM.
 ///
-/// Scene data (TLAS/BLAS) is shared behind `Arc` so [`RtRuntime::shard`]
-/// can hand every SM its own runtime without copying geometry. All mutable
-/// state is keyed by thread id or warp id; warps never migrate between SMs,
-/// so per-SM shards partition it exactly.
+/// Scene data (TLAS/BLAS) is shared behind `Arc`, so binding a runtime
+/// copies no geometry. All mutable state is keyed by global thread id or
+/// warp id and warps never migrate, so the SMs, ticking in id order on
+/// one thread, never touch each other's entries.
 pub struct RtRuntime {
     tlas: Arc<Tlas>,
     blases: Arc<Vec<Blas>>,
@@ -174,7 +153,7 @@ impl RtRuntime {
             frames: FixedMap::default(),
             scripts: FixedMap::default(),
             fcc_tables: FixedMap::default(),
-            alloc_cursor: SHARD_ALLOC_BASE,
+            alloc_cursor: ALLOC_BASE,
             stats: RuntimeStats::default(),
             analytics: None,
         }
@@ -187,8 +166,7 @@ impl RtRuntime {
     }
 
     /// Turns on ray-traversal analytics collection: per-node heatmaps,
-    /// per-ray histograms and per-level line-reuse tallies. Call before
-    /// sharding so every shard inherits the setting.
+    /// per-ray histograms and per-level line-reuse tallies.
     pub fn enable_analytics(&mut self) {
         self.analytics = Some(Box::new(TraversalAnalytics::default()));
     }
@@ -196,28 +174,6 @@ impl RtRuntime {
     /// The collected traversal analytics, if enabled.
     pub fn analytics(&self) -> Option<&TraversalAnalytics> {
         self.analytics.as_deref()
-    }
-
-    /// A per-SM shard sharing this runtime's scene with fresh per-thread
-    /// state and a disjoint `rt_alloc_mem` region (so concurrent shards
-    /// never hand out overlapping addresses).
-    pub fn shard(&self, sm: usize) -> RtRuntime {
-        RtRuntime {
-            tlas: Arc::clone(&self.tlas),
-            blases: Arc::clone(&self.blases),
-            launch: self.launch,
-            fcc: self.fcc,
-            record_scripts: self.record_scripts,
-            frames: FixedMap::default(),
-            scripts: FixedMap::default(),
-            fcc_tables: FixedMap::default(),
-            alloc_cursor: SHARD_ALLOC_BASE + sm as u64 * SHARD_ALLOC_REGION,
-            stats: RuntimeStats::default(),
-            analytics: self
-                .analytics
-                .as_ref()
-                .map(|_| Box::new(TraversalAnalytics::default())),
-        }
     }
 
     fn frame(&self, tid: usize) -> Option<&Frame> {
@@ -433,7 +389,7 @@ impl Snap for Frame {
 
 // The mutable state: per-thread frame stacks, pending replay scripts, FCC
 // coalescing buffers, the `rt_alloc_mem` cursor, the functional statistics
-// and the analytics shard. Scene data (TLAS/BLAS), launch dims and the
+// and the analytics. Scene data (TLAS/BLAS), launch dims and the
 // switches belong to the runtime the resuming run bound to the same scene.
 vksim_snapshot::snap_state!(RtRuntime {
     frames,
@@ -523,6 +479,10 @@ impl RtHooks for RtRuntime {
         let depth = self.depth(tid);
         if let Some(frames) = self.frames.get_mut(&tid) {
             frames.pop();
+            // A thread that has ended its outermost trace keeps no entry.
+            if frames.is_empty() {
+                self.frames.remove(&tid);
+            }
         }
         // The coalescing buffer for this round is dead once any lane ends
         // its trace; rows are keyed by (warp, depth).
@@ -841,55 +801,6 @@ mod tests {
     }
 
     #[test]
-    fn shards_share_scene_with_disjoint_alloc_regions() {
-        let (tlas, blases) = quad_scene();
-        let rt = RtRuntime::new(tlas, blases, [32, 1, 1], false);
-        let mut s0 = rt.shard(0);
-        let mut s1 = rt.shard(1);
-        // Disjoint rt_alloc_mem arenas.
-        let a0 = s0.alloc_mem(0, 64);
-        let a1 = s1.alloc_mem(0, 64);
-        assert_ne!(a0, a1);
-        assert_eq!(a1 - a0, SHARD_ALLOC_REGION);
-        // Same scene: identical traversal results for the same ray.
-        s0.traverse(0, z_ray()).unwrap();
-        s1.traverse(32, z_ray()).unwrap();
-        assert_eq!(s0.stats.nodes_visited, s1.stats.nodes_visited);
-        assert_eq!(
-            s0.query(0, RtQuery::HitKind),
-            s1.query(32, RtQuery::HitKind)
-        );
-    }
-
-    #[test]
-    fn merged_shard_stats_match_single_runtime() {
-        let (tlas, blases) = quad_scene();
-        let single_scene = RtRuntime::new(tlas, blases, [64, 1, 1], false);
-        let mut single = single_scene.shard(0);
-        let mut s0 = single_scene.shard(0);
-        let mut s1 = single_scene.shard(1);
-        let mut miss = z_ray();
-        miss.origin = [50.0, 50.0, -5.0];
-        for tid in 0..32 {
-            single.traverse(tid, z_ray()).unwrap();
-            s0.traverse(tid, z_ray()).unwrap();
-        }
-        for tid in 32..64 {
-            single.traverse(tid, miss).unwrap();
-            s1.traverse(tid, miss).unwrap();
-        }
-        let mut merged = RuntimeStats::default();
-        merged.merge(&s0.stats);
-        merged.merge(&s1.stats);
-        assert_eq!(merged, single.stats);
-        // Merge is commutative.
-        let mut swapped = RuntimeStats::default();
-        swapped.merge(&s1.stats);
-        swapped.merge(&s0.stats);
-        assert_eq!(swapped, merged);
-    }
-
-    #[test]
     fn alloc_mem_is_monotonic_and_aligned() {
         let (tlas, blases) = quad_scene();
         let mut rt = RtRuntime::new(tlas, blases, [1, 1, 1], false);
@@ -907,6 +818,31 @@ mod tests {
         rt.traverse(7, z_ray()).unwrap();
         assert!(!rt.take_script(7).is_empty());
         assert!(rt.take_script(7).is_empty(), "second take is empty");
+    }
+
+    #[test]
+    fn ended_traces_leave_no_frame_stacks() {
+        let (tlas, blases) = quad_scene();
+        let mut rt = RtRuntime::new(tlas, blases, [64, 2, 1], false);
+        for tid in 0..128 {
+            rt.traverse(tid, z_ray()).unwrap();
+            if tid % 3 == 0 {
+                rt.traverse(tid, z_ray()).unwrap();
+            }
+        }
+        assert_eq!(rt.frames.len(), 128);
+        for tid in (0..128).rev() {
+            rt.end_trace(tid);
+            if tid % 3 == 0 {
+                assert_eq!(rt.query(tid, RtQuery::RecursionDepth), 1, "outer frame");
+                rt.end_trace(tid);
+            }
+        }
+        assert!(
+            rt.frames.is_empty(),
+            "{} emptied stacks kept",
+            rt.frames.len()
+        );
     }
 
     #[test]
@@ -942,26 +878,6 @@ mod tests {
         let mut e2 = Enc::new();
         back.save(&mut e2);
         assert_eq!(e2.into_bytes(), bytes, "round trip is byte-idempotent");
-    }
-
-    #[test]
-    fn shards_inherit_analytics_and_merge_conserves() {
-        let (tlas, blases) = quad_scene();
-        let mut rt = RtRuntime::new(tlas, blases, [64, 1, 1], false);
-        assert!(rt.shard(0).analytics().is_none(), "off stays off");
-        rt.enable_analytics();
-        let mut s0 = rt.shard(0);
-        let mut s1 = rt.shard(1);
-        s0.traverse(0, z_ray()).unwrap();
-        s1.traverse(32, z_ray()).unwrap();
-        let mut merged = TraversalAnalytics::default();
-        merged.merge(s0.analytics().expect("enabled"));
-        merged.merge(s1.analytics().expect("enabled"));
-        assert_eq!(merged.rays(), 2);
-        assert_eq!(
-            merged.visit_total(),
-            s0.stats.nodes_visited + s1.stats.nodes_visited
-        );
     }
 
     /// Thousands of overlapping triangles scattered in a cube: poor spatial
@@ -1035,12 +951,13 @@ mod tests {
         use std::cell::Cell;
         use vksim_testkit::prop::{check, f32_in, vec_of};
         let (tlas, blases) = deep_scene();
-        let scene = RtRuntime::new(tlas, blases, [64, 1, 1], false);
+        let (tlas, blases) = (Arc::new(tlas), Arc::new(blases));
+        let runtime = || RtRuntime::new(Arc::clone(&tlas), Arc::clone(&blases), [64, 1, 1], false);
         let spilled = Cell::new(0u64);
         let c = || f32_in(-15.0, 15.0);
         check(&vec_of((c(), c(), c(), c(), c(), c()), 1, 8), |rays| {
-            let mut rec = scene.shard(0);
-            let mut func = scene.shard(0).without_scripts();
+            let mut rec = runtime();
+            let mut func = runtime().without_scripts();
             for (tid, &(ox, oy, oz, dx, dy, dz)) in rays.iter().enumerate() {
                 let ray = RayDesc {
                     origin: [ox, oy, oz],
@@ -1079,9 +996,10 @@ mod tests {
     /// must agree on the outcome, the committed hit kind and the stats.
     /// Returns the outcome and the hit kind.
     fn trace_both_modes(scene: (Tlas, Vec<Blas>), ray: RayDesc) -> (Result<(), RtError>, u32) {
-        let (tlas, blases) = scene;
-        let mut rec = RtRuntime::new(tlas, blases, [4, 4, 1], false);
-        let mut func = rec.shard(0).without_scripts();
+        let (tlas, blases) = (Arc::new(scene.0), Arc::new(scene.1));
+        let runtime = || RtRuntime::new(Arc::clone(&tlas), Arc::clone(&blases), [4, 4, 1], false);
+        let mut rec = runtime();
+        let mut func = runtime().without_scripts();
         let outcome = rec.traverse(0, ray);
         assert_eq!(func.traverse(0, ray), outcome);
         let kind = rec.query(0, RtQuery::HitKind);

@@ -14,7 +14,6 @@ use vksim_power::{ActivityCounts, PowerModel, PowerReport};
 use vksim_snapshot::Snapshot;
 use vksim_trace::{
     chrome_trace_json, hotspot_summary, interval_csv, ProfReport, RtReport, TraceReport,
-    TraversalAnalytics,
 };
 use vksim_vulkan::{Device, TraceRaysCommand};
 
@@ -174,9 +173,9 @@ impl Simulator {
         let every = gpu_config.checkpoint_every;
         let keep = gpu_config.checkpoint_keep;
         let ckpt_dir = gpu_config.checkpoint_dir.clone();
-        let (mut gpu, mut shards) = self.launch(gpu_config, device, cmd);
+        let (mut gpu, mut runtime) = self.launch(gpu_config, device, cmd);
         if let Some(payload) = resume_payload {
-            if let Err(e) = checkpoint::restore_machine(&mut gpu, &mut shards, &payload) {
+            if let Err(e) = checkpoint::restore_machine(&mut gpu, &mut runtime, &payload) {
                 return Err(snapshot_failure(format!(
                     "snapshot does not match this run: {e}"
                 )));
@@ -187,12 +186,12 @@ impl Simulator {
         // historical run path.
         let outcome = loop {
             let res = if every == 0 {
-                gpu.run(&mut shards)
+                gpu.run(&mut runtime)
                     .map(|stats| RunOutcome::Done(Box::new(stats)))
             } else {
                 // Next checkpoint boundary strictly after the current cycle.
                 let stop = (gpu.cycles() + 1).next_multiple_of(every);
-                gpu.run_until(&mut shards, stop)
+                gpu.run_until(&mut runtime, stop)
             };
             match res {
                 Ok(RunOutcome::Done(stats)) => break Ok(*stats),
@@ -200,7 +199,7 @@ impl Simulator {
                     let dir = ckpt_dir.clone().unwrap_or_else(|| ".".into());
                     let path = Path::new(&dir).join(format!("ckpt-{}.vksnap", gpu.cycles()));
                     let snap =
-                        Snapshot::new(fingerprint, checkpoint::machine_payload(&gpu, &shards));
+                        Snapshot::new(fingerprint, checkpoint::machine_payload(&gpu, &runtime));
                     // Checkpoint failures are warnings: a healthy run never
                     // dies because a checkpoint could not be written.
                     if let Err(e) = snap.write_atomic(&path) {
@@ -215,13 +214,9 @@ impl Simulator {
         // On a fault, capture the final machine state beside the
         // post-mortem dump before anything is torn down.
         let fault_snapshot = match &outcome {
-            Err(fault) => write_final_snapshot(&gpu, &shards, fingerprint, fault.dump.as_deref()),
+            Err(fault) => write_final_snapshot(&gpu, &runtime, fingerprint, fault.dump.as_deref()),
             Ok(_) => None,
         };
-        let mut runtime_stats = RuntimeStats::default();
-        for shard in &shards {
-            runtime_stats.merge(&shard.stats);
-        }
         let memory = std::mem::take(&mut gpu.mem);
         // Trace export happens on healthy AND faulted runs: a trace that
         // ends at the fault is exactly what post-mortem analysis wants.
@@ -240,7 +235,7 @@ impl Simulator {
         // RT analytics likewise export on both paths; a faulted run's
         // partial heatmap is still a valid characterization of the rays
         // that completed.
-        let rt = rt_report(&gpu, &shards);
+        let rt = rt_report(&gpu, &runtime);
         if let Some(r) = &rt {
             let tcfg = &gpu.config().trace;
             if let Some(path) = &tcfg.rt {
@@ -269,7 +264,7 @@ impl Simulator {
                 let power = power_from_stats(&stats);
                 Ok(RunReport {
                     gpu: stats,
-                    runtime: runtime_stats,
+                    runtime: runtime.stats,
                     power,
                     memory,
                     trace,
@@ -282,7 +277,7 @@ impl Simulator {
                 let power = power_from_stats(&stats);
                 let report = RunReport {
                     gpu: stats,
-                    runtime: runtime_stats,
+                    runtime: runtime.stats,
                     power,
                     memory,
                     trace,
@@ -299,15 +294,14 @@ impl Simulator {
         }
     }
 
-    /// A machine with `cmd` launched, and one runtime shard per SM (warps
-    /// never migrate, so per-thread state partitions).
+    /// A machine with `cmd` launched, and the runtime every SM ticks
+    /// against.
     fn launch(
         &self,
         config: GpuConfig,
         device: &Device,
         cmd: &TraceRaysCommand,
-    ) -> (GpuSim, Vec<RtRuntime>) {
-        let num_sms = config.num_sms;
+    ) -> (GpuSim, RtRuntime) {
         let rt_analytics_on = config.trace.rt_analytics;
         let mut gpu = GpuSim::new(config);
         gpu.mem = device.memory.clone();
@@ -323,8 +317,7 @@ impl Simulator {
         if rt_analytics_on {
             runtime.enable_analytics();
         }
-        let shards = (0..num_sms).map(|sm| runtime.shard(sm)).collect();
-        (gpu, shards)
+        (gpu, runtime)
     }
 
     /// Functional-only run: executes every thread to completion without the
@@ -401,17 +394,12 @@ fn export_trace(report: &TraceReport) {
 }
 
 /// Assembles the end-of-run [`RtReport`] when RT analytics was enabled:
-/// shard traversal tallies merge commutatively, per-SM coherence and
-/// RT-unit attribution come from the machine. `None` whenever analytics
-/// was off.
-fn rt_report(gpu: &GpuSim, shards: &[RtRuntime]) -> Option<RtReport> {
+/// traversal tallies come from the runtime, per-SM coherence and RT-unit
+/// attribution from the machine. `None` whenever analytics was off.
+fn rt_report(gpu: &GpuSim, runtime: &RtRuntime) -> Option<RtReport> {
     let (per_sm, rt_box_ops) = gpu.rt_report_parts()?;
-    let mut traversal = TraversalAnalytics::default();
-    for shard in shards {
-        traversal.merge(shard.analytics()?);
-    }
     Some(RtReport {
-        traversal,
+        traversal: runtime.analytics()?.clone(),
         per_sm,
         rt_box_ops,
     })
@@ -467,7 +455,7 @@ fn prune_checkpoints(dir: &Path, keep: u64) {
 /// mask the original fault.
 fn write_final_snapshot(
     gpu: &GpuSim,
-    shards: &[RtRuntime],
+    runtime: &RtRuntime,
     fingerprint: u64,
     dump: Option<&Path>,
 ) -> Option<PathBuf> {
@@ -475,7 +463,7 @@ fn write_final_snapshot(
         Some(p) => p.with_extension("vksnap"),
         None => return None,
     };
-    let snap = Snapshot::new(fingerprint, checkpoint::machine_payload(gpu, shards));
+    let snap = Snapshot::new(fingerprint, checkpoint::machine_payload(gpu, runtime));
     match snap.write_atomic(&path) {
         Ok(()) => Some(path),
         Err(e) => {
@@ -947,39 +935,40 @@ mod tests {
     }
 
     #[test]
-    fn resume_refuses_the_single_runtime_layout_of_older_builds() {
-        // Builds before the one-loop engine wrote one runtime, not one per
-        // SM, at one thread. Same fingerprint, foreign layout: a classified
-        // refusal, not a panic or a half-restored machine.
+    fn resume_refuses_the_previous_format_version() {
+        // Files of the previous format version hold one runtime per SM: a
+        // classified refusal by version, never a misread machine.
         let (device, cmd, _) = quad_workload(16, 4);
-        let sim = Simulator::new(SimConfig::test_small());
-        let gpu_config = sim.config().resolve().with_env_overrides();
-        let fingerprint = checkpoint::config_fingerprint(&gpu_config, &device, &cmd);
-        let mut gpu = GpuSim::new(gpu_config);
-        gpu.launch(
-            cmd.program.clone(),
-            LaunchDims {
-                width: cmd.dims.width,
-                height: cmd.dims.height,
-                depth: cmd.dims.depth,
-            },
-        );
-        let old_layout = checkpoint::machine_payload(&gpu, &[sim.make_runtime(&device, &cmd)]);
-        let path = std::env::temp_dir().join(format!("vksim-old-{}.vksnap", std::process::id()));
-        Snapshot::new(fingerprint, old_layout)
-            .write_atomic(&path)
-            .expect("snapshot written");
-        let failure = Simulator::new(SimConfig::test_small())
-            .resume(&device, &cmd, &path)
-            .expect_err("a one-runtime snapshot cannot fill two SM shards");
+        let dir = std::env::temp_dir().join(format!("vksim-ckpt-ver-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let cfg = SimConfig::test_small().with_checkpoint(64, dir.to_string_lossy().to_string());
+        Simulator::new(cfg.clone())
+            .run(&device, &cmd)
+            .expect("healthy run");
+        let ckpt = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok().map(|e| e.path()))
+            .find(|p| p.extension().is_some_and(|x| x == "vksnap"))
+            .expect("checkpoint written");
+        let current = Snapshot::read(&ckpt).expect("checkpoint readable");
+        let old = dir.join("old-format.vksnap");
+        Snapshot {
+            version: vksim_snapshot::FORMAT_VERSION - 1,
+            ..current
+        }
+        .write_atomic(&old)
+        .expect("snapshot written");
+        let failure = Simulator::new(cfg)
+            .resume(&device, &cmd, &old)
+            .expect_err("a previous-version snapshot must be refused");
         match &failure.error {
             SimError::SnapshotMismatch { detail } => {
-                assert!(detail.contains("1 runtime shard"), "{detail}")
+                assert!(detail.contains("format version"), "{detail}")
             }
             other => panic!("expected SnapshotMismatch, got {other:?}"),
         }
         assert!(failure.report.is_none(), "the run never started");
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1139,13 +1128,13 @@ mod tests {
     }
 
     /// Everything a run leaves behind, for comparing two runs byte by byte.
-    fn outcome(gpu: &mut GpuSim, shards: &[RtRuntime], stats: GpuStats) -> String {
-        let payload = checkpoint::machine_payload(gpu, shards);
+    fn outcome(gpu: &mut GpuSim, runtime: &RtRuntime, stats: GpuStats) -> String {
+        let payload = checkpoint::machine_payload(gpu, runtime);
         format!(
             "{stats:?}\n{:?}\n{:?}\n{:?}\n{:?}\n{payload:?}",
             gpu.prof_report(),
             gpu.rt_report_parts(),
-            rt_report(gpu, shards),
+            rt_report(gpu, runtime),
             gpu.take_trace_report(),
         )
     }
@@ -1217,12 +1206,12 @@ mod tests {
                 rtc.mshr_entries = 4; // so that the RT cache's refusals stall
             }
             let run = |stepped: bool| {
-                let (mut gpu, mut shards) = sim.launch(resolved.clone(), &w.device, &cmd);
+                let (mut gpu, mut runtime) = sim.launch(resolved.clone(), &w.device, &cmd);
                 let mut stall_seen = false;
                 let stats = if stepped {
                     loop {
                         let stop = gpu.cycles() + 1;
-                        match gpu.run_until(&mut shards, stop).expect("healthy run") {
+                        match gpu.run_until(&mut runtime, stop).expect("healthy run") {
                             RunOutcome::Done(stats) => break *stats,
                             RunOutcome::Paused => {
                                 let mut sms = gpu.sms().iter();
@@ -1231,9 +1220,9 @@ mod tests {
                         }
                     }
                 } else {
-                    gpu.run(&mut shards).expect("healthy run")
+                    gpu.run(&mut runtime).expect("healthy run")
                 };
-                (outcome(&mut gpu, &shards, stats), stall_seen)
+                (outcome(&mut gpu, &runtime, stats), stall_seen)
             };
             let (slept, (stepped, stall_seen)) = (run(false).0, run(true));
             assert!(slept == stepped, "{name}: sleeping changed the run");

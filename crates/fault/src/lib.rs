@@ -109,7 +109,7 @@ pub enum SimError {
     /// Restoring anyway would silently compute garbage, so the mismatch
     /// is a structured refusal instead.
     SnapshotMismatch {
-        /// What differed (fingerprint, version, shard count, ...).
+        /// What differed (fingerprint, version, payload layout, ...).
         detail: String,
     },
 }

@@ -197,14 +197,6 @@ vksim_snapshot::snap_state!(GpuSim {
     ),
 } skip { config, program });
 
-/// The hook shards as the cycle loop takes them. The loop is deliberately
-/// not generic over the hook type: a generic loop is instantiated in the
-/// caller's crate, out of inlining reach of this crate's SM methods, which
-/// cost ≈ 4 % of `wall_s` on the issue-bound benchmark workload.
-fn erase<H: GpuHooks>(shards: &mut [H]) -> Vec<&mut dyn GpuHooks> {
-    shards.iter_mut().map(|h| h as &mut dyn GpuHooks).collect()
-}
-
 /// Ticks one SM against the memory image, submitting into its request
 /// queue. The tick is panic-contained: a dying tick becomes a classified
 /// fault instead of tearing down the process. An asleep SM is passed over
@@ -406,7 +398,8 @@ impl GpuSim {
         self.program = Some(program);
     }
 
-    /// Runs the launched kernel to completion with one hook shard per SM.
+    /// Runs the launched kernel to completion, every SM ticking against
+    /// the one `hooks`.
     ///
     /// # Errors
     ///
@@ -419,9 +412,9 @@ impl GpuSim {
     ///
     /// # Panics
     ///
-    /// Panics if `shards.len() != num_sms` or no kernel was launched.
-    pub fn run<H: GpuHooks>(&mut self, shards: &mut [H]) -> Result<GpuStats, Box<GpuFault>> {
-        match self.cycle_loop(erase(shards), None)? {
+    /// Panics if no kernel was launched.
+    pub fn run(&mut self, hooks: &mut dyn GpuHooks) -> Result<GpuStats, Box<GpuFault>> {
+        match self.cycle_loop(hooks, None)? {
             RunOutcome::Done(stats) => Ok(*stats),
             RunOutcome::Paused => unreachable!("unbounded run cannot pause"),
         }
@@ -441,24 +434,26 @@ impl GpuSim {
     /// # Panics
     ///
     /// As [`GpuSim::run`].
-    pub fn run_until<H: GpuHooks>(
+    pub fn run_until(
         &mut self,
-        shards: &mut [H],
+        hooks: &mut dyn GpuHooks,
         stop_at: u64,
     ) -> Result<RunOutcome, Box<GpuFault>> {
-        self.cycle_loop(erase(shards), Some(stop_at))
+        self.cycle_loop(hooks, Some(stop_at))
     }
 
     /// The cycle loop: route completions, tick every SM in id order, drain
     /// the request queues in id order, then the trace, refill and watchdog
-    /// steps.
+    /// steps. The loop is deliberately not generic over the hook type: a
+    /// generic loop is instantiated in the caller's crate, out of inlining
+    /// reach of this crate's SM methods, which cost ≈ 4 % of `wall_s` on
+    /// the issue-bound benchmark workload.
     fn cycle_loop(
         &mut self,
-        mut shards: Vec<&mut dyn GpuHooks>,
+        hooks: &mut dyn GpuHooks,
         stop_at: Option<u64>,
     ) -> Result<RunOutcome, Box<GpuFault>> {
         let num = self.sms.len();
-        assert_eq!(shards.len(), num, "run needs one hook shard per SM");
         debug_assert_eq!(self.queues.len(), num, "one request queue per SM");
         let program = self.program.clone().expect("launch() before run()");
         let limit = self.config.occupancy_limit(program.num_regs() as u32);
@@ -504,17 +499,8 @@ impl GpuSim {
             // of the lower-id SMs that ticked before it this cycle. The
             // first fault in that order wins.
             let mut retired = false;
-            let lanes = self.sms.iter_mut().zip(&mut self.queues).zip(&mut shards);
-            for ((sm, queue), hooks) in lanes {
-                match tick_sm(
-                    sm,
-                    cycle,
-                    &program,
-                    &mut self.mem,
-                    queue,
-                    &mut **hooks,
-                    plan,
-                ) {
+            for (sm, queue) in self.sms.iter_mut().zip(&mut self.queues) {
+                match tick_sm(sm, cycle, &program, &mut self.mem, queue, hooks, plan) {
                     Ok(t) => {
                         retired |= t.retired;
                         progress |= t.progress;

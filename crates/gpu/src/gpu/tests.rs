@@ -64,14 +64,12 @@ impl ScriptSource for NoRt {
     }
 }
 
-/// One hook shard per SM, as [`GpuSim::run`] takes them.
-fn shards(gpu: &GpuSim, width: u32) -> Vec<TestHooks> {
-    (0..gpu.config().num_sms)
-        .map(|_| TestHooks {
-            width,
-            scripts_taken: 0,
-        })
-        .collect()
+/// Hooks for a launch `width` threads wide.
+fn test_hooks(width: u32) -> TestHooks {
+    TestHooks {
+        width,
+        scripts_taken: 0,
+    }
 }
 
 fn small_config() -> GpuConfig {
@@ -108,7 +106,7 @@ fn store_kernel_writes_every_thread() {
             depth: 1,
         },
     );
-    let mut hooks = shards(&gpu, 64);
+    let mut hooks = test_hooks(64);
     let stats = gpu.run(&mut hooks).expect("healthy run");
     for i in 0..64u64 {
         assert_eq!(gpu.mem.read_u32(0x10_0000 + i * 4), i as u32, "thread {i}");
@@ -146,7 +144,7 @@ fn partial_last_warp_handled() {
             depth: 1,
         },
     );
-    let mut hooks = shards(&gpu, 40);
+    let mut hooks = test_hooks(40);
     gpu.run(&mut hooks).expect("healthy run");
     assert_eq!(gpu.mem.read_u32(0x20_0000 + 39 * 4), 39);
     // Thread 40 does not exist: untouched memory.
@@ -185,7 +183,7 @@ fn loads_go_through_memory_hierarchy() {
             depth: 1,
         },
     );
-    let mut hooks = shards(&gpu, 128);
+    let mut hooks = test_hooks(128);
     let stats = gpu.run(&mut hooks).expect("healthy run");
     assert_eq!(gpu.mem.read_u32(0x40_0000), 0xBEEF);
     assert_eq!(gpu.mem.read_u32(0x40_0000 + 127 * 4), 0xBEEF);
@@ -228,9 +226,9 @@ fn trace_ray_routes_through_rt_unit() {
             depth: 1,
         },
     );
-    let mut hooks = shards(&gpu, 256);
+    let mut hooks = test_hooks(256);
     let stats = gpu.run(&mut hooks).expect("healthy run");
-    assert_eq!(hooks[0].scripts_taken, 256, "every lane's script consumed");
+    assert_eq!(hooks.scripts_taken, 256, "every lane's script consumed");
     assert_eq!(stats.counters.get("rt.trace_warps"), 8);
     assert_eq!(stats.counters.get("warps_completed"), 8);
     assert!(stats.rt_busy_cycles > 0);
@@ -281,7 +279,7 @@ fn divergent_branch_lowers_simt_efficiency() {
             depth: 1,
         },
     );
-    let mut hooks = shards(&gpu, 32);
+    let mut hooks = test_hooks(32);
     let stats = gpu.run(&mut hooks).expect("healthy run");
     assert_eq!(stats.counters.get("divergent_branches"), 1);
     assert!(
@@ -336,7 +334,7 @@ fn multipath_mode_completes_divergent_kernel() {
             depth: 1,
         },
     );
-    let mut hooks = shards(&gpu, 32);
+    let mut hooks = test_hooks(32);
     gpu.run(&mut hooks).expect("healthy run");
     for i in 0..32u64 {
         assert_eq!(gpu.mem.read_u32(0x50_0000 + i * 4), 1, "lane {i}");
@@ -390,7 +388,7 @@ fn stalled_warp_trips_watchdog_as_simt_livelock() {
             depth: 1,
         },
     );
-    let mut hooks = shards(&gpu, 32);
+    let mut hooks = test_hooks(32);
     let fault = gpu.run(&mut hooks).expect_err("stalled warp must hang");
     assert!(
         matches!(
@@ -428,7 +426,7 @@ fn injected_worker_panic_is_contained() {
             depth: 1,
         },
     );
-    let mut hooks = shards(&gpu, 256);
+    let mut hooks = test_hooks(256);
     let fault = gpu.run(&mut hooks).expect_err("injected panic must fault");
     match &fault.error {
         SimError::WorkerPanicked { sm, detail } => {
@@ -462,7 +460,7 @@ fn injected_worker_panic_fires_in_a_sleep() {
             depth: 1,
         },
     );
-    let mut hooks = shards(&gpu, 32);
+    let mut hooks = test_hooks(32);
     let fault = gpu.run(&mut hooks).expect_err("injected panic must fault");
     assert!(matches!(
         fault.error,
@@ -491,7 +489,7 @@ fn max_cycles_is_a_classified_error_not_a_panic() {
             depth: 1,
         },
     );
-    let mut hooks = shards(&gpu, 32);
+    let mut hooks = test_hooks(32);
     let fault = gpu.run(&mut hooks).expect_err("cycle cap must fault");
     assert!(
         matches!(fault.error, SimError::MaxCycles { limit: 1_000 }),
@@ -512,13 +510,13 @@ fn pause_save_restore_resumes_bit_identically() {
     // Uninterrupted reference run.
     let mut reference = GpuSim::new(config.clone());
     reference.launch(trace_program(), dims);
-    let mut hooks = shards(&reference, 256);
+    let mut hooks = test_hooks(256);
     let want = reference.run(&mut hooks).expect("healthy run");
 
     // Paused run: slice at cycle 40, snapshot, keep going.
     let mut gpu = GpuSim::new(config.clone());
     gpu.launch(trace_program(), dims);
-    let mut hooks = shards(&gpu, 256);
+    let mut hooks = test_hooks(256);
     let outcome = gpu.run_until(&mut hooks, 40).expect("healthy slice");
     assert!(matches!(outcome, RunOutcome::Paused), "{outcome:?}");
     assert_eq!(gpu.cycles(), 40);
@@ -542,7 +540,7 @@ fn pause_save_restore_resumes_bit_identically() {
     assert_eq!(stats.cycles, want.cycles);
     assert_eq!(stats.counters, want.counters);
     assert_eq!(stats.l1_stats, want.l1_stats);
-    let mut hooks = shards(&gpu, 256);
+    let mut hooks = test_hooks(256);
     let stats = restored.run(&mut hooks).expect("healthy resumed tail");
     assert_eq!(stats.cycles, want.cycles);
     assert_eq!(stats.counters, want.counters);
@@ -598,7 +596,7 @@ fn accounting_attributes_every_cycle_to_one_category() {
             depth: 1,
         },
     );
-    let mut hooks = shards(&gpu, 256);
+    let mut hooks = test_hooks(256);
     let stats = gpu.run(&mut hooks).expect("healthy run");
     let report = gpu.prof_report().expect("accounting enabled");
     assert!(report.conservation_holds(), "{report:?}");
@@ -626,7 +624,7 @@ fn accounting_disabled_leaves_no_trace_of_itself() {
             depth: 1,
         },
     );
-    let mut hooks = shards(&gpu, 64);
+    let mut hooks = test_hooks(64);
     gpu.run(&mut hooks).expect("healthy run");
     assert!(gpu.prof_report().is_none());
 }
@@ -641,13 +639,13 @@ fn accounting_survives_checkpoint_byte_identically() {
     };
     let mut reference = GpuSim::new(config.clone());
     reference.launch(trace_program(), dims);
-    let mut hooks = shards(&reference, 256);
+    let mut hooks = test_hooks(256);
     reference.run(&mut hooks).expect("healthy run");
     let want = reference.prof_report().expect("accounting on").flat_json();
 
     let mut gpu = GpuSim::new(config.clone());
     gpu.launch(trace_program(), dims);
-    let mut hooks = shards(&gpu, 256);
+    let mut hooks = test_hooks(256);
     let outcome = gpu.run_until(&mut hooks, 40).expect("healthy slice");
     assert!(matches!(outcome, RunOutcome::Paused), "{outcome:?}");
     let mut enc = vksim_snapshot::Enc::new();
@@ -659,7 +657,7 @@ fn accounting_survives_checkpoint_byte_identically() {
     let mut dec = vksim_snapshot::Dec::new(&payload);
     restored.restore(&mut dec).expect("restore");
     dec.finish().expect("full consumption");
-    let mut hooks = shards(&gpu, 256);
+    let mut hooks = test_hooks(256);
     restored.run(&mut hooks).expect("healthy resumed tail");
     let got = restored.prof_report().expect("accounting on").flat_json();
     assert_eq!(want, got, "resumed breakdown must be byte-identical");
@@ -675,7 +673,7 @@ fn assert_presence_mismatch(config: GpuConfig, needle: &str) {
     };
     let mut gpu = GpuSim::new(config);
     gpu.launch(trace_program(), dims);
-    let mut hooks = shards(&gpu, 64);
+    let mut hooks = test_hooks(64);
     let outcome = gpu.run_until(&mut hooks, 20).expect("healthy slice");
     assert!(matches!(outcome, RunOutcome::Paused), "{outcome:?}");
     let mut enc = vksim_snapshot::Enc::new();
@@ -720,7 +718,7 @@ fn accounting_counter_tracks_reach_chrome_trace() {
             depth: 1,
         },
     );
-    let mut hooks = shards(&gpu, 256);
+    let mut hooks = test_hooks(256);
     gpu.run(&mut hooks).expect("healthy run");
     let report = gpu.take_trace_report().expect("tracing enabled");
     let json = vksim_trace::chrome_trace_json(&report);
@@ -751,7 +749,7 @@ fn rt_analytics_attributes_warps_jobs_and_steps() {
             depth: 1,
         },
     );
-    let mut hooks = shards(&gpu, 256);
+    let mut hooks = test_hooks(256);
     gpu.run(&mut hooks).expect("healthy run");
     let (per_sm, rt_box_ops) = gpu.rt_report_parts().expect("rt analytics enabled");
     assert_eq!(per_sm.len(), 2);
@@ -782,7 +780,7 @@ fn rt_analytics_disabled_leaves_no_trace_of_itself() {
             depth: 1,
         },
     );
-    let mut hooks = shards(&gpu, 64);
+    let mut hooks = test_hooks(64);
     gpu.run(&mut hooks).expect("healthy run");
     assert!(gpu.rt_report_parts().is_none());
 }
@@ -797,13 +795,13 @@ fn rt_analytics_survives_checkpoint_byte_identically() {
     };
     let mut reference = GpuSim::new(config.clone());
     reference.launch(trace_program(), dims);
-    let mut hooks = shards(&reference, 256);
+    let mut hooks = test_hooks(256);
     reference.run(&mut hooks).expect("healthy run");
     let want = format!("{:?}", reference.rt_report_parts().expect("rt on"));
 
     let mut gpu = GpuSim::new(config.clone());
     gpu.launch(trace_program(), dims);
-    let mut hooks = shards(&gpu, 256);
+    let mut hooks = test_hooks(256);
     let outcome = gpu.run_until(&mut hooks, 40).expect("healthy slice");
     assert!(matches!(outcome, RunOutcome::Paused), "{outcome:?}");
     let mut enc = vksim_snapshot::Enc::new();
@@ -815,7 +813,7 @@ fn rt_analytics_survives_checkpoint_byte_identically() {
     let mut dec = vksim_snapshot::Dec::new(&payload);
     restored.restore(&mut dec).expect("restore");
     dec.finish().expect("full consumption");
-    let mut hooks = shards(&gpu, 256);
+    let mut hooks = test_hooks(256);
     restored.run(&mut hooks).expect("healthy resumed tail");
     let got = format!("{:?}", restored.rt_report_parts().expect("rt on"));
     assert_eq!(want, got, "resumed rt analytics must be identical");
@@ -843,7 +841,7 @@ fn rt_counter_tracks_reach_chrome_trace() {
             depth: 1,
         },
     );
-    let mut hooks = shards(&gpu, 256);
+    let mut hooks = test_hooks(256);
     gpu.run(&mut hooks).expect("healthy run");
     let report = gpu.take_trace_report().expect("tracing enabled");
     assert!(
@@ -882,34 +880,32 @@ const WIDE: LaunchDims = LaunchDims {
     depth: 1,
 };
 
-/// On four SMs every cycle is attributed once per SM, every SM keeps its
-/// own hook shard, and every lane's script is consumed exactly once.
+/// On four SMs every cycle is attributed once per SM, every SM runs
+/// trace warps against the one hooks object, and every lane's script is
+/// consumed exactly once.
 #[test]
 fn four_sms_conserve_cycles_and_scripts() {
     let mut gpu = observed_4sm(vksim_fault::FaultPlan::default());
     gpu.launch(trace_program(), WIDE);
-    let mut hooks = shards(&gpu, WIDE.width);
+    let mut hooks = test_hooks(WIDE.width);
     let stats = gpu.run(&mut hooks).expect("healthy run");
     let prof = gpu.prof_report().expect("accounting enabled");
     assert!(prof.conservation_holds(), "{prof:?}");
     assert_eq!(prof.cycles, stats.cycles);
     let (per_sm, rt_box_ops) = gpu.rt_report_parts().expect("rt analytics enabled");
-    assert_eq!(per_sm.len(), 4);
+    let warps: Vec<u64> = per_sm.iter().map(|s| s.coherence.trace_warps()).collect();
+    assert_eq!(warps.len(), 4);
+    assert!(
+        warps.iter().all(|&n| n > 0),
+        "every SM ran warps: {warps:?}"
+    );
     assert_eq!(
-        per_sm
-            .iter()
-            .map(|s| s.coherence.trace_warps())
-            .sum::<u64>(),
+        warps.iter().sum::<u64>(),
         16,
         "512 threads = 16 trace warps"
     );
     assert_eq!(rt_box_ops, 512 * 6, "one 6-test box step per lane");
-    let taken: Vec<usize> = hooks.iter().map(|h| h.scripts_taken).collect();
-    assert!(
-        taken.iter().all(|&n| n > 0),
-        "every SM ran warps: {taken:?}"
-    );
-    assert_eq!(taken.iter().sum::<usize>(), 512);
+    assert_eq!(hooks.scripts_taken, 512);
 }
 
 /// A fault finishes its cycle — every SM ticks, the request queues
@@ -929,7 +925,7 @@ fn faults_report_the_first_in_sm_id_order() {
     ] {
         let mut gpu = observed_4sm(plan);
         gpu.launch(program, WIDE);
-        let mut hooks = shards(&gpu, WIDE.width);
+        let mut hooks = test_hooks(WIDE.width);
         let fault = gpu.run(&mut hooks).expect_err(label);
         match (label, &fault.error) {
             ("truncated program", SimError::Exec { sm: 0, .. }) => {}
@@ -968,7 +964,7 @@ fn pc_fault_names_the_first_active_lane() {
         depth: 1,
     };
     gpu.launch(program.clone(), dims);
-    let mut hooks = shards(&gpu, dims.width);
+    let mut hooks = test_hooks(dims.width);
     let fault = gpu.run(&mut hooks).expect_err("lanes 1.. run off the end");
     let SimError::Exec { lane, pc, .. } = fault.error else {
         panic!("expected an execution fault, got {:?}", fault.error);
@@ -1061,7 +1057,7 @@ fn a_warm_issue_path_allocates_nothing_per_cycle() {
         depth: 1,
     };
     gpu.launch(b.build(), dims);
-    let mut hooks = shards(&gpu, 64);
+    let mut hooks = test_hooks(64);
     let mut run_to = |stop: u64| {
         let outcome = gpu.run_until(&mut hooks, stop);
         assert!(
@@ -1139,7 +1135,7 @@ mod accounting_properties {
                     depth: 1,
                 },
             );
-            let mut hooks = shards(&gpu, width);
+            let mut hooks = test_hooks(width);
             let stats = gpu.run(&mut hooks).expect("healthy run");
             let report = gpu.prof_report().expect("accounting enabled");
             prop_assert!(

@@ -52,7 +52,7 @@ pub const MAGIC: [u8; 8] = *b"VKSNAP01";
 
 /// Current payload layout version. Bump on any incompatible change to
 /// what the workspace crates encode.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Offset basis of FNV-1a-64.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

@@ -9,12 +9,10 @@
 //! distributions (active-lane occupancy per RT step, integer-exact
 //! warp·step integrals), and per-job RT-unit step/latency attribution.
 //!
-//! Three recorder types feed one merged [`RtReport`]:
+//! Three recorder types feed one [`RtReport`]:
 //!
-//! * [`TraversalAnalytics`] lives on the functional runtime (one per
-//!   shard); per-node and per-ray facts are recorded at traversal time
-//!   and shard tallies merge commutatively (key-wise sums, line-set
-//!   unions), so the merged view does not depend on merge order.
+//! * [`TraversalAnalytics`] lives on the run's one functional runtime;
+//!   per-node and per-ray facts are recorded at traversal time.
 //! * [`WarpCoherence`] lives on each SM and tallies active-lane
 //!   occupancy per traversal step at `TraceRay` issue.
 //! * RT-unit job attribution (jobs retired, script steps consumed,
@@ -93,15 +91,6 @@ impl RayHistogram {
     pub fn sum(&self) -> u64 {
         self.sum
     }
-
-    /// Folds another histogram in (bucket-wise sums).
-    pub fn merge(&mut self, other: &RayHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-    }
 }
 
 vksim_snapshot::snap_struct!(RayHistogram {
@@ -124,8 +113,8 @@ pub struct NodeCell {
 }
 
 /// Traversal-side analytics: per-node heatmap, per-level line reuse, and
-/// per-ray histograms. One instance per runtime shard; merged at end of
-/// run (and into checkpoints) with commutative key-wise sums.
+/// per-ray histograms, recorded by the run's RT runtime (and saved in its
+/// checkpoints).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraversalAnalytics {
     nodes: BTreeMap<NodeKey, NodeCell>,
@@ -202,24 +191,6 @@ impl TraversalAnalytics {
             out.entry(k).or_default().1 = lines.len() as u64;
         }
         out
-    }
-
-    /// Folds another shard's tallies in. Commutative and associative, so
-    /// any merge order produces identical state.
-    pub fn merge(&mut self, other: &TraversalAnalytics) {
-        for (&k, cell) in &other.nodes {
-            let c = self.nodes.entry(k).or_default();
-            c.visits += cell.visits;
-            c.hits += cell.hits;
-        }
-        for (&k, lines) in &other.level_lines {
-            self.level_lines.entry(k).or_default().extend(lines.iter());
-        }
-        self.rays += other.rays;
-        self.ray_nodes.merge(&other.ray_nodes);
-        self.ray_box.merge(&other.ray_box);
-        self.ray_tri.merge(&other.ray_tri);
-        self.ray_restarts.merge(&other.ray_restarts);
     }
 }
 
@@ -331,12 +302,12 @@ pub struct RtSmAnalytics {
     pub rtu_latency: u64,
 }
 
-/// The end-of-run ray-traversal analytics report: merged traversal-side
-/// tallies, one [`RtSmAnalytics`] per SM, and the RT-unit box-op counter
+/// The end-of-run ray-traversal analytics report: the runtime's
+/// traversal-side tallies, one [`RtSmAnalytics`] per SM, and the RT-unit box-op counter
 /// the conservation invariant ties against.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RtReport {
-    /// Traversal-side analytics, merged across runtime shards.
+    /// Traversal-side analytics, from the run's RT runtime.
     pub traversal: TraversalAnalytics,
     /// One per SM, indexed by SM id.
     pub per_sm: Vec<RtSmAnalytics>,
@@ -551,21 +522,21 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_order_independent_and_conserves() {
-        let a = sample_traversal();
-        let mut b = TraversalAnalytics::default();
-        b.record_visit(false, 0, 0, 0x1000, true);
-        b.record_ray(1, 0, 0, 0);
-
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.visit_total(), a.visit_total() + b.visit_total());
-        assert_eq!(ab.rays(), 3);
-        // The shared line at 0x1000 stays one distinct line after merge.
-        assert_eq!(ab.levels()[&(false, 0)], (3, 1));
+    fn record_visit_counts_a_line_once_per_level() {
+        let mut t = sample_traversal();
+        assert_eq!(t.levels()[&(false, 0)], (2, 1), "one line, two visits");
+        // Another node in the same 32 B line adds a visit, not a line.
+        t.record_visit(false, 0, 1, 0x101f, false);
+        assert_eq!(t.levels()[&(false, 0)], (3, 1));
+        // The next line does count, and so does the same line one level
+        // down: lines are distinct per level.
+        t.record_visit(false, 0, 2, 0x1020, false);
+        t.record_visit(false, 1, 5, 0x1000, true);
+        assert_eq!(t.levels()[&(false, 0)], (4, 2));
+        assert_eq!(t.levels()[&(false, 1)], (1, 1));
+        assert_eq!(t.levels()[&(true, 1)], (1, 1));
+        assert_eq!(t.visit_total(), 6);
+        assert_eq!(t.hit_total(), 3);
     }
 
     #[test]

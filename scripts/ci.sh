@@ -165,9 +165,11 @@ grep -Eq '^operations attempted [0-9]+ failed 0$' <<<"$func_out" \
     || { echo "func_paper5: failed operations"; printf '%s\n' "$func_out"; exit 1; }
 printf '%s\n' "$func_out" | grep -E '^(wall_s|image_match_frac|operations) '
 
-step "examples build + run (quickstart, custom_scene)"
+step "examples build + run (quickstart, custom_scene, render_gallery, rtunit_explorer)"
 cargo build --release --offline --examples
 cargo run --release --offline --example quickstart >/dev/null
 cargo run --release --offline --example custom_scene >/dev/null
+cargo run --release --offline --example render_gallery >/dev/null
+cargo run --release --offline --example rtunit_explorer >/dev/null
 
 printf '\nCI gate passed.\n'

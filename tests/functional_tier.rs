@@ -3,7 +3,8 @@
 //! Table IV without the timing model.
 //!
 //! * At Test scale, each scene's functional `RuntimeStats` must equal the
-//!   `runtime.*` keys of its cycle-level golden: both tiers run the same
+//!   `runtime.*` keys of its cycle-level golden and the runtime statistics
+//!   of a timing run on the 48-SM Paper machine: both tiers run the same
 //!   traversal, so they must report the same totals, spill traffic
 //!   included.
 //! * At Paper scale, the statistics and an FNV-1a-64 hash of the
@@ -63,6 +64,12 @@ fn functional_stats_equal_the_timing_goldens() {
         for (key, got) in runtime_keys(&stats) {
             assert_eq!(Some(&got), want.get(key), "{golden}: {key}");
         }
+        // One runtime serving the 48 SMs of the Paper machine reports the
+        // same totals.
+        let report = Simulator::new(SimConfig::paper())
+            .run(&w.device, &w.cmd)
+            .expect("healthy run");
+        assert_eq!(report.runtime, stats, "{golden}: paper() timing run");
     }
 }
 

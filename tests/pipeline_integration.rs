@@ -137,3 +137,125 @@ fn timing_and_functional_images_agree() {
         }
     }
 }
+
+/// A scene of degenerate parts built through the public `Device` API: an
+/// instance of an empty BLAS, a BLAS of zero-area triangles and of
+/// triangles sharing one centroid, and a raygen whose column 0 traces a
+/// NaN direction. The functional tier and the timing model on two
+/// machines must each end `Ok` or in a classified `SimError`, never a
+/// panic, and the images of the runs that end `Ok` must agree.
+#[test]
+fn degenerate_scene_runs_alike_in_both_tiers() {
+    use vksim_bvh::geometry::{BlasGeometry, Triangle};
+    use vksim_bvh::Instance;
+    use vksim_math::{Mat4x3, Vec3};
+    use vksim_shader::builder::ShaderBuilder;
+    use vksim_shader::ir::{Builtin, ShaderKind};
+    use vksim_shader::PipelineShaders;
+    use vksim_vulkan::Device;
+
+    const W: u32 = 48;
+    const H: u32 = 8;
+    const MISS: f32 = -1.0;
+    let mut device = Device::new();
+    let fb = device.alloc_buffer(u64::from(W * H) * 4);
+    device.bind_descriptor(0, fb);
+    let empty = device.create_blas(BlasGeometry::triangles(Vec::new()));
+    let mut tris = Vec::new();
+    for i in 0..16 {
+        let p = Vec3::new(i as f32 * 0.1 - 0.8, 0.3, 0.0);
+        // A point and a segment: zero area.
+        tris.push(Triangle::new(p, p, p));
+        tris.push(Triangle::new(p, p + Vec3::X * 0.05, p + Vec3::X * 0.1));
+    }
+    for i in 0..32 {
+        // Distinct triangles, every one with its centroid at the origin.
+        let (s, c) = (i as f32 * 0.196).sin_cos();
+        let a = Vec3::new(c, s, 0.0);
+        let b = Vec3::new(-0.5 * c - 0.866 * s, 0.866 * c - 0.5 * s, 0.0);
+        tris.push(Triangle::new(a, b, -(a + b)));
+    }
+    let degenerate = device.create_blas(BlasGeometry::triangles(tris));
+    device.create_tlas(vec![
+        Instance::new(empty, Mat4x3::IDENTITY),
+        Instance::new(degenerate, Mat4x3::IDENTITY),
+    ]);
+
+    let mut rg = ShaderBuilder::new(ShaderKind::RayGen);
+    let x = rg.var_f32(rg.launch_id(0).to_f32());
+    let y = rg.var_f32(rg.launch_id(1).to_f32());
+    let ox = rg.var_f32(rg.v(x) / rg.c_f32(W as f32) * rg.c_f32(2.4) - rg.c_f32(1.2));
+    let oy = rg.var_f32(rg.v(y) / rg.c_f32(H as f32) * rg.c_f32(2.4) - rg.c_f32(1.2));
+    let nan_column = rg.launch_id(0).eq_(rg.c_u32(0));
+    let dx = rg.var_f32(nan_column.select(rg.c_f32(f32::NAN), rg.c_f32(0.0)));
+    rg.trace_ray(
+        [rg.v(ox), rg.v(oy), rg.c_f32(-3.0)],
+        [rg.v(dx), rg.c_f32(0.0), rg.c_f32(1.0)],
+        rg.c_f32(1e-3),
+        rg.c_f32(1e30),
+        rg.c_u32(0),
+        0,
+    );
+    let px = rg.var_u32(rg.launch_id(1) * rg.launch_size(0) + rg.launch_id(0));
+    let addr = rg.var_u32(rg.buffer_base(0) + rg.v(px) * rg.c_u32(4));
+    rg.store(rg.v(addr), 0, rg.payload(0));
+    let mut ch = ShaderBuilder::new(ShaderKind::ClosestHit);
+    ch.set_payload_in(
+        0,
+        ch.builtin(Builtin::HitT) + ch.builtin(Builtin::HitPrimitiveIndex).to_f32(),
+    );
+    let mut ms = ShaderBuilder::new(ShaderKind::Miss);
+    ms.set_payload_in(0, ms.c_f32(MISS));
+    let shaders = PipelineShaders {
+        raygen: rg.finish(),
+        miss: vec![ms.finish()],
+        closest_hit: vec![ch.finish()],
+        intersection: vec![],
+        any_hit: vec![],
+        max_recursion_depth: 1,
+    };
+    let pipeline = device
+        .create_ray_tracing_pipeline(shaders, false)
+        .expect("pipeline");
+    let cmd = device.cmd_trace_rays(&pipeline, W, H);
+
+    let image = |mem: &vksim_isa::SimMemory| -> Vec<u32> {
+        (0..u64::from(W * H))
+            .map(|i| mem.read_u32(fb + i * 4))
+            .collect()
+    };
+    let functional = Simulator::new(SimConfig::test_small())
+        .run_functional(&device, &cmd)
+        .map(|(mem, _)| image(&mem));
+    let timing = |config| {
+        Simulator::new(config)
+            .run(&device, &cmd)
+            .map(|report| image(&report.memory))
+    };
+    let runs = [
+        ("functional", functional),
+        ("test_small", timing(SimConfig::test_small())),
+        ("paper", timing(SimConfig::paper())),
+    ];
+    let mut images = Vec::new();
+    for (name, run) in runs {
+        match run {
+            Ok(img) => images.push((name, img)),
+            // A classified error is an acceptable end; a panic is not.
+            Err(failure) => eprintln!("{name}: {}", failure.error),
+        }
+    }
+    if let Some((first, reference)) = images.first() {
+        for (name, img) in &images[1..] {
+            assert!(img == reference, "{name} image differs from {first}");
+        }
+        let miss = MISS.to_bits();
+        for row in 0..H as usize {
+            assert_eq!(reference[row * W as usize], miss, "NaN column, row {row}");
+        }
+        assert!(
+            reference.iter().any(|&p| p != miss),
+            "the centroid fan is hit"
+        );
+    }
+}

@@ -390,10 +390,10 @@ fn resealed_corrupt_payloads_are_refused_by_the_decoder() {
     let healthy = vksim_snapshot::Snapshot::read(&path).expect("healthy checkpoint");
     type Mutation = fn(&mut Vec<u8>);
     let mutations: [(&str, Mutation); 3] = [
-        // Bytes 8..16 count shard 0's frame stacks (0..8 count the shards).
+        // Bytes 0..8 count the runtime's frame stacks.
         ("sequence length set to the bytes remaining", |payload| {
-            let rest = (payload.len() - 16) as u64;
-            payload[8..16].copy_from_slice(&rest.to_le_bytes());
+            let rest = (payload.len() - 8) as u64;
+            payload[0..8].copy_from_slice(&rest.to_le_bytes());
         }),
         // The payload ends with the trace collector's presence byte.
         ("option tag 7", |payload| {
@@ -481,24 +481,24 @@ fn machine_layout_is_pinned() {
         (
             "tri_paper_icnt+observers",
             mid_run_checkpoint("pin-icnt", observed, half, &|c| run_plain(c, &tri)),
-            0x7c71_5794_8e56_018a,
+            0xdb6e_d267_a5a9_461e,
         ),
         (
             "tri_paper_l2starve",
             mid_run_checkpoint("pin-starve", starved, in_storm, &|c| run_plain(c, &tri)),
-            0xc213_ddb9_2896_655c,
+            0x04c9_3a0f_a27a_a848,
         ),
         (
             "ref_its",
             mid_run_checkpoint("pin-its", small().with_its(true), half, &|c| {
                 run_plain(c, &reference)
             }),
-            0x8993_82ef_0c95_eae8,
+            0x779a_475b_6132_e72f,
         ),
         (
             "rtv6_fcc",
             mid_run_checkpoint("pin-fcc", small(), half, &run_fcc),
-            0x7908_aa66_d5a8_d8f0,
+            0x3514_21c9_ed59_7a28,
         ),
     ];
     let hashed: Vec<(&str, u64, usize, u64)> = pins
