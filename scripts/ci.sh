@@ -65,6 +65,15 @@ join
 step "cargo test --offline --workspace -q"
 cargo test --offline --workspace -q
 
+# The paper's tables and figures, pinned: the experiments binary's full
+# Test-scale stdout (every experiment, deterministic, ~2 s in release)
+# must equal tests/goldens/experiments_test.txt byte for byte. A modeling
+# change that moves a figure re-records the file with the same command,
+# redirected into it.
+step "experiments stdout at Test scale (tests/goldens/experiments_test.txt)"
+cargo run --release --offline -q -p vksim-bench --bin experiments \
+    | diff -u tests/goldens/experiments_test.txt -
+
 # BVH layout pins at Paper scale: the EXT and RTV5 structures (BLASes of
 # 283 k and 328 k primitives, the largest builds any scene makes) must hash
 # node for node as recorded. The Test and Small pins of
