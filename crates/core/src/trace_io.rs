@@ -147,6 +147,21 @@ mod tests {
     }
 
     #[test]
+    fn undeclared_registers_fail_at_load() {
+        let w = build(WorkloadKind::Tri, Scale::Test);
+        let text = dump_command(&w.cmd);
+        let header = text.lines().nth(1).expect("program header");
+        assert!(header.starts_with(".program regs="), "{header}");
+        match load_command(&text.replacen(header, ".program regs=2 preds=1", 1)) {
+            Err(TraceLoadError::Program(e)) => {
+                assert!(e.message.contains("regs=2"), "{e}");
+                assert!(e.line > 1, "{e}");
+            }
+            other => panic!("expected a program error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn malformed_traces_are_rejected() {
         assert!(matches!(
             load_command(""),

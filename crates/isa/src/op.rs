@@ -357,6 +357,70 @@ impl Instr {
         }
     }
 
+    /// Every register and predicate the instruction names, read or
+    /// written. The assembler checks them against the program's declared
+    /// counts, which size each thread's register files.
+    pub fn operands(&self) -> (Vec<Reg>, Vec<Pred>) {
+        use Instr::*;
+        match *self {
+            MovImm { dst, .. } | RtAllocMem { dst, .. } | RtRead { dst, .. } => (vec![dst], vec![]),
+            Mov { dst, src: a }
+            | FNeg { dst, a }
+            | FAbs { dst, a }
+            | FSqrt { dst, a }
+            | FRsqrt { dst, a }
+            | FSin { dst, a }
+            | FCos { dst, a }
+            | FFloor { dst, a }
+            | CvtF2I { dst, a }
+            | CvtI2F { dst, a }
+            | CvtU2F { dst, a }
+            | Ld { dst, addr: a, .. }
+            | St {
+                src: dst, addr: a, ..
+            }
+            | RtReadIdx { dst, idx: a, .. }
+            | NextCoalescedCall { dst, idx: a }
+            | ReportIntersection { t: dst, idx: a } => (vec![dst, a], vec![]),
+            IAdd { dst, a, b }
+            | ISub { dst, a, b }
+            | IMul { dst, a, b }
+            | IMin { dst, a, b }
+            | IMax { dst, a, b }
+            | IAnd { dst, a, b }
+            | IOr { dst, a, b }
+            | IXor { dst, a, b }
+            | IShl { dst, a, b }
+            | IShr { dst, a, b }
+            | FAdd { dst, a, b }
+            | FSub { dst, a, b }
+            | FMul { dst, a, b }
+            | FDiv { dst, a, b }
+            | FMin { dst, a, b }
+            | FMax { dst, a, b } => (vec![dst, a, b], vec![]),
+            FFma { dst, a, b, c } => (vec![dst, a, b, c], vec![]),
+            SetpF { dst, a, b, .. } | SetpI { dst, a, b, .. } | SetpS { dst, a, b, .. } => {
+                (vec![a, b], vec![dst])
+            }
+            Sel { dst, cond, a, b } => (vec![dst, a, b], vec![cond]),
+            PredAnd { dst, a, b } => (vec![], vec![dst, a, b]),
+            PredNot { dst, a } => (vec![], vec![dst, a]),
+            IntersectionValid { dst, idx } => (vec![idx], vec![dst]),
+            Bra { pred, .. } => (vec![], pred.map(|(p, _)| p).into_iter().collect()),
+            TraverseAs {
+                origin,
+                dir,
+                tmin,
+                tmax,
+                flags,
+            } => {
+                let regs = origin.into_iter().chain(dir).chain([tmin, tmax, flags]);
+                (regs.collect(), vec![])
+            }
+            Ssy { .. } | Sync | EndTraceRay | Exit => (vec![], vec![]),
+        }
+    }
+
     /// `true` for the heavyweight `traverseAS` instruction that is routed to
     /// the RT unit (the paper's "trace ray instruction").
     pub fn is_trace_ray(&self) -> bool {

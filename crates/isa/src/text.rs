@@ -253,9 +253,12 @@ impl std::error::Error for ParseError {}
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] with the offending line on malformed input.
+/// Returns a [`ParseError`] with the offending line on malformed input,
+/// including an operand register or predicate beyond the `.program`
+/// header's `regs=` / `preds=` counts (each thread's register files are
+/// sized from them).
 pub fn assemble(text: &str) -> Result<Program, ParseError> {
-    let mut instrs: Vec<Instr> = Vec::new();
+    let mut instrs: Vec<(usize, Instr)> = Vec::new();
     let mut num_regs = 0u16;
     let mut num_preds = 0u16;
     for (lineno, raw) in text.lines().enumerate() {
@@ -282,7 +285,19 @@ pub fn assemble(text: &str) -> Result<Program, ParseError> {
             Some((pc, rest)) if pc.trim().chars().all(|c| c.is_ascii_digit()) => rest,
             _ => line,
         };
-        instrs.push(parse_instr(body).ok_or_else(|| err(&format!("bad instruction: {body}")))?);
+        let instr = parse_instr(body).ok_or_else(|| err(&format!("bad instruction: {body}")))?;
+        instrs.push((lineno + 1, instr));
+    }
+    for &(line, instr) in &instrs {
+        let (regs, preds) = instr.operands();
+        let message = if let Some(r) = regs.iter().find(|r| r.0 >= num_regs) {
+            format!("register r{} beyond the declared regs={num_regs}", r.0)
+        } else if let Some(p) = preds.iter().find(|p| p.0 >= num_preds) {
+            format!("predicate p{} beyond the declared preds={num_preds}", p.0)
+        } else {
+            continue;
+        };
+        return Err(ParseError { line, message });
     }
     // Rebuild through the builder to preserve Program's invariants.
     let mut b = crate::program::ProgramBuilder::new();
@@ -292,8 +307,8 @@ pub fn assemble(text: &str) -> Result<Program, ParseError> {
     for _ in 0..num_preds {
         b.pred();
     }
-    for i in &instrs {
-        b.emit(*i);
+    for &(_, i) in &instrs {
+        b.emit(i);
     }
     Ok(b.build())
 }
@@ -768,6 +783,26 @@ mod tests {
         let err = assemble(".program regs=2 preds=1\n0: bogus r0, r1\n").unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.message.contains("bogus"));
+    }
+
+    #[test]
+    fn undeclared_operands_are_parse_errors() {
+        let err = assemble(".program regs=2 preds=1\n0: mov r0, r1\n1: add.u32 r0, r1, r28\n")
+            .unwrap_err();
+        assert_eq!(err.line, 3);
+        assert!(err.message.contains("r28"), "{}", err.message);
+        let err = assemble(".program regs=2 preds=1\n0: @p1 bra 0\n").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("p1"), "{}", err.message);
+        // No header declares nothing.
+        assert!(assemble("0: mov r0, r0\n").is_err());
+        // A header after the body still declares for every line.
+        assert!(assemble("0: mov r0, r1\n.program regs=2 preds=0\n").is_ok());
+        // One fewer register or predicate than the sample uses is refused.
+        let text = disassemble(&sample_program());
+        assert!(text.starts_with(".program regs=3 preds=1\n"));
+        assert!(assemble(&text.replacen("regs=3", "regs=2", 1)).is_err());
+        assert!(assemble(&text.replacen("preds=1", "preds=0", 1)).is_err());
     }
 
     #[test]

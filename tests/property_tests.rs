@@ -5,8 +5,12 @@
 use vksim_bvh::geometry::Triangle;
 use vksim_bvh::traversal::{traverse, TraversalConfig};
 use vksim_bvh::{Blas, Instance, Tlas};
+use vksim_core::trace_io::{dump_command, load_command};
 use vksim_math::{intersect, Aabb, Mat4x3, Ray, Vec3};
-use vksim_testkit::prop::{check, f32_in, f64_in, filter, map, u32_in, u64_in, vec_of, Strategy};
+use vksim_scenes::{build, Scale, WorkloadKind};
+use vksim_testkit::prop::{
+    check, f32_in, f64_in, filter, map, u32_in, u64_in, usize_in, vec_of, Strategy,
+};
 use vksim_testkit::{prop_assert, prop_assert_eq};
 
 fn arb_vec3(range: f32) -> impl Strategy<Value = Vec3> {
@@ -181,6 +185,96 @@ fn chunking_covers_range() {
         prop_assert!(*chunks.last().unwrap() + 32 >= addr + size as u64);
         for w in chunks.windows(2) {
             prop_assert_eq!(w[1] - w[0], 32);
+        }
+        Ok(())
+    });
+}
+
+/// One mutation of dumped trace text: drop (0) or duplicate (1) a line,
+/// rewrite one of its numbers to `value` (2), swap two of its tokens (3),
+/// or truncate the whole text (4). `a` and `b` pick the line, number,
+/// tokens or cut.
+fn mutate(text: &str, mutation: usize, a: u64, b: u64, value: u32) -> String {
+    if mutation == 4 {
+        let mut cut = (a % text.len() as u64) as usize;
+        while !text.is_char_boundary(cut) {
+            cut -= 1;
+        }
+        return text[..cut].to_string();
+    }
+    let mut lines: Vec<String> = text.lines().map(String::from).collect();
+    let i = (a % lines.len() as u64) as usize;
+    match mutation {
+        0 => drop(lines.remove(i)),
+        1 => lines.insert(i, lines[i].clone()),
+        2 => {
+            let line = &lines[i];
+            let mut numbers = Vec::new();
+            let mut start = None;
+            for (k, c) in line.char_indices().chain([(line.len(), ' ')]) {
+                match (c.is_ascii_digit(), start) {
+                    (true, None) => start = Some(k),
+                    (false, Some(s)) => {
+                        numbers.push((s, k));
+                        start = None;
+                    }
+                    _ => {}
+                }
+            }
+            if !numbers.is_empty() {
+                let (s, e) = numbers[(b % numbers.len() as u64) as usize];
+                lines[i] = format!("{}{value}{}", &line[..s], &line[e..]);
+            }
+        }
+        _ => {
+            let mut tokens: Vec<&str> = lines[i].split_whitespace().collect();
+            if !tokens.is_empty() {
+                let n = tokens.len() as u64;
+                tokens.swap((b % n) as usize, ((b / n) % n) as usize);
+                lines[i] = tokens.join(" ");
+            }
+        }
+    }
+    lines.join("\n")
+}
+
+/// Mutated ISA text: a dropped, duplicated or truncated line, a rewritten
+/// number or two swapped tokens in any Test-scene trace dump must never
+/// panic `load_command`, and every program it accepts names only the
+/// registers and predicates its header declares. Accepted programs are
+/// not executed: a mutated branch can loop until the step limit.
+#[test]
+fn mutated_isa_text_loads_or_fails_cleanly() {
+    let dumps: Vec<String> = WorkloadKind::ALL
+        .iter()
+        .map(|&k| dump_command(&build(k, Scale::Test).cmd))
+        .collect();
+    let strat = (
+        usize_in(0, dumps.len()),
+        usize_in(0, 5),
+        u64_in(0, u64::MAX),
+        u64_in(0, u64::MAX),
+        u32_in(0, 1 << 20),
+    );
+    check(&strat, |&(scene, mutation, a, b, value)| {
+        // Most rewrites stay near real register, predicate and pc numbers.
+        let value = value % [16, 256, 4096, 1 << 20][(b & 3) as usize];
+        let text = mutate(&dumps[scene], mutation, a, b, value);
+        let Ok(loaded) = std::panic::catch_unwind(|| load_command(&text)) else {
+            return Err(format!("load_command panicked on:\n{text}"));
+        };
+        if let Ok(cmd) = loaded {
+            let p = &cmd.program;
+            for (pc, i) in p.instrs().iter().enumerate() {
+                let (regs, preds) = i.operands();
+                prop_assert!(
+                    regs.iter().all(|r| r.0 < p.num_regs())
+                        && preds.iter().all(|q| q.0 < p.num_preds()),
+                    "pc {pc}: {i:?} accepted under regs={} preds={}",
+                    p.num_regs(),
+                    p.num_preds()
+                );
+            }
         }
         Ok(())
     });
