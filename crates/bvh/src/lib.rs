@@ -15,10 +15,11 @@
 //!   vertices); procedural leaves hold a descriptor and primitive index.
 //!
 //! [`traversal::traverse`] implements Algorithm 2 of the paper and records a
-//! byte-accurate [`TraceEvent`] script per ray — every node fetch with its
-//! address, size and type — which the RT-unit timing model replays against
-//! the simulated memory hierarchy, exactly like the paper's *transactions
-//! buffer*.
+//! byte-accurate [`Step`] script per ray — every node fetch with its
+//! address, size and operation, every short-stack spill and every
+//! intersection-buffer access — which the RT-unit timing model replays
+//! against the simulated memory hierarchy, exactly like the paper's
+//! *transactions buffer*.
 //!
 //! # Example
 //!
@@ -42,14 +43,16 @@
 pub mod build;
 pub mod geometry;
 pub mod node;
+pub mod script;
 pub mod tlas;
 pub mod traversal;
 
 pub use build::BuildOptions;
 pub use node::{NodeKind, WideBvh, INSTANCE_LEAF_SIZE, INTERNAL_NODE_SIZE, PRIMITIVE_LEAF_SIZE};
+pub use script::{OpKind, Step};
 pub use tlas::{Blas, Instance, Tlas};
 pub use traversal::{
-    NodeVisit, ProceduralHit, TraceEvent, TraversalConfig, TraversalError, TraversalResult,
+    NodeVisit, ProceduralHit, ScriptConfig, TraversalConfig, TraversalError, TraversalResult,
     TriangleIntersection,
 };
 

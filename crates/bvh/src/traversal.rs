@@ -7,54 +7,22 @@
 //! intersection buffer for delayed intersection-shader execution (paper
 //! §III-A, "delayed intersection and any-hit execution").
 //!
-//! Every node access and BVH operation can be recorded as a [`TraceEvent`];
-//! the RT unit timing model replays this script against the simulated memory
-//! hierarchy — the paper's *transactions buffer* (§III-B4: "Every time a ray
-//! accesses a node or intersection buffer, we record memory addresses that
-//! are accessed with its size and data type to a transactions buffer, which
-//! is then sent to the timing model").
+//! Every node fetch, short-stack spill and intersection-buffer access can
+//! be recorded as a [`Step`] of the RT unit's replay script, which the
+//! timing model replays against the simulated memory hierarchy — the
+//! paper's *transactions buffer* (§III-B4: "Every time a ray accesses a
+//! node or intersection buffer, we record memory addresses that are
+//! accessed with its size and data type to a transactions buffer, which is
+//! then sent to the timing model").
 
-use crate::node::{Node, NodeKind};
+use crate::node::Node;
+use crate::script::{OpKind, Step};
 use crate::tlas::{Blas, Tlas};
 use std::borrow::Borrow;
 use vksim_math::{intersect, Ray, Vec3};
 
 /// Short-stack entries per ray; deeper pushes spill to memory (§III-C2).
 pub const SHORT_STACK_ENTRIES: u32 = 8;
-
-/// One recorded step of a ray's traversal, replayed by the timing model.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum TraceEvent {
-    /// A node was fetched from memory.
-    NodeFetch {
-        /// Absolute simulated address.
-        addr: u64,
-        /// Fetch size in bytes.
-        size: u32,
-        /// Node type (selects the operation unit that consumes it).
-        kind: NodeKind,
-    },
-    /// Ray-box tests against an internal node's children.
-    BoxTests {
-        /// Number of child AABBs tested (1..=6).
-        count: u8,
-    },
-    /// One ray-triangle intersection test.
-    TriangleTest,
-    /// One ray coordinate transformation (TLAS -> BLAS crossing).
-    Transform,
-    /// A traversal-stack push (short-stack occupancy modelling).
-    StackPush,
-    /// A traversal-stack pop.
-    StackPop,
-    /// An intersection-buffer store for a procedural hit.
-    IntersectionStore {
-        /// Absolute simulated address of the entry.
-        addr: u64,
-        /// Entry size in bytes.
-        size: u32,
-    },
-}
 
 /// One BVH-node visit recorded for the analytics layer: which node was
 /// fetched, how deep in its tree it sits, and whether the visit *hit*
@@ -126,24 +94,35 @@ pub struct TraversalConfig {
     /// Terminate on the first confirmed triangle hit
     /// (`gl_RayFlagsTerminateOnFirstHitEXT`, used by shadow rays).
     pub terminate_on_first_hit: bool,
-    /// Record the [`TraceEvent`] script (off for functional-only runs; no
+    /// Record the replay script into [`TraversalResult::script`], placing
+    /// the ray's own traffic as given (`None` for functional-only runs; no
     /// count in [`TraversalResult`] depends on it).
-    pub record_events: bool,
+    pub record_script: Option<ScriptConfig>,
     /// Record a [`NodeVisit`] per fetched node (analytics layer only).
     pub record_visits: bool,
-    /// Base address of the per-ray intersection buffer.
-    pub intersection_buffer_base: u64,
 }
 
 impl Default for TraversalConfig {
     fn default() -> Self {
         TraversalConfig {
             terminate_on_first_hit: false,
-            record_events: true,
+            record_script: Some(ScriptConfig::default()),
             record_visits: false,
-            intersection_buffer_base: 0x4000_0000,
         }
     }
+}
+
+/// Where a recorded script puts the ray's per-thread memory traffic.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct ScriptConfig {
+    /// Base address of the ray's intersection buffer.
+    pub intersection_buffer_base: u64,
+    /// Base address of the ray's 64-slot short-stack spill window.
+    pub spill_base: u64,
+    /// FCC (§IV-A): probe the coalescing table for a matching shader ID (a
+    /// load) before each intersection-buffer store (§VI-E: "FCC results in
+    /// 11% more memory loads in the RT unit").
+    pub fcc: bool,
 }
 
 /// Per-entry size of the intersection buffer: shader id + primitive index +
@@ -157,8 +136,8 @@ pub struct TraversalResult {
     pub closest: Option<TriangleIntersection>,
     /// Procedural hits pending intersection-shader execution.
     pub procedural_hits: Vec<ProceduralHit>,
-    /// Recorded traversal script (empty when `record_events` is off).
-    pub events: Vec<TraceEvent>,
+    /// The RT unit's replay script (empty when `record_script` is off).
+    pub script: Vec<Step>,
     /// Per-node visit records (empty when `record_visits` is off).
     pub visits: Vec<NodeVisit>,
     /// Number of BVH nodes fetched.
@@ -303,8 +282,7 @@ pub fn traverse<B: Borrow<Blas>>(
     let mut object_ray = world_ray;
 
     while let Some(entry) = stack.pop() {
-        out.spill_loads += u32::from(stack.len() >= SHORT_STACK_ENTRIES as usize);
-        push_event(&mut out, config, TraceEvent::StackPop);
+        spill(&mut out, config, stack.len() + 1, Spill::Reload);
         // A committed hit may have shrunk t_max below this subtree's entry.
         if entry.t_enter > world_ray.t_max {
             continue;
@@ -330,7 +308,6 @@ pub fn traverse<B: Borrow<Blas>>(
                     object_ray = inst.world_to_object.transform_ray(&world_ray);
                     cached_instance = Some(instance);
                     out.transforms += 1;
-                    push_event(&mut out, config, TraceEvent::Transform);
                 }
                 object_ray.t_max = world_ray.t_max;
                 (&blas.bvh, blas.base_addr, object_ray)
@@ -349,15 +326,22 @@ pub fn traverse<B: Borrow<Blas>>(
                 budget: visit_budget,
             });
         }
-        push_event(
-            &mut out,
-            config,
-            TraceEvent::NodeFetch {
+        if config.record_script.is_some() {
+            // The operation unit that consumes the node's data.
+            let op = match node {
+                Node::Internal(int) => OpKind::Box {
+                    tests: int.child_count,
+                },
+                Node::Triangle(_) => OpKind::Triangle,
+                Node::Instance(_) => OpKind::Transform,
+                Node::Procedural(_) => OpKind::None,
+            };
+            out.script.push(Step::Fetch {
                 addr: base + bvh.offset_of(entry.node),
                 size: node.kind().size_bytes() as u32,
-                kind: node.kind(),
-            },
-        );
+                op,
+            });
+        }
         out.nodes_visited += 1;
         if config.record_visits {
             // Recorded as a miss; the arms below upgrade the entry when the
@@ -377,13 +361,6 @@ pub fn traverse<B: Borrow<Blas>>(
                 let mut hits: [(u32, f32); crate::BVH_WIDTH] = [(0, 0.0); crate::BVH_WIDTH];
                 let mut nhits = 0usize;
                 out.box_tests += int.child_count as u32;
-                push_event(
-                    &mut out,
-                    config,
-                    TraceEvent::BoxTests {
-                        count: int.child_count,
-                    },
-                );
                 for (child, bounds) in int.iter_children() {
                     if let Some(t) =
                         intersect::ray_aabb(&space_ray, bounds, space_ray.t_min, world_ray.t_max)
@@ -403,8 +380,7 @@ pub fn traverse<B: Borrow<Blas>>(
                         t_enter: t,
                         depth: entry.depth + 1,
                     });
-                    push_event(&mut out, config, TraceEvent::StackPush);
-                    out.spill_stores += u32::from(stack.len() > SHORT_STACK_ENTRIES as usize);
+                    spill(&mut out, config, stack.len(), Spill::Store);
                 }
                 out.max_stack_depth = out.max_stack_depth.max(stack.len() as u32);
                 if nhits > 0 {
@@ -429,8 +405,7 @@ pub fn traverse<B: Borrow<Blas>>(
                         t_enter: entry.t_enter,
                         depth: 0,
                     });
-                    push_event(&mut out, config, TraceEvent::StackPush);
-                    out.spill_stores += u32::from(stack.len() > SHORT_STACK_ENTRIES as usize);
+                    spill(&mut out, config, stack.len(), Spill::Store);
                     out.max_stack_depth = out.max_stack_depth.max(stack.len() as u32);
                     mark_visit_hit(&mut out, config);
                 }
@@ -442,7 +417,6 @@ pub fn traverse<B: Borrow<Blas>>(
                 let mut test_ray = space_ray;
                 test_ray.t_max = world_ray.t_max;
                 out.triangle_tests += 1;
-                push_event(&mut out, config, TraceEvent::TriangleTest);
                 let tri = &leaf.triangle;
                 if let Some(hit) = intersect::ray_triangle(&test_ray, tri.v0, tri.v1, tri.v2) {
                     mark_visit_hit(&mut out, config);
@@ -489,15 +463,15 @@ pub fn traverse<B: Borrow<Blas>>(
                     sbt_offset: inst.sbt_offset,
                     t_enter: entry.t_enter,
                 });
-                push_event(
-                    &mut out,
-                    config,
-                    TraceEvent::IntersectionStore {
-                        addr: config.intersection_buffer_base
-                            + idx * INTERSECTION_ENTRY_SIZE as u64,
-                        size: INTERSECTION_ENTRY_SIZE,
-                    },
-                );
+                if let Some(sc) = &config.record_script {
+                    let addr = sc.intersection_buffer_base + idx * INTERSECTION_ENTRY_SIZE as u64;
+                    let size = INTERSECTION_ENTRY_SIZE;
+                    if sc.fcc {
+                        let op = OpKind::None;
+                        out.script.push(Step::Fetch { addr, size, op });
+                    }
+                    out.script.push(Step::Store { addr, size });
+                }
                 mark_visit_hit(&mut out, config);
             }
         }
@@ -505,11 +479,40 @@ pub fn traverse<B: Borrow<Blas>>(
     Ok(out)
 }
 
+/// The two directions of short-stack spill traffic.
+#[derive(Clone, Copy)]
+enum Spill {
+    Store,
+    Reload,
+}
+
+/// The short-stack spill rule (§III-C2): a push that leaves more than
+/// [`SHORT_STACK_ENTRIES`] entries stores an entry to the ray's spill
+/// window, and a pop from more reloads one. `depth` is the stack depth the
+/// push left or the pop started from; it picks the 32 B slot.
 #[inline]
-fn push_event(out: &mut TraversalResult, config: &TraversalConfig, ev: TraceEvent) {
-    if config.record_events {
-        out.events.push(ev);
+fn spill(out: &mut TraversalResult, config: &TraversalConfig, depth: usize, dir: Spill) {
+    if depth <= SHORT_STACK_ENTRIES as usize {
+        return;
     }
+    let slot = config
+        .record_script
+        .map(|sc| sc.spill_base + (depth as u64 % 64) * 32);
+    let step = match dir {
+        Spill::Store => {
+            out.spill_stores += 1;
+            slot.map(|addr| Step::Store { addr, size: 32 })
+        }
+        Spill::Reload => {
+            out.spill_loads += 1;
+            slot.map(|addr| Step::Fetch {
+                addr,
+                size: 32,
+                op: OpKind::None,
+            })
+        }
+    };
+    out.script.extend(step);
 }
 
 /// Upgrades the most recent [`NodeVisit`] to a hit. Every call site runs
@@ -666,10 +669,7 @@ mod tests {
         );
         assert_eq!(r.procedural_hits.len(), 1);
         assert_eq!(r.procedural_hits[0].shader_id, 3);
-        assert!(r
-            .events
-            .iter()
-            .any(|e| matches!(e, TraceEvent::IntersectionStore { .. })));
+        assert!(r.script.iter().any(|s| matches!(s, Step::Store { .. })));
     }
 
     #[test]
@@ -697,29 +697,29 @@ mod tests {
     }
 
     #[test]
-    fn events_script_has_fetch_per_visited_node() {
+    fn script_has_fetch_per_visited_node() {
         let (tlas, blas) = single_quad_scene();
         let ray = Ray::new(Vec3::new(0.0, 0.0, -5.0), Vec3::Z);
         let r = traverse(&tlas, &[&blas], &ray, &TraversalConfig::default()).unwrap();
         let fetches = r
-            .events
+            .script
             .iter()
-            .filter(|e| matches!(e, TraceEvent::NodeFetch { .. }))
+            .filter(|s| matches!(s, Step::Fetch { .. }))
             .count() as u32;
         assert_eq!(fetches, r.nodes_visited);
-        // Instance leaf fetch must be 128 B.
-        assert!(r.events.iter().any(|e| matches!(
-            e,
-            TraceEvent::NodeFetch {
+        // The instance leaf fetch is 128 B and feeds the transform unit.
+        assert!(r.script.iter().any(|s| matches!(
+            s,
+            Step::Fetch {
                 size: 128,
-                kind: NodeKind::InstanceLeaf,
+                op: OpKind::Transform,
                 ..
             }
         )));
     }
 
     #[test]
-    fn record_events_off_produces_empty_script() {
+    fn record_script_off_produces_empty_script() {
         let (tlas, blas) = single_quad_scene();
         let ray = Ray::new(Vec3::new(0.0, 0.0, -5.0), Vec3::Z);
         let r = traverse(
@@ -727,12 +727,12 @@ mod tests {
             &[&blas],
             &ray,
             &TraversalConfig {
-                record_events: false,
+                record_script: None,
                 ..TraversalConfig::default()
             },
         )
         .unwrap();
-        assert!(r.events.is_empty());
+        assert!(r.script.is_empty());
         assert!(r.closest.is_some());
     }
 
@@ -747,8 +747,8 @@ mod tests {
         let r = traverse(&tlas, &[&blas], &ray, &TraversalConfig::default()).unwrap();
         let mut saw_tlas = false;
         let mut saw_blas = false;
-        for e in &r.events {
-            if let TraceEvent::NodeFetch { addr, .. } = e {
+        for s in &r.script {
+            if let Step::Fetch { addr, .. } = s {
                 if *addr >= 0x9000_0000 {
                     saw_blas = true;
                 } else if *addr >= 0x8000_0000 {

@@ -16,9 +16,8 @@
 //!   forwards waiting threads to the pipelined ray-box / ray-triangle /
 //!   transform *Operation Units*, which have fixed latency (§III-C4);
 //! * each ray's traversal stack is an eight-entry short stack that spills
-//!   into per-thread memory; the functional traversal counts the spills
-//!   and the simulator core writes them into the script as stores and
-//!   fetches.
+//!   into per-thread memory; the functional traversal writes each spill
+//!   into the script as a store and each reload as a fetch.
 //!
 //! A warp completes when every thread finished its script; until then
 //! finished threads idle — the source of the low RT-unit SIMT efficiency
@@ -29,104 +28,9 @@ pub mod unit;
 pub use unit::{
     RtMem, RtMemResult, RtUnit, RtUnitAnalytics, RtUnitEvent, RtUnitEventKind, WarpDone,
 };
+pub use vksim_bvh::{OpKind, Step};
 
-use vksim_snapshot::{Dec, Enc, Snap, SnapError};
 use vksim_stats::{Counters, Histogram};
-
-/// One step of a thread's traversal script (converted from the functional
-/// model's trace events by the simulator core).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Step {
-    /// Fetch `size` bytes at `addr`, then run `op` on the returned data.
-    Fetch {
-        /// Absolute address.
-        addr: u64,
-        /// Size in bytes (split into 32 B chunks internally).
-        size: u32,
-        /// BVH operation consuming the data.
-        op: OpKind,
-    },
-    /// Fire-and-forget store (intersection-buffer entry, stack spill).
-    Store {
-        /// Absolute address.
-        addr: u64,
-        /// Size in bytes.
-        size: u32,
-    },
-}
-
-/// Which operation unit processes a fetched node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OpKind {
-    /// Ray-box intersection tests against an internal node's children.
-    Box {
-        /// Number of child AABBs tested.
-        tests: u8,
-    },
-    /// One ray-triangle intersection test.
-    Triangle,
-    /// A ray coordinate transformation (TLAS -> BLAS crossing).
-    Transform,
-    /// Raw data fetch with no BVH operation (stack refill, metadata).
-    None,
-}
-
-impl Snap for OpKind {
-    fn save(&self, e: &mut Enc) {
-        match *self {
-            OpKind::Box { tests } => {
-                e.u8(0);
-                e.u8(tests);
-            }
-            OpKind::Triangle => e.u8(1),
-            OpKind::Transform => e.u8(2),
-            OpKind::None => e.u8(3),
-        }
-    }
-
-    fn load(d: &mut Dec<'_>) -> Result<Self, SnapError> {
-        Ok(match d.u8()? {
-            0 => OpKind::Box { tests: d.u8()? },
-            1 => OpKind::Triangle,
-            2 => OpKind::Transform,
-            3 => OpKind::None,
-            t => return Err(SnapError::bad_tag::<Self>(t)),
-        })
-    }
-}
-
-impl Snap for Step {
-    fn save(&self, e: &mut Enc) {
-        match *self {
-            Step::Fetch { addr, size, op } => {
-                e.u8(0);
-                e.u64(addr);
-                e.u32(size);
-                op.save(e);
-            }
-            Step::Store { addr, size } => {
-                e.u8(1);
-                e.u64(addr);
-                e.u32(size);
-            }
-        }
-    }
-
-    fn load(d: &mut Dec<'_>) -> Result<Self, SnapError> {
-        Ok(match d.u8()? {
-            0 => Step::Fetch {
-                addr: d.u64()?,
-                size: d.u32()?,
-                op: OpKind::load(d)?,
-            },
-            1 => Step::Store {
-                addr: d.u64()?,
-                size: d.u32()?,
-            },
-            t => return Err(SnapError::bad_tag::<Self>(t)),
-        })
-    }
-}
 
 /// A whole warp's traversal work: one script per thread (empty scripts are
 /// inactive lanes).

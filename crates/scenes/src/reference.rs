@@ -37,7 +37,7 @@ struct Tracer<'a> {
 impl<'a> Tracer<'a> {
     fn hit(&self, ray: &Ray) -> Option<TriangleIntersection> {
         let cfg = TraversalConfig {
-            record_events: false,
+            record_script: None,
             ..Default::default()
         };
         traverse(self.tlas, &self.blases, ray, &cfg)
@@ -47,7 +47,7 @@ impl<'a> Tracer<'a> {
 
     fn occluded(&self, ray: &Ray) -> bool {
         let cfg = TraversalConfig {
-            record_events: false,
+            record_script: None,
             terminate_on_first_hit: true,
             ..Default::default()
         };

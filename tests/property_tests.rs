@@ -46,7 +46,7 @@ fn traversal_matches_brute_force() {
         let tlas = Tlas::build(vec![Instance::new(0, Mat4x3::IDENTITY)], &[&blas]);
         let ray = Ray::with_interval(*origin, *dir, 1e-3, 1e30);
         let cfg = TraversalConfig {
-            record_events: false,
+            record_script: None,
             ..Default::default()
         };
         let result = traverse(&tlas, &[&blas], &ray, &cfg).expect("well-formed scene");
