@@ -130,6 +130,12 @@ impl RtHooks for NoRt {
     }
 }
 
+/// Base address of per-thread local memory: thread `tid`'s window starts
+/// at `LOCAL_MEMORY_BASE + tid * LOCAL_MEMORY_BYTES`.
+pub const LOCAL_MEMORY_BASE: u64 = 0x7000_0000;
+/// Size of one thread's local-memory window.
+pub const LOCAL_MEMORY_BYTES: u64 = 0x1_0000;
+
 /// Architectural state of one thread.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ThreadState {
@@ -169,7 +175,7 @@ impl ThreadState {
         self.regs.fill(0);
         self.preds.fill(false);
         (self.pc, self.tid, self.exited) = (0, tid, false);
-        self.local_base = 0x7000_0000 + (tid as u64) * 0x1_0000;
+        self.local_base = LOCAL_MEMORY_BASE + tid as u64 * LOCAL_MEMORY_BYTES;
     }
 
     /// Register read as f32.
