@@ -448,11 +448,11 @@ fn prune_checkpoints(dir: &Path, keep: u64) {
     }
 }
 
-/// Writes the final machine snapshot for a faulted run, sited beside the
-/// post-mortem dump (same stem, `.vksnap` extension) when a dump exists
-/// and in the dump directory's default location otherwise. Best-effort:
-/// returns `None` when the write fails — a snapshot failure must never
-/// mask the original fault.
+/// Writes the final machine snapshot for a faulted run beside the
+/// post-mortem dump (same stem, `.vksnap` extension). A run with no dump
+/// writes no snapshot. Best-effort: returns `None` when there is no dump
+/// or the write fails — a snapshot failure must never mask the original
+/// fault.
 fn write_final_snapshot(
     gpu: &GpuSim,
     runtime: &RtRuntime,

@@ -144,7 +144,12 @@ VKSIM_CHAOS_ITERS=5 VKSIM_DUMP_DIR="$(mktemp -d)" \
 # every metric of its schema and finish with zero failed operations
 # (determinism, observer purity, thread invariance, image match). --quick
 # is Test scale, ~3 s after the build; the build goes under target/ and the
-# summary to a temp file, so nothing tracked under benchmark/ is touched.
+# summary to a temp file. Cargo rewrites benchmark/Cargo.lock whenever the
+# workspace crates' dependency lists differ from it, so the committed file
+# is saved here and put back on exit: CI leaves the checkout clean.
+bench_lock="$(mktemp)"
+cp benchmark/Cargo.lock "$bench_lock"
+trap 'cp "$bench_lock" benchmark/Cargo.lock' EXIT
 step "repo benchmark schema/correctness check (benchmark/run.sh --quick)"
 CARGO_TARGET_DIR="$PWD/target/benchmark" \
     bash benchmark/run.sh --quick --out "$(mktemp -d)/summary.json" | tail -n 2
