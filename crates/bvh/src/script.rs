@@ -100,3 +100,34 @@ impl Snap for Step {
         })
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The encoding of every variant, pinned: the replay-script pins hold
+    /// only the steps the Test scenes happen to record.
+    #[test]
+    fn every_variant_layout_is_pinned() {
+        let ops = vec![
+            OpKind::Box { tests: 6 },
+            OpKind::Triangle,
+            OpKind::Transform,
+            OpKind::None,
+        ];
+        let fetches = ops.iter().zip(0..).map(|(&op, i)| Step::Fetch {
+            addr: 0x1000 + 64 * i,
+            size: 64,
+            op,
+        });
+        let store = Step::Store {
+            addr: 0x9000,
+            size: 32,
+        };
+        let steps: Vec<Step> = fetches.chain([store]).collect();
+        assert_eq!(
+            vksim_snapshot::layout_pin(&(ops, steps)),
+            (0x4e94_30e9_26ff_e7d5, 91)
+        );
+    }
+}

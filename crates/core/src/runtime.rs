@@ -568,6 +568,35 @@ mod tests {
         }
     }
 
+    /// A frame with a committed hit and two pending procedural hits,
+    /// encoded and pinned: no Test scene checkpoints a pending table.
+    #[test]
+    fn frame_layout_is_pinned() {
+        let hit = |primitive_index, t_enter| ProceduralHit {
+            primitive_index,
+            shader_id: 1,
+            instance_index: 2,
+            instance_custom_index: 3,
+            sbt_offset: 4,
+            t_enter,
+        };
+        let frame = Frame {
+            ray: z_ray(),
+            committed: Committed {
+                kind: 2,
+                t: 4.5,
+                primitive_index: 9,
+                normal: [0.0, 0.0, -1.0],
+                ..Committed::default()
+            },
+            pending: vec![hit(9, 4.25), hit(12, 6.0)],
+        };
+        assert_eq!(
+            vksim_snapshot::layout_pin(&frame),
+            (0x85f4_536d_7b10_83c3, 136)
+        );
+    }
+
     #[test]
     fn traverse_commits_triangle_hit_and_records_script() {
         let (tlas, blases) = quad_scene();

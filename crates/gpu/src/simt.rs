@@ -481,6 +481,25 @@ impl Snap for SimtEngine {
 mod tests {
     use super::*;
 
+    /// The encoding of both engines and both stack entries, pinned.
+    #[test]
+    fn every_variant_layout_is_pinned() {
+        let stack = SimtStack {
+            pc: 3,
+            mask: 0xf0,
+            stack: vec![
+                StackEntry::Join { pc: 9, mask: 0xff },
+                StackEntry::Split { pc: 5, mask: 0x0f },
+            ],
+            exited: 0x100,
+        };
+        let engines = vec![SimtEngine::Stack(stack), SimtEngine::multipath(0xffff)];
+        assert_eq!(
+            vksim_snapshot::layout_pin(&engines),
+            (0x9cb7_93e8_f120_9ca9, 92)
+        );
+    }
+
     /// The runnable contexts as a `Vec`, for indexing and counting.
     fn live(e: &SimtEngine) -> Vec<Ctx> {
         e.contexts().collect()

@@ -1070,3 +1070,29 @@ vksim_snapshot::snap_state!(Sm {
     map,
     sleep
 });
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The encoding of every context-status, waiter and cache-selector
+    /// variant, pinned: the layout pins of whole checkpoints hold only the
+    /// states live at their cycles.
+    #[test]
+    fn every_variant_layout_is_pinned() {
+        let statuses = vec![
+            CtxStatus::Ready,
+            CtxStatus::OpUntil(77),
+            CtxStatus::WaitMem { outstanding: 3 },
+            CtxStatus::RtPending,
+            CtxStatus::InRt,
+        ];
+        let waiters = vec![
+            Waiter::WarpCtx { warp: 5, ctx: 2 },
+            Waiter::RtToken(1 << 40),
+        ];
+        let caches = vec![CacheSel::L1, CacheSel::Rtc];
+        let pin = vksim_snapshot::layout_pin(&(statuses, waiters, caches));
+        assert_eq!(pin, (0x35ab_ac04_b3ba_6736, 61));
+    }
+}

@@ -431,6 +431,20 @@ vksim_snapshot::snap_state!(Cache {
 mod tests {
     use super::*;
 
+    /// The encoding of every variant, pinned.
+    #[test]
+    fn every_access_kind_layout_is_pinned() {
+        let kinds = vec![
+            AccessKind::ShaderLoad,
+            AccessKind::ShaderStore,
+            AccessKind::RtUnit,
+        ];
+        assert_eq!(
+            vksim_snapshot::layout_pin(&kinds),
+            (0xc7f4_9cd4_24c6_3531, 11)
+        );
+    }
+
     fn tiny_cache(lines: u64, assoc: u32) -> Cache {
         Cache::new(CacheConfig {
             name: "T".into(),

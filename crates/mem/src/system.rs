@@ -1002,6 +1002,30 @@ mod tests {
         sys.advance_to(until)
     }
 
+    /// The encoding of every event variant, pinned: the layout pins of
+    /// whole checkpoints hold only the events live at their cycles.
+    #[test]
+    fn every_event_kind_layout_is_pinned() {
+        let kinds = vec![
+            EvKind::ArriveL2(MemRequest {
+                id: 7,
+                addr: 0x2_0040,
+                kind: AccessKind::RtUnit,
+                is_store: true,
+            }),
+            EvKind::DramDone { line: 0x2_0000 },
+            EvKind::RetryDram {
+                addr: 0x3_0020,
+                line: 0x3_0000,
+                is_store: false,
+            },
+        ];
+        assert_eq!(
+            vksim_snapshot::layout_pin(&kinds),
+            (0xd154_c1d1_ec82_8359, 54)
+        );
+    }
+
     fn load(id: u64, addr: u64) -> MemRequest {
         MemRequest {
             id,

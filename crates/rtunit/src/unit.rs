@@ -772,6 +772,27 @@ mod tests {
     use super::*;
     use vksim_testkit::{prop, prop_assert, prop_assert_eq};
 
+    /// The encoding of every lane-state and event variant, pinned: the
+    /// layout pins of whole checkpoints hold only the states live at their
+    /// cycles.
+    #[test]
+    fn every_variant_layout_is_pinned() {
+        let states = vec![
+            LaneState::Ready,
+            LaneState::WaitMem,
+            LaneState::InOp(41),
+            LaneState::Done,
+        ];
+        let events = vec![
+            RtUnitEventKind::Enqueue,
+            RtUnitEventKind::Finish { latency: 300 },
+        ];
+        assert_eq!(
+            vksim_snapshot::layout_pin(&(states, events)),
+            (0xebd5_20cb_3ecd_84c4, 38)
+        );
+    }
+
     /// Memory stub: every load hits after `lat` cycles.
     struct FlatMem {
         lat: u64,

@@ -39,7 +39,8 @@ mod snap;
 
 pub use fixed_hash::{FixedHasher, FixedMap, FixedSet, FixedState};
 pub use snap::{
-    __with_restore, __with_save, load_fixed, restore_each, restore_opt, save_each, save_opt, Snap,
+    __with_restore, __with_save, layout_pin, load_fixed, restore_each, restore_opt, save_each,
+    save_opt, Snap,
 };
 
 use std::fmt;

@@ -318,6 +318,32 @@ pub fn restore_opt<T>(
     }
 }
 
+/// The FNV-1a-64 and length of `value`'s encoding, after checking that the
+/// bytes decode, whole, to a value that encodes to them again: what a
+/// layout pin test compares with its recorded constants.
+///
+/// # Panics
+///
+/// If the bytes do not decode or re-encode differently: the codec's two
+/// directions disagree.
+pub fn layout_pin<T: Snap>(value: &T) -> (u64, usize) {
+    let encode = |v: &T| {
+        let mut e = Enc::new();
+        v.save(&mut e);
+        e.into_bytes()
+    };
+    let bytes = encode(value);
+    let mut d = Dec::new(&bytes);
+    let back = T::load(&mut d).and_then(|v| d.finish().map(|()| v));
+    let again = encode(&back.unwrap_or_else(|e| panic!("{}: {e}", type_name::<T>())));
+    assert!(
+        again == bytes,
+        "{} re-encodes differently",
+        type_name::<T>()
+    );
+    (crate::fnv1a(crate::fnv1a_init(), &bytes), bytes.len())
+}
+
 /// Pins the argument types of a `with(..)` save closure so its body
 /// type-checks. Not public API.
 #[doc(hidden)]

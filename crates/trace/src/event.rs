@@ -238,9 +238,9 @@ impl Snap for EventKind {
 mod tests {
     use super::*;
 
-    #[test]
-    fn codes_are_distinct_and_stable() {
-        let kinds = [
+    /// One value of every variant.
+    fn every_kind() -> Vec<EventKind> {
+        vec![
             EventKind::Issue { pc: 1, lanes: 2 },
             EventKind::StallBegin,
             EventKind::StallEnd { cycles: 3 },
@@ -266,10 +266,25 @@ mod tests {
             },
             EventKind::IcntStallBegin,
             EventKind::IcntStallEnd { cycles: 9 },
-        ];
+        ]
+    }
+
+    #[test]
+    fn codes_are_distinct_and_stable() {
+        let kinds = every_kind();
         let codes: std::collections::BTreeSet<u64> = kinds.iter().map(|k| k.code()).collect();
         assert_eq!(codes.len(), kinds.len());
         assert_eq!(codes.iter().copied().max(), Some(14));
+    }
+
+    /// The encoding of every variant, pinned: the layout pins of whole
+    /// checkpoints hold only the events live at their cycles.
+    #[test]
+    fn every_variant_layout_is_pinned() {
+        assert_eq!(
+            vksim_snapshot::layout_pin(&every_kind()),
+            (0x65b8_dcf4_391b_04aa, 99)
+        );
     }
 
     #[test]
