@@ -5,8 +5,6 @@
 //! unit timing model replays the script against the simulated memory
 //! hierarchy (§III-B4).
 
-use vksim_snapshot::{Dec, Enc, Snap, SnapError};
-
 /// One step of a thread's traversal script.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Step {
@@ -44,62 +42,17 @@ pub enum OpKind {
     None,
 }
 
-impl Snap for OpKind {
-    fn save(&self, e: &mut Enc) {
-        match *self {
-            OpKind::Box { tests } => {
-                e.u8(0);
-                e.u8(tests);
-            }
-            OpKind::Triangle => e.u8(1),
-            OpKind::Transform => e.u8(2),
-            OpKind::None => e.u8(3),
-        }
-    }
+vksim_snapshot::snap_enum!(OpKind {
+    0 => Box { tests },
+    1 => Triangle,
+    2 => Transform,
+    3 => None,
+});
 
-    fn load(d: &mut Dec<'_>) -> Result<Self, SnapError> {
-        Ok(match d.u8()? {
-            0 => OpKind::Box { tests: d.u8()? },
-            1 => OpKind::Triangle,
-            2 => OpKind::Transform,
-            3 => OpKind::None,
-            t => return Err(SnapError::bad_tag::<Self>(t)),
-        })
-    }
-}
-
-impl Snap for Step {
-    fn save(&self, e: &mut Enc) {
-        match *self {
-            Step::Fetch { addr, size, op } => {
-                e.u8(0);
-                e.u64(addr);
-                e.u32(size);
-                op.save(e);
-            }
-            Step::Store { addr, size } => {
-                e.u8(1);
-                e.u64(addr);
-                e.u32(size);
-            }
-        }
-    }
-
-    fn load(d: &mut Dec<'_>) -> Result<Self, SnapError> {
-        Ok(match d.u8()? {
-            0 => Step::Fetch {
-                addr: d.u64()?,
-                size: d.u32()?,
-                op: OpKind::load(d)?,
-            },
-            1 => Step::Store {
-                addr: d.u64()?,
-                size: d.u32()?,
-            },
-            t => return Err(SnapError::bad_tag::<Self>(t)),
-        })
-    }
-}
+vksim_snapshot::snap_enum!(Step {
+    0 => Fetch { addr, size, op },
+    1 => Store { addr, size },
+});
 
 #[cfg(test)]
 mod tests {

@@ -88,6 +88,15 @@ pub struct ProceduralHit {
     pub t_enter: f32,
 }
 
+vksim_snapshot::snap_struct!(ProceduralHit {
+    primitive_index,
+    shader_id,
+    instance_index,
+    instance_custom_index,
+    sbt_offset,
+    t_enter
+});
+
 /// Traversal options.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TraversalConfig {

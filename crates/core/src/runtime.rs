@@ -25,7 +25,6 @@ use vksim_isa::op::{RtIdxQuery, RtQuery};
 use vksim_isa::RtError;
 use vksim_math::{Ray, Vec3};
 use vksim_mem::FixedMap;
-use vksim_snapshot::{Dec, Enc, Snap, SnapError};
 use vksim_trace::TraversalAnalytics;
 use vksim_vulkan::{intersection_buffer, spill_base, RT_ALLOC_BASE};
 
@@ -266,47 +265,11 @@ vksim_snapshot::snap_struct!(RuntimeStats {
     spill_loads
 });
 
-/// [`ProceduralHit`] lives in `vksim-bvh`, which knows nothing of
-/// snapshots, so a frame writes its pending hits as field tuples.
-impl Snap for Frame {
-    fn save(&self, e: &mut Enc) {
-        self.ray.save(e);
-        self.committed.save(e);
-        let pending: Vec<_> = self
-            .pending
-            .iter()
-            .map(|h| {
-                (
-                    h.primitive_index,
-                    h.shader_id,
-                    h.instance_index,
-                    h.instance_custom_index,
-                    h.sbt_offset,
-                    h.t_enter,
-                )
-            })
-            .collect();
-        pending.save(e);
-    }
-
-    fn load(d: &mut Dec<'_>) -> Result<Self, SnapError> {
-        Ok(Frame {
-            ray: Snap::load(d)?,
-            committed: Snap::load(d)?,
-            pending: Vec::<(u32, u32, u32, u32, u32, f32)>::load(d)?
-                .into_iter()
-                .map(|hit| ProceduralHit {
-                    primitive_index: hit.0,
-                    shader_id: hit.1,
-                    instance_index: hit.2,
-                    instance_custom_index: hit.3,
-                    sbt_offset: hit.4,
-                    t_enter: hit.5,
-                })
-                .collect(),
-        })
-    }
-}
+vksim_snapshot::snap_struct!(Frame {
+    ray,
+    committed,
+    pending
+});
 
 // The mutable state: per-thread frame stacks, pending replay scripts, FCC
 // coalescing buffers, the `rt_alloc_mem` cursor, the functional statistics
@@ -530,6 +493,7 @@ mod tests {
     use vksim_bvh::geometry::{BlasGeometry, ProceduralPrimitive, Triangle};
     use vksim_bvh::{Instance, OpKind};
     use vksim_math::{Aabb, Mat4x3};
+    use vksim_snapshot::{Dec, Enc, Snap};
 
     fn quad_scene() -> (Tlas, Vec<Blas>) {
         let blas = Blas::from_triangles(&[

@@ -13,8 +13,6 @@
 //!   the `SSY` point. This is what lets the two sides of a branch overlap
 //!   long-latency `traverseAS` instructions.
 
-use vksim_snapshot::{Dec, Enc, Snap, SnapError};
-
 /// A 32-lane activity mask.
 pub type Mask = u32;
 
@@ -181,26 +179,10 @@ impl SimtStack {
     }
 }
 
-impl Snap for StackEntry {
-    fn save(&self, e: &mut Enc) {
-        let (tag, pc, mask) = match *self {
-            StackEntry::Join { pc, mask } => (0, pc, mask),
-            StackEntry::Split { pc, mask } => (1, pc, mask),
-        };
-        e.u8(tag);
-        e.u32(pc);
-        e.u32(mask);
-    }
-
-    fn load(d: &mut Dec<'_>) -> Result<Self, SnapError> {
-        let (tag, pc, mask) = (d.u8()?, d.u32()?, d.u32()?);
-        match tag {
-            0 => Ok(StackEntry::Join { pc, mask }),
-            1 => Ok(StackEntry::Split { pc, mask }),
-            t => Err(SnapError::bad_tag::<Self>(t)),
-        }
-    }
-}
+vksim_snapshot::snap_enum!(StackEntry {
+    0 => Join { pc, mask },
+    1 => Split { pc, mask },
+});
 
 vksim_snapshot::snap_struct!(SimtStack {
     pc,
@@ -454,28 +436,10 @@ impl SimtEngine {
     }
 }
 
-impl Snap for SimtEngine {
-    fn save(&self, e: &mut Enc) {
-        match self {
-            SimtEngine::Stack(s) => {
-                e.u8(0);
-                s.save(e);
-            }
-            SimtEngine::Multipath(m) => {
-                e.u8(1);
-                m.save(e);
-            }
-        }
-    }
-
-    fn load(d: &mut Dec<'_>) -> Result<Self, SnapError> {
-        Ok(match d.u8()? {
-            0 => SimtEngine::Stack(SimtStack::load(d)?),
-            1 => SimtEngine::Multipath(Multipath::load(d)?),
-            t => return Err(SnapError::bad_tag::<Self>(t)),
-        })
-    }
-}
+vksim_snapshot::snap_enum!(SimtEngine {
+    0 => Stack(stack),
+    1 => Multipath(engine),
+});
 
 #[cfg(test)]
 mod tests {

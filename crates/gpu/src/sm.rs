@@ -19,7 +19,7 @@ use vksim_mem::{
     AccessKind, AddrMap, Cache, CacheOutcome, FixedMap, MemRequest, MemSink, CHUNK_BYTES,
 };
 use vksim_rtunit::{RtMem, RtMemResult, RtUnit, RtUnitEventKind, WarpJob};
-use vksim_snapshot::{restore_opt, save_opt, Dec, Enc, Snap, SnapError};
+use vksim_snapshot::{restore_opt, save_opt};
 use vksim_stats::Counters;
 use vksim_trace::{CycleCategory, CycleState, EventKind, SmObservers, NO_WARP};
 
@@ -71,42 +71,14 @@ enum CtxStatus {
     InRt,
 }
 
-impl CtxStatus {
-    // The snapshot tag, which is also the post-mortem status code.
-    fn code(self) -> u8 {
-        match self {
-            CtxStatus::Ready => 0,
-            CtxStatus::OpUntil(_) => 1,
-            CtxStatus::WaitMem { .. } => 2,
-            CtxStatus::RtPending => 3,
-            CtxStatus::InRt => 4,
-        }
-    }
-}
-
-impl Snap for CtxStatus {
-    fn save(&self, e: &mut Enc) {
-        e.u8(self.code());
-        match *self {
-            CtxStatus::OpUntil(t) => e.u64(t),
-            CtxStatus::WaitMem { outstanding } => e.u32(outstanding),
-            _ => {}
-        }
-    }
-
-    fn load(d: &mut Dec<'_>) -> Result<Self, SnapError> {
-        Ok(match d.u8()? {
-            0 => CtxStatus::Ready,
-            1 => CtxStatus::OpUntil(d.u64()?),
-            2 => CtxStatus::WaitMem {
-                outstanding: d.u32()?,
-            },
-            3 => CtxStatus::RtPending,
-            4 => CtxStatus::InRt,
-            t => return Err(SnapError::bad_tag::<Self>(t)),
-        })
-    }
-}
+// The tags are also the post-mortem status codes.
+vksim_snapshot::snap_enum!(CtxStatus {
+    0 => Ready,
+    1 => OpUntil(at),
+    2 => WaitMem { outstanding },
+    3 => RtPending,
+    4 => InRt,
+});
 
 /// One resident warp.
 #[derive(Debug)]
@@ -211,32 +183,10 @@ enum Waiter {
     RtToken(u64),
 }
 
-impl Snap for Waiter {
-    fn save(&self, e: &mut Enc) {
-        match *self {
-            Waiter::WarpCtx { warp, ctx } => {
-                e.u8(0);
-                e.u32(warp);
-                e.u32(ctx);
-            }
-            Waiter::RtToken(token) => {
-                e.u8(1);
-                e.u64(token);
-            }
-        }
-    }
-
-    fn load(d: &mut Dec<'_>) -> Result<Self, SnapError> {
-        Ok(match d.u8()? {
-            0 => Waiter::WarpCtx {
-                warp: d.u32()?,
-                ctx: d.u32()?,
-            },
-            1 => Waiter::RtToken(d.u64()?),
-            t => return Err(SnapError::bad_tag::<Self>(t)),
-        })
-    }
-}
+vksim_snapshot::snap_enum!(Waiter {
+    0 => WarpCtx { warp, ctx },
+    1 => RtToken(token),
+});
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 enum CacheSel {
@@ -244,22 +194,10 @@ enum CacheSel {
     Rtc,
 }
 
-impl Snap for CacheSel {
-    fn save(&self, e: &mut Enc) {
-        e.u8(match self {
-            CacheSel::L1 => 0,
-            CacheSel::Rtc => 1,
-        });
-    }
-
-    fn load(d: &mut Dec<'_>) -> Result<Self, SnapError> {
-        match d.u8()? {
-            0 => Ok(CacheSel::L1),
-            1 => Ok(CacheSel::Rtc),
-            t => Err(SnapError::bad_tag::<Self>(t)),
-        }
-    }
-}
+vksim_snapshot::snap_enum!(CacheSel {
+    0 => L1,
+    1 => Rtc,
+});
 
 /// The SM's memory port: its caches, miss bookkeeping and request-id
 /// counter, borrowed together with the cycle's sink. Shader loads and
@@ -868,7 +806,7 @@ impl Sm {
                 let cp = format!("{p}.warp{}.ctx{}", w.id, c.id);
                 snap.insert(format!("{cp}.pc"), c.pc as u64);
                 snap.insert(format!("{cp}.mask"), c.mask as u64);
-                snap.insert(format!("{cp}.status"), w.status(c.id).code().into());
+                snap.insert(format!("{cp}.status"), w.status(c.id).snap_tag().into());
             }
         }
         // Flight recorder: the last trace events before the failure, flat

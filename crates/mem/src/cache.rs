@@ -1,7 +1,7 @@
 //! Set-associative LRU cache with MSHRs and miss classification.
 
 use crate::{FixedMap, FixedSet};
-use vksim_snapshot::{load_fixed, Dec, Enc, Snap, SnapError};
+use vksim_snapshot::{load_fixed, Snap};
 use vksim_stats::Counters;
 
 /// Who issued a memory access; drives the per-source breakdown of Fig. 14
@@ -42,23 +42,11 @@ impl AccessKind {
     }
 }
 
-impl Snap for AccessKind {
-    fn save(&self, e: &mut Enc) {
-        e.u8(match self {
-            AccessKind::ShaderLoad => 0,
-            AccessKind::ShaderStore => 1,
-            AccessKind::RtUnit => 2,
-        });
-    }
-    fn load(d: &mut Dec<'_>) -> Result<Self, SnapError> {
-        Ok(match d.u8()? {
-            0 => AccessKind::ShaderLoad,
-            1 => AccessKind::ShaderStore,
-            2 => AccessKind::RtUnit,
-            t => return Err(SnapError::bad_tag::<Self>(t)),
-        })
-    }
-}
+vksim_snapshot::snap_enum!(AccessKind {
+    0 => ShaderLoad,
+    1 => ShaderStore,
+    2 => RtUnit,
+});
 
 /// Cache geometry and timing.
 #[derive(Clone, Debug, PartialEq)]
@@ -858,7 +846,7 @@ mod tests {
                     prop_assert_eq!(c.stamp, accessed.stamp);
                     prop_assert!(c.stats == accessed.stats, "stats differ");
                     let bytes = |c: &Cache| {
-                        let mut e = Enc::new();
+                        let mut e = vksim_snapshot::Enc::new();
                         c.save(&mut e);
                         e.into_bytes()
                     };

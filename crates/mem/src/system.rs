@@ -28,7 +28,7 @@ use crate::{AddrMap, FixedMap};
 use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use vksim_snapshot::{load_fixed, restore_each, save_each, Dec, Enc, Snap, SnapError};
+use vksim_snapshot::{load_fixed, restore_each, save_each, Dec, Snap, SnapError};
 use vksim_stats::Counters;
 
 /// Cycles a refused access (L2 reservation fail, full DRAM bank queue)
@@ -197,43 +197,11 @@ enum EvKind {
     },
 }
 
-impl Snap for EvKind {
-    fn save(&self, e: &mut Enc) {
-        match *self {
-            EvKind::ArriveL2(req) => {
-                e.u8(0);
-                req.save(e);
-            }
-            EvKind::DramDone { line } => {
-                e.u8(1);
-                e.u64(line);
-            }
-            EvKind::RetryDram {
-                addr,
-                line,
-                is_store,
-            } => {
-                e.u8(2);
-                e.u64(addr);
-                e.u64(line);
-                e.bool(is_store);
-            }
-        }
-    }
-
-    fn load(d: &mut Dec<'_>) -> Result<Self, SnapError> {
-        Ok(match d.u8()? {
-            0 => EvKind::ArriveL2(MemRequest::load(d)?),
-            1 => EvKind::DramDone { line: d.u64()? },
-            2 => EvKind::RetryDram {
-                addr: d.u64()?,
-                line: d.u64()?,
-                is_store: d.bool()?,
-            },
-            t => return Err(SnapError::bad_tag::<Self>(t)),
-        })
-    }
-}
+vksim_snapshot::snap_enum!(EvKind {
+    0 => ArriveL2(req),
+    1 => DramDone { line },
+    2 => RetryDram { addr, line, is_store },
+});
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Ev {

@@ -154,50 +154,16 @@ struct QueuedReq {
     waiters: Vec<(u32, usize)>, // (warp_id, lane)
 }
 
-impl Snap for LaneState {
-    fn save(&self, e: &mut Enc) {
-        match *self {
-            LaneState::Ready => e.u8(0),
-            LaneState::WaitMem => e.u8(1),
-            LaneState::InOp(done) => {
-                e.u8(2);
-                e.u64(done);
-            }
-            LaneState::Done => e.u8(3),
-        }
-    }
-
-    fn load(d: &mut Dec<'_>) -> Result<Self, SnapError> {
-        Ok(match d.u8()? {
-            0 => LaneState::Ready,
-            1 => LaneState::WaitMem,
-            2 => LaneState::InOp(d.u64()?),
-            3 => LaneState::Done,
-            t => return Err(SnapError::bad_tag::<Self>(t)),
-        })
-    }
-}
-
-impl Snap for RtUnitEventKind {
-    fn save(&self, e: &mut Enc) {
-        match *self {
-            RtUnitEventKind::Enqueue => e.u8(0),
-            RtUnitEventKind::Finish { latency } => {
-                e.u8(1);
-                e.u64(latency);
-            }
-        }
-    }
-
-    fn load(d: &mut Dec<'_>) -> Result<Self, SnapError> {
-        Ok(match d.u8()? {
-            0 => RtUnitEventKind::Enqueue,
-            1 => RtUnitEventKind::Finish { latency: d.u64()? },
-            t => return Err(SnapError::bad_tag::<Self>(t)),
-        })
-    }
-}
-
+vksim_snapshot::snap_enum!(LaneState {
+    0 => Ready,
+    1 => WaitMem,
+    2 => InOp(done),
+    3 => Done,
+});
+vksim_snapshot::snap_enum!(RtUnitEventKind {
+    0 => Enqueue,
+    1 => Finish { latency },
+});
 vksim_snapshot::snap_struct!(RtUnitEvent {
     cycle,
     warp_id,

@@ -1,4 +1,4 @@
-//! The [`Snap`] trait, its container impls and the two field-list macros:
+//! The [`Snap`] trait, its container impls and the three field-list macros:
 //! the one place the machine-state encoding rules live.
 //!
 //! The convention (unchanged since format version 1): integers are
@@ -17,8 +17,8 @@ use std::hash::{BuildHasher, Hash};
 
 /// A value that writes itself into a snapshot and reads itself back.
 ///
-/// Structs get their impl from [`snap_struct!`](crate::snap_struct);
-/// payload enums write theirs by hand because their tags *are* the
+/// Structs get their impl from [`snap_struct!`](crate::snap_struct),
+/// enums from [`snap_enum!`](crate::snap_enum), whose tag table *is* the
 /// format. Types that cannot be built without a configuration (caches,
 /// SMs, the whole GPU) are not `Snap`: they use
 /// [`snap_state!`](crate::snap_state), which restores in place.
@@ -393,6 +393,86 @@ macro_rules! snap_struct {
                 Ok(Self { $($field: $crate::Snap::load(d)?,)* $($($skip: Default::default(),)*)? })
             }
         }
+    };
+}
+
+/// Implements [`Snap`] for an enum from one tag table: each variant is
+/// declared once, as `tag => Variant`, `tag => Variant(fields)` or
+/// `tag => Variant { fields }`, and that list drives both directions.
+///
+/// `save` writes the tag as a `u8`, then each field through [`Snap`] in the
+/// listed order; `load` reads the same order back, and any other tag is
+/// [`SnapError::bad_tag`](crate::SnapError::bad_tag). The enum also gets `snap_tag(&self) -> u8`, for
+/// the codes that must agree with the format (post-mortem dumps). Tuple
+/// fields are named only to bind them.
+///
+/// ```
+/// #[derive(Debug, PartialEq)]
+/// enum Status { Ready, OpUntil(u64), WaitMem { outstanding: u32 } }
+/// vksim_snapshot::snap_enum!(Status {
+///     0 => Ready,
+///     1 => OpUntil(at),
+///     2 => WaitMem { outstanding },
+/// });
+/// assert_eq!(Status::WaitMem { outstanding: 3 }.snap_tag(), 2);
+/// ```
+///
+/// `save` and `snap_tag` match every variant with no `..` rest pattern, so
+/// a variant or a field missing from the list does not compile:
+///
+/// ```compile_fail
+/// enum Status { Ready, OpUntil(u64) }
+/// vksim_snapshot::snap_enum!(Status { 0 => Ready }); // `OpUntil` is forgotten
+/// ```
+///
+/// ```compile_fail
+/// enum Status { WaitMem { outstanding: u32, since: u64 } }
+/// vksim_snapshot::snap_enum!(Status { 0 => WaitMem { outstanding } }); // `since` is forgotten
+/// ```
+///
+/// A tag declared twice makes an unreachable arm in `load`, which the
+/// workspace's `clippy -D warnings` gate rejects.
+#[macro_export]
+macro_rules! snap_enum {
+    (
+        $ty:ident {
+            $($tag:literal => $var:ident
+                $(( $($tf:ident),* $(,)? ))?
+                $({ $($sf:ident),* $(,)? })?
+            ),* $(,)?
+        }
+    ) => {
+        impl $ty {
+            /// This variant's tag in the snapshot format.
+            pub fn snap_tag(&self) -> u8 {
+                match self {
+                    $(Self::$var { .. } => $tag,)*
+                }
+            }
+        }
+
+        impl $crate::Snap for $ty {
+            fn save(&self, e: &mut $crate::Enc) {
+                e.u8(self.snap_tag());
+                match self {
+                    $(Self::$var $(($($tf),*))? $({ $($sf),* })? => {
+                        $($($crate::Snap::save($tf, e);)*)?
+                        $($($crate::Snap::save($sf, e);)*)?
+                    })*
+                }
+            }
+            fn load(d: &mut $crate::Dec<'_>) -> Result<Self, $crate::SnapError> {
+                Ok(match d.u8()? {
+                    $($tag => Self::$var
+                        $(($($crate::snap_enum!(@load d $tf)),*))?
+                        $({ $($sf: $crate::Snap::load(d)?),* })?,)*
+                    t => return Err($crate::SnapError::bad_tag::<Self>(t)),
+                })
+            }
+        }
+    };
+    (@load $d:ident $field:ident) => {
+        $crate::Snap::load($d)?
     };
 }
 

@@ -378,3 +378,97 @@ fn state_restores_in_place_and_refuses_another_configurations_shape() {
         "{err}"
     );
 }
+
+/// A `snap_enum!` with unit, tuple and struct variants, tags out of
+/// declaration order and a gap.
+#[derive(Clone, Debug, PartialEq)]
+enum Shape {
+    Empty,
+    Point(u32),
+    Segment(u32, u64),
+    Span { lo: u64, hi: Option<u32> },
+}
+
+crate::snap_enum!(Shape {
+    0 => Empty,
+    7 => Point(x),
+    2 => Segment(a, b),
+    3 => Span { lo, hi },
+});
+
+const SHAPE_TAGS: [u8; 4] = [0, 7, 2, 3];
+
+#[test]
+fn snap_enum_writes_the_declared_tag_then_the_listed_fields() {
+    let reference = |build: &dyn Fn(&mut Enc)| {
+        let mut e = Enc::new();
+        build(&mut e);
+        e
+    };
+    let cases = [
+        (Shape::Empty, reference(&|e| e.u8(0))),
+        (
+            Shape::Point(9),
+            reference(&|e| {
+                e.u8(7);
+                e.u32(9);
+            }),
+        ),
+        (
+            Shape::Segment(4, 1 << 40),
+            reference(&|e| {
+                e.u8(2);
+                e.u32(4);
+                e.u64(1 << 40);
+            }),
+        ),
+        (
+            Shape::Span { lo: 5, hi: Some(6) },
+            reference(&|e| {
+                e.u8(3);
+                e.u64(5);
+                e.u8(1);
+                e.u32(6);
+            }),
+        ),
+    ];
+    for ((value, bytes), tag) in cases.into_iter().zip(SHAPE_TAGS) {
+        assert_eq!(value.snap_tag(), tag);
+        pinned_round_trip(&value, bytes).unwrap();
+    }
+}
+
+#[test]
+fn snap_enum_refuses_an_undeclared_tag_by_type_name() {
+    match decode::<Shape>(&[1]) {
+        Err(e) => assert!(e.contains("Shape tag 1"), "{e}"),
+        Ok(v) => panic!("tag 1 decoded as {v:?}"),
+    }
+    let mut d = Dec::new(&[255, 0, 0]);
+    assert!(matches!(Shape::load(&mut d), Err(SnapError::Malformed(_))));
+}
+
+#[test]
+fn snap_enum_reports_a_truncated_payload() {
+    let bytes = bytes_of(&Shape::Span { lo: 5, hi: Some(6) });
+    for cut in 1..bytes.len() {
+        let mut d = Dec::new(&bytes[..cut]);
+        assert!(
+            matches!(Shape::load(&mut d), Err(SnapError::Truncated)),
+            "{cut} of {} bytes",
+            bytes.len()
+        );
+    }
+}
+
+/// Every tag byte, then zeros: a declared tag decodes, any other is an
+/// error, and none panics.
+#[test]
+fn snap_enum_decodes_or_refuses_every_tag_byte() {
+    for tag in 0..=u8::MAX {
+        let mut bytes = vec![tag];
+        bytes.extend([0; 16]);
+        let decoded = Shape::load(&mut Dec::new(&bytes));
+        assert_eq!(decoded.is_ok(), SHAPE_TAGS.contains(&tag), "tag {tag}");
+    }
+}

@@ -1,7 +1,5 @@
 //! The timeline event model.
 
-use vksim_snapshot::{Dec, Enc, Snap, SnapError};
-
 /// Warp field value for events not attributable to a warp (RT-unit memory
 /// traffic, DRAM row activates).
 pub const NO_WARP: u32 = u32::MAX;
@@ -99,25 +97,10 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// Stable numeric code for flat (post-mortem dump) encoding.
+    /// Stable numeric code for flat (post-mortem dump) encoding: the
+    /// snapshot tag.
     pub fn code(&self) -> u64 {
-        match self {
-            EventKind::Issue { .. } => 0,
-            EventKind::StallBegin => 1,
-            EventKind::StallEnd { .. } => 2,
-            EventKind::Retire => 3,
-            EventKind::Diverge { .. } => 4,
-            EventKind::Reconverge { .. } => 5,
-            EventKind::RtBusyBegin => 6,
-            EventKind::RtBusyEnd => 7,
-            EventKind::RtStart => 8,
-            EventKind::RtFinish { .. } => 9,
-            EventKind::MshrAlloc { .. } => 10,
-            EventKind::MshrFill { .. } => 11,
-            EventKind::DramRowActivate { .. } => 12,
-            EventKind::IcntStallBegin => 13,
-            EventKind::IcntStallEnd { .. } => 14,
-        }
+        self.snap_tag().into()
     }
 
     /// Human-readable name (Chrome trace event name).
@@ -164,75 +147,25 @@ impl EventKind {
     }
 }
 
-/// Lossless (unlike [`EventKind::args`], which flattens payloads), with
-/// [`EventKind::code`] as the variant tag.
-impl Snap for EventKind {
-    fn save(&self, e: &mut Enc) {
-        e.u8(self.code() as u8);
-        match *self {
-            EventKind::Issue { pc, lanes } => {
-                e.u32(pc);
-                e.u32(lanes);
-            }
-            EventKind::StallEnd { cycles } | EventKind::IcntStallEnd { cycles } => e.u64(cycles),
-            EventKind::Diverge { pc } | EventKind::Reconverge { pc } => e.u32(pc),
-            EventKind::RtFinish { latency } => e.u64(latency),
-            EventKind::MshrAlloc { line, partition } | EventKind::MshrFill { line, partition } => {
-                e.u64(line);
-                e.u32(partition);
-            }
-            EventKind::DramRowActivate {
-                partition,
-                channel,
-                bank,
-            } => {
-                e.u32(partition);
-                e.u32(channel);
-                e.u32(bank);
-            }
-            EventKind::StallBegin
-            | EventKind::Retire
-            | EventKind::RtBusyBegin
-            | EventKind::RtBusyEnd
-            | EventKind::RtStart
-            | EventKind::IcntStallBegin => {}
-        }
-    }
-
-    fn load(d: &mut Dec<'_>) -> Result<Self, SnapError> {
-        Ok(match d.u8()? {
-            0 => EventKind::Issue {
-                pc: d.u32()?,
-                lanes: d.u32()?,
-            },
-            1 => EventKind::StallBegin,
-            2 => EventKind::StallEnd { cycles: d.u64()? },
-            3 => EventKind::Retire,
-            4 => EventKind::Diverge { pc: d.u32()? },
-            5 => EventKind::Reconverge { pc: d.u32()? },
-            6 => EventKind::RtBusyBegin,
-            7 => EventKind::RtBusyEnd,
-            8 => EventKind::RtStart,
-            9 => EventKind::RtFinish { latency: d.u64()? },
-            10 => EventKind::MshrAlloc {
-                line: d.u64()?,
-                partition: d.u32()?,
-            },
-            11 => EventKind::MshrFill {
-                line: d.u64()?,
-                partition: d.u32()?,
-            },
-            12 => EventKind::DramRowActivate {
-                partition: d.u32()?,
-                channel: d.u32()?,
-                bank: d.u32()?,
-            },
-            13 => EventKind::IcntStallBegin,
-            14 => EventKind::IcntStallEnd { cycles: d.u64()? },
-            t => return Err(SnapError::bad_tag::<Self>(t)),
-        })
-    }
-}
+// Lossless (unlike `EventKind::args`, which flattens payloads); the tags
+// are also the post-mortem codes.
+vksim_snapshot::snap_enum!(EventKind {
+    0 => Issue { pc, lanes },
+    1 => StallBegin,
+    2 => StallEnd { cycles },
+    3 => Retire,
+    4 => Diverge { pc },
+    5 => Reconverge { pc },
+    6 => RtBusyBegin,
+    7 => RtBusyEnd,
+    8 => RtStart,
+    9 => RtFinish { latency },
+    10 => MshrAlloc { line, partition },
+    11 => MshrFill { line, partition },
+    12 => DramRowActivate { partition, channel, bank },
+    13 => IcntStallBegin,
+    14 => IcntStallEnd { cycles },
+});
 
 #[cfg(test)]
 mod tests {
