@@ -142,13 +142,17 @@ impl Simulator {
         // The one place a run reads the environment.
         let mut gpu_config = self.config.resolve().with_env_overrides();
         if let Err(e) = crate::validate::validate_config(&gpu_config) {
-            return Err(config_failure(e));
+            return Err(early_failure(
+                SimError::InvalidConfig { detail: e.detail },
+                &[],
+            ));
         }
+        let mismatch = |detail| early_failure(SimError::SnapshotMismatch { detail }, &[]);
         let fingerprint = checkpoint::config_fingerprint(&gpu_config, device, cmd);
         let resume_payload = match resume_from {
             Some(path) => match Snapshot::read(path) {
                 Ok(snap) if snap.fingerprint != fingerprint => {
-                    return Err(snapshot_failure(format!(
+                    return Err(mismatch(format!(
                         "snapshot {} was taken under fingerprint {:016x}, this \
                          configuration/command fingerprints as {fingerprint:016x}",
                         path.display(),
@@ -162,7 +166,7 @@ impl Simulator {
                     Some(snap.payload)
                 }
                 Err(e) => {
-                    return Err(snapshot_failure(format!(
+                    return Err(mismatch(format!(
                         "cannot read snapshot {}: {e}",
                         path.display()
                     )))
@@ -176,9 +180,7 @@ impl Simulator {
         let (mut gpu, mut runtime) = self.launch(gpu_config, device, cmd);
         if let Some(payload) = resume_payload {
             if let Err(e) = checkpoint::restore_machine(&mut gpu, &mut runtime, &payload) {
-                return Err(snapshot_failure(format!(
-                    "snapshot does not match this run: {e}"
-                )));
+                return Err(mismatch(format!("snapshot does not match this run: {e}")));
             }
         }
         // Run in checkpoint-bounded slices. With checkpointing off (the
@@ -343,7 +345,19 @@ impl Simulator {
         for tid in 0..total {
             t.reset(tid);
             if let Err(e) = run_to_exit(&cmd.program, &mut t, &mut mem, &mut runtime) {
-                return Err(functional_failure(tid, &e));
+                let pc = match e {
+                    ExecError::PcOutOfRange { pc } | ExecError::Rt { pc, .. } => pc,
+                    ExecError::StepLimit => 0,
+                };
+                let error = SimError::Exec {
+                    sm: 0,
+                    warp: (tid / 32) as u32,
+                    lane: tid % 32,
+                    pc,
+                    detail: format!("thread {tid}: {e}"),
+                };
+                let keys = [("fault.thread", tid as u64), ("fault.pc", u64::from(pc))];
+                return Err(early_failure(error, &keys));
             }
         }
         Ok((mem, runtime.stats.clone()))
@@ -476,56 +490,16 @@ fn write_final_snapshot(
     }
 }
 
-/// Builds the `SimFailure` for an unusable snapshot: unreadable, corrupt,
-/// or fingerprinted for a different configuration/command/scene. The run
-/// never started.
-fn snapshot_failure(detail: String) -> Box<SimFailure> {
-    let error = SimError::SnapshotMismatch { detail };
-    let mut snap = BTreeMap::new();
-    snap.insert("fault.kind".to_string(), error.kind_code());
-    let dump = vksim_fault::write_dump(&snap).ok();
-    Box::new(SimFailure {
-        error,
-        dump,
-        snapshot: None,
-        report: None,
-    })
-}
-
-/// Builds the `SimFailure` for a rejected configuration: the run never
-/// started, so there is no timing report — just the classified error and
-/// a minimal dump identifying the fault class.
-fn config_failure(e: crate::validate::ConfigError) -> Box<SimFailure> {
-    let error = SimError::InvalidConfig { detail: e.detail };
-    let mut snap = BTreeMap::new();
-    snap.insert("fault.kind".to_string(), error.kind_code());
-    let dump = vksim_fault::write_dump(&snap).ok();
-    Box::new(SimFailure {
-        error,
-        dump,
-        snapshot: None,
-        report: None,
-    })
-}
-
-/// Builds the `SimFailure` for a functional-mode execution error, writing
-/// a small post-mortem dump identifying the failing thread.
-fn functional_failure(tid: usize, e: &ExecError) -> Box<SimFailure> {
-    let pc = match e {
-        ExecError::PcOutOfRange { pc } | ExecError::Rt { pc, .. } => *pc,
-        ExecError::StepLimit => 0,
-    };
-    let error = SimError::Exec {
-        sm: 0,
-        warp: (tid / 32) as u32,
-        lane: tid % 32,
-        pc,
-        detail: format!("thread {tid}: {e}"),
-    };
-    let mut snap = BTreeMap::new();
-    snap.insert("fault.kind".to_string(), error.kind_code());
-    snap.insert("fault.thread".to_string(), tid as u64);
-    snap.insert("fault.pc".to_string(), u64::from(pc));
+/// Builds the `SimFailure` for a run that failed before the timing loop
+/// (a rejected configuration, an unusable snapshot) or in the functional
+/// tier: no report and no snapshot, just the classified error and a small
+/// post-mortem dump of `fault.kind` and `keys`.
+fn early_failure(error: SimError, keys: &[(&str, u64)]) -> Box<SimFailure> {
+    let kind = ("fault.kind", error.kind_code());
+    let snap: BTreeMap<String, u64> = std::iter::once(kind)
+        .chain(keys.iter().copied())
+        .map(|(key, value)| (key.to_string(), value))
+        .collect();
     let dump = vksim_fault::write_dump(&snap).ok();
     Box::new(SimFailure {
         error,

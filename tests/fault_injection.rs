@@ -128,6 +128,20 @@ fn corrupted_bvh_child_pointer_is_an_exec_fault() {
     let functional = sim
         .run_functional(&w.device, &w.cmd)
         .expect_err("traversal must reject the wild pointer");
+    // The functional tier's dump names the failing thread and pc.
+    let SimError::Exec { warp, lane, pc, .. } = functional.error else {
+        panic!("expected an execution fault, got {functional}");
+    };
+    let dump = read_dump(&functional);
+    let thread = u64::from(warp) * 32 + lane as u64;
+    assert_eq!(
+        dump.into_iter().collect::<Vec<_>>(),
+        [
+            ("fault.kind".to_string(), functional.error.kind_code()),
+            ("fault.pc".to_string(), u64::from(pc)),
+            ("fault.thread".to_string(), thread),
+        ]
+    );
     let timing = sim
         .run(&w.device, &w.cmd)
         .expect_err("the timing tier traverses the same corrupt BLAS");
