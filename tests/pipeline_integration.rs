@@ -140,10 +140,10 @@ fn timing_and_functional_images_agree() {
 
 /// A scene of degenerate parts built through the public `Device` API: an
 /// instance of an empty BLAS, a BLAS of zero-area triangles and of
-/// triangles sharing one centroid, and a raygen whose column 0 traces a
-/// NaN direction. The functional tier and the timing model on two
-/// machines must each end `Ok` or in a classified `SimError`, never a
-/// panic, and the images of the runs that end `Ok` must agree.
+/// triangles sharing one centroid, an instance of a one-triangle BLAS (a
+/// single leaf under the root) in front of a corner of the image, and a
+/// raygen whose column 0 traces a NaN direction. The functional tier and
+/// the timing model on two machines must each end `Ok`, with equal images.
 #[test]
 fn degenerate_scene_runs_alike_in_both_tiers() {
     use vksim_bvh::geometry::{BlasGeometry, Triangle};
@@ -176,9 +176,17 @@ fn degenerate_scene_runs_alike_in_both_tiers() {
         tris.push(Triangle::new(a, b, -(a + b)));
     }
     let degenerate = device.create_blas(BlasGeometry::triangles(tris));
+    let single = device.create_blas(BlasGeometry::triangles(vec![Triangle::new(
+        Vec3::ZERO,
+        Vec3::new(0.4, 0.0, 0.0),
+        Vec3::new(0.4, 0.6, 0.0),
+    )]));
+    // World (0.7..1.1, -1.2..-0.6) at z = -1, clear of the fan's unit disk.
+    let corner = Mat4x3::translation(Vec3::new(0.7, -1.2, -1.0));
     device.create_tlas(vec![
         Instance::new(empty, Mat4x3::IDENTITY),
         Instance::new(degenerate, Mat4x3::IDENTITY),
+        Instance::new(single, corner),
     ]);
 
     let mut rg = ShaderBuilder::new(ShaderKind::RayGen);
@@ -237,25 +245,26 @@ fn degenerate_scene_runs_alike_in_both_tiers() {
         ("test_small", timing(SimConfig::test_small())),
         ("paper", timing(SimConfig::paper())),
     ];
-    let mut images = Vec::new();
-    for (name, run) in runs {
-        match run {
-            Ok(img) => images.push((name, img)),
-            // A classified error is an acceptable end; a panic is not.
-            Err(failure) => eprintln!("{name}: {}", failure.error),
-        }
+    let images: Vec<(&str, Vec<u32>)> = runs
+        .into_iter()
+        .map(|(name, run)| (name, run.unwrap_or_else(|f| panic!("{name}: {}", f.error))))
+        .collect();
+    let (first, reference) = &images[0];
+    for (name, img) in &images[1..] {
+        assert!(img == reference, "{name} image differs from {first}");
     }
-    if let Some((first, reference)) = images.first() {
-        for (name, img) in &images[1..] {
-            assert!(img == reference, "{name} image differs from {first}");
-        }
-        let miss = MISS.to_bits();
-        for row in 0..H as usize {
-            assert_eq!(reference[row * W as usize], miss, "NaN column, row {row}");
-        }
-        assert!(
-            reference.iter().any(|&p| p != miss),
-            "the centroid fan is hit"
-        );
+    let miss = MISS.to_bits();
+    for row in 0..H as usize {
+        assert_eq!(reference[row * W as usize], miss, "NaN column, row {row}");
+    }
+    assert!(
+        reference.iter().any(|&p| p != miss),
+        "the centroid fan is hit"
+    );
+    // Row 1 (y = -0.9), x = 0.95..1.05: primitive 0 of the one-leaf BLAS
+    // at t = 2.
+    for x in 43..=45 {
+        let hit = f32::from_bits(reference[W as usize + x]);
+        assert!((hit - 2.0).abs() < 1e-4, "one-leaf BLAS at x {x}: {hit}");
     }
 }
