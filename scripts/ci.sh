@@ -18,6 +18,14 @@ cd "$(dirname "$0")/.."
 
 step() { printf '\n==> %s\n' "$*"; }
 
+# The checkout as CI found it; the last step requires the same state. Not
+# compared when the tree is not a git checkout of its own (a source export).
+in_checkout=false
+if [ "$(git rev-parse --show-toplevel 2>/dev/null)" = "$PWD" ]; then
+    in_checkout=true
+    status_before="$(git status --porcelain)"
+fi
+
 LOGS="$(mktemp -d)"
 declare -a names=() pids=()
 
@@ -146,7 +154,7 @@ VKSIM_CHAOS_ITERS=5 VKSIM_DUMP_DIR="$(mktemp -d)" \
 # is Test scale, ~3 s after the build; the build goes under target/ and the
 # summary to a temp file. Cargo rewrites benchmark/Cargo.lock whenever the
 # workspace crates' dependency lists differ from it, so the committed file
-# is saved here and put back on exit: CI leaves the checkout clean.
+# is saved here and put back at the end, or on exit from a failed stage.
 bench_lock="$(mktemp)"
 cp benchmark/Cargo.lock "$bench_lock"
 trap 'cp "$bench_lock" benchmark/Cargo.lock' EXIT
@@ -185,5 +193,19 @@ cargo run --release --offline --example quickstart >/dev/null
 cargo run --release --offline --example custom_scene >/dev/null
 cargo run --release --offline --example render_gallery >/dev/null
 cargo run --release --offline --example rtunit_explorer >/dev/null
+
+# CI leaves the checkout as it found it: the benchmark lock is put back,
+# and any other file a stage changed or left behind (a stray ckpt-* or
+# *.tmp) fails the gate.
+cp "$bench_lock" benchmark/Cargo.lock
+if $in_checkout; then
+    step "checkout left as found (git status --porcelain)"
+    status_after="$(git status --porcelain)"
+    if [ "$status_after" != "$status_before" ]; then
+        echo "CI changed the checkout (before, then after):"
+        diff <(printf '%s\n' "$status_before") <(printf '%s\n' "$status_after") || true
+        exit 1
+    fi
+fi
 
 printf '\nCI gate passed.\n'
