@@ -12,11 +12,16 @@
 //!   integers, `f64` via its bit pattern, length-prefixed strings and
 //!   sequences).
 //! * [`Snap`] — how a value writes itself with those primitives, with
-//!   impls for the std containers and two field-list macros
-//!   ([`snap_struct!`] for plain values, [`snap_state!`] for types that
-//!   restore in place over a configuration-built object). There is no
-//!   reflection and no schema beyond the field lists themselves, and a
-//!   struct field missing from its list does not compile.
+//!   impls for the std containers and three field-list macros:
+//!   - [`snap_struct!`] for a plain struct: its fields in order;
+//!   - [`snap_enum!`] for an enum: one `tag => Variant { fields }` line
+//!     per variant, the tag table that both directions read;
+//!   - [`snap_state!`] for a type that cannot exist without a
+//!     configuration: it restores in place over the object the resuming
+//!     run built.
+//!
+//!   There is no reflection and no schema beyond the lists themselves, and
+//!   a field or variant missing from its list does not compile.
 //! * [`Snapshot`] — the file container: an 8-byte magic, a format
 //!   version, a 64-bit configuration fingerprint, the payload, and an
 //!   FNV-1a-64 checksum trailer over everything before it.
