@@ -402,9 +402,9 @@ macro_rules! snap_struct {
 ///
 /// `save` writes the tag as a `u8`, then each field through [`Snap`] in the
 /// listed order; `load` reads the same order back, and any other tag is
-/// [`SnapError::bad_tag`](crate::SnapError::bad_tag). The enum also gets `snap_tag(&self) -> u8`, for
-/// the codes that must agree with the format (post-mortem dumps). Tuple
-/// fields are named only to bind them.
+/// [`SnapError::bad_tag`](crate::SnapError::bad_tag). The enum also gets
+/// `snap_tag(&self) -> u8`, for the codes that must agree with the format
+/// (post-mortem dumps). Tuple fields are named only to bind them.
 ///
 /// ```
 /// #[derive(Debug, PartialEq)]
@@ -417,8 +417,9 @@ macro_rules! snap_struct {
 /// assert_eq!(Status::WaitMem { outstanding: 3 }.snap_tag(), 2);
 /// ```
 ///
-/// `save` and `snap_tag` match every variant with no `..` rest pattern, so
-/// a variant or a field missing from the list does not compile:
+/// `snap_tag` and `save` match every variant, and `save` binds every field
+/// with no `..` rest pattern, so a variant or a field missing from the list
+/// does not compile:
 ///
 /// ```compile_fail
 /// enum Status { Ready, OpUntil(u64) }
