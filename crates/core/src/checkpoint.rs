@@ -123,25 +123,41 @@ mod tests {
         (device, cmd)
     }
 
+    /// Each preset's fingerprint on `tiny_cmd(32)` is pinned (a checkpoint
+    /// written by an earlier build stays resumable only while it holds),
+    /// and moving all twelve run-harness fields off their defaults leaves
+    /// it alone.
     #[test]
     fn fingerprint_ignores_run_harness_knobs() {
         let (device, cmd) = tiny_cmd(32);
-        let base = SimConfig::test_small().resolve();
-        let mut harness = SimConfig::test_small().resolve();
-        harness.watchdog_cycles = 50_000;
-        harness.max_cycles = 123;
-        harness.checkpoint_every = 1000;
-        harness.checkpoint_dir = Some("/tmp/ckpts".into());
-        harness.checkpoint_keep = 2;
-        harness.fault_plan.stall_warp = Some(3);
-        harness.trace.prof = Some("/tmp/prof.json".into());
-        harness.trace.rt = Some("/tmp/rt.json".into());
-        harness.trace.rt_heatmap = Some("/tmp/heatmap.csv".into());
-        assert_eq!(
-            config_fingerprint(&base, &device, &cmd),
-            config_fingerprint(&harness, &device, &cmd),
-            "harness knobs must not invalidate snapshots"
-        );
+        for (name, preset, pin) in [
+            ("baseline", SimConfig::baseline(), 0xb2ba_806f_30ea_6b1a),
+            ("paper", SimConfig::paper(), 0xb973_d109_37f0_9478),
+            ("mobile", SimConfig::mobile(), 0x15ea_25f7_5c42_645e),
+            ("test_small", SimConfig::test_small(), 0x4675_e78e_5bf6_89bd),
+        ] {
+            let base = preset.resolve();
+            let got = config_fingerprint(&base, &device, &cmd);
+            assert_eq!(got, pin, "{name}: fingerprint {got:#018x}");
+            let mut harness = base;
+            harness.watchdog_cycles = 50_000;
+            harness.max_cycles = 123;
+            harness.checkpoint_every = 1000;
+            harness.checkpoint_dir = Some("/tmp/ckpts".into());
+            harness.checkpoint_keep = 2;
+            harness.fault_plan.stall_warp = Some(3);
+            harness.trace.out = Some("/tmp/trace.json".into());
+            harness.trace.csv = Some("/tmp/intervals.csv".into());
+            harness.trace.summary = Some("/tmp/summary.txt".into());
+            harness.trace.prof = Some("/tmp/prof.json".into());
+            harness.trace.rt = Some("/tmp/rt.json".into());
+            harness.trace.rt_heatmap = Some("/tmp/heatmap.csv".into());
+            assert_eq!(
+                config_fingerprint(&harness, &device, &cmd),
+                pin,
+                "{name}: harness knobs must not invalidate snapshots"
+            );
+        }
     }
 
     #[test]
