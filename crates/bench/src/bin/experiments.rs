@@ -2,40 +2,30 @@
 //!
 //! ```text
 //! vksim-experiments [EXPERIMENT] [--scale test|small|paper]
-//!                   [--trace=FILE.json] [--trace-interval=CYCLES]
-//!                   [--prof=FILE.json] [--prof-summary]
-//!                   [--rt-analytics=FILE.json] [--rt-heatmap=FILE.csv]
-//!                   [--rt-summary]
+//!                   [--prof-summary] [--rt-summary] [--<knob>=VALUE]
 //! ```
 //!
 //! Without arguments, runs every experiment at test scale. Experiments:
 //! `tab02 tab03 tab04 fig01 fig02 fig11 fig12 fig13 fig14 fig15 fig16
 //! fig17 fig18 fig19 instmix energy`.
 //!
-//! `--trace=FILE.json` enables cycle-level tracing and writes a Chrome
-//! trace-event file loadable in Perfetto (it maps to the `VKSIM_TRACE`
-//! environment override, so every distinct run of the invocation
-//! traces into the same file — trace a single experiment at a time).
-//! `--trace-interval=CYCLES` sets the interval-metrics sampler period
-//! (`VKSIM_TRACE_INTERVAL`).
+//! Every run override of `vksim_core::ENV_OVERRIDES` is also a flag:
+//! `--<knob>=VALUE` sets `VKSIM_<KNOB>`, the knob upper-cased with `-`
+//! as `_`, so `--trace=FILE.json` is `VKSIM_TRACE`, `--trace-csv=FILE`
+//! is `VKSIM_TRACE_CSV` and `--watchdog=CYCLES` is `VKSIM_WATCHDOG`.
+//! README "Environment overrides" lists all eleven. Every run of the
+//! invocation writes the same export files, so trace, profile or analyse
+//! a single experiment at a time; `-` prints a report to stderr.
 //!
-//! `--prof=FILE.json` enables per-SM cycle accounting and writes the
-//! flat-JSON stall breakdown (it maps to `VKSIM_PROF`, so — like
-//! `--trace` — profile a single experiment at a time; `-` prints to
-//! stderr). `--prof-summary` runs every workload with accounting on and
+//! `--prof-summary` runs every workload with cycle accounting on and
 //! prints the human-readable stall table: top stall category, SIMT
-//! efficiency, achieved vs peak IPC and warp occupancy.
-//!
-//! `--rt-analytics=FILE.json` enables ray-traversal analytics and writes
-//! the flat-JSON characterization (maps to `VKSIM_RT_ANALYTICS`; `-`
-//! prints to stderr); `--rt-heatmap=FILE.csv` writes the per-BVH-node
-//! visit/hit heatmap (`VKSIM_RT_HEATMAP`). `--rt-summary` runs every
-//! workload with analytics on and prints the human-readable traversal
-//! table: rays traced, per-ray node/box/triangle work, heatmap
+//! efficiency, achieved vs peak IPC and warp occupancy. `--rt-summary`
+//! runs every workload with ray-traversal analytics on and prints the
+//! traversal table: rays traced, per-ray node/box/triangle work, heatmap
 //! concentration, warp traversal coherence and RT-unit attribution.
 
 use vksim_bench as x;
-use vksim_core::SimConfig;
+use vksim_core::{SimConfig, ENV_OVERRIDES};
 use vksim_scenes::{Scale, WorkloadKind};
 
 fn main() {
@@ -47,19 +37,16 @@ fn main() {
     } else {
         Scale::Test
     };
-    // Trace flags become the environment overrides the engine already
-    // honours, so the whole config plumbing stays in one place.
-    for a in &args {
-        if let Some(path) = a.strip_prefix("--trace=") {
-            std::env::set_var("VKSIM_TRACE", path);
-        } else if let Some(iv) = a.strip_prefix("--trace-interval=") {
-            std::env::set_var("VKSIM_TRACE_INTERVAL", iv);
-        } else if let Some(path) = a.strip_prefix("--prof=") {
-            std::env::set_var("VKSIM_PROF", path);
-        } else if let Some(path) = a.strip_prefix("--rt-analytics=") {
-            std::env::set_var("VKSIM_RT_ANALYTICS", path);
-        } else if let Some(path) = a.strip_prefix("--rt-heatmap=") {
-            std::env::set_var("VKSIM_RT_HEATMAP", path);
+    // `--<knob>=V` sets the run override `VKSIM_<KNOB>` (upper-cased,
+    // `-` to `_`) when the table declares it, so a run reads flags and
+    // environment alike, once.
+    for (knob, value) in args
+        .iter()
+        .filter_map(|a| a.strip_prefix("--")?.split_once('='))
+    {
+        let name = format!("VKSIM_{}", knob.to_uppercase().replace('-', "_"));
+        if ENV_OVERRIDES.iter().any(|&(n, _)| n == name) {
+            std::env::set_var(name, value);
         }
     }
     // One run table per invocation: a point several experiments share

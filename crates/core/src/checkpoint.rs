@@ -15,10 +15,8 @@
 //! resume cleanly.
 
 use crate::runtime::RtRuntime;
-use vksim_fault::FaultPlan;
 use vksim_gpu::{GpuConfig, GpuSim};
 use vksim_snapshot::{fnv1a, fnv1a_init, Dec, Enc, SnapError};
-use vksim_trace::TraceConfig;
 use vksim_vulkan::{Device, TraceRaysCommand};
 
 /// Fingerprints a (configuration, scene, command) triple.
@@ -30,40 +28,13 @@ use vksim_vulkan::{Device, TraceRaysCommand};
 /// interval, flight depth, event cap — these shape collector state inside
 /// the snapshot), the full program text and launch header, and scene
 /// shape (BLAS and TLAS instance counts). It excludes anything that only
-/// controls how the run is driven or observed: `max_cycles`, the
-/// watchdog, the fault plan, checkpoint cadence/directory, and trace
-/// output file paths.
+/// controls how the run is driven or observed, the fields
+/// [`GpuConfig::simulated`] resets: `max_cycles`, the watchdog, the fault
+/// plan, checkpoint cadence/directory/retention, and trace output paths.
 pub fn config_fingerprint(config: &GpuConfig, device: &Device, cmd: &TraceRaysCommand) -> u64 {
-    let trace = &config.trace;
-    let canonical = GpuConfig {
-        max_cycles: 0,
-        watchdog_cycles: 0,
-        fault_plan: FaultPlan::default(),
-        checkpoint_every: 0,
-        checkpoint_dir: None,
-        checkpoint_keep: 0,
-        trace: TraceConfig {
-            enabled: trace.enabled,
-            out: None,
-            csv: None,
-            summary: None,
-            interval: trace.interval,
-            flight_depth: trace.flight_depth,
-            max_events: trace.max_events,
-            // Accounting and RT analytics shape per-SM snapshot state
-            // (like `enabled` shapes collector state); the output paths
-            // do not.
-            accounting: trace.accounting,
-            prof: None,
-            rt_analytics: trace.rt_analytics,
-            rt: None,
-            rt_heatmap: None,
-        },
-        ..config.clone()
-    };
     let instances = device.tlas.as_ref().map_or(0, |t| t.instances.len());
     let mut h = fnv1a_init();
-    h = fnv1a(h, format!("{canonical:?}").as_bytes());
+    h = fnv1a(h, format!("{:?}", config.simulated()).as_bytes());
     h = fnv1a(h, crate::trace_io::dump_command(cmd).as_bytes());
     h = fnv1a(
         h,

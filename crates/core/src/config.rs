@@ -95,15 +95,6 @@ impl SimConfig {
         self
     }
 
-    /// Sets the cycle-level tracing configuration (timeline events,
-    /// interval metrics, exporters). The default is off; tests pass an
-    /// explicit config here instead of relying on the `VKSIM_TRACE_*`
-    /// environment overrides.
-    pub fn with_trace(mut self, trace: vksim_trace::TraceConfig) -> Self {
-        self.gpu.trace = trace;
-        self
-    }
-
     /// Enables cycle-accounting (the `VKSIM_PROF` profiler): every SM
     /// cycle is attributed to exactly one stall category, with the
     /// breakdown available as [`crate::RunReport::prof`]. Independent of
@@ -111,14 +102,6 @@ impl SimConfig {
     /// on the `VKSIM_PROF` environment override.
     pub fn with_accounting(mut self, on: bool) -> Self {
         self.gpu.trace.accounting = on;
-        self
-    }
-
-    /// Enables cycle-accounting and writes its flat-JSON breakdown to
-    /// `path` at the end of the run (`-` prints to stderr).
-    pub fn with_prof(mut self, path: impl Into<String>) -> Self {
-        self.gpu.trace.accounting = true;
-        self.gpu.trace.prof = Some(path.into());
         self
     }
 
@@ -130,59 +113,6 @@ impl SimConfig {
     /// instead of relying on the environment override.
     pub fn with_rt_analytics(mut self, on: bool) -> Self {
         self.gpu.trace.rt_analytics = on;
-        self
-    }
-
-    /// Enables RT analytics and writes its flat-JSON breakdown to `path`
-    /// at the end of the run (`-` prints to stderr).
-    pub fn with_rt(mut self, path: impl Into<String>) -> Self {
-        self.gpu.trace.rt_analytics = true;
-        self.gpu.trace.rt = Some(path.into());
-        self
-    }
-
-    /// Enables RT analytics and writes the per-BVH-node heatmap CSV to
-    /// `path` at the end of the run.
-    pub fn with_rt_heatmap(mut self, path: impl Into<String>) -> Self {
-        self.gpu.trace.rt_analytics = true;
-        self.gpu.trace.rt_heatmap = Some(path.into());
-        self
-    }
-
-    /// Sets how many periodic checkpoints to retain: after each
-    /// successful checkpoint write, all but the newest `keep`
-    /// `ckpt-*.vksnap` files are pruned from the checkpoint directory.
-    /// `0` (the default) keeps every checkpoint.
-    pub fn with_checkpoint_keep(mut self, keep: u64) -> Self {
-        self.gpu.checkpoint_keep = keep;
-        self
-    }
-
-    /// Sets the number of independent memory partitions (L2 slice + DRAM
-    /// channel group each); `1` is the monolithic backend.
-    pub fn with_partitions(mut self, n: u32) -> Self {
-        self.gpu.mem.num_partitions = n.max(1);
-        self
-    }
-
-    /// Selects the DRAM access scheduler (in-order FCFS or FR-FCFS).
-    pub fn with_dram_sched(mut self, sched: vksim_mem::DramSched) -> Self {
-        self.gpu.mem.dram.sched = sched;
-        self
-    }
-
-    /// Bounds each memory partition's interconnect ingress queue to
-    /// `depth` in-flight requests (`0` = unbounded, the historical model).
-    /// A full queue backpressures the issuing SM.
-    pub fn with_icnt_queue_depth(mut self, depth: u32) -> Self {
-        self.gpu.mem.icnt_queue_depth = depth;
-        self
-    }
-
-    /// Limits each partition's return path to `credits` concurrent
-    /// completions in flight toward the SMs (`0` = unbounded).
-    pub fn with_icnt_return_credits(mut self, credits: u32) -> Self {
-        self.gpu.mem.icnt_return_credits = credits;
         self
     }
 
@@ -253,6 +183,14 @@ mod tests {
         assert_eq!(g.rt_unit.max_warps, 12);
         assert_eq!(g.divergence, DivergenceMode::Multipath);
         assert_eq!(g.num_sms, 8);
+        // The observer switches set no output path.
+        let t = SimConfig::test_small()
+            .with_accounting(true)
+            .with_rt_analytics(true)
+            .gpu
+            .trace;
+        assert!(t.accounting && t.rt_analytics);
+        assert!(t.prof.is_none() && t.rt.is_none() && t.rt_heatmap.is_none());
     }
 
     #[test]
@@ -260,49 +198,15 @@ mod tests {
         let p = SimConfig::paper().resolve();
         assert_eq!(p.num_sms, 48);
         assert_eq!(p.mem.num_partitions, 8);
-        let c = SimConfig::test_small()
-            .with_partitions(4)
-            .with_dram_sched(vksim_mem::DramSched::fr_fcfs_paper())
-            .resolve();
+        let mut c = SimConfig::test_small();
+        c.gpu.mem.num_partitions = 4;
+        c.gpu.mem.dram.sched = vksim_mem::DramSched::fr_fcfs_paper();
+        let c = c.resolve();
         assert_eq!(c.mem.num_partitions, 4);
         assert!(matches!(
             c.mem.dram.sched,
             vksim_mem::DramSched::FrFcfs { .. }
         ));
-        assert_eq!(
-            SimConfig::test_small()
-                .with_partitions(0)
-                .gpu
-                .mem
-                .num_partitions,
-            1
-        );
-    }
-
-    #[test]
-    fn accounting_and_retention_builders() {
-        let c = SimConfig::test_small()
-            .with_prof("/tmp/p.json")
-            .with_checkpoint_keep(3);
-        assert!(c.gpu.trace.accounting);
-        assert_eq!(c.gpu.trace.prof.as_deref(), Some("/tmp/p.json"));
-        assert_eq!(c.gpu.checkpoint_keep, 3);
-        let c = SimConfig::test_small().with_accounting(true);
-        assert!(c.gpu.trace.accounting);
-        assert!(c.gpu.trace.prof.is_none());
-    }
-
-    #[test]
-    fn rt_analytics_builders() {
-        let c = SimConfig::test_small()
-            .with_rt("/tmp/rt.json")
-            .with_rt_heatmap("/tmp/heat.csv");
-        assert!(c.gpu.trace.rt_analytics);
-        assert_eq!(c.gpu.trace.rt.as_deref(), Some("/tmp/rt.json"));
-        assert_eq!(c.gpu.trace.rt_heatmap.as_deref(), Some("/tmp/heat.csv"));
-        let c = SimConfig::test_small().with_rt_analytics(true);
-        assert!(c.gpu.trace.rt_analytics);
-        assert!(c.gpu.trace.rt.is_none() && c.gpu.trace.rt_heatmap.is_none());
     }
 
     #[test]

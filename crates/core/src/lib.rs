@@ -66,5 +66,5 @@ pub use config::{MemoryMode, SimConfig};
 pub use runtime::{RtRuntime, RuntimeStats};
 pub use simulator::{RunReport, SimFailure, Simulator};
 pub use validate::{validate_config, ConfigError, ImageSizeMismatch};
-pub use vksim_gpu::{FaultPlan, GpuFault, HangClass, SimError, WorkerPanicSpec};
+pub use vksim_gpu::{FaultPlan, GpuFault, HangClass, SimError, WorkerPanicSpec, ENV_OVERRIDES};
 pub use vksim_snapshot::{SnapError, Snapshot};

@@ -13,7 +13,8 @@ use vksim_isa::SimMemory;
 use vksim_power::{ActivityCounts, PowerModel, PowerReport};
 use vksim_snapshot::Snapshot;
 use vksim_trace::{
-    chrome_trace_json, hotspot_summary, interval_csv, ProfReport, RtReport, TraceReport,
+    chrome_trace_json, hotspot_summary, interval_csv, ProfReport, RtReport, TraceConfig,
+    TraceReport,
 };
 use vksim_vulkan::{Device, TraceRaysCommand};
 
@@ -220,79 +221,59 @@ impl Simulator {
             Ok(_) => None,
         };
         let memory = std::mem::take(&mut gpu.mem);
-        // Trace export happens on healthy AND faulted runs: a trace that
-        // ends at the fault is exactly what post-mortem analysis wants.
+        // Exports happen on healthy AND faulted runs: a trace, profile or
+        // heatmap that ends at the fault is exactly what post-mortem
+        // analysis wants.
         let trace = gpu.take_trace_report();
         if let Some(t) = &trace {
             export_trace(t);
         }
-        // Profile export too: a faulted run's partial breakdown is exactly
-        // what post-mortem analysis wants (conservation only holds for
-        // healthy runs; a faulting tick can die before it attributes its
-        // cycle).
         let prof = gpu.prof_report();
-        if let (Some(p), Some(path)) = (&prof, &gpu.config().trace.prof) {
-            write_export(path, "profile", p.flat_json());
-        }
-        // RT analytics likewise export on both paths; a faulted run's
-        // partial heatmap is still a valid characterization of the rays
-        // that completed.
         let rt = rt_report(&gpu, &runtime);
-        if let Some(r) = &rt {
-            let tcfg = &gpu.config().trace;
-            if let Some(path) = &tcfg.rt {
-                write_export(path, "rt analytics", r.flat_json());
-            }
-            if let Some(path) = &tcfg.rt_heatmap {
-                write_export(path, "rt heatmap", r.heatmap_csv());
-            }
-        }
-        match outcome {
-            Ok(stats) => {
-                // Conservation only holds on healthy runs: fault paths can
-                // stop mid-traversal with scripts half-consumed.
-                if let Some(r) = &rt {
-                    assert!(
-                        r.conservation_holds(),
-                        "rt analytics conservation violated on a healthy run: \
-                         heatmap visits {} vs per-ray nodes {}, per-ray box \
-                         tests {} vs rt-unit box ops {}",
-                        r.traversal.visit_total(),
-                        r.traversal.histograms()[0].1.sum(),
-                        r.traversal.histograms()[1].1.sum(),
-                        r.rt_box_ops,
-                    );
-                }
-                let power = power_from_stats(&stats);
-                Ok(RunReport {
-                    gpu: stats,
-                    runtime: runtime.stats,
-                    power,
-                    memory,
-                    trace,
-                    prof,
-                    rt,
-                })
-            }
+        export_reports(&gpu.config().trace, prof.as_ref(), rt.as_ref());
+        let (stats, failure) = match outcome {
+            Ok(stats) => (stats, None),
             Err(fault) => {
                 let GpuFault { error, stats, dump } = *fault;
-                let power = power_from_stats(&stats);
-                let report = RunReport {
-                    gpu: stats,
-                    runtime: runtime.stats,
-                    power,
-                    memory,
-                    trace,
-                    prof,
-                    rt,
-                };
-                Err(Box::new(SimFailure {
+                let failure = SimFailure {
                     error,
                     dump,
                     snapshot: fault_snapshot,
-                    report: Some(report),
-                }))
+                    report: None,
+                };
+                (stats, Some(failure))
             }
+        };
+        // Conservation only holds on healthy runs: fault paths can stop
+        // mid-traversal with scripts half-consumed, and a faulting tick
+        // can die before it attributes its cycle.
+        if let (None, Some(r)) = (&failure, &rt) {
+            assert!(
+                r.conservation_holds(),
+                "rt analytics conservation violated on a healthy run: \
+                 heatmap visits {} vs per-ray nodes {}, per-ray box \
+                 tests {} vs rt-unit box ops {}",
+                r.traversal.visit_total(),
+                r.traversal.histograms()[0].1.sum(),
+                r.traversal.histograms()[1].1.sum(),
+                r.rt_box_ops,
+            );
+        }
+        let report = RunReport {
+            power: power_from_stats(&stats),
+            gpu: stats,
+            runtime: runtime.stats,
+            memory,
+            trace,
+            prof,
+            rt,
+        };
+        match failure {
+            None => Ok(report),
+            Some(failure) => Err(Box::new(SimFailure {
+                report: Some(report),
+                ..failure
+            })),
         }
     }
 
@@ -404,6 +385,23 @@ fn export_trace(report: &TraceReport) {
     }
     if let Some(path) = &report.config.summary {
         write_export(path, "trace file", hotspot_summary(report, 10));
+    }
+}
+
+/// Writes the cycle-accounting and RT-analytics exports the trace
+/// configuration asks for: the profile (`prof`), the RT analytics
+/// (`rt`) and the per-node heatmap (`rt_heatmap`).
+fn export_reports(config: &TraceConfig, prof: Option<&ProfReport>, rt: Option<&RtReport>) {
+    if let (Some(p), Some(path)) = (prof, &config.prof) {
+        write_export(path, "profile", p.flat_json());
+    }
+    if let Some(r) = rt {
+        if let Some(path) = &config.rt {
+            write_export(path, "rt analytics", r.flat_json());
+        }
+        if let Some(path) = &config.rt_heatmap {
+            write_export(path, "rt heatmap", r.heatmap_csv());
+        }
     }
 }
 
@@ -778,9 +776,9 @@ mod tests {
         // Checkpoint every eighth of the run: at least 7 land, retention
         // must leave exactly 2.
         let every = (reference.gpu.cycles / 8).max(1);
-        let cfg = SimConfig::test_small()
-            .with_checkpoint(every, dir.to_string_lossy().to_string())
-            .with_checkpoint_keep(2);
+        let mut cfg =
+            SimConfig::test_small().with_checkpoint(every, dir.to_string_lossy().to_string());
+        cfg.gpu.checkpoint_keep = 2;
         let resumed = Simulator::new(cfg).run(&device, &cmd).expect("healthy run");
         assert_eq!(resumed.gpu.cycles, reference.gpu.cycles);
         let mut cycles: Vec<u64> = std::fs::read_dir(&dir)
@@ -818,7 +816,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("vksim-prof-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("prof.json");
-        let cfg = SimConfig::test_small().with_prof(path.to_string_lossy().to_string());
+        let mut cfg = SimConfig::test_small().with_accounting(true);
+        cfg.gpu.trace.prof = Some(path.to_string_lossy().to_string());
         let report = Simulator::new(cfg).run(&device, &cmd).expect("healthy run");
         let prof = report.prof.as_ref().expect("accounting enabled");
         assert!(prof.conservation_holds(), "{prof:?}");
@@ -853,9 +852,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let json_path = dir.join("rt.json");
         let csv_path = dir.join("heatmap.csv");
-        let cfg = SimConfig::test_small()
-            .with_rt(json_path.to_string_lossy().to_string())
-            .with_rt_heatmap(csv_path.to_string_lossy().to_string());
+        let mut cfg = SimConfig::test_small().with_rt_analytics(true);
+        cfg.gpu.trace.rt = Some(json_path.to_string_lossy().to_string());
+        cfg.gpu.trace.rt_heatmap = Some(csv_path.to_string_lossy().to_string());
         let report = Simulator::new(cfg).run(&device, &cmd).expect("healthy run");
         let rt = report.rt.as_ref().expect("rt analytics enabled");
         assert!(rt.conservation_holds(), "{rt:?}");
@@ -963,10 +962,11 @@ mod tests {
     #[test]
     fn degenerate_fr_fcfs_depth_is_rejected_before_the_run() {
         let (device, cmd, _) = quad_workload(4, 4);
-        let cfg = SimConfig::test_small().with_dram_sched(vksim_mem::DramSched::FrFcfs {
+        let mut cfg = SimConfig::test_small();
+        cfg.gpu.mem.dram.sched = vksim_mem::DramSched::FrFcfs {
             queue_depth: 0,
             age_cap: 100,
-        });
+        };
         let failure = Simulator::new(cfg)
             .run(&device, &cmd)
             .expect_err("queue_depth 0 must be rejected, not clamped");
@@ -1126,16 +1126,13 @@ mod tests {
         let mut starved = SimConfig::paper();
         starved.gpu.mem.l2.mshr_entries = starved.gpu.mem.num_partitions as usize;
         starved.gpu.mem.l2.mshr_merge = 2;
-        let observed = SimConfig::paper()
-            .with_icnt_queue_depth(4)
-            .with_icnt_return_credits(2)
-            .with_trace(vksim_trace::TraceConfig {
-                enabled: true,
-                interval: 200,
-                ..Default::default()
-            })
+        let mut observed = SimConfig::paper()
             .with_accounting(true)
             .with_rt_analytics(true);
+        observed.gpu.mem.icnt_queue_depth = 4;
+        observed.gpu.mem.icnt_return_credits = 2;
+        observed.gpu.trace.enabled = true;
+        observed.gpu.trace.interval = 200;
         let small = SimConfig::test_small;
         let mut starved_l1 = small();
         starved_l1.gpu.l1.mshr_entries = 4;

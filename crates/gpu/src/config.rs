@@ -46,7 +46,7 @@ pub struct GpuConfig {
     /// issues, no warp retires and no memory completion arrives for this
     /// many consecutive cycles, the run fails with a classified hang
     /// instead of spinning to `max_cycles`. `0` disables the watchdog.
-    /// Overridable at run time with `VKSIM_WATCHDOG`.
+    /// Run override: `VKSIM_WATCHDOG` ([`ENV_OVERRIDES`]).
     pub watchdog_cycles: u64,
     /// Deterministic fault-injection switches (tests and fault drills);
     /// the default plan injects nothing.
@@ -55,21 +55,69 @@ pub struct GpuConfig {
     /// simulator core snapshots the complete machine state so a killed run
     /// can resume bit-identically. `0` (the default) disables
     /// checkpointing — the run is a single uninterrupted slice.
-    /// Overridable at run time with `VKSIM_CHECKPOINT_EVERY`.
+    /// Run override: `VKSIM_CHECKPOINT_EVERY` ([`ENV_OVERRIDES`]).
     pub checkpoint_every: u64,
     /// Directory receiving `ckpt-<cycle>.vksnap` checkpoint files; `None`
-    /// uses the current directory. Overridable at run time with
-    /// `VKSIM_CHECKPOINT_DIR`.
+    /// uses the current directory. Run override: `VKSIM_CHECKPOINT_DIR`
+    /// ([`ENV_OVERRIDES`]).
     pub checkpoint_dir: Option<String>,
     /// Checkpoint retention: after each successful checkpoint write, prune
     /// all but the newest `n` `ckpt-*.vksnap` files in the checkpoint
-    /// directory. `0` (the default) keeps every checkpoint. Overridable at
-    /// run time with `VKSIM_CHECKPOINT_KEEP`.
+    /// directory. `0` (the default) keeps every checkpoint. Run override:
+    /// `VKSIM_CHECKPOINT_KEEP` ([`ENV_OVERRIDES`]).
     pub checkpoint_keep: u64,
-    /// Cycle-level tracing (timeline events + interval metrics). Off by
-    /// default; overridable at run time with `VKSIM_TRACE`,
-    /// `VKSIM_TRACE_INTERVAL`, `VKSIM_TRACE_CSV` and `VKSIM_TRACE_SUMMARY`.
+    /// The observers: cycle-level tracing (timeline events + interval
+    /// metrics), cycle accounting and RT analytics, with their output
+    /// paths. All off by default. Run overrides: the `VKSIM_TRACE*`,
+    /// `VKSIM_PROF` and `VKSIM_RT_*` rows of [`ENV_OVERRIDES`].
     pub trace: TraceConfig,
+}
+
+/// Sets one run knob from an environment variable's value; `true` when
+/// the value was applied.
+pub type EnvSetter = fn(&mut GpuConfig, &str) -> bool;
+
+/// Every run-time override, declared once: the variable and the setter
+/// that applies its value. [`GpuConfig::with_env_overrides`] reads each
+/// variable, and the `experiments` binary spells each one as a flag
+/// (`VKSIM_TRACE_CSV` is `--trace-csv=`).
+///
+/// A number is applied when it parses after trimming. A path is applied
+/// when it is not blank, untrimmed, and turns on its observer: the trace
+/// paths and the interval turn on `trace.enabled`, `VKSIM_PROF` turns on
+/// `trace.accounting`, and the two RT paths turn on `trace.rt_analytics`.
+/// Any other value leaves the configuration alone.
+#[rustfmt::skip]
+pub const ENV_OVERRIDES: [(&str, EnvSetter); 11] = [
+    ("VKSIM_WATCHDOG",         |c, v| number(&mut c.watchdog_cycles, v)),
+    ("VKSIM_CHECKPOINT_EVERY", |c, v| number(&mut c.checkpoint_every, v)),
+    ("VKSIM_CHECKPOINT_KEEP",  |c, v| number(&mut c.checkpoint_keep, v)),
+    ("VKSIM_CHECKPOINT_DIR",   |c, v| path(&mut c.checkpoint_dir, v)),
+    ("VKSIM_TRACE",            |c, v| on(&mut c.trace.enabled, path(&mut c.trace.out, v))),
+    ("VKSIM_TRACE_INTERVAL",   |c, v| on(&mut c.trace.enabled, number(&mut c.trace.interval, v))),
+    ("VKSIM_TRACE_CSV",        |c, v| on(&mut c.trace.enabled, path(&mut c.trace.csv, v))),
+    ("VKSIM_TRACE_SUMMARY",    |c, v| on(&mut c.trace.enabled, path(&mut c.trace.summary, v))),
+    ("VKSIM_PROF",             |c, v| on(&mut c.trace.accounting, path(&mut c.trace.prof, v))),
+    ("VKSIM_RT_ANALYTICS",     |c, v| on(&mut c.trace.rt_analytics, path(&mut c.trace.rt, v))),
+    ("VKSIM_RT_HEATMAP",       |c, v| on(&mut c.trace.rt_analytics, path(&mut c.trace.rt_heatmap, v))),
+];
+
+fn number<T: std::str::FromStr>(field: &mut T, value: &str) -> bool {
+    value.trim().parse().map(|n| *field = n).is_ok()
+}
+
+fn path(field: &mut Option<String>, value: &str) -> bool {
+    let applied = !value.trim().is_empty();
+    if applied {
+        *field = Some(value.to_string());
+    }
+    applied
+}
+
+/// Turns `switch` on when a value was applied; passes `applied` through.
+fn on(switch: &mut bool, applied: bool) -> bool {
+    *switch |= applied;
+    applied
 }
 
 impl GpuConfig {
@@ -137,37 +185,37 @@ impl GpuConfig {
         }
     }
 
-    /// Returns this configuration with the environment overrides applied:
-    /// `VKSIM_WATCHDOG`, `VKSIM_CHECKPOINT_EVERY` and
-    /// `VKSIM_CHECKPOINT_KEEP` (integers; `0` disables either way),
-    /// `VKSIM_CHECKPOINT_DIR` (non-empty) and the trace variables of
-    /// [`TraceConfig::with_env_overrides`]. A variable that is unset, empty
-    /// or does not parse leaves its field alone.
+    /// Returns this configuration with every [`ENV_OVERRIDES`] variable
+    /// that is set applied by its setter.
     ///
     /// The environment is read here and nowhere else: a run applies this
     /// once, before it fingerprints the configuration and builds the
     /// machine, and everything after reads plain fields.
     pub fn with_env_overrides(mut self) -> Self {
-        fn parsed<T: std::str::FromStr>(name: &str) -> Option<T> {
-            std::env::var(name).ok()?.trim().parse().ok()
+        for (name, set) in ENV_OVERRIDES {
+            if let Ok(value) = std::env::var(name) {
+                set(&mut self, &value);
+            }
         }
-        if let Some(n) = parsed("VKSIM_WATCHDOG") {
-            self.watchdog_cycles = n;
-        }
-        if let Some(n) = parsed("VKSIM_CHECKPOINT_EVERY") {
-            self.checkpoint_every = n;
-        }
-        if let Some(n) = parsed("VKSIM_CHECKPOINT_KEEP") {
-            self.checkpoint_keep = n;
-        }
-        if let Some(dir) = std::env::var("VKSIM_CHECKPOINT_DIR")
-            .ok()
-            .filter(|d| !d.trim().is_empty())
-        {
-            self.checkpoint_dir = Some(dir);
-        }
-        self.trace = self.trace.with_env_overrides();
         self
+    }
+
+    /// The machine this configuration simulates: every run-harness field
+    /// (cycle bound, watchdog, fault plan, checkpoint cadence, directory
+    /// and retention, trace output paths) at its neutral value. Two
+    /// configurations with equal `simulated()` build the same machine
+    /// state, so its `Debug` string is what a checkpoint fingerprints.
+    pub fn simulated(&self) -> GpuConfig {
+        GpuConfig {
+            max_cycles: 0,
+            watchdog_cycles: 0,
+            fault_plan: FaultPlan::default(),
+            checkpoint_every: 0,
+            checkpoint_dir: None,
+            checkpoint_keep: 0,
+            trace: self.trace.without_outputs(),
+            ..self.clone()
+        }
     }
 
     /// Resident warps per SM given a program's register demand.
@@ -257,6 +305,108 @@ mod tests {
         let c = GpuConfig::baseline();
         assert_eq!(c.watchdog_cycles, 0);
         assert!(c.fault_plan.is_empty());
+    }
+
+    /// The only test of this crate that touches the process environment,
+    /// and this crate's tests run no `Simulator`, so nothing races it.
+    /// Every [`ENV_OVERRIDES`] entry is set, blank and an unparsable
+    /// number in turn, and the result must be exactly its effect or none.
+    #[test]
+    fn env_overrides_apply_and_clean_env_is_inert() {
+        // What each variable does to a config when it is applied with
+        // value `v`; a number is given " 7 ".
+        type Effect = fn(&mut GpuConfig, &str);
+        let effects: [(&str, bool, Effect); 11] = [
+            ("VKSIM_WATCHDOG", false, |c, _| c.watchdog_cycles = 7),
+            ("VKSIM_CHECKPOINT_EVERY", false, |c, _| {
+                c.checkpoint_every = 7
+            }),
+            ("VKSIM_CHECKPOINT_KEEP", false, |c, _| c.checkpoint_keep = 7),
+            ("VKSIM_CHECKPOINT_DIR", true, |c, v| {
+                c.checkpoint_dir = Some(v.into())
+            }),
+            ("VKSIM_TRACE", true, |c, v| {
+                c.trace.enabled = true;
+                c.trace.out = Some(v.into());
+            }),
+            ("VKSIM_TRACE_INTERVAL", false, |c, _| {
+                c.trace.enabled = true;
+                c.trace.interval = 7;
+            }),
+            ("VKSIM_TRACE_CSV", true, |c, v| {
+                c.trace.enabled = true;
+                c.trace.csv = Some(v.into());
+            }),
+            ("VKSIM_TRACE_SUMMARY", true, |c, v| {
+                c.trace.enabled = true;
+                c.trace.summary = Some(v.into());
+            }),
+            ("VKSIM_PROF", true, |c, v| {
+                c.trace.accounting = true;
+                c.trace.prof = Some(v.into());
+            }),
+            ("VKSIM_RT_ANALYTICS", true, |c, v| {
+                c.trace.rt_analytics = true;
+                c.trace.rt = Some(v.into());
+            }),
+            ("VKSIM_RT_HEATMAP", true, |c, v| {
+                c.trace.rt_analytics = true;
+                c.trace.rt_heatmap = Some(v.into());
+            }),
+        ];
+        assert_eq!(
+            ENV_OVERRIDES.map(|(name, _)| name),
+            effects.map(|(name, ..)| name)
+        );
+        let base = GpuConfig::baseline();
+        let applied = || format!("{:?}", base.clone().with_env_overrides());
+        for (name, _) in ENV_OVERRIDES {
+            std::env::remove_var(name);
+        }
+        assert_eq!(
+            applied(),
+            format!("{base:?}"),
+            "a clean environment is inert"
+        );
+        for (name, is_path, effect) in effects {
+            for (value, applies) in [(" 7 ", true), ("  ", false), ("7x", is_path)] {
+                std::env::set_var(name, value);
+                let mut want = base.clone();
+                if applies {
+                    effect(&mut want, value);
+                }
+                assert_eq!(applied(), format!("{want:?}"), "{name}={value:?}");
+                std::env::remove_var(name);
+            }
+        }
+    }
+
+    /// README "Environment overrides" has one table row per entry, in
+    /// table order, and each row names the entry's `experiments` flag.
+    #[test]
+    fn readme_lists_every_env_override() {
+        let readme = include_str!("../../../README.md");
+        let section = readme
+            .split("### Environment overrides")
+            .nth(1)
+            .and_then(|rest| rest.split("\n### ").next())
+            .expect("README has an \"Environment overrides\" section");
+        let rows: Vec<&str> = section
+            .lines()
+            .filter(|line| line.starts_with("| `VKSIM_"))
+            .collect();
+        let names: Vec<&str> = rows
+            .iter()
+            .filter_map(|row| row.split('`').nth(1))
+            .collect();
+        assert_eq!(names, ENV_OVERRIDES.map(|(name, _)| name));
+        for (row, name) in rows.iter().zip(names) {
+            let flag = name["VKSIM_".len()..].to_lowercase().replace('_', "-");
+            assert!(
+                row.contains(&format!("`--{flag}=")),
+                "no `--{flag}=` in {row}"
+            );
+        }
     }
 
     #[test]

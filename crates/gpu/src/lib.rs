@@ -25,7 +25,7 @@ pub mod gpu;
 pub mod simt;
 pub mod sm;
 
-pub use config::{DivergenceMode, GpuConfig};
+pub use config::{DivergenceMode, GpuConfig, ENV_OVERRIDES};
 pub use gpu::{GpuFault, GpuSim, GpuStats, LaunchDims, RunOutcome};
 pub use simt::{CtxOutcome, Mask, SimtEngine, FULL_MASK};
 pub use sm::TickReport;

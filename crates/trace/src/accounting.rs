@@ -264,18 +264,7 @@ impl ProfReport {
     /// shape as the golden-counter files, so the testkit flat-JSON
     /// reader parses it and byte comparison is meaningful.
     pub fn flat_json(&self) -> String {
-        let map = self.flat_map();
-        let mut out = String::from("{\n");
-        let mut first = true;
-        for (k, v) in &map {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str(&format!("  \"{k}\": {v}"));
-        }
-        out.push_str("\n}\n");
-        out
+        crate::export::flat_json(&self.flat_map())
     }
 
     /// Renders the human `--prof-summary` table: cycle breakdown with

@@ -94,6 +94,13 @@ pub struct TraceReport {
     pub config: TraceConfig,
 }
 
+/// Renders `map` as a flat JSON object, one `"key": value` per line in
+/// key order: the shape of the profile and RT-analytics exports.
+pub(crate) fn flat_json(map: &BTreeMap<String, u64>) -> String {
+    let lines: Vec<String> = map.iter().map(|(k, v)| format!("  \"{k}\": {v}")).collect();
+    format!("{{\n{}\n}}\n", lines.join(",\n"))
+}
+
 /// Serializes the report as Chrome trace-event JSON (Perfetto-loadable).
 /// Output is byte-deterministic for a fixed report.
 ///
@@ -560,6 +567,13 @@ mod tests {
             streamed: false,
             config: TraceConfig::default(),
         }
+    }
+
+    #[test]
+    fn flat_json_writes_one_sorted_key_per_line() {
+        let map: BTreeMap<String, u64> = [("b".to_string(), 2), ("a".to_string(), 1)].into();
+        assert_eq!(flat_json(&map), "{\n  \"a\": 1,\n  \"b\": 2\n}\n");
+        assert_eq!(flat_json(&BTreeMap::new()), "{\n\n}\n");
     }
 
     #[test]

@@ -70,6 +70,20 @@ bg "cargo doc --offline --no-deps --workspace (rustdoc -D warnings)" \
     env RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 join
 
+# The run overrides are parsed in one place: ENV_OVERRIDES in
+# crates/gpu/src/config.rs. Besides it, only the post-mortem dump directory
+# (read at dump time) and the testkit's property/golden knobs read the
+# environment. (grep rather than rg: ripgrep is not a CI dependency.)
+step "environment read only where declared (grep -rl 'env::var' crates/*/src)"
+env_readers="$(grep -rlF 'env::var' crates/*/src | LC_ALL=C sort)"
+env_expected="$(printf '%s\n' crates/fault/src/dump.rs crates/gpu/src/config.rs \
+    crates/testkit/src/golden.rs crates/testkit/src/prop.rs)"
+if [ "$env_readers" != "$env_expected" ]; then
+    echo "files reading the environment, expected then found:"
+    diff <(printf '%s\n' "$env_expected") <(printf '%s\n' "$env_readers") || true
+    exit 1
+fi
+
 step "cargo test --offline --workspace -q"
 cargo test --offline --workspace -q
 
@@ -116,10 +130,9 @@ VKSIM_DUMP_DIR="$(mktemp -d)" \
 # and runs in the workspace step.
 step "observer smoke run (trace + prof + rt analytics) + export validation"
 obs_dir="$(mktemp -d)"
-VKSIM_TRACE_CSV="$obs_dir/intervals.csv" \
-    cargo run --release --offline -p vksim-bench --bin experiments -- \
+cargo run --release --offline -p vksim-bench --bin experiments -- \
     fig01 --trace="$obs_dir/trace.json" --trace-interval=256 \
-    --prof="$obs_dir/prof.json" \
+    --trace-csv="$obs_dir/intervals.csv" --prof="$obs_dir/prof.json" \
     --rt-analytics="$obs_dir/rt.json" --rt-heatmap="$obs_dir/heatmap.csv" >/dev/null
 for f in trace.json intervals.csv prof.json rt.json heatmap.csv; do
     [ -s "$obs_dir/$f" ] || { echo "no $f written"; exit 1; }

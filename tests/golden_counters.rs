@@ -194,9 +194,9 @@ fn golden_tri_paper_rt() {
 /// changes cannot drift silently.
 #[test]
 fn golden_tri_paper_icnt() {
-    let config = SimConfig::paper()
-        .with_icnt_queue_depth(4)
-        .with_icnt_return_credits(2);
+    let mut config = SimConfig::paper();
+    config.gpu.mem.icnt_queue_depth = 4;
+    config.gpu.mem.icnt_return_credits = 2;
     check_workload_with(WorkloadKind::Tri, "tri_paper_icnt", config);
 }
 

@@ -91,7 +91,8 @@ fn prof_export_parses_and_conserves() {
             let dir = std::env::temp_dir().join(format!("vksim-prof-smoke-{}", std::process::id()));
             std::fs::create_dir_all(&dir).unwrap();
             let path = dir.join("prof.json");
-            let config = SimConfig::test_small().with_prof(path.to_str().unwrap());
+            let mut config = SimConfig::test_small().with_accounting(true);
+            config.gpu.trace.prof = Some(path.to_str().unwrap().into());
             let (_, report) = run_workload(WorkloadKind::Tri, Scale::Test, config);
             assert!(report
                 .prof

@@ -158,7 +158,8 @@ fn rt_export_parses_and_conserves() {
             let dir = std::env::temp_dir().join(format!("vksim-rt-smoke-{}", std::process::id()));
             std::fs::create_dir_all(&dir).unwrap();
             let path = dir.join("rt.json");
-            let config = SimConfig::test_small().with_rt(path.to_str().unwrap());
+            let mut config = SimConfig::test_small().with_rt_analytics(true);
+            config.gpu.trace.rt = Some(path.to_str().unwrap().into());
             let (_, report) = run_workload(WorkloadKind::Tri, Scale::Test, config);
             assert!(report.rt.expect("analytics enabled").conservation_holds());
             let text = std::fs::read_to_string(&path).expect("rt export written");

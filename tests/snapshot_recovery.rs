@@ -100,12 +100,12 @@ fn checkpoints_in(dir: &Path) -> Vec<(u64, PathBuf)> {
 /// partitioned memory, and the same machine behind a bounded interconnect
 /// (ingress queues + return credits must survive the snapshot).
 fn named_config(icnt_bounded: bool) -> SimConfig {
-    let base = SimConfig::paper();
+    let mut config = SimConfig::paper();
     if icnt_bounded {
-        base.with_icnt_queue_depth(4).with_icnt_return_credits(2)
-    } else {
-        base
+        config.gpu.mem.icnt_queue_depth = 4;
+        config.gpu.mem.icnt_return_credits = 2;
     }
+    config
 }
 
 fn run_plain(config: SimConfig, w: &Workload) -> RunReport {
@@ -451,16 +451,13 @@ fn mid_run_checkpoint(
 #[test]
 fn machine_layout_is_pinned() {
     let tri = build(WorkloadKind::Tri, Scale::Test);
-    let observed = SimConfig::paper()
-        .with_icnt_queue_depth(4)
-        .with_icnt_return_credits(2)
-        .with_trace(vksim_trace::TraceConfig {
-            enabled: true,
-            interval: 200,
-            ..Default::default()
-        })
+    let mut observed = SimConfig::paper()
         .with_accounting(true)
         .with_rt_analytics(true);
+    observed.gpu.mem.icnt_queue_depth = 4;
+    observed.gpu.mem.icnt_return_credits = 2;
+    observed.gpu.trace.enabled = true;
+    observed.gpu.trace.interval = 200;
     let mut starved = SimConfig::paper();
     starved.gpu.mem.l2.mshr_entries = starved.gpu.mem.num_partitions as usize;
     starved.gpu.mem.l2.mshr_merge = 2;

@@ -21,15 +21,20 @@ use vksim_trace::{
     ICNT_STALL_TID,
 };
 
-/// A test-small config with tracing on (no export files — the report is
-/// inspected in-process) and a short sampler period so even the tiny test
-/// scene produces several intervals.
-fn traced_config() -> SimConfig {
-    SimConfig::test_small().with_trace(TraceConfig {
+/// `config` with tracing on (no export files — the report is inspected
+/// in-process) and a short sampler period so even the tiny test scene
+/// produces several intervals.
+fn traced(mut config: SimConfig) -> SimConfig {
+    config.gpu.trace = TraceConfig {
         enabled: true,
         interval: 256,
         ..Default::default()
-    })
+    };
+    config
+}
+
+fn traced_config() -> SimConfig {
+    traced(SimConfig::test_small())
 }
 
 fn traced_run() -> RunReport {
@@ -77,14 +82,9 @@ fn snapshot(report: &RunReport) -> BTreeMap<String, u64> {
 /// `icnt_stall` B/E spans on the dedicated per-SM track.
 #[test]
 fn bounded_icnt_stalls_reach_the_exported_trace() {
-    let config = SimConfig::paper()
-        .with_icnt_queue_depth(4)
-        .with_icnt_return_credits(2)
-        .with_trace(TraceConfig {
-            enabled: true,
-            interval: 256,
-            ..Default::default()
-        });
+    let mut config = traced(SimConfig::paper());
+    config.gpu.mem.icnt_queue_depth = 4;
+    config.gpu.mem.icnt_return_credits = 2;
     let (_, report) = run_workload(WorkloadKind::Tri, Scale::Test, config);
     assert!(
         report.gpu.counters.get("sm.icnt_stall_cycles") > 0,
@@ -227,14 +227,7 @@ fn trace_is_deterministic() {
 /// row-activate events included.
 #[test]
 fn partitioned_trace_is_byte_deterministic() {
-    let run = || {
-        let config = SimConfig::paper().with_trace(TraceConfig {
-            enabled: true,
-            interval: 256,
-            ..Default::default()
-        });
-        run_workload(WorkloadKind::Tri, Scale::Test, config).1
-    };
+    let run = || run_workload(WorkloadKind::Tri, Scale::Test, traced(SimConfig::paper())).1;
     let a = run();
     let b = run();
     let json_a = chrome_trace_json(trace_of(&a));
