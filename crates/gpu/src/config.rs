@@ -73,8 +73,8 @@ pub struct GpuConfig {
     pub trace: TraceConfig,
 }
 
-/// Sets one run knob from an environment variable's value; `true` when
-/// the value was applied.
+/// Applies one run override's value to a configuration; `true` when it
+/// did.
 pub type EnvSetter = fn(&mut GpuConfig, &str) -> bool;
 
 /// Every run-time override, declared once: the variable and the setter
@@ -82,11 +82,11 @@ pub type EnvSetter = fn(&mut GpuConfig, &str) -> bool;
 /// variable, and the `experiments` binary spells each one as a flag
 /// (`VKSIM_TRACE_CSV` is `--trace-csv=`).
 ///
-/// A number is applied when it parses after trimming. A path is applied
-/// when it is not blank, untrimmed, and turns on its observer: the trace
-/// paths and the interval turn on `trace.enabled`, `VKSIM_PROF` turns on
-/// `trace.accounting`, and the two RT paths turn on `trace.rt_analytics`.
-/// Any other value leaves the configuration alone.
+/// A number is applied when it parses after trimming. A path is applied,
+/// as given, when it is not blank. An applied path or interval turns on
+/// its observer: the trace variables turn on `trace.enabled`,
+/// `VKSIM_PROF` turns on `trace.accounting`, and the two RT paths turn on
+/// `trace.rt_analytics`. Any other value leaves the configuration alone.
 #[rustfmt::skip]
 pub const ENV_OVERRIDES: [(&str, EnvSetter); 11] = [
     ("VKSIM_WATCHDOG",         |c, v| number(&mut c.watchdog_cycles, v)),
